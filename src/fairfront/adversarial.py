@@ -32,7 +32,14 @@ from .network import (
     init_network,
 )
 from .optim import AdamState, adam_step
-from .pareto import LambdaGrid, ParetoCandidate, SweepConfig, SweepResult, _with_seed
+from .pareto import (
+    EXPECTED_FAILURES,
+    LambdaGrid,
+    ParetoCandidate,
+    SweepConfig,
+    SweepResult,
+    _with_seed,
+)
 from .propensity import calibrate_temperature, predict_propensity, train_propensity
 from .training import TrainConfig, derive_seeds
 
@@ -295,7 +302,7 @@ def _adv_split_worker(payload):
             meta={"split_id": split_id},
         )
         prop_model = calibrate_temperature(raw_model, x_tr[perm[:n_cal]], a_tr[perm[:n_cal]])
-    except Exception as exc:
+    except EXPECTED_FAILURES as exc:
         return (
             split_id,
             [],
@@ -345,7 +352,7 @@ def _adv_split_worker(payload):
                     final_learning_rate=config.train.learning_rate,
                 )
             )
-        except Exception as exc:
+        except EXPECTED_FAILURES as exc:
             failures.append(
                 {
                     "split_id": split_id,

@@ -13,7 +13,6 @@ Errors are reported as one JSON object on stderr.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 import time
@@ -35,10 +34,12 @@ from .evaluation import evaluate_test_metrics
 from .network import load_model, save_model
 from .pareto import (
     SweepConfig,
+    _fmt,
     build_lambda_grid,
     cull_nondominated,
     read_candidates_csv,
     run_sweep,
+    write_candidate_rows,
     write_candidates_csv,
 )
 from .propensity import PropensityConfig, PropensityModel
@@ -250,22 +251,9 @@ def cmd_cull(args) -> int:
     out_dir = Path(args.out) if args.out else Path(args.candidates).parent
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / f"culled_{metric}.csv"
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["split_id", "lambda", "r_test", "u_ato", "mv_eo", "mv_eopp", "mv_dp", f"nondominated_{metric}"]
-        )
-        for i, row in enumerate(rows):
-            writer.writerow(
-                [str(row["split_id"]), _g(row["lambda"]), _g(row["r_test"]), _g(row["u_ato"]),
-                 _g(row["mv_eo"]), _g(row["mv_eopp"]), _g(row["mv_dp"]), str(int(keep[i]))]
-            )
+    write_candidate_rows(out_path, rows, keep, f"nondominated_{metric}")
     print(f"{int(keep.sum())} non-dominated of {len(rows)} in the (r_test, {metric}) plane -> {out_path}")
     return 0
-
-
-def _g(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def cmd_metrics(args) -> int:
@@ -285,7 +273,7 @@ def cmd_metrics(args) -> int:
     metrics = evaluate_test_metrics(
         params, config, dataset.features, dataset.sensitives, dataset.labels, propensity
     )
-    print(",".join(_g(metrics[k]) for k in ("r_test", "u_ato", "mv_eo", "mv_eopp", "mv_dp")))
+    print(",".join(_fmt(metrics[k]) for k in ("r_test", "u_ato", "mv_eo", "mv_eopp", "mv_dp")))
     return 0
 
 

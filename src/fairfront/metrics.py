@@ -52,15 +52,20 @@ class OverlapWeights:
 
     weights[i] is 1 - e_i for treated rows (a_i = 1) and e_i for control rows
     (a_i = 0), which up-weights rows whose propensity lies away from the
-    row's own group and damps rows with extreme scores.
+    row's own group and damps rows with extreme scores.  For a stack of K
+    batches every array carries a leading axis of length K; group_sums holds
+    the (control, treated) weight totals and degenerate flags the batches
+    in which either total falls below WEIGHT_SUM_FLOOR.
     """
 
     weights: np.ndarray
     propensities: np.ndarray
     sensitives: np.ndarray
+    group_sums: tuple[np.ndarray, np.ndarray]
+    degenerate: np.ndarray
 
 
-def overlap_weights(propensities, sensitives) -> OverlapWeights:
+def overlap_weights(propensities, sensitives, *, validate: bool = True) -> OverlapWeights:
     """Build overlap weights w_i = a_i (1 - e_i) + (1 - a_i) e_i.
 
     Parameters
@@ -69,6 +74,9 @@ def overlap_weights(propensities, sensitives) -> OverlapWeights:
         Estimated P(a=1 | x), strictly inside (0, 1).
     sensitives : array of shape (n,)
         Binary group indicators.
+    validate : bool
+        Check shapes and values.  A caller that validated the whole data set
+        once may pass False, and may then also pass (K, n) stacks of batches.
 
     Returns
     -------
@@ -79,24 +87,45 @@ def overlap_weights(propensities, sensitives) -> OverlapWeights:
     InputError
         If a propensity lies outside the open interval (0, 1).
     DegenerateGroupError
-        If either group is absent or its weight sum falls below 1e-12.
+        If either group of a single batch is absent or its weight sum falls
+        below 1e-12.  A stack of batches reports such batches in
+        ``degenerate`` instead.
     """
-    e = _as_1d_float(propensities, "propensities")
-    a = _as_binary(sensitives, "sensitives")
-    if e.shape[0] != a.shape[0]:
-        raise ShapeError(
-            f"propensities ({e.shape[0]}) and sensitives ({a.shape[0]}) differ in length"
-        )
-    if np.any(e <= 0.0) or np.any(e >= 1.0):
-        raise InputError("propensities must lie strictly inside (0, 1)")
-    w = np.where(a == 1, 1.0 - e, e)
-    for g in (0, 1):
-        total = float(w[a == g].sum())
-        if total < WEIGHT_SUM_FLOOR:
-            raise DegenerateGroupError(
-                f"group {g} has overlap-weight sum {total:.3e} (< {WEIGHT_SUM_FLOOR:.0e})"
+    if validate:
+        e = _as_1d_float(propensities, "propensities")
+        a = _as_binary(sensitives, "sensitives")
+        if e.shape[0] != a.shape[0]:
+            raise ShapeError(
+                f"propensities ({e.shape[0]}) and sensitives ({a.shape[0]}) differ in length"
             )
-    return OverlapWeights(weights=w, propensities=e, sensitives=a)
+        if np.any(e <= 0.0) or np.any(e >= 1.0):
+            raise InputError("propensities must lie strictly inside (0, 1)")
+    else:
+        e, a = propensities, sensitives
+    treated = a == 1
+    w = np.where(treated, 1.0 - e, e)
+    sums = (np.where(treated, 0.0, w).sum(axis=-1), np.where(treated, w, 0.0).sum(axis=-1))
+    degenerate = (sums[0] < WEIGHT_SUM_FLOOR) | (sums[1] < WEIGHT_SUM_FLOOR)
+    if w.ndim == 1 and degenerate:
+        g = 0 if sums[0] < WEIGHT_SUM_FLOOR else 1
+        raise DegenerateGroupError(
+            f"group {g} has overlap-weight sum {float(sums[g]):.3e} (< {WEIGHT_SUM_FLOOR:.0e})"
+        )
+    return OverlapWeights(weights=w, propensities=e, sensitives=a, group_sums=sums, degenerate=degenerate)
+
+
+def contrast_coefficients(weights: OverlapWeights) -> np.ndarray:
+    """Row coefficients c with c @ o equal to the overlap-weighted contrast of o.
+
+    c_i is w_i / (treated weight total) on treated rows and -w_i / (control
+    weight total) on control rows, so c @ o matches ato_estimate(o).tau up
+    to rounding.  Degenerate batches of a stack get all-zero coefficients.
+    """
+    ok = ~weights.degenerate
+    control, treated = (np.where(ok, s, 1.0)[..., None] for s in weights.group_sums)
+    w = weights.weights
+    coeff = np.where(weights.sensitives == 1, w / treated, -w / control)
+    return np.where(ok[..., None], coeff, 0.0)
 
 
 @dataclass
@@ -184,17 +213,20 @@ def ato_hidden_penalty(
         raise ShapeError(
             f"trace batch size ({batch}) and weights ({weights.weights.shape[0]}) differ"
         )
-    if mode == PENALTY_PENULTIMATE:
-        penalised = [num_layers - 2] if num_layers >= 2 else []
-    else:
-        penalised = list(range(num_layers - 1))
     taus: list[np.ndarray] = [np.empty(0) for _ in range(num_layers)]
     penalty = 0.0
-    for idx in penalised:
+    for idx in penalised_layers(num_layers, mode):
         tau = ato_estimate(trace.preactivations[idx], weights).tau
         taus[idx] = np.atleast_1d(tau)
         penalty += float(np.abs(taus[idx]).sum())
     return penalty, taus
+
+
+def penalised_layers(num_layers: int, mode: str) -> list[int]:
+    """Indices of the layers whose preactivations the hidden penalty reads."""
+    if mode == PENALTY_PENULTIMATE:
+        return [num_layers - 2] if num_layers >= 2 else []
+    return list(range(num_layers - 1))
 
 
 @dataclass

@@ -4,6 +4,13 @@ Hidden layers are ReLU with inverted dropout; the output layer is a single
 sigmoid unit clamped away from {0, 1}.  The backward pass differentiates a
 Chebyshev composite of standardised risk and a hidden-layer contrast penalty,
 of which plain binary cross-entropy is the lambda = 0 special case.
+
+forward, backward_composite and backprop also accept a stack of K networks of
+one architecture: weights of shape (K, fan_out, fan_in), biases (K, fan_out),
+inputs (K, batch, features).  Every operation acts on each stack member alone
+(per-member matrix products, elementwise arithmetic, reductions along member
+rows), so a member's numbers do not depend on the other members, and an
+unstacked network is the same code with the stack axis absent.
 """
 from __future__ import annotations
 
@@ -14,7 +21,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, InputError, NumericError, ShapeError
-from .metrics import PENALTY_MODES, PENALTY_PENULTIMATE, OverlapWeights, ato_hidden_penalty
+from .metrics import (
+    PENALTY_MODES,
+    PENALTY_PENULTIMATE,
+    OverlapWeights,
+    contrast_coefficients,
+    penalised_layers,
+)
 
 # Output probabilities are clamped to [CLAMP, 1 - CLAMP] before the loss.
 CLAMP = 1e-7
@@ -68,11 +81,16 @@ class NetworkParams:
     """Weights and biases, one pair per affine layer.
 
     weights[l] has shape (fan_out, fan_in); biases[l] has shape (fan_out,).
+    A stack of K networks carries a leading axis of length K on every array.
     The same container doubles as the gradient type.
     """
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
+
+    def member(self, k) -> "NetworkParams":
+        """Stack member k (an int), or the sub-stack selected by an index array."""
+        return NetworkParams(weights=[w[k] for w in self.weights], biases=[b[k] for b in self.biases])
 
     def validate_finite(self):
         for l, (w, b) in enumerate(zip(self.weights, self.biases)):
@@ -92,7 +110,8 @@ class ForwardTrace:
     preactivations[l] and activations[l] cover every layer; activations of
     hidden layers are post-dropout, activations[-1] is the clamped sigmoid
     output.  dropout_masks holds the scaled keep masks (0 or 1/keep) for the
-    hidden layers and is all-ones in eval mode.
+    hidden layers and is all-ones in eval mode.  A stacked pass keeps the
+    stack axis in front of every array.
     """
 
     inputs: np.ndarray
@@ -103,8 +122,8 @@ class ForwardTrace:
 
     @property
     def output(self) -> np.ndarray:
-        """Clamped predicted probabilities, shape (batch,)."""
-        return self.activations[-1][:, 0]
+        """Clamped predicted probabilities, shape (batch,) or (K, batch)."""
+        return self.activations[-1][..., 0]
 
 
 def init_network(config: NetworkConfig) -> NetworkParams:
@@ -124,31 +143,39 @@ def forward(
     config: NetworkConfig,
     inputs,
     mode: str = MODE_EVAL,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator | list[np.random.Generator] | None = None,
     masks: list[np.ndarray] | None = None,
+    validate: bool = True,
 ) -> ForwardTrace:
-    """Run the network on a batch.
+    """Run the network (or a stack of networks) on a batch.
 
     In train mode each hidden activation is multiplied by an inverted dropout
     mask drawn from ``rng`` (or taken from ``masks`` when given, which lets a
-    caller re-evaluate at perturbed parameters under frozen noise).  Eval mode
-    is a pure function of (params, inputs).
+    caller re-evaluate at perturbed parameters under frozen noise).  A stack
+    takes one Generator per member, each drawing its member's masks.  Eval
+    mode is a pure function of (params, inputs).  ``validate=False`` skips the
+    input checks, for callers that validated the data once up front.
     """
     x = np.asarray(inputs, dtype=np.float64)
-    if x.ndim != 2:
-        raise ShapeError(f"inputs must be 2-d (batch, features), got shape {x.shape}")
-    if x.shape[1] != config.layer_sizes[0]:
-        raise ShapeError(
-            f"inputs have {x.shape[1]} features but the network expects {config.layer_sizes[0]}"
-        )
-    if x.shape[0] == 0:
-        raise InputError("empty batch")
-    if not np.all(np.isfinite(x)):
-        raise InputError("inputs contain non-finite entries")
+    if validate:
+        if x.ndim != params.weights[0].ndim:
+            raise ShapeError(
+                f"inputs must be {params.weights[0].ndim}-d ([stack,] batch, features), got shape {x.shape}"
+            )
+        if x.shape[-1] != config.layer_sizes[0]:
+            raise ShapeError(
+                f"inputs have {x.shape[-1]} features but the network expects {config.layer_sizes[0]}"
+            )
+        if x.shape[-2] == 0:
+            raise InputError("empty batch")
+        if not np.all(np.isfinite(x)):
+            raise InputError("inputs contain non-finite entries")
     if mode not in (MODE_TRAIN, MODE_EVAL):
         raise InputError(f"unknown mode {mode!r}")
-    if mode == MODE_TRAIN and config.dropout_prob > 0.0 and rng is None and masks is None:
+    dropout = mode == MODE_TRAIN and config.dropout_prob > 0.0
+    if dropout and rng is None and masks is None:
         raise InputError("train-mode forward with dropout needs an rng or frozen masks")
+    rngs = [rng] if isinstance(rng, np.random.Generator) else rng
 
     L = config.num_layers
     keep = 1.0 - config.dropout_prob
@@ -157,36 +184,38 @@ def forward(
     drop: list[np.ndarray] = []
     v = x
     for l in range(L):
-        h = v @ params.weights[l].T + params.biases[l]
+        h = v @ params.weights[l].swapaxes(-1, -2) + params.biases[l][..., None, :]
         preacts.append(h)
         if l < L - 1:
             v = np.maximum(h, 0.0)
-            if mode == MODE_TRAIN and config.dropout_prob > 0.0:
-                if masks is not None:
-                    m = masks[l]
-                    if m.shape != v.shape:
-                        raise ShapeError(f"frozen mask {l} has shape {m.shape}, expected {v.shape}")
-                else:
-                    m = (rng.random(v.shape) < keep) / keep
-            else:
+            if not dropout:
                 m = np.ones_like(v)
+            elif masks is not None:
+                m = masks[l]
+                if m.shape != v.shape:
+                    raise ShapeError(f"frozen mask {l} has shape {m.shape}, expected {v.shape}")
+            else:
+                draws = np.empty(v.shape)
+                blocks = draws.reshape(-1, *v.shape[-2:])
+                if len(rngs) != len(blocks):
+                    raise InputError(f"{len(rngs)} dropout generators for a stack of {len(blocks)}")
+                for member_rng, block in zip(rngs, blocks):
+                    member_rng.random(out=block)
+                m = (draws < keep) / keep
             drop.append(m)
             v = v * m
             acts.append(v)
         else:
-            p = np.clip(_sigmoid(h), CLAMP, 1.0 - CLAMP)
+            p = np.minimum(np.maximum(_sigmoid(h), CLAMP), 1.0 - CLAMP)
             acts.append(p)
     return ForwardTrace(inputs=x, preactivations=preacts, activations=acts, dropout_masks=drop, mode=mode)
 
 
 def _sigmoid(h: np.ndarray) -> np.ndarray:
-    # Piecewise form avoids overflow in exp for large |h|.
-    out = np.empty_like(h)
-    pos = h >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-h[pos]))
-    eh = np.exp(h[~pos])
-    out[~pos] = eh / (1.0 + eh)
-    return out
+    # Piecewise form avoids overflow in exp for large |h|: 1 / (1 + e^-h) for
+    # h >= 0 and e^h / (1 + e^h) below, both from e = exp(-|h|).
+    e = np.exp(-np.abs(h))
+    return np.where(h >= 0, 1.0, e) / (1.0 + e)
 
 
 def bce_loss(scores, labels) -> float:
@@ -199,7 +228,12 @@ def bce_loss(scores, labels) -> float:
         raise InputError("empty batch")
     if np.any(p <= 0.0) or np.any(p >= 1.0):
         raise InputError("scores must lie strictly inside (0, 1)")
-    return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log1p(-p)))
+    return float(_bce(p, y))
+
+
+def _bce(p: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # Unchecked mean BCE along the last axis, one value per stack member.
+    return -np.mean(y * np.log(p) + (1.0 - y) * np.log1p(-p), axis=-1)
 
 
 @dataclass
@@ -241,10 +275,16 @@ IDENTITY_BOUNDS = StandardisationBounds(0.0, 1.0, 0.0, 1.0)
 
 
 class BackwardResult(NamedTuple):
+    """Gradients plus the batch risk, penalty and active branch.
+
+    For a stack, risk and unfairness are (K,) arrays and active_branch is a
+    (K,) array of branch names.
+    """
+
     gradients: NetworkParams
-    risk: float
-    unfairness: float
-    active_branch: str
+    risk: float | np.ndarray
+    unfairness: float | np.ndarray
+    active_branch: str | np.ndarray
 
 
 def backward_composite(
@@ -253,7 +293,7 @@ def backward_composite(
     config: NetworkConfig,
     labels,
     weights: OverlapWeights | None,
-    lambda_: float,
+    lambda_,
     bounds: StandardisationBounds | None = None,
     penalty_mode: str = PENALTY_PENULTIMATE,
 ) -> BackwardResult:
@@ -261,14 +301,16 @@ def backward_composite(
 
     R~ and U~ are the batch risk and hidden-layer penalty standardised by
     ``bounds`` (identity when None).  Exactly one branch of the max is active
-    per call; its gradient is what backprop propagates, reusing the trace's
+    per network; its gradient is what backprop propagates, reusing the trace's
     dropout masks.  Ties go to the risk branch, and lambda = 0 / lambda = 1
     deterministically select risk / unfairness so the endpoints degenerate to
-    pure BCE and pure penalty training.  When ``weights`` is None the penalty
-    is undefined for the batch and the risk branch is forced (unfairness
-    comes back as nan).
+    pure BCE and pure penalty training.  When ``weights`` is None, or marks a
+    stack member's batch as degenerate, the penalty is undefined for that
+    batch and the risk branch is forced (unfairness comes back as nan).  A
+    stack takes one lambda per member.
     """
-    if not 0.0 <= lambda_ <= 1.0:
+    lam = np.asarray(lambda_, dtype=np.float64)
+    if not np.all((lam >= 0.0) & (lam <= 1.0)):
         raise ConfigError(f"lambda must lie in [0, 1], got {lambda_}")
     if penalty_mode not in PENALTY_MODES:
         raise ConfigError(f"unknown penalty mode {penalty_mode!r}")
@@ -278,47 +320,51 @@ def backward_composite(
     p = trace.output
     if y.shape != p.shape:
         raise ShapeError(f"labels {y.shape} do not match the traced batch ({p.shape})")
-    batch = y.shape[0]
+    batch = y.shape[-1]
 
-    risk = bce_loss(p, y)
-    need_penalty = weights is not None and lambda_ > 0.0
-    if need_penalty:
-        unfairness, taus = ato_hidden_penalty(trace, weights, penalty_mode)
+    risk = _bce(p, y)
+    penalised = lam > 0.0
+    if weights is None:
+        penalised = np.zeros_like(penalised)
     else:
-        unfairness, taus = float("nan"), None
-
-    if lambda_ == 0.0 or weights is None:
-        branch = BRANCH_RISK
-    elif lambda_ == 1.0:
-        branch = BRANCH_UNFAIRNESS
-    else:
+        penalised = penalised & ~weights.degenerate
+    L = config.num_layers
+    taus: dict[int, np.ndarray] = {}
+    unfairness = np.full(lam.shape, np.nan)
+    risk_branch = ~penalised
+    if penalised.any():
+        # tau = coeff @ h is the overlap-weighted contrast of each unit's preactivation.
+        coeff = contrast_coefficients(weights)
+        penalty = np.zeros(lam.shape)
+        for l in penalised_layers(L, penalty_mode):
+            taus[l] = (coeff[..., None, :] @ trace.preactivations[l])[..., 0, :]
+            penalty = penalty + np.abs(taus[l]).sum(axis=-1)
+        unfairness = np.where(penalised, penalty, np.nan)
         r_tilde = bounds.standardise_risk(risk)
         u_tilde = bounds.standardise_unfairness(unfairness)
-        branch = BRANCH_RISK if (1.0 - lambda_) * r_tilde >= lambda_ * u_tilde else BRANCH_UNFAIRNESS
+        risk_branch |= (lam < 1.0) & ((1.0 - lam) * r_tilde >= lam * u_tilde)
 
-    L = config.num_layers
     deltas: list[np.ndarray | None] = [None] * L
-    if branch == BRANCH_RISK:
+    if risk_branch.any():
         # Multiplying by scale after the division keeps the lambda = 0 /
         # identity-bounds path bit-identical to plain BCE backprop (x * 1.0
         # is exact); d/dh of mean BCE through the sigmoid is (p - y) / batch.
-        scale = (1.0 - lambda_) / bounds.risk_span
-        raw = _sigmoid(trace.preactivations[-1][:, 0])
-        unclamped = (raw > CLAMP) & (raw < 1.0 - CLAMP)
-        deltas[L - 1] = (np.where(unclamped, p - y, 0.0) / batch * scale)[:, None]
-    else:
-        scale = lambda_ / bounds.unfairness_span
-        a = weights.sensitives
-        w = weights.weights
-        s1 = float(w[a == 1].sum())
-        s0 = float(w[a == 0].sum())
-        coeff = np.where(a == 1, w / s1, -w / s0) * scale
-        for l, tau in enumerate(taus):
-            if tau.size:
-                deltas[l] = np.outer(coeff, np.sign(tau))
+        scale = np.where(risk_branch, (1.0 - lam) / bounds.risk_span, 0.0)
+        # the clamp passes gradient only where it left the sigmoid untouched
+        unclamped = (p > CLAMP) & (p < 1.0 - CLAMP)
+        deltas[L - 1] = (np.where(unclamped, p - y, 0.0) / batch * scale[..., None])[..., None]
+    if not risk_branch.all():
+        scale = np.where(risk_branch, 0.0, lam / bounds.unfairness_span)
+        scaled = (coeff * scale[..., None])[..., :, None]
+        for l, tau in taus.items():
+            deltas[l] = scaled * np.sign(tau)[..., None, :]
 
     grads, _ = backprop(params, config, trace, deltas)
-    return BackwardResult(gradients=grads, risk=risk, unfairness=unfairness, active_branch=branch)
+    if lam.ndim == 0:
+        branch = BRANCH_RISK if risk_branch else BRANCH_UNFAIRNESS
+        return BackwardResult(grads, float(risk), float(unfairness), branch)
+    branch = np.where(risk_branch, BRANCH_RISK, BRANCH_UNFAIRNESS)
+    return BackwardResult(grads, risk, unfairness, branch)
 
 
 def backprop(
@@ -349,8 +395,8 @@ def backprop(
         if preact_deltas[l] is not None:
             d = d + preact_deltas[l]
         below = trace.inputs if l == 0 else trace.activations[l - 1]
-        grad_w[l] = d.T @ below
-        grad_b[l] = d.sum(axis=0)
+        grad_w[l] = d.swapaxes(-1, -2) @ below
+        grad_b[l] = d.sum(axis=-2)
         delta = d
     return NetworkParams(weights=grad_w, biases=grad_b), delta @ params.weights[0]
 

@@ -1,7 +1,7 @@
 """Adam with bias correction and a reduce-on-plateau learning-rate schedule."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -14,19 +14,20 @@ class AdamState:
     """Moment estimates plus the current learning rate.
 
     The learning rate lives here rather than in a config so the plateau
-    scheduler can cut it mid-run.
+    scheduler can cut it mid-run.  For a stack of K networks it is a (K,)
+    array holding each member's own rate.
     """
 
     first_moment: NetworkParams
     second_moment: NetworkParams
     step_count: int = 0
-    learning_rate: float = 1e-3
+    learning_rate: float | np.ndarray = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
 
     @classmethod
-    def for_params(cls, params: NetworkParams, learning_rate: float = 1e-3, **kw) -> "AdamState":
+    def for_params(cls, params: NetworkParams, learning_rate=1e-3, **kw) -> "AdamState":
         zeros = lambda arrs: [np.zeros_like(a) for a in arrs]
         return cls(
             first_moment=NetworkParams(zeros(params.weights), zeros(params.biases)),
@@ -36,11 +37,19 @@ class AdamState:
         )
 
 
-def adam_step(state: AdamState, params: NetworkParams, grads: NetworkParams) -> tuple[NetworkParams, AdamState]:
-    """One bias-corrected Adam update.  Returns fresh params and state."""
-    for g in (*grads.weights, *grads.biases):
-        if not np.all(np.isfinite(g)):
-            raise NumericError("non-finite gradient passed to adam_step")
+def adam_step(
+    state: AdamState, params: NetworkParams, grads: NetworkParams, validate: bool = True
+) -> tuple[NetworkParams, AdamState]:
+    """One bias-corrected Adam update.  Returns fresh params and state.
+
+    Stacked parameters step together, each member at its own learning rate.
+    ``validate=False`` skips the finiteness check of the gradients, for a
+    loop that guards finiteness itself.
+    """
+    if validate:
+        for g in (*grads.weights, *grads.biases):
+            if not np.all(np.isfinite(g)):
+                raise NumericError("non-finite gradient passed to adam_step")
     t = state.step_count + 1
     b1, b2, eps, lr = state.beta1, state.beta2, state.epsilon, state.learning_rate
     c1 = 1.0 - b1**t
@@ -49,7 +58,9 @@ def adam_step(state: AdamState, params: NetworkParams, grads: NetworkParams) -> 
     def update(p, m, v, g):
         m_new = b1 * m + (1.0 - b1) * g
         v_new = b2 * v + (1.0 - b2) * (g * g)
-        step = lr * (m_new / c1) / (np.sqrt(v_new / c2) + eps)
+        # a stack's per-member rates broadcast over each member's array
+        rate = lr if np.ndim(lr) == 0 else np.reshape(lr, (-1,) + (1,) * (p.ndim - 1))
+        step = rate * (m_new / c1) / (np.sqrt(v_new / c2) + eps)
         return p - step, m_new, v_new
 
     new_w, new_b, m_w, m_b, v_w, v_b = [], [], [], [], [], []
@@ -93,17 +104,17 @@ def scheduler_step(
     sched: PlateauScheduler, epoch_loss: float, state: AdamState
 ) -> tuple[PlateauScheduler, AdamState]:
     """Record one epoch loss; possibly lower the learning rate."""
+    new, lr = plateau_step(sched, epoch_loss, state.learning_rate)
+    if lr == state.learning_rate:
+        return new, state
+    return new, replace(state, learning_rate=lr)
+
+
+def plateau_step(sched: PlateauScheduler, epoch_loss: float, lr: float) -> tuple[PlateauScheduler, float]:
+    """Record one epoch loss against rate ``lr``; returns the new scheduler and rate."""
     if not np.isfinite(epoch_loss):
-        raise NumericError(f"non-finite epoch loss {epoch_loss} passed to scheduler_step")
-    new = PlateauScheduler(
-        factor=sched.factor,
-        patience=sched.patience,
-        eps_improve=sched.eps_improve,
-        min_lr=sched.min_lr,
-        best_loss=sched.best_loss,
-        stall_count=sched.stall_count,
-    )
-    lr = state.learning_rate
+        raise NumericError(f"non-finite epoch loss {epoch_loss} passed to the plateau scheduler")
+    new = replace(sched)
     if epoch_loss < new.best_loss - new.eps_improve:
         new.best_loss = epoch_loss
         new.stall_count = 0
@@ -112,15 +123,4 @@ def scheduler_step(
         if new.stall_count > new.patience:
             lr = max(new.min_lr, new.factor * lr)
             new.stall_count = 0
-    if lr == state.learning_rate:
-        return new, state
-    new_state = AdamState(
-        first_moment=state.first_moment,
-        second_moment=state.second_moment,
-        step_count=state.step_count,
-        learning_rate=lr,
-        beta1=state.beta1,
-        beta2=state.beta2,
-        epsilon=state.epsilon,
-    )
-    return new, new_state
+    return new, lr

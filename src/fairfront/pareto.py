@@ -6,6 +6,11 @@ the standardisation-bound discovery: the lambda = 0 run records the range of
 minibatch risks, the lambda = 1 run the range of minibatch penalties, and the
 endpoint models are reused as the lambda = 0 / lambda = 1 candidates instead
 of being retrained.
+
+The classifiers of a split train as stacks (see training.fit_network): one
+stack of the two endpoints, then the interior lambdas, each stack holding at
+most stack_size() networks.  A stacked network's numbers equal those of the
+same network trained alone, so results do not depend on the stack size.
 """
 from __future__ import annotations
 
@@ -18,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset, SplitPlan, make_splits
-from .errors import ConfigError, InputError, ShapeError, TrainingError
+from .errors import ConfigError, FairfrontError, InputError, ShapeError, TrainingError
 from .evaluation import evaluate_test_metrics
 from .metrics import PENALTY_MODES, PENALTY_PENULTIMATE
 from .network import NetworkConfig, NetworkParams, StandardisationBounds
@@ -31,6 +36,18 @@ LAMBDA_INTERIOR_LOW = 1e-2
 LAMBDA_INTERIOR_HIGH = 0.9
 
 CSV_HEADER = ["split_id", "lambda", "r_test", "u_ato", "mv_eo", "mv_eopp", "mv_dp", "nondominated_ato"]
+
+# A failed job of these kinds is recorded and the sweep goes on; any other
+# exception is a programming error and propagates.
+EXPECTED_FAILURES = (FairfrontError, ArithmeticError)
+
+# Stacking pays while a step's arrays are small enough for numpy's per-call
+# overhead to dominate.  A stack holds STACK_CAP // (batch_size x widest layer)
+# networks, at least one.  Measured per network step on 2 CPUs, BLAS pinned to
+# one thread (README.md has the table): stacks of 5-12 at 250 x 10 took
+# 0.41-0.46 of the separate time, 4 at 250 x 30 0.71, 2 at 500 x 32 0.94,
+# and 2 at 1000 x 32 or 5 at 2000 x 64 took longer than separate fits.
+STACK_CAP = 30_000
 
 # Stream tags keeping per-split auxiliary seeds clear of the lambda-job ids.
 _PROPENSITY_STREAM = 2**33
@@ -102,6 +119,44 @@ class BoundsResult:
     unfairness_fit: FitResult
 
 
+def stack_size(batch_size: int, layer_sizes: list[int]) -> int:
+    """How many networks of this shape train as one stack."""
+    return max(1, STACK_CAP // (batch_size * max(layer_sizes)))
+
+
+def _fit_stacks(
+    features: np.ndarray,
+    labels: np.ndarray,
+    net_template: NetworkConfig,
+    train_config: TrainConfig,
+    lambdas: list[float],
+    seeds: list[tuple[int, int]],
+    **kw,
+) -> list[FitResult | Exception]:
+    """Train one network per (lambda, (init seed, loop seed)), stack_size() at a time.
+
+    Returns one entry per lambda: the fit, or the expected failure that ended
+    it (a stack that raises fails each of its networks).
+    """
+    size = stack_size(train_config.batch_size, net_template.layer_sizes)
+    fits: list[FitResult | Exception] = []
+    for i in range(0, len(lambdas), size):
+        chunk = seeds[i : i + size]
+        try:
+            fits += fit_network(
+                features,
+                labels,
+                [_with_seed(net_template, init_seed) for init_seed, _ in chunk],
+                train_config,
+                [loop_seed for _, loop_seed in chunk],
+                lambda_=lambdas[i : i + size],
+                **kw,
+            )
+        except EXPECTED_FAILURES as exc:
+            fits += [exc] * len(chunk)
+    return fits
+
+
 def discover_bounds(
     features: np.ndarray,
     labels: np.ndarray,
@@ -120,20 +175,20 @@ def discover_bounds(
     descent and defines the unfairness range from the batches where the
     penalty was computable.  Both trained models are returned for reuse.
     """
-    risk_cfg = _with_seed(net_template, risk_seeds[0])
-    risk_fit = fit_network(features, labels, risk_cfg, train_config, risk_seeds[1])
-    unfair_cfg = _with_seed(net_template, unfairness_seeds[0])
-    unfair_fit = fit_network(
+    risk_fit, unfair_fit = _fit_stacks(
         features,
         labels,
-        unfair_cfg,
+        net_template,
         train_config,
-        unfairness_seeds[1],
-        lambda_=1.0,
+        [0.0, 1.0],
+        [risk_seeds, unfairness_seeds],
         sensitives=sensitives,
         propensities=propensities,
         penalty_mode=penalty_mode,
     )
+    for fit in (risk_fit, unfair_fit):
+        if isinstance(fit, Exception):
+            raise fit
     u_series = np.asarray(unfair_fit.unfairness_values)
     u_series = u_series[np.isfinite(u_series)]
     if u_series.size == 0:
@@ -161,22 +216,26 @@ def train_scalarised(
     propensities: np.ndarray,
     net_template: NetworkConfig,
     train_config: TrainConfig,
-    lambda_: float,
+    lambdas: list[float],
     bounds: StandardisationBounds,
     penalty_mode: str,
-    seeds: tuple[int, int],
-) -> FitResult:
-    """Train one interior-lambda classifier against frozen bounds."""
+    seeds: list[tuple[int, int]],
+) -> list[FitResult | Exception]:
+    """Train the interior-lambda classifiers against frozen bounds.
+
+    seeds[i] is the (init seed, loop seed) pair of lambdas[i].  Returns one
+    entry per lambda: the fit, or the expected failure (a TrainingError of a
+    diverged network, say) that ended it.
+    """
     if bounds is None:
         raise ConfigError("train_scalarised needs discovered standardisation bounds")
-    cfg = _with_seed(net_template, seeds[0])
-    return fit_network(
+    return _fit_stacks(
         features,
         labels,
-        cfg,
+        net_template,
         train_config,
-        seeds[1],
-        lambda_=lambda_,
+        lambdas,
+        seeds,
         bounds=bounds,
         sensitives=sensitives,
         propensities=propensities,
@@ -214,11 +273,13 @@ def run_sweep(
 
     Per split: carve a calibration holdout, fit and temperature-calibrate the
     propensity model, discover standardisation bounds (whose endpoint models
-    become the lambda = 0 and lambda = 1 candidates), then train each
-    interior lambda.  Every candidate is scored on the split's test rows.
-    Failed jobs are recorded and the sweep continues.  All randomness derives
-    from (plan.master_seed, split_id, lambda_index), so results do not depend
-    on the degree of parallelism.
+    become the lambda = 0 and lambda = 1 candidates), then train the
+    interior lambdas.  Every candidate is scored on the split's test rows.
+    Jobs that fail with a package error or a numeric error are recorded and
+    the sweep continues; any other exception is a bug and propagates.  All
+    randomness derives from (plan.master_seed, split_id, lambda_index), so
+    results depend neither on the degree of parallelism nor on the stack
+    size.
     """
     splits = make_splits(dataset.n_rows, plan, sensitives=dataset.sensitives, labels=dataset.labels)
     payloads = [
@@ -308,7 +369,7 @@ def _split_worker(payload):
         )
         prop_model = calibrate_temperature(raw_model, x_tr[cal_rows], a_tr[cal_rows])
         e_tr = predict_propensity(prop_model, x_tr)
-    except Exception as exc:  # propensity failure sinks the whole split
+    except EXPECTED_FAILURES as exc:  # propensity failure sinks the whole split
         return fail_all("propensity", exc)
 
     try:
@@ -323,30 +384,30 @@ def _split_worker(payload):
             derive_seeds(master_seed, split_id, 0),
             derive_seeds(master_seed, split_id, k_last),
         )
-    except Exception as exc:
+    except EXPECTED_FAILURES as exc:
         return fail_all("bounds", exc)
+
+    interior = range(1, k_last)
+    interior_fits = train_scalarised(
+        x_tr,
+        y_tr,
+        a_tr,
+        e_tr,
+        net_template,
+        config.train,
+        [grid.values[k] for k in interior],
+        bounds_res.bounds,
+        config.penalty_mode,
+        [derive_seeds(master_seed, split_id, k) for k in interior],
+    )
+    fits = [bounds_res.risk_fit, *interior_fits, bounds_res.unfairness_fit]
 
     candidates: list[ParetoCandidate] = []
     failures: list[dict] = []
-    for k, lam in enumerate(grid.values):
+    for k, (lam, fit) in enumerate(zip(grid.values, fits)):
         try:
-            if k == 0:
-                fit = bounds_res.risk_fit
-            elif k == k_last:
-                fit = bounds_res.unfairness_fit
-            else:
-                fit = train_scalarised(
-                    x_tr,
-                    y_tr,
-                    a_tr,
-                    e_tr,
-                    net_template,
-                    config.train,
-                    lam,
-                    bounds_res.bounds,
-                    config.penalty_mode,
-                    derive_seeds(master_seed, split_id, k),
-                )
+            if isinstance(fit, Exception):
+                raise fit
             metrics = evaluate_test_metrics(
                 fit.params, net_template, x_te, a_te, y_te, prop_model
             )
@@ -363,7 +424,7 @@ def _split_worker(payload):
                     skipped_group_batches=fit.skipped_group_batches,
                 )
             )
-        except Exception as exc:
+        except EXPECTED_FAILURES as exc:
             failures.append(
                 {
                     "split_id": split_id,
@@ -455,17 +516,22 @@ def write_candidates_csv(path, candidates: list[ParetoCandidate]):
     """
     if not candidates:
         raise InputError("no candidates to write")
-    r = np.array([c.metrics["r_test"] for c in candidates])
-    u = np.array([c.metrics["u_ato"] for c in candidates])
-    keep = cull_nondominated(r, u)
+    rows = [{"split_id": c.split_id, "lambda": c.lambda_, **c.metrics} for c in candidates]
+    r = np.array([row["r_test"] for row in rows])
+    u = np.array([row["u_ato"] for row in rows])
+    write_candidate_rows(path, rows, cull_nondominated(r, u), CSV_HEADER[-1])
+
+
+def write_candidate_rows(path, rows: list[dict], keep: np.ndarray, mask_column: str):
+    """Write candidate rows (split_id, lambda and the five metrics) plus a keep-mask column."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for i, c in enumerate(candidates):
+        writer.writerow(CSV_HEADER[:-1] + [mask_column])
+        for row, kept in zip(rows, keep):
             writer.writerow(
-                [str(c.split_id), _fmt(c.lambda_)]
-                + [_fmt(c.metrics[name]) for name in ("r_test", "u_ato", "mv_eo", "mv_eopp", "mv_dp")]
-                + [str(int(keep[i]))]
+                [str(row["split_id"])]
+                + [_fmt(row[name]) for name in CSV_HEADER[1:-1]]
+                + [str(int(kept))]
             )
 
 

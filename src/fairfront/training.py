@@ -5,20 +5,28 @@ fits (classifier endpoints, the propensity model), penalty-only fits, and
 interior Chebyshev fits.  Identity standardisation bounds make the lambda = 0
 path literally a pure-BCE trainer, which is what the endpoint runs use while
 recording the risk/unfairness ranges.
+
+The engine trains K >= 1 networks on one data set as one stack: each step is
+one stacked forward, backward and Adam update for all K.  Each member keeps
+its own lambda, initialisation seed, loop generator (epoch shuffles and
+dropout draws, in the order of a lone fit), learning-rate schedule and
+finiteness guard, so a member's numbers equal those of the same network
+trained alone and a diverging member fails alone.
 """
 from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import minibatches
-from .errors import ConfigError, DegenerateGroupError, TrainingError
-from .metrics import PENALTY_PENULTIMATE, overlap_weights
+from .errors import ConfigError, InputError, ShapeError, TrainingError
+from .metrics import PENALTY_MODES, PENALTY_PENULTIMATE, overlap_weights
 from .network import (
-    BRANCH_RISK,
+    IDENTITY_BOUNDS,
     MODE_TRAIN,
     NetworkConfig,
     NetworkParams,
@@ -27,7 +35,7 @@ from .network import (
     forward,
     init_network,
 )
-from .optim import AdamState, PlateauScheduler, adam_step, scheduler_step
+from .optim import AdamState, PlateauScheduler, adam_step, plateau_step
 
 log = logging.getLogger(__name__)
 
@@ -80,17 +88,17 @@ def derive_seeds(*keys: int) -> tuple[int, int]:
 def fit_network(
     features: np.ndarray,
     labels: np.ndarray,
-    net_config: NetworkConfig,
+    net_config: NetworkConfig | Sequence[NetworkConfig],
     train_config: TrainConfig,
-    loop_seed: int,
+    loop_seed: int | Sequence[int],
     *,
-    lambda_: float = 0.0,
+    lambda_: float | Sequence[float] = 0.0,
     bounds: StandardisationBounds | None = None,
     sensitives: np.ndarray | None = None,
     propensities: np.ndarray | None = None,
     penalty_mode: str = PENALTY_PENULTIMATE,
-) -> FitResult:
-    """Adam-train a fresh network on (features, labels).
+) -> FitResult | list[FitResult | TrainingError]:
+    """Adam-train a fresh network, or a stack of them, on (features, labels).
 
     The per-step objective is max{(1-lambda)*R~, lambda*U~}; with bounds=None
     the standardisation is the identity, so lambda = 0 yields plain BCE
@@ -99,87 +107,199 @@ def fit_network(
     deterministic in net_config.seed, shuffling and dropout in loop_seed; a
     minibatch containing a single sensitive group falls back to the risk
     branch and is excluded from the unfairness series.
-    """
-    n = features.shape[0]
-    if labels.shape[0] != n:
-        raise ConfigError("features and labels disagree on the row count")
-    needs_penalty = lambda_ > 0.0
-    if needs_penalty and (sensitives is None or propensities is None):
-        raise ConfigError("lambda > 0 requires sensitives and propensities")
 
-    params = init_network(net_config)
-    adam = AdamState.for_params(params, learning_rate=train_config.learning_rate)
-    sched = PlateauScheduler(
-        factor=train_config.scheduler_factor, patience=train_config.scheduler_patience
+    Passing sequences of K configs (one architecture, one init seed each),
+    K loop seeds and K lambdas trains the K networks as one stack and returns
+    K entries: a FitResult, or the TrainingError of a member whose objective
+    or parameters went non-finite.  A single network's failure is raised.
+    """
+    stacked = not isinstance(net_config, NetworkConfig)
+    configs = list(net_config) if stacked else [net_config]
+    seeds = list(loop_seed) if stacked else [loop_seed]
+    lams = np.array(lambda_ if stacked else [lambda_], dtype=np.float64)
+    if not configs or len(seeds) != len(configs) or lams.shape != (len(configs),):
+        raise ConfigError("a stack needs one config, one loop seed and one lambda per network")
+    net = configs[0]
+    if any(c.layer_sizes != net.layer_sizes or c.dropout_prob != net.dropout_prob for c in configs):
+        raise ConfigError("stacked networks must share one architecture")
+    if not np.all((lams >= 0.0) & (lams <= 1.0)):
+        raise ConfigError(f"lambda must lie in [0, 1], got {lambda_}")
+    if penalty_mode not in PENALTY_MODES:
+        raise ConfigError(f"unknown penalty mode {penalty_mode!r}")
+    features, labels = _validated_data(features, labels, net)
+    needs_penalty = bool(np.any(lams > 0.0))
+    if needs_penalty:
+        if sensitives is None or propensities is None:
+            raise ConfigError("lambda > 0 requires sensitives and propensities")
+        sensitives, propensities = _validated_groups(sensitives, propensities, labels.shape[0])
+    else:
+        sensitives = propensities = None
+
+    # Adam steps all parameters of a member as one row of a (K, P) array;
+    # forward and backward read them through per-layer views of that row.
+    inits = [init_network(c) for c in configs]
+    shapes = [a.shape for a in (*inits[0].weights, *inits[0].biases)]
+    flat = np.stack([np.concatenate([a.ravel() for a in (*p.weights, *p.biases)]) for p in inits])
+    adam = AdamState.for_params(
+        _as_params(flat), learning_rate=np.full(len(configs), train_config.learning_rate)
     )
-    rng = np.random.default_rng(loop_seed)
-    result = FitResult(params=params)
+    scheds = [
+        PlateauScheduler(factor=train_config.scheduler_factor, patience=train_config.scheduler_patience)
+        for _ in configs
+    ]
+    rngs = [np.random.default_rng(s) for s in seeds]
+    results: list[FitResult | TrainingError] = [FitResult(params=None) for _ in configs]
+    live = list(range(len(configs)))  # members still training, in stack order
+    n = labels.shape[0]
     indices = np.arange(n)
 
     for epoch in range(train_config.epochs):
-        batches = minibatches(
-            indices,
-            train_config.batch_size,
-            rng,
-            features=features,
-            sensitives=sensitives,
-            labels=labels,
-            propensities=propensities,
-        )
-        batch_objectives = []
-        for mb in batches:
+        # One shuffled pass per member: minibatches with a single batch of all
+        # n rows draws the member's epoch permutation exactly as a lone fit
+        # does.  Stacked, the passes give (K, n, ...) arrays, and step j takes
+        # rows [j * batch_size, (j + 1) * batch_size), the partition
+        # minibatches makes.
+        passes = [
+            minibatches(
+                indices,
+                n,
+                rng,
+                features=features,
+                sensitives=sensitives,
+                labels=labels,
+                propensities=propensities,
+            )[0]
+            for rng in rngs
+        ]
+        x_epoch, y_epoch = _stack([mb.features for mb in passes]), _stack([mb.labels for mb in passes])
+        if needs_penalty:
+            a_epoch = _stack([mb.sensitives for mb in passes])
+            e_epoch = _stack([mb.propensities for mb in passes])
+        starts = range(0, n, train_config.batch_size)
+        shape = (len(live), len(starts))
+        risks, unfairness = np.empty(shape), np.empty(shape)
+        skipped = np.zeros(len(live), dtype=int)
+        for j, start in enumerate(starts):
+            batch = slice(start, start + train_config.batch_size)
             weights = None
             if needs_penalty:
-                try:
-                    weights = overlap_weights(mb.propensities, mb.sensitives)
-                except DegenerateGroupError:
-                    result.skipped_group_batches += 1
+                weights = overlap_weights(e_epoch[:, batch], a_epoch[:, batch], validate=False)
+                fallback = weights.degenerate & (lams > 0.0)
+                if fallback.any():
+                    skipped += fallback
                     log.debug(
-                        "epoch %d: batch of %d rows has a single sensitive group; "
+                        "epoch %d: %d network(s) drew a batch with a single sensitive group; "
                         "using the risk branch",
                         epoch,
-                        mb.indices.size,
+                        int(fallback.sum()),
                     )
-            trace = forward(params, net_config, mb.features, MODE_TRAIN, rng=rng)
-            back = backward_composite(
-                trace, params, net_config, mb.labels, weights, lambda_, bounds, penalty_mode
-            )
-            params, adam = adam_step(adam, params, back.gradients)
-            result.risk_values.append(back.risk)
-            result.unfairness_values.append(back.unfairness)
-            batch_objectives.append(
-                _objective_value(back.risk, back.unfairness, lambda_, bounds, back.active_branch)
-            )
-        epoch_mean = float(np.mean(batch_objectives))
-        if not math.isfinite(epoch_mean):
-            raise TrainingError(
-                f"epoch {epoch}: non-finite objective {epoch_mean} "
-                f"(lambda={lambda_}, lr={adam.learning_rate})"
-            )
-        result.epoch_objectives.append(epoch_mean)
-        sched, adam = scheduler_step(sched, epoch_mean, adam)
+            x, y = x_epoch[:, batch], y_epoch[:, batch]
+            params = _unflatten(flat, shapes)
+            trace = forward(params, net, x, MODE_TRAIN, rng=rngs, validate=False)
+            back = backward_composite(trace, params, net, y, weights, lams, bounds, penalty_mode)
+            grads = _as_params(_flatten(back.gradients))
+            stepped, adam = adam_step(adam, _as_params(flat), grads, validate=False)
+            flat = stepped.weights[0]
+            risks[:, j] = back.risk
+            unfairness[:, j] = back.unfairness
 
-    result.params = params
-    result.final_learning_rate = adam.learning_rate
-    return result
+        epoch_means = _objective_value(risks, unfairness, lams[:, None], bounds).mean(axis=1)
+        finite = np.isfinite(epoch_means) & np.isfinite(flat).all(axis=1)
+        for i, k in enumerate(live):
+            mean, lr = float(epoch_means[i]), float(adam.learning_rate[i])
+            if not finite[i]:
+                results[k] = TrainingError(
+                    f"epoch {epoch}: non-finite objective {mean} or parameters "
+                    f"(lambda={lams[i]}, lr={lr})"
+                )
+                continue
+            res = results[k]
+            res.risk_values.extend(risks[i].tolist())
+            res.unfairness_values.extend(unfairness[i].tolist())
+            res.skipped_group_batches += int(skipped[i])
+            res.epoch_objectives.append(mean)
+            scheds[i], adam.learning_rate[i] = plateau_step(scheds[i], mean, lr)
+        if not finite.all():
+            # drop the failed members; the others' arithmetic never mixed with theirs
+            keep = np.flatnonzero(finite)
+            live = [live[i] for i in keep]
+            if not live:
+                break
+            flat = flat[keep]
+            adam.first_moment = adam.first_moment.member(keep)
+            adam.second_moment = adam.second_moment.member(keep)
+            adam.learning_rate = adam.learning_rate[keep]
+            lams = lams[keep]
+            scheds = [scheds[i] for i in keep]
+            rngs = [rngs[i] for i in keep]
+
+    params = _unflatten(flat, shapes)
+    for i, k in enumerate(live):
+        results[k].params = params.member(i)
+        results[k].final_learning_rate = float(adam.learning_rate[i])
+    if stacked:
+        return results
+    if isinstance(results[0], TrainingError):
+        raise results[0]
+    return results[0]
 
 
-def _objective_value(
-    risk: float,
-    unfairness: float,
-    lambda_: float,
-    bounds: StandardisationBounds | None,
-    branch: str,
-) -> float:
-    if branch == BRANCH_RISK and (lambda_ == 0.0 or math.isnan(unfairness)):
-        # Pure-risk step (endpoint run or single-group fallback).
-        r = risk if bounds is None else bounds.standardise_risk(risk)
-        return (1.0 - lambda_) * r
-    if bounds is None:
-        r_t, u_t = risk, unfairness
-    else:
-        r_t = bounds.standardise_risk(risk)
-        u_t = bounds.standardise_unfairness(unfairness)
-    if lambda_ == 1.0:
-        return u_t
-    return max((1.0 - lambda_) * r_t, lambda_ * u_t)
+def _stack(arrays: list[np.ndarray]) -> np.ndarray:
+    return arrays[0][np.newaxis] if len(arrays) == 1 else np.stack(arrays)
+
+
+def _flatten(params: NetworkParams) -> np.ndarray:
+    # (K, P): each stack member's arrays side by side in one row
+    arrays = (*params.weights, *params.biases)
+    return np.concatenate([a.reshape(a.shape[0], -1) for a in arrays], axis=1)
+
+
+def _unflatten(flat: np.ndarray, shapes: list[tuple[int, ...]]) -> NetworkParams:
+    # per-layer views of a (K, P) array, shapes being one member's array shapes
+    views, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[:, start : start + size].reshape(flat.shape[:1] + shape))
+        start += size
+    half = len(shapes) // 2
+    return NetworkParams(weights=views[:half], biases=views[half:])
+
+
+def _as_params(flat: np.ndarray) -> NetworkParams:
+    return NetworkParams(weights=[flat], biases=[])
+
+
+def _validated_data(features, labels, net: NetworkConfig) -> tuple[np.ndarray, np.ndarray]:
+    x = np.asarray(features, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != net.layer_sizes[0]:
+        raise ShapeError(f"features of shape {x.shape} do not fit a network with {net.layer_sizes[0]} inputs")
+    if y.shape != (x.shape[0],):
+        raise ConfigError("features and labels disagree on the row count")
+    if x.shape[0] == 0:
+        raise InputError("no training rows")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise InputError("features and labels must be finite")
+    return x, y
+
+
+def _validated_groups(sensitives, propensities, n: int) -> tuple[np.ndarray, np.ndarray]:
+    a = np.asarray(sensitives)
+    e = np.asarray(propensities, dtype=np.float64)
+    if a.shape != (n,) or e.shape != (n,):
+        raise ShapeError(f"sensitives {a.shape} and propensities {e.shape} must have {n} entries")
+    if not np.isin(a, (0, 1)).all():
+        raise InputError("sensitives must contain only 0/1 values")
+    if not np.all((e > 0.0) & (e < 1.0)):
+        raise InputError("propensities must lie strictly inside (0, 1)")
+    return a, e
+
+
+def _objective_value(risk, unfairness, lambda_, bounds: StandardisationBounds | None):
+    """Scalarised objective of each step, elementwise in its risk and penalty."""
+    bounds = IDENTITY_BOUNDS if bounds is None else bounds
+    r_t = (1.0 - lambda_) * bounds.standardise_risk(risk)
+    u_t = bounds.standardise_unfairness(unfairness)
+    # lambda = 0 and single-group fallback steps are pure-risk steps
+    pure_risk = (lambda_ == 0.0) | np.isnan(unfairness)
+    return np.where(pure_risk, r_t, np.where(lambda_ == 1.0, u_t, np.maximum(r_t, lambda_ * u_t)))

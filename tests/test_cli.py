@@ -96,6 +96,35 @@ def test_cull_renames_mask_column(workspace, capsys):
     assert again == culled.read_text()
 
 
+CULL_INPUT = (
+    "split_id,lambda,r_test,u_ato,mv_eo,mv_eopp,mv_dp,nondominated_ato\r\n"
+    "0,0,0.5193837267154233,0.0031677795788379592,0.0054646412579964767,0.0054646412579964767,"
+    "0.014016206771701395,1\r\n"
+    "0,0.030800702882410234,0.52,1e-05,0.30000000000000004,0.004,0.013,0\r\n"
+    "1,1,0.69,0.00043155435119923702,0.0033628053850088832,0.5,2.5e-17,1\r\n"
+    "1,0.5,0.69,0.1,0.0033628053850088832,0.25,0.125,0\r\n"
+)
+
+# The bytes `cull --metric mv_eo` wrote for CULL_INPUT before it shared the
+# sweep's CSV writer.
+CULL_EXPECTED = (
+    b"split_id,lambda,r_test,u_ato,mv_eo,mv_eopp,mv_dp,nondominated_mv_eo\r\n"
+    b"0,0,0.51938372671542332,0.0031677795788379592,0.0054646412579964767,0.0054646412579964767,"
+    b"0.014016206771701395,1\r\n"
+    b"0,0.030800702882410234,0.52000000000000002,1.0000000000000001e-05,0.30000000000000004,"
+    b"0.0040000000000000001,0.012999999999999999,0\r\n"
+    b"1,1,0.68999999999999995,0.00043155435119923702,0.0033628053850088832,0.5,2.4999999999999999e-17,1\r\n"
+    b"1,0.5,0.68999999999999995,0.10000000000000001,0.0033628053850088832,0.25,0.125,1\r\n"
+)
+
+
+def test_cull_output_bytes_are_stable(tmp_path, capsys):
+    src = tmp_path / "in.csv"
+    src.write_bytes(CULL_INPUT.encode())
+    assert main(["cull", str(src), "--metric", "mv_eo", "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "culled_mv_eo.csv").read_bytes() == CULL_EXPECTED
+
+
 def test_metrics_prints_five_values(workspace, capsys):
     root, _ = workspace
     out = root / "out"

@@ -4,8 +4,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from fairfront import pareto
 from fairfront.data import SplitPlan, generate_synthetic
-from fairfront.errors import ConfigError, InputError
+from fairfront.errors import ConfigError, InputError, TrainingError
 from fairfront.network import NetworkConfig
 from fairfront.pareto import (
     LAMBDA_INTERIOR_HIGH,
@@ -20,6 +21,7 @@ from fairfront.pareto import (
     linear_toy_minimiser,
     read_candidates_csv,
     run_sweep,
+    stack_size,
     train_scalarised,
     write_candidates_csv,
 )
@@ -211,6 +213,69 @@ def test_run_sweep_reuses_endpoint_models():
     )
     for w1, w2 in zip(lam0.params.weights, refit.params.weights):
         assert np.array_equal(w1, w2)
+
+
+def test_stack_size_rule():
+    assert stack_size(250, [10, 8, 1]) >= 5  # the paper-scale sweep stacks its lambdas
+    assert stack_size(2000, [30, 64, 1]) == 1  # wide nets with big batches train alone
+    assert stack_size(1, [1, 1]) == pareto.STACK_CAP
+
+
+def sweep_setup():
+    ds = generate_synthetic(n=200, p=4, bias_strength=2.0, seed=20)
+    return ds, SplitPlan(num_splits=1, train_fraction=0.5, master_seed=8), build_lambda_grid(5)
+
+
+def test_results_do_not_depend_on_stack_size(monkeypatch):
+    ds, plan, grid = sweep_setup()
+    assert stack_size(SMALL_SWEEP.train.batch_size, SMALL_SWEEP.layer_sizes(ds.n_features)) >= 3
+    stacked = run_sweep(ds, plan, grid, SMALL_SWEEP, jobs=1)
+    monkeypatch.setattr(pareto, "STACK_CAP", 1)
+    alone = run_sweep(ds, plan, grid, SMALL_SWEEP, jobs=1)
+    assert len(stacked.candidates) == len(alone.candidates) == len(grid)
+    for c1, c2 in zip(stacked.candidates, alone.candidates):
+        assert c1.metrics == c2.metrics
+        for w1, w2 in zip(c1.params.weights + c1.params.biases, c2.params.weights + c2.params.biases):
+            assert np.array_equal(w1, w2)
+    assert stacked.bounds == alone.bounds
+
+
+def test_programming_errors_propagate_out_of_the_sweep(monkeypatch):
+    def broken_fit(*args, **kwargs):
+        raise TypeError("a bug, not a failed job")
+
+    monkeypatch.setattr(pareto, "fit_network", broken_fit)
+    ds, plan, grid = sweep_setup()
+    with pytest.raises(TypeError, match="a bug"):
+        run_sweep(ds, plan, grid, SMALL_SWEEP, jobs=1)
+
+
+@pytest.mark.parametrize("one_per_stack", [False, True])
+def test_a_failed_lambda_is_recorded_and_the_sweep_goes_on(monkeypatch, one_per_stack):
+    ds, plan, grid = sweep_setup()
+    doomed = grid.values[2]
+    real_fit = pareto.fit_network
+
+    def fit_failing_for_one_lambda(features, labels, net_config, train_config, loop_seed, *, lambda_, **kw):
+        if one_per_stack and list(lambda_) == [doomed]:
+            raise TrainingError("diverged")
+        fits = real_fit(features, labels, net_config, train_config, loop_seed, lambda_=lambda_, **kw)
+        return [TrainingError("diverged") if lam == doomed else fit for lam, fit in zip(lambda_, fits)]
+
+    if one_per_stack:
+        monkeypatch.setattr(pareto, "STACK_CAP", 1)
+    monkeypatch.setattr(pareto, "fit_network", fit_failing_for_one_lambda)
+    res = run_sweep(ds, plan, grid, SMALL_SWEEP, jobs=1)
+    assert res.failures == [
+        {
+            "split_id": 0,
+            "lambda_index": 2,
+            "lambda": doomed,
+            "stage": "train_or_eval",
+            "error": "TrainingError: diverged",
+        }
+    ]
+    assert [c.lambda_index for c in res.candidates] == [0, 1, 3, 4]
 
 
 # ---------------------------------------------------------------------------

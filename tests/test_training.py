@@ -4,17 +4,20 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from fairfront import training
 from fairfront.data import generate_synthetic, minibatches
-from fairfront.errors import ConfigError
+from fairfront.errors import ConfigError, InputError, TrainingError
+from fairfront.metrics import PENALTY_PENULTIMATE, ato_hidden_penalty, overlap_weights
 from fairfront.network import (
     MODE_TRAIN,
     NetworkConfig,
+    StandardisationBounds,
     backprop,
     forward,
     init_network,
 )
 from fairfront.optim import AdamState, PlateauScheduler, adam_step, scheduler_step
-from fairfront.training import TrainConfig, derive_seeds, fit_network
+from fairfront.training import FitResult, TrainConfig, derive_seeds, fit_network
 
 
 def test_derive_seeds_depends_on_every_key():
@@ -103,3 +106,171 @@ def test_series_shapes_and_lr_reporting():
     assert len(result.risk_values) == 3 * 3
     assert len(result.unfairness_values) == len(result.risk_values)
     assert result.final_learning_rate <= cfg.learning_rate
+
+
+# ---------------------------------------------------------------------------
+# stacked fits
+
+
+def stack_problem(n=130):
+    """Data whose last batch of 32 holds 2 rows, so single-group batches occur."""
+    ds = generate_synthetic(n=n, p=4, bias_strength=2.0, seed=8)
+    e = np.clip(np.random.default_rng(4).uniform(0.2, 0.8, size=n), 0.01, 0.99)
+    return ds.features, ds.labels.astype(float), ds.sensitives, e
+
+
+STACK_TRAIN = TrainConfig(
+    epochs=8, batch_size=32, learning_rate=1e-2, scheduler_factor=0.5, scheduler_patience=1
+)
+STACK_LAMBDAS = [0.0, 0.4, 1.0]
+STACK_SEEDS = [(31, 7), (32, 8), (33, 9)]
+
+
+def stack_configs(seeds):
+    return [NetworkConfig(layer_sizes=[4, 5, 3, 1], dropout_prob=0.2, seed=s) for s, _ in seeds]
+
+
+def fit_stack(lambdas, seeds, train=STACK_TRAIN, **kw):
+    x, y, a, e = stack_problem()
+    return fit_network(
+        x, y, stack_configs(seeds), train, [loop for _, loop in seeds], lambda_=lambdas,
+        sensitives=a, propensities=e, penalty_mode="all_layers", **kw,
+    )
+
+
+def assert_same_fit(f1: FitResult, f2: FitResult):
+    for w1, w2 in zip(f1.params.weights + f1.params.biases, f2.params.weights + f2.params.biases):
+        assert np.array_equal(w1, w2)  # bitwise identical, not merely close
+    assert f1.epoch_objectives == f2.epoch_objectives
+    assert f1.risk_values == f2.risk_values
+    assert np.array_equal(f1.unfairness_values, f2.unfairness_values, equal_nan=True)
+    assert f1.skipped_group_batches == f2.skipped_group_batches
+    assert f1.final_learning_rate == f2.final_learning_rate
+
+
+@pytest.mark.parametrize("bounds", [None, StandardisationBounds(0.3, 0.8, 0.0, 0.4)])
+def test_stack_members_are_bitwise_their_lone_fits(bounds):
+    stacked = fit_stack(STACK_LAMBDAS, STACK_SEEDS, bounds=bounds)
+    assert len(stacked) == 3
+    for lam, seeds, member in zip(STACK_LAMBDAS, STACK_SEEDS, stacked):
+        (alone,) = fit_stack([lam], [seeds], bounds=bounds)
+        assert_same_fit(member, alone)
+    # the single-group fallback ran inside the stack, and the schedules differ per member
+    assert all(m.skipped_group_batches > 0 for m in stacked[1:])
+    assert stacked[0].skipped_group_batches == 0
+    assert len({m.final_learning_rate for m in stacked}) > 1
+
+
+def test_stacked_fit_matches_a_per_model_reference_loop():
+    """Three epochs of a 3-lambda stack against plain 2-d per-model Chebyshev descent."""
+    ds = generate_synthetic(n=192, p=4, bias_strength=2.0, seed=10)
+    x, y, a = ds.features, ds.labels.astype(float), ds.sensitives
+    e = np.clip(np.random.default_rng(6).uniform(0.2, 0.8, size=192), 0.01, 0.99)
+    cfg = TrainConfig(epochs=3, batch_size=48, learning_rate=1e-2, scheduler_patience=0, scheduler_factor=0.5)
+    bounds = StandardisationBounds(0.55, 0.75, 0.0, 0.3)
+    lambdas = [0.1, 0.5, 1.0]
+    seeds = [(41, 1), (42, 2), (43, 3)]
+    nets = [NetworkConfig(layer_sizes=[4, 6, 1], dropout_prob=0.2, seed=s) for s, _ in seeds]
+    stacked = fit_network(
+        x, y, nets, cfg, [loop for _, loop in seeds], lambda_=lambdas, bounds=bounds,
+        sensitives=a, propensities=e,
+    )
+
+    branches = set()
+    for lam, net, (_, loop_seed), fit in zip(lambdas, nets, seeds, stacked):
+        params = init_network(net)
+        adam = AdamState.for_params(params, learning_rate=cfg.learning_rate)
+        sched = PlateauScheduler(factor=cfg.scheduler_factor, patience=cfg.scheduler_patience)
+        rng = np.random.default_rng(loop_seed)
+        for _ in range(cfg.epochs):
+            objectives = []
+            batches = minibatches(
+                np.arange(192), cfg.batch_size, rng, features=x, sensitives=a, labels=y, propensities=e
+            )
+            for mb in batches:
+                trace = forward(params, net, mb.features, MODE_TRAIN, rng=rng)
+                p = trace.output
+                risk = -np.mean(mb.labels * np.log(p) + (1 - mb.labels) * np.log1p(-p))
+                weights = overlap_weights(mb.propensities, mb.sensitives)
+                unfairness, taus = ato_hidden_penalty(trace, weights, PENALTY_PENULTIMATE)
+                r_t = (1 - lam) * (risk - bounds.risk_min) / bounds.risk_span
+                u_t = lam * (unfairness - bounds.unfairness_min) / bounds.unfairness_span
+                deltas = [None, None]
+                if lam < 1.0 and r_t >= u_t:
+                    branches.add("risk")
+                    deltas[1] = ((p - mb.labels) / p.size * (1 - lam) / bounds.risk_span)[:, None]
+                else:
+                    branches.add("unfairness")
+                    # Group totals as masked sums, as the stack forms them.  The
+                    # penalty ignores the penalised layer's bias, so that bias
+                    # descends on rounding noise alone, and a total summed in
+                    # another order would move it by more than 1e-12.
+                    w, s = weights.weights, mb.sensitives
+                    treated, control = np.where(s == 1, w, 0.0).sum(), np.where(s == 0, w, 0.0).sum()
+                    coeff = np.where(s == 1, w / treated, -w / control)
+                    deltas[0] = np.outer(coeff * lam / bounds.unfairness_span, np.sign(taus[0]))
+                grads, _ = backprop(params, net, trace, deltas)
+                params, adam = adam_step(adam, params, grads)
+                objectives.append(max(r_t, u_t))
+            sched, adam = scheduler_step(sched, float(np.mean(objectives)), adam)
+
+        for w1, w2 in zip(fit.params.weights + fit.params.biases, params.weights + params.biases):
+            np.testing.assert_allclose(w1, w2, rtol=0, atol=1e-12)
+        assert fit.final_learning_rate == adam.learning_rate
+    assert branches == {"risk", "unfairness"}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_member_fails_alone(monkeypatch):
+    poisoned_seed = STACK_SEEDS[1][0]
+    lone_init = training.init_network
+
+    def init_network_with_poison(config):
+        params = lone_init(config)
+        if config.seed == poisoned_seed:
+            params.weights[0][0, 0] = np.inf
+        return params
+
+    monkeypatch.setattr(training, "init_network", init_network_with_poison)
+    with_poison = fit_stack(STACK_LAMBDAS, STACK_SEEDS)
+    assert isinstance(with_poison[1], TrainingError)
+    assert "non-finite" in str(with_poison[1])
+    without = fit_stack(STACK_LAMBDAS[::2], STACK_SEEDS[::2])
+    assert_same_fit(with_poison[0], without[0])
+    assert_same_fit(with_poison[2], without[1])
+
+    # a lone network's failure is raised, not returned
+    x, y, a, e = stack_problem()
+    with pytest.raises(TrainingError):
+        fit_network(
+            x, y, stack_configs(STACK_SEEDS)[1], STACK_TRAIN, 8, lambda_=0.4, sensitives=a, propensities=e
+        )
+
+
+def test_stack_arguments_must_line_up():
+    x, y, a, e = stack_problem()
+    with pytest.raises(ConfigError, match="one loop seed"):
+        fit_network(
+            x, y, stack_configs(STACK_SEEDS), STACK_TRAIN, [1, 2], lambda_=STACK_LAMBDAS,
+            sensitives=a, propensities=e,
+        )
+    mixed = stack_configs(STACK_SEEDS[:1]) + [NetworkConfig(layer_sizes=[4, 2, 1], seed=0)]
+    with pytest.raises(ConfigError, match="architecture"):
+        fit_network(x, y, mixed, STACK_TRAIN, [1, 2], lambda_=[0.0, 0.0])
+
+
+def test_fit_rejects_bad_data_up_front():
+    x, y, a, e = stack_problem()
+    net = stack_configs(STACK_SEEDS)[0]
+    bad_x = x.copy()
+    bad_x[3, 1] = np.nan
+    with pytest.raises(InputError, match="finite"):
+        fit_network(bad_x, y, net, STACK_TRAIN, 0)
+    bad_a = a.copy()
+    bad_a[0] = 2
+    with pytest.raises(InputError, match="0/1"):
+        fit_network(x, y, net, STACK_TRAIN, 0, lambda_=0.5, sensitives=bad_a, propensities=e)
+    bad_e = e.copy()
+    bad_e[0] = 1.0
+    with pytest.raises(InputError, match="inside"):
+        fit_network(x, y, net, STACK_TRAIN, 0, lambda_=0.5, sensitives=a, propensities=bad_e)
