@@ -10,14 +10,12 @@ step after a short pretraining phase for each player.
 from __future__ import annotations
 
 import logging
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset, SplitPlan, make_splits, minibatches
-from .errors import ConfigError
+from .errors import ConfigError, InputError, NumericError, ShapeError
 from .evaluation import evaluate_test_metrics
 from .network import (
     CLAMP,
@@ -25,9 +23,12 @@ from .network import (
     MODE_TRAIN,
     NetworkConfig,
     NetworkParams,
+    _as_params,
+    _bce,
+    _flatten,
     _sigmoid,
+    _unflatten,
     backprop,
-    bce_loss,
     forward,
     init_network,
 )
@@ -38,15 +39,21 @@ from .pareto import (
     ParetoCandidate,
     SweepConfig,
     SweepResult,
+    _collect_splits,
+    _fail_split,
+    _failure_record,
+    _fit_split_propensity,
+    _map_splits,
     _with_seed,
 )
-from .propensity import calibrate_temperature, predict_propensity, train_propensity
-from .training import TrainConfig, derive_seeds
+
+# The split worker fits its propensity model through pareto._fit_split_propensity;
+# these names stay importable here because bench/spans.py patches them on
+# this module.
+from .propensity import calibrate_temperature, train_propensity  # noqa: F401
+from .training import TrainConfig, _validated_data, derive_seeds
 
 log = logging.getLogger(__name__)
-
-_PROPENSITY_STREAM = 2**33  # mirrors the scalarised sweep's stream layout
-_CALIBRATION_STREAM = 2**33 + 1
 
 
 @dataclass
@@ -104,15 +111,16 @@ def classifier_objective_gradient(
     pass of ``clf_params`` on the batch being scored; passing it in leaves
     the dropout regime (and any frozen masks) under the caller's control.
     Returns the parameter gradients and the objective value on that trace.
+    Nothing is validated here: train_adversarial checks its data on entry.
     """
     p = trace.output
     raw = _sigmoid(trace.preactivations[-1][:, 0])
     unclamped = (raw > CLAMP) & (raw < 1.0 - CLAMP)
     b = labels.size
     delta = np.where(unclamped, p - labels, 0.0) / b
-    objective = bce_loss(p, labels)
+    objective = _bce(p, labels)
     if lambda_ > 0.0:
-        adv_trace = forward(adv_params, adv_config, p[:, None], MODE_EVAL)
+        adv_trace = forward(adv_params, adv_config, p[:, None], MODE_EVAL, validate=False)
         q = adv_trace.output
         adv_deltas: list = [None] * adv_config.num_layers
         adv_deltas[-1] = ((q - sensitives) / b)[:, None]
@@ -121,11 +129,32 @@ def classifier_objective_gradient(
         # input, then the classifier's clamped sigmoid.
         delta_adv = np.where(unclamped, input_grad[:, 0] * raw * (1.0 - raw), 0.0)
         delta = delta - lambda_ * delta_adv
-        objective -= lambda_ * bce_loss(q, sensitives)
+        objective -= lambda_ * _bce(q, sensitives)
     deltas: list = [None] * clf_config.num_layers
     deltas[-1] = delta[:, None]
     grads, _ = backprop(clf_params, clf_config, trace, deltas)
-    return grads, objective
+    return grads, float(objective)
+
+
+class _Player:
+    """One network Adam-trained on a flat parameter row.
+
+    ``params`` holds per-layer views of ``flat``; each update is a single
+    adam_step over the whole row.
+    """
+
+    def __init__(self, config: NetworkConfig, learning_rate: float):
+        init = init_network(config)
+        self.shapes = [a.shape for a in (*init.weights, *init.biases)]
+        self.flat = _flatten(init)
+        self.params = _unflatten(self.flat, self.shapes)
+        self.adam = AdamState.for_params(_as_params(self.flat), learning_rate=learning_rate)
+
+    def step(self, grads: NetworkParams):
+        grads = _as_params(_flatten(grads))
+        stepped, self.adam = adam_step(self.adam, _as_params(self.flat), grads, validate=False)
+        self.flat = stepped.weights[0]
+        self.params = _unflatten(self.flat, self.shapes)
 
 
 def train_adversarial(
@@ -147,65 +176,76 @@ def train_adversarial(
     classifier uses dropout, and only in its own update steps.  One RNG
     stream drives all shuffling and dropout, so the run is a pure function
     of (data, configs, lambda, seeds).
+
+    The inputs are validated here, once; the loop itself runs unchecked and
+    raises NumericError after the epoch or round that left either player
+    with non-finite parameters.
     """
     if not 0.0 <= lambda_ <= 1.0:
         raise ConfigError(f"lambda must lie in [0, 1], got {lambda_}")
-    y = np.asarray(labels, dtype=np.float64)
+    x, y = _validated_data(features, labels, clf_template)
     a = np.asarray(sensitives, dtype=np.float64)
-    n = features.shape[0]
+    n = y.shape[0]
+    if a.shape != (n,):
+        raise ShapeError(f"sensitives {a.shape} must have {n} entries")
+    if not np.isin(a, (0.0, 1.0)).all():
+        raise InputError("sensitives must contain only 0/1 values")
     indices = np.arange(n)
 
     clf_cfg = _with_seed(clf_template, seeds[0])
     adv_init, loop_seed = derive_seeds(seeds[1])
     adv_cfg = adv_config.network_config(adv_init)
-    clf = init_network(clf_cfg)
-    adv = init_network(adv_cfg)
-    clf_adam = AdamState.for_params(clf, learning_rate=train_config.learning_rate)
-    adv_adam = AdamState.for_params(adv, learning_rate=adv_config.learning_rate)
+    clf = _Player(clf_cfg, train_config.learning_rate)
+    adv = _Player(adv_cfg, adv_config.learning_rate)
     rng = np.random.default_rng(loop_seed)
     result = AdversarialResult(
-        classifier_params=clf,
+        classifier_params=clf.params,
         classifier_config=clf_cfg,
-        adversary_params=adv,
+        adversary_params=adv.params,
         adversary_config=adv_cfg,
     )
 
     def classifier_step(rows: np.ndarray):
-        nonlocal clf, clf_adam
-        trace = forward(clf, clf_cfg, features[rows], MODE_TRAIN, rng=rng)
+        trace = forward(clf.params, clf_cfg, x[rows], MODE_TRAIN, rng=rng, validate=False)
         grads, _ = classifier_objective_gradient(
-            clf, clf_cfg, adv, adv_cfg, trace, y[rows], a[rows], lambda_
+            clf.params, clf_cfg, adv.params, adv_cfg, trace, y[rows], a[rows], lambda_
         )
-        clf, clf_adam = adam_step(clf_adam, clf, grads)
+        clf.step(grads)
 
     def adversary_epoch():
-        nonlocal adv, adv_adam
+        # The classifier is frozen for the whole epoch: score every row once.
+        scores = forward(clf.params, clf_cfg, x, MODE_EVAL, validate=False).output
         for mb in minibatches(indices, train_config.batch_size, rng):
             rows = mb.indices
-            scores = forward(clf, clf_cfg, features[rows], MODE_EVAL).output
-            adv_trace = forward(adv, adv_cfg, scores[:, None], MODE_EVAL)
-            q = adv_trace.output
+            adv_trace = forward(adv.params, adv_cfg, scores[rows, None], MODE_EVAL, validate=False)
             deltas: list = [None] * adv_cfg.num_layers
-            deltas[-1] = ((q - a[rows]) / rows.size)[:, None]
-            grads, _ = backprop(adv, adv_cfg, adv_trace, deltas)
-            adv, adv_adam = adam_step(adv_adam, adv, grads)
+            deltas[-1] = ((adv_trace.output - a[rows]) / rows.size)[:, None]
+            grads, _ = backprop(adv.params, adv_cfg, adv_trace, deltas)
+            adv.step(grads)
 
-    for _ in range(adv_config.pretrain_classifier_epochs):
+    def check_finite(phase: str):
+        if not (np.isfinite(clf.flat).all() and np.isfinite(adv.flat).all()):
+            raise NumericError(f"{phase} left non-finite parameters (lambda={lambda_})")
+
+    for epoch in range(adv_config.pretrain_classifier_epochs):
         for mb in minibatches(indices, train_config.batch_size, rng):
             classifier_step(mb.indices)
-    for _ in range(adv_config.pretrain_adversary_epochs):
+        check_finite(f"classifier pretraining epoch {epoch}")
+    for epoch in range(adv_config.pretrain_adversary_epochs):
         adversary_epoch()
+        check_finite(f"adversary pretraining epoch {epoch}")
 
     # Alternation proper; only these steps are reflected in the counters.
     cycler = _BatchCycler(indices, train_config.batch_size, rng)
-    for _ in range(adv_config.rounds):
+    for round_ in range(adv_config.rounds):
         adversary_epoch()
         result.adversary_epochs += 1
         classifier_step(cycler.next_batch())
         result.classifier_steps += 1
+        check_finite(f"round {round_}")
 
-    result.classifier_params = clf
-    result.adversary_params = adv
+    result.classifier_params = clf.params
+    result.adversary_params = adv.params
     log.debug(
         "adversarial run (lambda=%g): %d adversary epochs / %d classifier steps after pretraining",
         lambda_,
@@ -256,25 +296,10 @@ def run_adversarial_sweep(
         (split_id, tr, te, dataset, grid, config, adv_config, plan.master_seed)
         for split_id, (tr, te) in enumerate(splits)
     ]
-    if jobs is None:
-        jobs = max(1, min(len(payloads), os.cpu_count() or 1))
-    if jobs > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
-            results = list(pool.map(_adv_split_worker, payloads))
-    else:
-        results = [_adv_split_worker(p) for p in payloads]
-    candidates: list[ParetoCandidate] = []
-    failures: list[dict] = []
-    prop_by_split: dict[int, object] = {}
-    for split_id, split_candidates, split_failures, prop_model in results:
-        candidates.extend(split_candidates)
-        failures.extend(split_failures)
-        if prop_model is not None:
-            prop_by_split[split_id] = prop_model
-    candidates.sort(key=lambda c: (c.split_id, c.lambda_index))
-    for failure in failures:
+    result = _collect_splits(_map_splits(_adv_split_worker, payloads, jobs))
+    for failure in result.failures:
         log.warning("adversarial job failed: %s", failure)
-    return SweepResult(candidates=candidates, failures=failures, propensity_models=prop_by_split)
+    return result
 
 
 def _adv_split_worker(payload):
@@ -285,41 +310,13 @@ def _adv_split_worker(payload):
     clf_template = NetworkConfig(
         layer_sizes=config.layer_sizes(dataset.n_features), dropout_prob=config.dropout_prob
     )
-    failures: list[dict] = []
     try:
-        prop_seed = int(
-            np.random.SeedSequence([master_seed, split_id, _PROPENSITY_STREAM]).generate_state(1)[0]
-        )
-        cal_rng = np.random.default_rng(
-            np.random.SeedSequence([master_seed, split_id, _CALIBRATION_STREAM])
-        )
-        perm = cal_rng.permutation(train_idx.size)
-        n_cal = max(1, int(np.floor(config.calibration_fraction * train_idx.size)))
-        if n_cal >= train_idx.size:
-            raise ConfigError("calibration holdout would swallow the whole training split")
-        raw_model = train_propensity(
-            x_tr[perm[n_cal:]], a_tr[perm[n_cal:]], config.propensity, prop_seed,
-            meta={"split_id": split_id},
-        )
-        prop_model = calibrate_temperature(raw_model, x_tr[perm[:n_cal]], a_tr[perm[:n_cal]])
-    except EXPECTED_FAILURES as exc:
-        return (
-            split_id,
-            [],
-            [
-                {
-                    "split_id": split_id,
-                    "lambda_index": k,
-                    "lambda": grid.values[k],
-                    "stage": "propensity",
-                    "error": f"{type(exc).__name__}: {exc}",
-                }
-                for k in range(len(grid))
-            ],
-            None,
-        )
+        prop_model = _fit_split_propensity(x_tr, a_tr, config, master_seed, split_id)
+    except EXPECTED_FAILURES as exc:  # propensity failure sinks the whole split
+        return _fail_split(split_id, grid, "propensity", exc)
 
     candidates: list[ParetoCandidate] = []
+    failures: list[dict] = []
     for k, lam in enumerate(grid.values):
         try:
             run = train_adversarial(
@@ -353,13 +350,5 @@ def _adv_split_worker(payload):
                 )
             )
         except EXPECTED_FAILURES as exc:
-            failures.append(
-                {
-                    "split_id": split_id,
-                    "lambda_index": k,
-                    "lambda": lam,
-                    "stage": "adversarial",
-                    "error": f"{type(exc).__name__}: {exc}",
-                }
-            )
-    return split_id, candidates, failures, prop_model
+            failures.append(_failure_record(split_id, k, lam, "adversarial", exc))
+    return split_id, candidates, failures, None, prop_model

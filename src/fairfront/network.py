@@ -11,10 +11,15 @@ inputs (K, batch, features).  Every operation acts on each stack member alone
 (per-member matrix products, elementwise arithmetic, reductions along member
 rows), so a member's numbers do not depend on the other members, and an
 unstacked network is the same code with the stack axis absent.
+
+The training loops keep a network's parameters as one flat row, (P,) or (K, P)
+for a stack (_flatten), read through per-layer views (_unflatten), so that
+Adam updates all of them in one call.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -109,9 +114,10 @@ class ForwardTrace:
 
     preactivations[l] and activations[l] cover every layer; activations of
     hidden layers are post-dropout, activations[-1] is the clamped sigmoid
-    output.  dropout_masks holds the scaled keep masks (0 or 1/keep) for the
-    hidden layers and is all-ones in eval mode.  A stacked pass keeps the
-    stack axis in front of every array.
+    output.  dropout_masks holds the scaled keep masks (0 or 1/keep) of the
+    hidden layers while dropout is active (train mode, dropout_prob > 0) and
+    is empty otherwise: a pass without dropout multiplies by no mask.  A
+    stacked pass keeps the stack axis in front of every array.
     """
 
     inputs: np.ndarray
@@ -188,22 +194,21 @@ def forward(
         preacts.append(h)
         if l < L - 1:
             v = np.maximum(h, 0.0)
-            if not dropout:
-                m = np.ones_like(v)
-            elif masks is not None:
-                m = masks[l]
-                if m.shape != v.shape:
-                    raise ShapeError(f"frozen mask {l} has shape {m.shape}, expected {v.shape}")
-            else:
-                draws = np.empty(v.shape)
-                blocks = draws.reshape(-1, *v.shape[-2:])
-                if len(rngs) != len(blocks):
-                    raise InputError(f"{len(rngs)} dropout generators for a stack of {len(blocks)}")
-                for member_rng, block in zip(rngs, blocks):
-                    member_rng.random(out=block)
-                m = (draws < keep) / keep
-            drop.append(m)
-            v = v * m
+            if dropout:
+                if masks is not None:
+                    m = masks[l]
+                    if m.shape != v.shape:
+                        raise ShapeError(f"frozen mask {l} has shape {m.shape}, expected {v.shape}")
+                else:
+                    draws = np.empty(v.shape)
+                    blocks = draws.reshape(-1, *v.shape[-2:])
+                    if len(rngs) != len(blocks):
+                        raise InputError(f"{len(rngs)} dropout generators for a stack of {len(blocks)}")
+                    for member_rng, block in zip(rngs, blocks):
+                        member_rng.random(out=block)
+                    m = (draws < keep) / keep
+                drop.append(m)
+                v = v * m
             acts.append(v)
         else:
             p = np.minimum(np.maximum(_sigmoid(h), CLAMP), 1.0 - CLAMP)
@@ -377,7 +382,8 @@ def backprop(
 
     preact_deltas[l] is dJ/dh^(l) contributed directly at layer l (None for
     no contribution); contributions flowing down from above are added through
-    the stored dropout masks and the ReLU gates.  Returns (gradients, dJ/dX).
+    the stored dropout masks (if the trace has any) and the ReLU gates.
+    Returns (gradients, dJ/dX).
     """
     L = config.num_layers
     if len(preact_deltas) != L:
@@ -390,7 +396,8 @@ def backprop(
             d = np.zeros_like(trace.preactivations[l])
         else:
             d = delta @ params.weights[l + 1]
-            d *= trace.dropout_masks[l]
+            if trace.dropout_masks:
+                d *= trace.dropout_masks[l]
             d *= trace.preactivations[l] > 0.0
         if preact_deltas[l] is not None:
             d = d + preact_deltas[l]
@@ -399,6 +406,28 @@ def backprop(
         grad_b[l] = d.sum(axis=-2)
         delta = d
     return NetworkParams(weights=grad_w, biases=grad_b), delta @ params.weights[0]
+
+
+def _flatten(params: NetworkParams) -> np.ndarray:
+    # every array of a network side by side in one row: (P,), or (K, P) for a stack
+    lead = params.biases[0].shape[:-1]
+    return np.concatenate([a.reshape(*lead, -1) for a in (*params.weights, *params.biases)], axis=-1)
+
+
+def _unflatten(flat: np.ndarray, shapes: list[tuple[int, ...]]) -> NetworkParams:
+    # per-layer views of a (P,) or (K, P) row, shapes being one network's array shapes
+    views, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[..., start : start + size].reshape(flat.shape[:-1] + shape))
+        start += size
+    half = len(shapes) // 2
+    return NetworkParams(weights=views[:half], biases=views[half:])
+
+
+def _as_params(flat: np.ndarray) -> NetworkParams:
+    # a flat row as the one-array container adam_step steps
+    return NetworkParams(weights=[flat], biases=[])
 
 
 def save_model(path, params: NetworkParams, config: NetworkConfig, temperature: float | None = None):

@@ -286,35 +286,77 @@ def run_sweep(
         (split_id, train_idx, test_idx, dataset, grid, config, plan.master_seed)
         for split_id, (train_idx, test_idx) in enumerate(splits)
     ]
+    result = _collect_splits(_map_splits(_split_worker, payloads, jobs))
+    for failure in result.failures:
+        log.warning("sweep job failed: %s", failure)
+    return result
+
+
+def _map_splits(worker, payloads: list, jobs: int | None) -> list:
+    """Run ``worker`` on every split payload, in a process pool when jobs > 1.
+
+    jobs=None uses one process per split, up to the CPU count.
+    """
     if jobs is None:
         jobs = max(1, min(len(payloads), os.cpu_count() or 1))
-    results = []
     if jobs > 1 and len(payloads) > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
-            results = list(pool.map(_split_worker, payloads))
-    else:
-        results = [_split_worker(p) for p in payloads]
+            return list(pool.map(worker, payloads))
+    return [worker(p) for p in payloads]
 
-    candidates: list[ParetoCandidate] = []
-    failures: list[dict] = []
-    bounds_by_split: dict[int, StandardisationBounds] = {}
-    prop_by_split: dict[int, object] = {}
-    for split_id, split_candidates, split_failures, bounds, prop_model in results:
-        candidates.extend(split_candidates)
-        failures.extend(split_failures)
+
+def _collect_splits(results: list) -> SweepResult:
+    """Merge split-worker results (split_id, candidates, failures, bounds, propensity model)."""
+    merged = SweepResult(candidates=[], failures=[])
+    for split_id, candidates, failures, bounds, prop_model in results:
+        merged.candidates.extend(candidates)
+        merged.failures.extend(failures)
         if bounds is not None:
-            bounds_by_split[split_id] = bounds
+            merged.bounds[split_id] = bounds
         if prop_model is not None:
-            prop_by_split[split_id] = prop_model
-    candidates.sort(key=lambda c: (c.split_id, c.lambda_index))
-    for failure in failures:
-        log.warning("sweep job failed: %s", failure)
-    return SweepResult(
-        candidates=candidates,
-        failures=failures,
-        bounds=bounds_by_split,
-        propensity_models=prop_by_split,
+            merged.propensity_models[split_id] = prop_model
+    merged.candidates.sort(key=lambda c: (c.split_id, c.lambda_index))
+    return merged
+
+
+def _failure_record(split_id: int, lambda_index: int, lambda_: float, stage: str, exc: Exception):
+    """One failed (split, lambda) job, as SweepResult.failures lists it."""
+    return {
+        "split_id": split_id,
+        "lambda_index": lambda_index,
+        "lambda": lambda_,
+        "stage": stage,
+        "error": f"{type(exc).__name__}: {exc}",
+    }
+
+
+def _fail_split(split_id: int, grid: LambdaGrid, stage: str, exc: Exception) -> tuple:
+    """Split-worker result of a split whose every lambda failed at ``stage``."""
+    failures = [_failure_record(split_id, k, lam, stage, exc) for k, lam in enumerate(grid.values)]
+    return split_id, [], failures, None, None
+
+
+def _fit_split_propensity(x_tr, a_tr, config: SweepConfig, master_seed: int, split_id: int):
+    """Fit and temperature-calibrate a split's propensity model on its training rows.
+
+    A calibration holdout of config.calibration_fraction of the rows is carved
+    off first.  The holdout and the model's seed come from (master_seed,
+    split_id) on streams of their own, so both sweeps fit the same model.
+    """
+    prop_seed = int(
+        np.random.SeedSequence([master_seed, split_id, _PROPENSITY_STREAM]).generate_state(1)[0]
     )
+    cal_rng = np.random.default_rng(np.random.SeedSequence([master_seed, split_id, _CALIBRATION_STREAM]))
+    n = a_tr.shape[0]
+    perm = cal_rng.permutation(n)
+    n_cal = max(1, int(np.floor(config.calibration_fraction * n)))
+    if n_cal >= n:
+        raise ConfigError("calibration holdout would swallow the whole training split")
+    cal_rows, fit_rows = perm[:n_cal], perm[n_cal:]
+    raw_model = train_propensity(
+        x_tr[fit_rows], a_tr[fit_rows], config.propensity, prop_seed, meta={"split_id": split_id}
+    )
+    return calibrate_temperature(raw_model, x_tr[cal_rows], a_tr[cal_rows])
 
 
 def _split_worker(payload):
@@ -329,48 +371,11 @@ def _split_worker(payload):
         layer_sizes=config.layer_sizes(dataset.n_features), dropout_prob=config.dropout_prob
     )
     k_last = len(grid) - 1
-
-    def fail_all(stage: str, exc: Exception):
-        return (
-            split_id,
-            [],
-            [
-                {
-                    "split_id": split_id,
-                    "lambda_index": k,
-                    "lambda": grid.values[k],
-                    "stage": stage,
-                    "error": f"{type(exc).__name__}: {exc}",
-                }
-                for k in range(len(grid))
-            ],
-            None,
-            None,
-        )
-
     try:
-        prop_seed = int(
-            np.random.SeedSequence([master_seed, split_id, _PROPENSITY_STREAM]).generate_state(1)[0]
-        )
-        cal_rng = np.random.default_rng(
-            np.random.SeedSequence([master_seed, split_id, _CALIBRATION_STREAM])
-        )
-        perm = cal_rng.permutation(train_idx.size)
-        n_cal = max(1, int(np.floor(config.calibration_fraction * train_idx.size)))
-        if n_cal >= train_idx.size:
-            raise ConfigError("calibration holdout would swallow the whole training split")
-        cal_rows, fit_rows = perm[:n_cal], perm[n_cal:]
-        raw_model = train_propensity(
-            x_tr[fit_rows],
-            a_tr[fit_rows],
-            config.propensity,
-            prop_seed,
-            meta={"split_id": split_id},
-        )
-        prop_model = calibrate_temperature(raw_model, x_tr[cal_rows], a_tr[cal_rows])
+        prop_model = _fit_split_propensity(x_tr, a_tr, config, master_seed, split_id)
         e_tr = predict_propensity(prop_model, x_tr)
     except EXPECTED_FAILURES as exc:  # propensity failure sinks the whole split
-        return fail_all("propensity", exc)
+        return _fail_split(split_id, grid, "propensity", exc)
 
     try:
         bounds_res = discover_bounds(
@@ -385,7 +390,7 @@ def _split_worker(payload):
             derive_seeds(master_seed, split_id, k_last),
         )
     except EXPECTED_FAILURES as exc:
-        return fail_all("bounds", exc)
+        return _fail_split(split_id, grid, "bounds", exc)
 
     interior = range(1, k_last)
     interior_fits = train_scalarised(
@@ -425,15 +430,7 @@ def _split_worker(payload):
                 )
             )
         except EXPECTED_FAILURES as exc:
-            failures.append(
-                {
-                    "split_id": split_id,
-                    "lambda_index": k,
-                    "lambda": lam,
-                    "stage": "train_or_eval",
-                    "error": f"{type(exc).__name__}: {exc}",
-                }
-            )
+            failures.append(_failure_record(split_id, k, lam, "train_or_eval", exc))
     return split_id, candidates, failures, bounds_res.bounds, prop_model
 
 

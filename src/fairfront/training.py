@@ -16,7 +16,6 @@ trained alone and a diverging member fails alone.
 from __future__ import annotations
 
 import logging
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -31,6 +30,9 @@ from .network import (
     NetworkConfig,
     NetworkParams,
     StandardisationBounds,
+    _as_params,
+    _flatten,
+    _unflatten,
     backward_composite,
     forward,
     init_network,
@@ -139,7 +141,7 @@ def fit_network(
     # forward and backward read them through per-layer views of that row.
     inits = [init_network(c) for c in configs]
     shapes = [a.shape for a in (*inits[0].weights, *inits[0].biases)]
-    flat = np.stack([np.concatenate([a.ravel() for a in (*p.weights, *p.biases)]) for p in inits])
+    flat = np.stack([_flatten(p) for p in inits])
     adam = AdamState.for_params(
         _as_params(flat), learning_rate=np.full(len(configs), train_config.learning_rate)
     )
@@ -246,27 +248,6 @@ def fit_network(
 
 def _stack(arrays: list[np.ndarray]) -> np.ndarray:
     return arrays[0][np.newaxis] if len(arrays) == 1 else np.stack(arrays)
-
-
-def _flatten(params: NetworkParams) -> np.ndarray:
-    # (K, P): each stack member's arrays side by side in one row
-    arrays = (*params.weights, *params.biases)
-    return np.concatenate([a.reshape(a.shape[0], -1) for a in arrays], axis=1)
-
-
-def _unflatten(flat: np.ndarray, shapes: list[tuple[int, ...]]) -> NetworkParams:
-    # per-layer views of a (K, P) array, shapes being one member's array shapes
-    views, start = [], 0
-    for shape in shapes:
-        size = math.prod(shape)
-        views.append(flat[:, start : start + size].reshape(flat.shape[:1] + shape))
-        start += size
-    half = len(shapes) // 2
-    return NetworkParams(weights=views[:half], biases=views[half:])
-
-
-def _as_params(flat: np.ndarray) -> NetworkParams:
-    return NetworkParams(weights=[flat], biases=[])
 
 
 def _validated_data(features, labels, net: NetworkConfig) -> tuple[np.ndarray, np.ndarray]:

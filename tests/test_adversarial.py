@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from fairfront import adversarial
 from fairfront.adversarial import (
     AdversaryConfig,
     _BatchCycler,
@@ -13,11 +14,13 @@ from fairfront.adversarial import (
     run_adversarial_sweep,
     train_adversarial,
 )
-from fairfront.data import SplitPlan, generate_synthetic
-from fairfront.network import MODE_EVAL, NetworkConfig, forward, init_network
+from fairfront.data import SplitPlan, generate_synthetic, minibatches
+from fairfront.errors import ConfigError, InputError, NumericError, ShapeError
+from fairfront.network import MODE_EVAL, MODE_TRAIN, NetworkConfig, backprop, forward, init_network
+from fairfront.optim import AdamState, adam_step
 from fairfront.pareto import SweepConfig, build_lambda_grid
 from fairfront.propensity import PropensityConfig
-from fairfront.training import TrainConfig
+from fairfront.training import TrainConfig, derive_seeds
 
 from conftest import draw_gradient_fixture
 from oracles import adversarial_objective, fd_gradient, max_relative_error
@@ -147,4 +150,131 @@ def test_adversarial_sweep_rows_and_objective_fields():
     for c in res.candidates:
         assert set(c.metrics) == {"r_test", "u_ato", "mv_eo", "mv_eopp", "mv_dp"}
         assert math.isnan(c.final_epoch_objective)  # no epoch objective in this protocol
+    assert 0 in res.propensity_models
+
+
+def reference_adversarial(x, y, a, clf_template, train, adv_config, lambda_, seeds):
+    """The alternation written plainly: per-layer parameter arrays, the
+    classifier re-scored on every adversary minibatch, one adam_step per
+    network update.  Returns the final (classifier, adversary) parameters."""
+    clf_cfg = NetworkConfig(
+        layer_sizes=list(clf_template.layer_sizes), dropout_prob=clf_template.dropout_prob, seed=seeds[0]
+    )
+    adv_init, loop_seed = derive_seeds(seeds[1])
+    adv_cfg = adv_config.network_config(adv_init)
+    clf, adv = init_network(clf_cfg), init_network(adv_cfg)
+    clf_adam = AdamState.for_params(clf, learning_rate=train.learning_rate)
+    adv_adam = AdamState.for_params(adv, learning_rate=adv_config.learning_rate)
+    rng = np.random.default_rng(loop_seed)
+    idx = np.arange(y.size)
+
+    def classifier_step(rows):
+        nonlocal clf, clf_adam
+        trace = forward(clf, clf_cfg, x[rows], MODE_TRAIN, rng=rng)
+        grads, _ = classifier_objective_gradient(clf, clf_cfg, adv, adv_cfg, trace, y[rows], a[rows], lambda_)
+        clf, clf_adam = adam_step(clf_adam, clf, grads)
+
+    def adversary_epoch():
+        nonlocal adv, adv_adam
+        for mb in minibatches(idx, train.batch_size, rng):
+            scores = forward(clf, clf_cfg, x[mb.indices], MODE_EVAL).output
+            trace = forward(adv, adv_cfg, scores[:, None], MODE_EVAL)
+            deltas = [None] * adv_cfg.num_layers
+            deltas[-1] = ((trace.output - a[mb.indices]) / mb.indices.size)[:, None]
+            grads, _ = backprop(adv, adv_cfg, trace, deltas)
+            adv, adv_adam = adam_step(adv_adam, adv, grads)
+
+    for _ in range(adv_config.pretrain_classifier_epochs):
+        for mb in minibatches(idx, train.batch_size, rng):
+            classifier_step(mb.indices)
+    for _ in range(adv_config.pretrain_adversary_epochs):
+        adversary_epoch()
+    order, pos = idx[:0], 0
+    for _ in range(adv_config.rounds):
+        adversary_epoch()
+        if pos >= order.size:
+            order, pos = idx[rng.permutation(idx.size)], 0
+        classifier_step(order[pos : pos + train.batch_size])
+        pos += train.batch_size
+    return clf, adv
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.6, 1.0])
+def test_training_matches_the_plain_reference_loop(lam):
+    ds, clf, train = small_problem(5)
+    adv_cfg = AdversaryConfig(
+        hidden_layers=2, hidden_width=6,
+        pretrain_classifier_epochs=2, pretrain_adversary_epochs=2, rounds=9,
+    )
+    y, a = ds.labels.astype(float), ds.sensitives.astype(float)
+    result = train_adversarial(ds.features, y, ds.sensitives, clf, train, adv_cfg, lam, (11, 12))
+    ref_clf, ref_adv = reference_adversarial(ds.features, y, a, clf, train, adv_cfg, lam, (11, 12))
+    for got, want in ((result.classifier_params, ref_clf), (result.adversary_params, ref_adv)):
+        for g, w in zip((*got.weights, *got.biases), (*want.weights, *want.biases)):
+            assert g.shape == w.shape
+            assert np.max(np.abs(g - w)) <= 1e-12
+    assert not np.array_equal(result.classifier_params.weights[0], init_network(result.classifier_config).weights[0])
+
+
+def _no_step(*args, **kwargs):
+    raise AssertionError("the loop started before the inputs were validated")
+
+
+@pytest.mark.parametrize(
+    "corrupt, error",
+    [
+        (lambda x, y, a: (np.where(np.arange(x.size).reshape(x.shape) == 5, np.nan, x), y, a), InputError),
+        (lambda x, y, a: (x, y, np.where(np.arange(a.size) == 3, 2, a)), InputError),
+        (lambda x, y, a: (x, y[:-1], a), ConfigError),
+        (lambda x, y, a: (x, y, a[:-1]), ShapeError),
+        (lambda x, y, a: (x[:, :3], y, a), ShapeError),
+    ],
+    ids=["nonfinite-features", "nonbinary-sensitives", "short-labels", "short-sensitives", "narrow-features"],
+)
+def test_inputs_are_rejected_before_any_step(corrupt, error, monkeypatch):
+    ds, clf, train = small_problem(6)
+    monkeypatch.setattr(adversarial, "forward", _no_step)
+    monkeypatch.setattr(adversarial, "adam_step", _no_step)
+    adv_cfg = AdversaryConfig(hidden_layers=1, hidden_width=4, rounds=2)
+    x, y, a = corrupt(ds.features, ds.labels.astype(float), ds.sensitives)
+    with pytest.raises(error):
+        train_adversarial(x, y, a, clf, train, adv_cfg, 0.5, (0, 1))
+
+
+@pytest.mark.parametrize("lam", [-0.1, 1.5, float("nan")])
+def test_lambda_outside_the_unit_interval_is_rejected(lam):
+    ds, clf, train = small_problem(6)
+    with pytest.raises(ConfigError):
+        train_adversarial(ds.features, ds.labels, ds.sensitives, clf, train, AdversaryConfig(), lam, (0, 1))
+
+
+# A step size this large sends the classifier's parameters to inf within two
+# steps, and its gradients to nan after that.
+DIVERGING = TrainConfig(epochs=1, batch_size=32, learning_rate=1e308)
+
+
+def test_diverged_parameters_raise_numeric_error():
+    ds, clf, _ = small_problem(7)
+    adv_cfg = AdversaryConfig(
+        hidden_layers=1, hidden_width=4,
+        pretrain_classifier_epochs=1, pretrain_adversary_epochs=0, rounds=3,
+    )
+    with np.errstate(all="ignore"), pytest.raises(NumericError, match="classifier pretraining epoch 0"):
+        train_adversarial(ds.features, ds.labels, ds.sensitives, clf, DIVERGING, adv_cfg, 0.5, (0, 1))
+
+
+def test_diverged_runs_become_adversarial_failure_records():
+    ds = generate_synthetic(n=220, p=4, bias_strength=2.0, seed=15)
+    plan = SplitPlan(num_splits=1, train_fraction=0.5, master_seed=6)
+    cfg = SweepConfig(
+        num_layers=2, hidden_width=4, dropout_prob=0.2, train=DIVERGING,
+        propensity=PropensityConfig(hidden_layers=1, hidden_width=6, epochs=10, batch_size=64),
+    )
+    adv_cfg = AdversaryConfig(hidden_layers=1, hidden_width=4, rounds=2,
+                              pretrain_classifier_epochs=1, pretrain_adversary_epochs=1)
+    with np.errstate(all="ignore"):
+        res = run_adversarial_sweep(ds, plan, build_lambda_grid(3), cfg, adv_cfg, jobs=1)
+    assert not res.candidates
+    assert [(f["lambda_index"], f["stage"]) for f in res.failures] == [(k, "adversarial") for k in range(3)]
+    assert all(f["error"].startswith("NumericError") for f in res.failures)
     assert 0 in res.propensity_models

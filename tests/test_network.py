@@ -103,6 +103,39 @@ def test_forward_train_dropout_masks_are_inverted():
     assert np.array_equal(trace.output, again.output)
 
 
+def test_a_pass_without_dropout_carries_no_masks():
+    x = np.random.default_rng(4).normal(size=(5, 4))
+    for dropout, mode in ((0.5, MODE_EVAL), (0.0, MODE_TRAIN)):
+        config, params = small_net(dropout=dropout)
+        assert forward(params, config, x, mode, rng=np.random.default_rng(0)).dropout_masks == []
+
+
+def test_gradients_without_masks_equal_those_under_all_ones_masks():
+    rng = np.random.default_rng(6)
+    config, params = small_net(seed=2, dropout=0.3, sizes=(4, 6, 5, 1))
+    x = rng.normal(size=(16, 4))
+    y = (rng.random(16) < 0.5).astype(float)
+    a = np.arange(16) % 2
+    weights = overlap_weights(rng.uniform(0.2, 0.8, size=16), a)
+    bare = forward(params, config, x, MODE_EVAL)
+    ones = [np.ones_like(h) for h in bare.preactivations[:-1]]
+    masked = forward(params, config, x, MODE_TRAIN, masks=ones)
+    assert bare.dropout_masks == [] and len(masked.dropout_masks) == 2
+    deltas = [rng.normal(size=h.shape) for h in bare.preactivations]
+    pairs = [backprop(params, config, t, deltas) for t in (bare, masked)]
+    pairs += [
+        (backward_composite(t, params, config, y, weights, lam, penalty_mode=mode).gradients, None)
+        for lam in (0.0, 0.4, 1.0)
+        for mode in (PENALTY_PENULTIMATE, PENALTY_ALL_LAYERS)
+        for t in (bare, masked)
+    ]
+    for (g_bare, dx_bare), (g_masked, dx_masked) in zip(pairs[::2], pairs[1::2]):
+        for u, v in zip((*g_bare.weights, *g_bare.biases), (*g_masked.weights, *g_masked.biases)):
+            assert np.array_equal(u, v)
+        if dx_bare is not None:
+            assert np.array_equal(dx_bare, dx_masked)
+
+
 def test_forward_train_requires_noise_source():
     config, params = small_net(dropout=0.2)
     x = np.zeros((2, 4))
