@@ -34,7 +34,7 @@ train_rows, test_rows = make_splits(ds.n_rows, plan, sensitives=ds.sensitives, l
 net = NetworkConfig(layer_sizes=[ds.n_features, 8, 1], dropout_prob=0.2, seed=1)
 fit = fit_network(ds.features[train_rows], ds.labels[train_rows].astype(float), net,
                   TrainConfig(epochs=80, batch_size=128), loop_seed=2)
-print(f"trained {len(net.layer_sizes) - 1}-layer net, final train objective {fit.risk_values[-1]:.4f}")
+print(f"trained {len(net.layer_sizes) - 1}-layer net, final train objective {fit.epoch_objectives[-1]:.4f}")
 
 # propensity on the train half, temperature fitted on a held-back slice
 n_cal = len(train_rows) // 5

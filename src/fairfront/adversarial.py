@@ -6,6 +6,11 @@ score alone, and the classifier minimises Loss_y - lambda * Loss_a with the
 adversary's parameters frozen (the gradient flows through the score).
 Training alternates one full adversary epoch with one classifier minibatch
 step after a short pretraining phase for each player.
+
+run_adversarial_sweep runs the scalarised sweep's split stage
+(pareto._split_stage) with a trainer that calls train_adversarial once per
+lambda, so the two sweeps compare on the same splits, calibrated propensity
+models, seed streams and test scoring.
 """
 from __future__ import annotations
 
@@ -14,9 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, SplitPlan, make_splits, minibatches
+from .data import Dataset, SplitPlan, minibatches
 from .errors import ConfigError, InputError, NumericError, ShapeError
-from .evaluation import evaluate_test_metrics
 from .network import (
     CLAMP,
     MODE_EVAL,
@@ -36,22 +40,21 @@ from .optim import AdamState, adam_step
 from .pareto import (
     EXPECTED_FAILURES,
     LambdaGrid,
-    ParetoCandidate,
     SweepConfig,
     SweepResult,
-    _collect_splits,
-    _fail_split,
-    _failure_record,
-    _fit_split_propensity,
-    _map_splits,
+    TrainingSplit,
+    _run_splits,
+    _split_stage,
     _with_seed,
 )
 
-# The split worker fits its propensity model through pareto._fit_split_propensity;
-# these names stay importable here because bench/spans.py patches them on
-# this module.
+# The split stage (pareto._split_stage) fits the propensity model and scores
+# the candidates for both sweeps, so this module calls none of these names.
+# They stay importable here because bench/spans.py patches them on this
+# module and fails to install its tracer without them.
+from .evaluation import evaluate_test_metrics  # noqa: F401
 from .propensity import calibrate_temperature, train_propensity  # noqa: F401
-from .training import TrainConfig, _validated_data, derive_seeds
+from .training import FitResult, TrainConfig, _validated_data, derive_seeds
 
 log = logging.getLogger(__name__)
 
@@ -284,71 +287,33 @@ def run_adversarial_sweep(
 ) -> SweepResult:
     """Adversarial counterpart of run_sweep: every lambda is trained fully.
 
-    The per-split propensity model is fitted and calibrated exactly as in the
-    scalarised sweep (evaluation needs it); there is no bounds discovery and
-    no endpoint reuse.  config.train.epochs is ignored; the budget comes
-    from adv_config.
+    The split stage is run_sweep's: the same splits, calibrated propensity
+    model, seeds, test scoring and failure records; a failed lambda is
+    recorded at stage "adversarial".  There is no bounds discovery and no
+    endpoint reuse.  config.train.epochs is ignored; the budget comes from
+    adv_config.
     """
     if adv_config is None:
         adv_config = AdversaryConfig()
-    splits = make_splits(dataset.n_rows, plan, sensitives=dataset.sensitives, labels=dataset.labels)
-    payloads = [
-        (split_id, tr, te, dataset, grid, config, adv_config, plan.master_seed)
-        for split_id, (tr, te) in enumerate(splits)
-    ]
-    result = _collect_splits(_map_splits(_adv_split_worker, payloads, jobs))
-    for failure in result.failures:
-        log.warning("adversarial job failed: %s", failure)
-    return result
+    return _run_splits(_adv_split_worker, dataset, plan, grid, config, jobs, adv_config)
 
 
 def _adv_split_worker(payload):
-    split_id, train_idx, test_idx, dataset, grid, config, adv_config, master_seed = payload
-    x_tr = dataset.features[train_idx]
-    y_tr = dataset.labels[train_idx].astype(np.float64)
-    a_tr = dataset.sensitives[train_idx]
-    clf_template = NetworkConfig(
-        layer_sizes=config.layer_sizes(dataset.n_features), dropout_prob=config.dropout_prob
-    )
-    try:
-        prop_model = _fit_split_propensity(x_tr, a_tr, config, master_seed, split_id)
-    except EXPECTED_FAILURES as exc:  # propensity failure sinks the whole split
-        return _fail_split(split_id, grid, "propensity", exc)
+    return _split_stage(payload, _train_adversarial_split, "adversarial")
 
-    candidates: list[ParetoCandidate] = []
-    failures: list[dict] = []
-    for k, lam in enumerate(grid.values):
+
+def _train_adversarial_split(split: TrainingSplit, grid: LambdaGrid, config: SweepConfig, adv_config):
+    """The adversarial sweep's trainer: train_adversarial once per lambda."""
+    rows = (split.features, split.labels, split.sensitives, split.template, config.train, adv_config)
+    fits: list[FitResult | Exception] = []
+    for lam, seeds in zip(grid.values, split.seeds):
         try:
-            run = train_adversarial(
-                x_tr,
-                y_tr,
-                a_tr,
-                clf_template,
-                config.train,
-                adv_config,
-                lam,
-                derive_seeds(master_seed, split_id, k),
-            )
-            metrics = evaluate_test_metrics(
-                run.classifier_params,
-                clf_template,
-                dataset.features[test_idx],
-                dataset.sensitives[test_idx],
-                dataset.labels[test_idx],
-                prop_model,
-            )
-            candidates.append(
-                ParetoCandidate(
-                    split_id=split_id,
-                    lambda_index=k,
-                    lambda_=lam,
-                    params=run.classifier_params,
-                    net_config=clf_template,
-                    metrics=metrics,
-                    final_epoch_objective=float("nan"),
-                    final_learning_rate=config.train.learning_rate,
-                )
-            )
+            run = train_adversarial(*rows, lam, seeds)
         except EXPECTED_FAILURES as exc:
-            failures.append(_failure_record(split_id, k, lam, "adversarial", exc))
-    return split_id, candidates, failures, None, prop_model
+            fits.append(exc)
+            continue
+        # The protocol has no epoch objective and no learning-rate schedule.
+        fits.append(
+            FitResult(run.classifier_params, [float("nan")], final_learning_rate=config.train.learning_rate)
+        )
+    return fits, None

@@ -13,6 +13,7 @@ Errors are reported as one JSON object on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -191,43 +192,33 @@ def _write_sweep_outputs(out_dir: Path, resolved: dict, result, csv_name: str, s
     return summary
 
 
-def cmd_run(args) -> int:
+def cmd_sweep(args) -> int:
+    """`run` and `adversarial`: one sweep over the configured splits and lambdas."""
     started = time.monotonic()
     resolved = load_run_config(args.config)
     _apply_overrides(resolved, args)
     sweep_config, plan, grid = _build_objects(resolved)
+    if args.command == "adversarial":
+        adv = resolved["adversary"]
+        adv_config = AdversaryConfig(
+            hidden_layers=int(adv["hidden_layers"]),
+            hidden_width=int(adv["hidden_width"]),
+            pretrain_classifier_epochs=int(adv["pretrain_classifier_epochs"]),
+            pretrain_adversary_epochs=int(adv["pretrain_adversary_epochs"]),
+            rounds=int(adv["rounds"]),
+            learning_rate=float(adv["learning_rate"]),
+        )
+        sweep = functools.partial(run_adversarial_sweep, adv_config=adv_config)
+        csv_name = "adversarial_candidates.csv"
+    else:
+        sweep, csv_name = run_sweep, "candidates.csv"
     dataset = _load_encoded_dataset(resolved)
-    result = run_sweep(dataset, plan, grid, sweep_config, jobs=resolved["jobs"])
+    result = sweep(dataset, plan, grid, sweep_config, jobs=resolved["jobs"])
     out_dir = Path(resolved["output_dir"])
-    summary = _write_sweep_outputs(out_dir, resolved, result, "candidates.csv", started)
+    summary = _write_sweep_outputs(out_dir, resolved, result, csv_name, started)
     print(
-        f"wrote {summary['candidates']} candidates ({summary['nondominated_ato']} non-dominated) "
-        f"to {out_dir / 'candidates.csv'}; {len(summary['failures'])} failed jobs"
-    )
-    return 0
-
-
-def cmd_adversarial(args) -> int:
-    started = time.monotonic()
-    resolved = load_run_config(args.config)
-    _apply_overrides(resolved, args)
-    sweep_config, plan, grid = _build_objects(resolved)
-    adv = resolved["adversary"]
-    adv_config = AdversaryConfig(
-        hidden_layers=int(adv["hidden_layers"]),
-        hidden_width=int(adv["hidden_width"]),
-        pretrain_classifier_epochs=int(adv["pretrain_classifier_epochs"]),
-        pretrain_adversary_epochs=int(adv["pretrain_adversary_epochs"]),
-        rounds=int(adv["rounds"]),
-        learning_rate=float(adv["learning_rate"]),
-    )
-    dataset = _load_encoded_dataset(resolved)
-    result = run_adversarial_sweep(dataset, plan, grid, sweep_config, adv_config, jobs=resolved["jobs"])
-    out_dir = Path(resolved["output_dir"])
-    summary = _write_sweep_outputs(out_dir, resolved, result, "adversarial_candidates.csv", started)
-    print(
-        f"wrote {summary['candidates']} adversarial candidates "
-        f"({summary['nondominated_ato']} non-dominated) to {out_dir / 'adversarial_candidates.csv'}; "
+        f"wrote {summary['candidates']} {csv_name[:-4].replace('_', ' ')} "
+        f"({summary['nondominated_ato']} non-dominated) to {out_dir / csv_name}; "
         f"{len(summary['failures'])} failed jobs"
     )
     return 0
@@ -296,19 +287,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="Chebyshev-scalarised sweep")
-    p_run.add_argument("--config", required=True, help="JSON run configuration")
-    p_run.add_argument("--out", help="output directory (overrides the config)")
-    p_run.add_argument("--jobs", type=int, help="parallel split workers")
-    p_run.add_argument("--seed", type=int, help="master seed (overrides the config)")
-    p_run.set_defaults(func=cmd_run)
-
-    p_adv = sub.add_parser("adversarial", help="adversarial-baseline sweep")
-    p_adv.add_argument("--config", required=True, help="JSON run configuration")
-    p_adv.add_argument("--out", help="output directory (overrides the config)")
-    p_adv.add_argument("--jobs", type=int, help="parallel split workers")
-    p_adv.add_argument("--seed", type=int, help="master seed (overrides the config)")
-    p_adv.set_defaults(func=cmd_adversarial)
+    for name, help_ in (("run", "Chebyshev-scalarised sweep"), ("adversarial", "adversarial-baseline sweep")):
+        p_sweep = sub.add_parser(name, help=help_)
+        p_sweep.add_argument("--config", required=True, help="JSON run configuration")
+        p_sweep.add_argument("--out", help="output directory (overrides the config)")
+        p_sweep.add_argument("--jobs", type=int, help="parallel split workers")
+        p_sweep.add_argument("--seed", type=int, help="master seed (overrides the config)")
+        p_sweep.set_defaults(func=cmd_sweep)
 
     p_cull = sub.add_parser("cull", help="recompute a non-dominated mask")
     p_cull.add_argument("candidates", help="candidates CSV to cull")

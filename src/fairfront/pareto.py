@@ -11,6 +11,12 @@ The classifiers of a split train as stacks (see training.fit_network): one
 stack of the two endpoints, then the interior lambdas, each stack holding at
 most stack_size() networks.  A stacked network's numbers equal those of the
 same network trained alone, so results do not depend on the stack size.
+
+This sweep and the adversarial one (adversarial.run_adversarial_sweep) run
+one split stage, _split_stage: the same splits, calibrated propensity model,
+seed streams, test scoring, failure records and pool dispatch.  Each sweep
+plugs in only its per-split trainer; this module's is
+_train_scalarised_split.
 """
 from __future__ import annotations
 
@@ -266,6 +272,18 @@ class SweepResult:
     propensity_models: dict[int, object] = field(default_factory=dict)
 
 
+@dataclass
+class TrainingSplit:
+    """A split's training rows and per-lambda seeds, as a sweep's trainer gets them."""
+
+    features: np.ndarray
+    labels: np.ndarray  # float64
+    sensitives: np.ndarray
+    propensities: np.ndarray  # calibrated propensity scores of the rows
+    template: NetworkConfig  # the classifier architecture, seed unset
+    seeds: list[tuple[int, int]]  # (init seed, loop seed) of each lambda index
+
+
 def run_sweep(
     dataset: Dataset, plan: SplitPlan, grid: LambdaGrid, config: SweepConfig, jobs: int | None = 1
 ) -> SweepResult:
@@ -279,34 +297,51 @@ def run_sweep(
     the sweep continues; any other exception is a bug and propagates.  All
     randomness derives from (plan.master_seed, split_id, lambda_index), so
     results depend neither on the degree of parallelism nor on the stack
-    size.
+    size.  jobs=None runs one process per split, up to the CPU count; any
+    other value must be a positive integer.
     """
-    splits = make_splits(dataset.n_rows, plan, sensitives=dataset.sensitives, labels=dataset.labels)
-    payloads = [
-        (split_id, train_idx, test_idx, dataset, grid, config, plan.master_seed)
-        for split_id, (train_idx, test_idx) in enumerate(splits)
-    ]
-    result = _collect_splits(_map_splits(_split_worker, payloads, jobs))
-    for failure in result.failures:
-        log.warning("sweep job failed: %s", failure)
-    return result
+    return _run_splits(_split_worker, dataset, plan, grid, config, jobs, None)
 
 
-def _map_splits(worker, payloads: list, jobs: int | None) -> list:
-    """Run ``worker`` on every split payload, in a process pool when jobs > 1.
+def _split_worker(payload):
+    return _split_stage(payload, _train_scalarised_split, "train_or_eval")
 
+
+def _train_scalarised_split(split: TrainingSplit, grid: LambdaGrid, config: SweepConfig, _extra):
+    """The scalarised sweep's trainer: the endpoint stack, then the interior stacks."""
+    rows = (split.features, split.labels, split.sensitives, split.propensities, split.template, config.train)
+    bounds_res = discover_bounds(*rows, config.penalty_mode, split.seeds[0], split.seeds[-1])
+    interior_fits = train_scalarised(
+        *rows, grid.values[1:-1], bounds_res.bounds, config.penalty_mode, split.seeds[1:-1]
+    )
+    return [bounds_res.risk_fit, *interior_fits, bounds_res.unfairness_fit], bounds_res.bounds
+
+
+def _run_splits(
+    worker, dataset: Dataset, plan: SplitPlan, grid: LambdaGrid, config: SweepConfig, jobs: int | None, extra
+) -> SweepResult:
+    """Run a sweep's split worker on every split and merge the results into a SweepResult.
+
+    ``worker`` is a module-level pool target calling _split_stage; ``extra``
+    goes to its trainer.  The splits run in a process pool when jobs > 1;
     jobs=None uses one process per split, up to the CPU count.
     """
+    if jobs is not None and (
+        isinstance(jobs, bool) or not isinstance(jobs, (int, np.integer)) or jobs < 1
+    ):
+        raise ConfigError(f"jobs must be a positive integer or None, got {jobs!r}")
+    splits = make_splits(dataset.n_rows, plan, sensitives=dataset.sensitives, labels=dataset.labels)
+    payloads = [
+        (split_id, train_idx, test_idx, dataset, grid, config, plan.master_seed, extra)
+        for split_id, (train_idx, test_idx) in enumerate(splits)
+    ]
     if jobs is None:
         jobs = max(1, min(len(payloads), os.cpu_count() or 1))
     if jobs > 1 and len(payloads) > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
-            return list(pool.map(worker, payloads))
-    return [worker(p) for p in payloads]
-
-
-def _collect_splits(results: list) -> SweepResult:
-    """Merge split-worker results (split_id, candidates, failures, bounds, propensity model)."""
+            results = list(pool.map(worker, payloads))
+    else:
+        results = [worker(p) for p in payloads]
     merged = SweepResult(candidates=[], failures=[])
     for split_id, candidates, failures, bounds, prop_model in results:
         merged.candidates.extend(candidates)
@@ -315,7 +350,8 @@ def _collect_splits(results: list) -> SweepResult:
             merged.bounds[split_id] = bounds
         if prop_model is not None:
             merged.propensity_models[split_id] = prop_model
-    merged.candidates.sort(key=lambda c: (c.split_id, c.lambda_index))
+    for failure in merged.failures:
+        log.warning("sweep job failed: %s", failure)
     return merged
 
 
@@ -331,7 +367,7 @@ def _failure_record(split_id: int, lambda_index: int, lambda_: float, stage: str
 
 
 def _fail_split(split_id: int, grid: LambdaGrid, stage: str, exc: Exception) -> tuple:
-    """Split-worker result of a split whose every lambda failed at ``stage``."""
+    """Split-stage result of a split whose every lambda failed at ``stage``."""
     failures = [_failure_record(split_id, k, lam, stage, exc) for k, lam in enumerate(grid.values)]
     return split_id, [], failures, None, None
 
@@ -341,7 +377,7 @@ def _fit_split_propensity(x_tr, a_tr, config: SweepConfig, master_seed: int, spl
 
     A calibration holdout of config.calibration_fraction of the rows is carved
     off first.  The holdout and the model's seed come from (master_seed,
-    split_id) on streams of their own, so both sweeps fit the same model.
+    split_id) on streams of their own, clear of the lambda jobs' seeds.
     """
     prop_seed = int(
         np.random.SeedSequence([master_seed, split_id, _PROPENSITY_STREAM]).generate_state(1)[0]
@@ -359,53 +395,37 @@ def _fit_split_propensity(x_tr, a_tr, config: SweepConfig, master_seed: int, spl
     return calibrate_temperature(raw_model, x_tr[cal_rows], a_tr[cal_rows])
 
 
-def _split_worker(payload):
-    split_id, train_idx, test_idx, dataset, grid, config, master_seed = payload
+def _split_stage(payload, train, stage: str) -> tuple:
+    """Everything a split does but training, around a sweep's trainer ``train``.
+
+    Fits the split's propensity model; a failure there sinks every lambda at
+    stage "propensity".  Then ``train(split, grid, config, extra)`` gets a
+    TrainingSplit and returns one FitResult or expected failure per lambda,
+    plus the split's standardisation bounds or None.  An expected failure it
+    raises (only the scalarised endpoint stack raises one) sinks every lambda
+    at stage "bounds".  Each fit is scored on the test rows into a
+    ParetoCandidate; a lambda whose training or scoring failed is recorded at
+    ``stage``.  Returns (split_id, candidates, failures, bounds, propensity
+    model), the last two None when the split failed as a whole.
+    """
+    split_id, train_idx, test_idx, dataset, grid, config, master_seed, extra = payload
     x_tr = dataset.features[train_idx]
     y_tr = dataset.labels[train_idx].astype(np.float64)
     a_tr = dataset.sensitives[train_idx]
-    x_te = dataset.features[test_idx]
-    y_te = dataset.labels[test_idx]
-    a_te = dataset.sensitives[test_idx]
-    net_template = NetworkConfig(
+    x_te, a_te, y_te = dataset.features[test_idx], dataset.sensitives[test_idx], dataset.labels[test_idx]
+    template = NetworkConfig(
         layer_sizes=config.layer_sizes(dataset.n_features), dropout_prob=config.dropout_prob
     )
-    k_last = len(grid) - 1
     try:
         prop_model = _fit_split_propensity(x_tr, a_tr, config, master_seed, split_id)
         e_tr = predict_propensity(prop_model, x_tr)
-    except EXPECTED_FAILURES as exc:  # propensity failure sinks the whole split
+    except EXPECTED_FAILURES as exc:
         return _fail_split(split_id, grid, "propensity", exc)
-
+    seeds = [derive_seeds(master_seed, split_id, k) for k in range(len(grid))]
     try:
-        bounds_res = discover_bounds(
-            x_tr,
-            y_tr,
-            a_tr,
-            e_tr,
-            net_template,
-            config.train,
-            config.penalty_mode,
-            derive_seeds(master_seed, split_id, 0),
-            derive_seeds(master_seed, split_id, k_last),
-        )
+        fits, bounds = train(TrainingSplit(x_tr, y_tr, a_tr, e_tr, template, seeds), grid, config, extra)
     except EXPECTED_FAILURES as exc:
         return _fail_split(split_id, grid, "bounds", exc)
-
-    interior = range(1, k_last)
-    interior_fits = train_scalarised(
-        x_tr,
-        y_tr,
-        a_tr,
-        e_tr,
-        net_template,
-        config.train,
-        [grid.values[k] for k in interior],
-        bounds_res.bounds,
-        config.penalty_mode,
-        [derive_seeds(master_seed, split_id, k) for k in interior],
-    )
-    fits = [bounds_res.risk_fit, *interior_fits, bounds_res.unfairness_fit]
 
     candidates: list[ParetoCandidate] = []
     failures: list[dict] = []
@@ -413,25 +433,24 @@ def _split_worker(payload):
         try:
             if isinstance(fit, Exception):
                 raise fit
-            metrics = evaluate_test_metrics(
-                fit.params, net_template, x_te, a_te, y_te, prop_model
-            )
-            candidates.append(
-                ParetoCandidate(
-                    split_id=split_id,
-                    lambda_index=k,
-                    lambda_=lam,
-                    params=fit.params,
-                    net_config=net_template,
-                    metrics=metrics,
-                    final_epoch_objective=fit.epoch_objectives[-1],
-                    final_learning_rate=fit.final_learning_rate,
-                    skipped_group_batches=fit.skipped_group_batches,
-                )
-            )
+            metrics = evaluate_test_metrics(fit.params, template, x_te, a_te, y_te, prop_model)
         except EXPECTED_FAILURES as exc:
-            failures.append(_failure_record(split_id, k, lam, "train_or_eval", exc))
-    return split_id, candidates, failures, bounds_res.bounds, prop_model
+            failures.append(_failure_record(split_id, k, lam, stage, exc))
+            continue
+        candidates.append(
+            ParetoCandidate(
+                split_id=split_id,
+                lambda_index=k,
+                lambda_=lam,
+                params=fit.params,
+                net_config=template,
+                metrics=metrics,
+                final_epoch_objective=fit.epoch_objectives[-1],
+                final_learning_rate=fit.final_learning_rate,
+                skipped_group_batches=fit.skipped_group_batches,
+            )
+        )
+    return split_id, candidates, failures, bounds, prop_model
 
 
 def cull_nondominated(risks, unfairness) -> np.ndarray:

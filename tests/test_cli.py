@@ -80,6 +80,44 @@ def test_rerun_is_byte_identical(workspace):
     assert h1 == h2
 
 
+def test_adversarial_writes_candidates_summary_and_models(workspace, capsys):
+    root, config_path = workspace
+    config = json.loads(config_path.read_text())
+    config["adversary"] = {
+        "hidden_layers": 1, "hidden_width": 4,
+        "pretrain_classifier_epochs": 1, "pretrain_adversary_epochs": 1, "rounds": 3,
+    }
+    adv_config_path = root / "adversarial.json"
+    adv_config_path.write_text(json.dumps(config))
+    serial, pooled = root / "adv", root / "adv_jobs2"
+    assert main(["adversarial", "--config", str(adv_config_path), "--out", str(serial)]) == 0
+    assert main(["adversarial", "--config", str(adv_config_path), "--out", str(pooled), "--jobs", "2"]) == 0
+    assert "adversarial candidates" in capsys.readouterr().out
+    lines = (serial / "adversarial_candidates.csv").read_text().splitlines()
+    assert lines[0] == "split_id,lambda,r_test,u_ato,mv_eo,mv_eopp,mv_dp,nondominated_ato"
+    assert len(lines) == 1 + 2 * 3
+    assert not (serial / "candidates.csv").exists()
+    summary = json.loads((serial / "summary.json").read_text())
+    assert summary["candidates"] == 6 and summary["failures"] == []
+    models = sorted(p.name for p in (serial / "models").iterdir())
+    assert models == sorted(p.name for p in (root / "out" / "models").iterdir())
+    for name in ["adversarial_candidates.csv", *(f"models/{m}" for m in models)]:
+        assert (serial / name).read_bytes() == (pooled / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("command", ["run", "adversarial"])
+def test_jobs_must_be_a_positive_integer(workspace, tmp_path, capsys, command):
+    root, config_path = workspace
+    assert main([command, "--config", str(config_path), "--out", str(tmp_path), "--jobs", "0"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and "jobs" in err["message"]
+    string_jobs = tmp_path / "string_jobs.json"
+    string_jobs.write_text(json.dumps({**json.loads(config_path.read_text()), "jobs": "2"}))
+    assert main([command, "--config", str(string_jobs), "--out", str(tmp_path)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and "jobs" in err["message"]
+
+
 def test_cull_renames_mask_column(workspace, capsys):
     root, _ = workspace
     rc = main(["cull", str(root / "out" / "candidates.csv"), "--metric", "mv_dp"])

@@ -4,7 +4,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from fairfront import pareto
+from fairfront import adversarial, pareto
+from fairfront.adversarial import AdversaryConfig, run_adversarial_sweep
 from fairfront.data import SplitPlan, generate_synthetic
 from fairfront.errors import ConfigError, InputError, TrainingError
 from fairfront.network import NetworkConfig
@@ -276,6 +277,104 @@ def test_a_failed_lambda_is_recorded_and_the_sweep_goes_on(monkeypatch, one_per_
         }
     ]
     assert [c.lambda_index for c in res.candidates] == [0, 1, 3, 4]
+
+
+# ---------------------------------------------------------------------------
+# the split stage both sweeps share
+
+TINY_ADVERSARY = AdversaryConfig(
+    hidden_layers=1, hidden_width=4, pretrain_classifier_epochs=1, pretrain_adversary_epochs=1, rounds=3
+)
+
+
+def scalarised(ds, plan, grid, jobs=1):
+    return run_sweep(ds, plan, grid, SMALL_SWEEP, jobs=jobs)
+
+
+def adversarial_baseline(ds, plan, grid, jobs=1):
+    return run_adversarial_sweep(ds, plan, grid, SMALL_SWEEP, TINY_ADVERSARY, jobs=jobs)
+
+
+BOTH_SWEEPS = pytest.mark.parametrize(
+    "sweep", [scalarised, adversarial_baseline], ids=["scalarised", "adversarial"]
+)
+
+
+def every_lambda_failed(grid, stage, error):
+    return [
+        {"split_id": 0, "lambda_index": k, "lambda": lam, "stage": stage, "error": error}
+        for k, lam in enumerate(grid.values)
+    ]
+
+
+@BOTH_SWEEPS
+def test_a_propensity_failure_fails_every_lambda_of_the_split(sweep, monkeypatch):
+    def failing_propensity(*args, **kwargs):
+        raise TrainingError("propensity diverged")
+
+    monkeypatch.setattr(pareto, "train_propensity", failing_propensity)
+    ds, plan, grid = sweep_setup()
+    res = sweep(ds, plan, grid)
+    assert not res.candidates
+    assert res.failures == every_lambda_failed(grid, "propensity", "TrainingError: propensity diverged")
+    assert res.bounds == {} and res.propensity_models == {}
+
+
+def test_an_endpoint_stack_failure_fails_every_lambda_at_bounds(monkeypatch):
+    stacks = []
+
+    def failing_fit(features, labels, net_config, train_config, loop_seed, *, lambda_, **kw):
+        stacks.append(list(lambda_))
+        raise TrainingError("endpoint stack diverged")
+
+    monkeypatch.setattr(pareto, "fit_network", failing_fit)
+    ds, plan, grid = sweep_setup()
+    res = scalarised(ds, plan, grid)
+    assert stacks == [[0.0, 1.0]]  # no interior stack trains without bounds
+    assert not res.candidates
+    assert res.failures == every_lambda_failed(grid, "bounds", "TrainingError: endpoint stack diverged")
+    assert res.bounds == {}
+
+
+@pytest.mark.parametrize(
+    "sweep, module, trainer",
+    [(scalarised, pareto, "discover_bounds"), (adversarial_baseline, adversarial, "train_adversarial")],
+    ids=["scalarised", "adversarial"],
+)
+def test_a_bug_in_the_trainer_propagates_out_of_the_sweep(sweep, module, trainer, monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("a bug, not a failed job")
+
+    monkeypatch.setattr(module, trainer, broken)
+    ds, plan, grid = sweep_setup()
+    with pytest.raises(TypeError, match="a bug"):
+        sweep(ds, plan, grid)
+
+
+@BOTH_SWEEPS
+def test_candidates_do_not_depend_on_the_worker_count(sweep):
+    ds = generate_synthetic(n=240, p=4, bias_strength=2.0, seed=9)
+    plan = SplitPlan(num_splits=2, train_fraction=0.5, master_seed=4)
+    grid = build_lambda_grid(3)
+    serial, pooled, per_split = (sweep(ds, plan, grid, jobs=jobs) for jobs in (1, 2, None))
+    assert len(serial.candidates) == 2 * 3 and not serial.failures
+    for other in (pooled, per_split):
+        assert [(c.split_id, c.lambda_index, c.metrics) for c in other.candidates] == [
+            (c.split_id, c.lambda_index, c.metrics) for c in serial.candidates
+        ]
+        for c1, c2 in zip(serial.candidates, other.candidates):
+            for w1, w2 in zip(c1.params.weights + c1.params.biases, c2.params.weights + c2.params.biases):
+                assert np.array_equal(w1, w2)
+        assert other.bounds == serial.bounds
+        assert set(other.propensity_models) == {0, 1}
+
+
+@BOTH_SWEEPS
+@pytest.mark.parametrize("jobs", [0, -2, 1.5, "2", True])
+def test_jobs_must_be_a_positive_integer_or_none(sweep, jobs):
+    ds, plan, grid = sweep_setup()
+    with pytest.raises(ConfigError, match="jobs"):
+        sweep(ds, plan, grid, jobs=jobs)
 
 
 # ---------------------------------------------------------------------------
