@@ -27,7 +27,6 @@ from .network import (
     MODE_TRAIN,
     NetworkConfig,
     NetworkParams,
-    _as_params,
     _bce,
     _flatten,
     _sigmoid,
@@ -75,6 +74,8 @@ class AdversaryConfig:
             raise ConfigError("the adversary needs at least one hidden layer and unit")
         if min(self.pretrain_classifier_epochs, self.pretrain_adversary_epochs, self.rounds) < 0:
             raise ConfigError("pretraining epochs and rounds must be non-negative")
+        if not self.learning_rate > 0.0:
+            raise ConfigError(f"the adversary learning_rate must be positive, got {self.learning_rate}")
 
     def network_config(self, seed: int) -> NetworkConfig:
         # Input width 1: the adversary sees only the classifier's score.
@@ -143,21 +144,17 @@ class _Player:
     """One network Adam-trained on a flat parameter row.
 
     ``params`` holds per-layer views of ``flat``; each update is a single
-    adam_step over the whole row.
+    in-place adam_step over the whole row, which the views see.
     """
 
     def __init__(self, config: NetworkConfig, learning_rate: float):
         init = init_network(config)
-        self.shapes = [a.shape for a in (*init.weights, *init.biases)]
         self.flat = _flatten(init)
-        self.params = _unflatten(self.flat, self.shapes)
-        self.adam = AdamState.for_params(_as_params(self.flat), learning_rate=learning_rate)
+        self.params = _unflatten(self.flat, [a.shape for a in (*init.weights, *init.biases)])
+        self.adam = AdamState(np.zeros_like(self.flat), np.zeros_like(self.flat), learning_rate=learning_rate)
 
     def step(self, grads: NetworkParams):
-        grads = _as_params(_flatten(grads))
-        stepped, self.adam = adam_step(self.adam, _as_params(self.flat), grads, validate=False)
-        self.flat = stepped.weights[0]
-        self.params = _unflatten(self.flat, self.shapes)
+        adam_step(self.adam, self.flat, _flatten(grads))
 
 
 def train_adversarial(

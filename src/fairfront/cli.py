@@ -37,6 +37,7 @@ from .pareto import (
     SweepConfig,
     _fmt,
     build_lambda_grid,
+    check_jobs,
     cull_nondominated,
     read_candidates_csv,
     run_sweep,
@@ -212,6 +213,7 @@ def cmd_sweep(args) -> int:
         csv_name = "adversarial_candidates.csv"
     else:
         sweep, csv_name = run_sweep, "candidates.csv"
+    check_jobs(resolved["jobs"])
     dataset = _load_encoded_dataset(resolved)
     result = sweep(dataset, plan, grid, sweep_config, jobs=resolved["jobs"])
     out_dir = Path(resolved["output_dir"])

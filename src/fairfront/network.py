@@ -14,7 +14,7 @@ unstacked network is the same code with the stack axis absent.
 
 The training loops keep a network's parameters as one flat row, (P,) or (K, P)
 for a stack (_flatten), read through per-layer views (_unflatten), so that
-Adam updates all of them in one call.
+Adam updates all of them in place in one call.
 """
 from __future__ import annotations
 
@@ -51,15 +51,12 @@ class NetworkConfig:
     """Architecture description.
 
     layer_sizes runs [input_dim, hidden..., 1]; the final entry must be 1.
-    Activations are fixed (ReLU inside, sigmoid out) and validated rather
-    than configurable.
+    Activations are fixed: ReLU inside, sigmoid out.
     """
 
     layer_sizes: list[int]
     dropout_prob: float = 0.2
     seed: int = 0
-    hidden_activation: str = "relu"
-    output_activation: str = "sigmoid"
 
     def __post_init__(self):
         if len(self.layer_sizes) < 2:
@@ -70,10 +67,6 @@ class NetworkConfig:
             raise ConfigError("the output layer must have exactly one unit")
         if not 0.0 <= self.dropout_prob < 1.0:
             raise ConfigError(f"dropout_prob must lie in [0, 1), got {self.dropout_prob}")
-        if self.hidden_activation != "relu":
-            raise ConfigError(f"unsupported hidden activation {self.hidden_activation!r}")
-        if self.output_activation != "sigmoid":
-            raise ConfigError(f"unsupported output activation {self.output_activation!r}")
         self.layer_sizes = [int(m) for m in self.layer_sizes]
 
     @property
@@ -101,11 +94,6 @@ class NetworkParams:
         for l, (w, b) in enumerate(zip(self.weights, self.biases)):
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
                 raise NumericError(f"layer {l} parameters contain non-finite entries")
-
-    def copy(self) -> "NetworkParams":
-        return NetworkParams(
-            weights=[w.copy() for w in self.weights], biases=[b.copy() for b in self.biases]
-        )
 
 
 @dataclass
@@ -423,11 +411,6 @@ def _unflatten(flat: np.ndarray, shapes: list[tuple[int, ...]]) -> NetworkParams
         start += size
     half = len(shapes) // 2
     return NetworkParams(weights=views[:half], biases=views[half:])
-
-
-def _as_params(flat: np.ndarray) -> NetworkParams:
-    # a flat row as the one-array container adam_step steps
-    return NetworkParams(weights=[flat], biases=[])
 
 
 def save_model(path, params: NetworkParams, config: NetworkConfig, temperature: float | None = None):

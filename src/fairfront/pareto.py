@@ -195,17 +195,10 @@ def discover_bounds(
     for fit in (risk_fit, unfair_fit):
         if isinstance(fit, Exception):
             raise fit
-    u_series = np.asarray(unfair_fit.unfairness_values)
-    u_series = u_series[np.isfinite(u_series)]
-    if u_series.size == 0:
+    u_min, u_max = unfair_fit.unfairness_range
+    if u_min > u_max:
         raise TrainingError("no minibatch of the lambda = 1 run contained both sensitive groups")
-    r_series = np.asarray(risk_fit.risk_values)
-    bounds = StandardisationBounds(
-        risk_min=float(r_series.min()),
-        risk_max=float(r_series.max()),
-        unfairness_min=float(u_series.min()),
-        unfairness_max=float(u_series.max()),
-    )
+    bounds = StandardisationBounds(*risk_fit.risk_range, u_min, u_max)
     return BoundsResult(bounds=bounds, risk_fit=risk_fit, unfairness_fit=unfair_fit)
 
 
@@ -317,6 +310,14 @@ def _train_scalarised_split(split: TrainingSplit, grid: LambdaGrid, config: Swee
     return [bounds_res.risk_fit, *interior_fits, bounds_res.unfairness_fit], bounds_res.bounds
 
 
+def check_jobs(jobs) -> None:
+    """Raise ConfigError unless ``jobs`` is a positive integer or None."""
+    if jobs is not None and (
+        isinstance(jobs, bool) or not isinstance(jobs, (int, np.integer)) or jobs < 1
+    ):
+        raise ConfigError(f"jobs must be a positive integer or None, got {jobs!r}")
+
+
 def _run_splits(
     worker, dataset: Dataset, plan: SplitPlan, grid: LambdaGrid, config: SweepConfig, jobs: int | None, extra
 ) -> SweepResult:
@@ -326,10 +327,7 @@ def _run_splits(
     goes to its trainer.  The splits run in a process pool when jobs > 1;
     jobs=None uses one process per split, up to the CPU count.
     """
-    if jobs is not None and (
-        isinstance(jobs, bool) or not isinstance(jobs, (int, np.integer)) or jobs < 1
-    ):
-        raise ConfigError(f"jobs must be a positive integer or None, got {jobs!r}")
+    check_jobs(jobs)
     splits = make_splits(dataset.n_rows, plan, sensitives=dataset.sensitives, labels=dataset.labels)
     payloads = [
         (split_id, train_idx, test_idx, dataset, grid, config, plan.master_seed, extra)

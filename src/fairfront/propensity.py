@@ -34,6 +34,14 @@ class PropensityConfig:
     def __post_init__(self):
         if self.hidden_layers < 1 or self.hidden_width < 1:
             raise ConfigError("propensity network needs at least one hidden layer and unit")
+        if not 0.0 <= self.dropout_prob < 1.0:
+            raise ConfigError(f"propensity dropout_prob must lie in [0, 1), got {self.dropout_prob}")
+        if self.epochs < 1 or self.batch_size < 1:
+            raise ConfigError(
+                f"propensity epochs and batch_size must be >= 1, got {self.epochs} and {self.batch_size}"
+            )
+        if not self.learning_rate > 0.0:
+            raise ConfigError(f"propensity learning_rate must be positive, got {self.learning_rate}")
 
 
 @dataclass

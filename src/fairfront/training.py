@@ -30,14 +30,13 @@ from .network import (
     NetworkConfig,
     NetworkParams,
     StandardisationBounds,
-    _as_params,
     _flatten,
     _unflatten,
     backward_composite,
     forward,
     init_network,
 )
-from .optim import AdamState, PlateauScheduler, adam_step, plateau_step
+from .optim import AdamState, PlateauScheduler, adam_step
 
 log = logging.getLogger(__name__)
 
@@ -65,18 +64,23 @@ class TrainConfig:
             raise ConfigError(f"scheduler_patience must be >= 0, got {self.scheduler_patience}")
 
 
+# (min, max) of a series with no computed value
+EMPTY_RANGE = (float("inf"), float("-inf"))
+
+
 @dataclass
 class FitResult:
-    """Trained parameters plus the per-batch series the sweep layer consumes.
+    """Trained parameters plus what the sweep layer reads of the run.
 
-    risk_values / unfairness_values hold one entry per minibatch over the
-    whole run (nan where the quantity was not computed for that batch).
+    risk_range / unfairness_range are the (min, max) of the minibatch risk
+    and penalty over the whole run, taken over the batches where the value
+    was computed; EMPTY_RANGE if there were none.
     """
 
     params: NetworkParams
     epoch_objectives: list[float] = field(default_factory=list)
-    risk_values: list[float] = field(default_factory=list)
-    unfairness_values: list[float] = field(default_factory=list)
+    risk_range: tuple[float, float] = EMPTY_RANGE
+    unfairness_range: tuple[float, float] = EMPTY_RANGE
     final_learning_rate: float = 0.0
     skipped_group_batches: int = 0
 
@@ -108,7 +112,7 @@ def fit_network(
     driven by the epoch mean of the scalarised objective.  Initialisation is
     deterministic in net_config.seed, shuffling and dropout in loop_seed; a
     minibatch containing a single sensitive group falls back to the risk
-    branch and is excluded from the unfairness series.
+    branch and is excluded from the unfairness range.
 
     Passing sequences of K configs (one architecture, one init seed each),
     K loop seeds and K lambdas trains the K networks as one stack and returns
@@ -137,13 +141,14 @@ def fit_network(
     else:
         sensitives = propensities = None
 
-    # Adam steps all parameters of a member as one row of a (K, P) array;
-    # forward and backward read them through per-layer views of that row.
+    # Adam steps all parameters of a member in place as one row of a (K, P)
+    # array; forward and backward read them through per-layer views of it.
     inits = [init_network(c) for c in configs]
     shapes = [a.shape for a in (*inits[0].weights, *inits[0].biases)]
     flat = np.stack([_flatten(p) for p in inits])
-    adam = AdamState.for_params(
-        _as_params(flat), learning_rate=np.full(len(configs), train_config.learning_rate)
+    params = _unflatten(flat, shapes)
+    adam = AdamState(
+        np.zeros_like(flat), np.zeros_like(flat), learning_rate=np.full(len(configs), train_config.learning_rate)
     )
     scheds = [
         PlateauScheduler(factor=train_config.scheduler_factor, patience=train_config.scheduler_patience)
@@ -196,12 +201,9 @@ def fit_network(
                         int(fallback.sum()),
                     )
             x, y = x_epoch[:, batch], y_epoch[:, batch]
-            params = _unflatten(flat, shapes)
             trace = forward(params, net, x, MODE_TRAIN, rng=rngs, validate=False)
             back = backward_composite(trace, params, net, y, weights, lams, bounds, penalty_mode)
-            grads = _as_params(_flatten(back.gradients))
-            stepped, adam = adam_step(adam, _as_params(flat), grads, validate=False)
-            flat = stepped.weights[0]
+            adam_step(adam, flat, _flatten(back.gradients))
             risks[:, j] = back.risk
             unfairness[:, j] = back.unfairness
 
@@ -216,11 +218,11 @@ def fit_network(
                 )
                 continue
             res = results[k]
-            res.risk_values.extend(risks[i].tolist())
-            res.unfairness_values.extend(unfairness[i].tolist())
+            res.risk_range = _widen(res.risk_range, risks[i])
+            res.unfairness_range = _widen(res.unfairness_range, unfairness[i])
             res.skipped_group_batches += int(skipped[i])
             res.epoch_objectives.append(mean)
-            scheds[i], adam.learning_rate[i] = plateau_step(scheds[i], mean, lr)
+            adam.learning_rate[i] = scheds[i].step(mean, lr)
         if not finite.all():
             # drop the failed members; the others' arithmetic never mixed with theirs
             keep = np.flatnonzero(finite)
@@ -228,14 +230,14 @@ def fit_network(
             if not live:
                 break
             flat = flat[keep]
-            adam.first_moment = adam.first_moment.member(keep)
-            adam.second_moment = adam.second_moment.member(keep)
+            params = _unflatten(flat, shapes)
+            adam.first_moment = adam.first_moment[keep]
+            adam.second_moment = adam.second_moment[keep]
             adam.learning_rate = adam.learning_rate[keep]
             lams = lams[keep]
             scheds = [scheds[i] for i in keep]
             rngs = [rngs[i] for i in keep]
 
-    params = _unflatten(flat, shapes)
     for i, k in enumerate(live):
         results[k].params = params.member(i)
         results[k].final_learning_rate = float(adam.learning_rate[i])
@@ -244,6 +246,11 @@ def fit_network(
     if isinstance(results[0], TrainingError):
         raise results[0]
     return results[0]
+
+
+def _widen(range_: tuple[float, float], series: np.ndarray) -> tuple[float, float]:
+    # range_ widened to the non-nan entries of series (fmin and fmax skip nan)
+    return float(np.fmin.reduce(series, initial=range_[0])), float(np.fmax.reduce(series, initial=range_[1]))
 
 
 def _stack(arrays: list[np.ndarray]) -> np.ndarray:

@@ -20,6 +20,7 @@ from fairfront.network import (
     bce_loss,
     forward,
 )
+from fairfront.optim import AdamState, adam_step
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +193,25 @@ def adversarial_objective(clf_params, clf_config, adv_params, adv_config, x, y, 
 
 # ---------------------------------------------------------------------------
 # golden-section / calibration helper
+
+
+class LayerAdam:
+    """Adam over a network's per-layer arrays, one AdamState per array.
+
+    Adam acts elementwise, so this steps every parameter as the training
+    loops' single flat-row update does.  ``learning_rate`` is the rate of the
+    next step, for a reference loop's own plateau scheduler to cut.
+    """
+
+    def __init__(self, params: NetworkParams, learning_rate: float):
+        self.learning_rate = learning_rate
+        self.states = [AdamState(np.zeros_like(a), np.zeros_like(a)) for a in (*params.weights, *params.biases)]
+
+    def step(self, params: NetworkParams, grads: NetworkParams):
+        arrays = zip(self.states, (*params.weights, *params.biases), (*grads.weights, *grads.biases))
+        for state, p, g in arrays:
+            state.learning_rate = self.learning_rate
+            adam_step(state, p, g)
 
 
 def bf_temperature_grid(logits, targets, num=20001, lo=0.05, hi=20.0) -> float:

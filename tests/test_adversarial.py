@@ -17,13 +17,12 @@ from fairfront.adversarial import (
 from fairfront.data import SplitPlan, generate_synthetic, minibatches
 from fairfront.errors import ConfigError, InputError, NumericError, ShapeError
 from fairfront.network import MODE_EVAL, MODE_TRAIN, NetworkConfig, backprop, forward, init_network
-from fairfront.optim import AdamState, adam_step
 from fairfront.pareto import SweepConfig, build_lambda_grid
 from fairfront.propensity import PropensityConfig
 from fairfront.training import TrainConfig, derive_seeds
 
 from conftest import draw_gradient_fixture
-from oracles import adversarial_objective, fd_gradient, max_relative_error
+from oracles import LayerAdam, adversarial_objective, fd_gradient, max_relative_error
 
 
 def adversary_with_margins(rng, scores, hidden_layers=2, width=6):
@@ -154,35 +153,33 @@ def test_adversarial_sweep_rows_and_objective_fields():
 
 
 def reference_adversarial(x, y, a, clf_template, train, adv_config, lambda_, seeds):
-    """The alternation written plainly: per-layer parameter arrays, the
-    classifier re-scored on every adversary minibatch, one adam_step per
-    network update.  Returns the final (classifier, adversary) parameters."""
+    """The alternation written plainly: per-layer parameter arrays, each with
+    its own Adam state, and the classifier re-scored on every adversary
+    minibatch.  Returns the final (classifier, adversary) parameters."""
     clf_cfg = NetworkConfig(
         layer_sizes=list(clf_template.layer_sizes), dropout_prob=clf_template.dropout_prob, seed=seeds[0]
     )
     adv_init, loop_seed = derive_seeds(seeds[1])
     adv_cfg = adv_config.network_config(adv_init)
     clf, adv = init_network(clf_cfg), init_network(adv_cfg)
-    clf_adam = AdamState.for_params(clf, learning_rate=train.learning_rate)
-    adv_adam = AdamState.for_params(adv, learning_rate=adv_config.learning_rate)
+    clf_adam = LayerAdam(clf, train.learning_rate)
+    adv_adam = LayerAdam(adv, adv_config.learning_rate)
     rng = np.random.default_rng(loop_seed)
     idx = np.arange(y.size)
 
     def classifier_step(rows):
-        nonlocal clf, clf_adam
         trace = forward(clf, clf_cfg, x[rows], MODE_TRAIN, rng=rng)
         grads, _ = classifier_objective_gradient(clf, clf_cfg, adv, adv_cfg, trace, y[rows], a[rows], lambda_)
-        clf, clf_adam = adam_step(clf_adam, clf, grads)
+        clf_adam.step(clf, grads)
 
     def adversary_epoch():
-        nonlocal adv, adv_adam
         for mb in minibatches(idx, train.batch_size, rng):
             scores = forward(clf, clf_cfg, x[mb.indices], MODE_EVAL).output
             trace = forward(adv, adv_cfg, scores[:, None], MODE_EVAL)
             deltas = [None] * adv_cfg.num_layers
             deltas[-1] = ((trace.output - a[mb.indices]) / mb.indices.size)[:, None]
             grads, _ = backprop(adv, adv_cfg, trace, deltas)
-            adv, adv_adam = adam_step(adv_adam, adv, grads)
+            adv_adam.step(adv, grads)
 
     for _ in range(adv_config.pretrain_classifier_epochs):
         for mb in minibatches(idx, train.batch_size, rng):
@@ -246,6 +243,12 @@ def test_lambda_outside_the_unit_interval_is_rejected(lam):
     ds, clf, train = small_problem(6)
     with pytest.raises(ConfigError):
         train_adversarial(ds.features, ds.labels, ds.sensitives, clf, train, AdversaryConfig(), lam, (0, 1))
+
+
+@pytest.mark.parametrize("rate", [0.0, -1.0, float("nan")])
+def test_adversary_learning_rate_must_be_positive(rate):
+    with pytest.raises(ConfigError, match="learning_rate"):
+        AdversaryConfig(learning_rate=rate)
 
 
 # A step size this large sends the classifier's parameters to inf within two

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fairfront import cli
 from fairfront.cli import main
 from fairfront.network import load_model
 
@@ -105,9 +106,14 @@ def test_adversarial_writes_candidates_summary_and_models(workspace, capsys):
         assert (serial / name).read_bytes() == (pooled / name).read_bytes(), name
 
 
+def _no_load(resolved):
+    raise AssertionError("the dataset was loaded before the configuration was checked")
+
+
 @pytest.mark.parametrize("command", ["run", "adversarial"])
-def test_jobs_must_be_a_positive_integer(workspace, tmp_path, capsys, command):
+def test_jobs_must_be_a_positive_integer(workspace, tmp_path, capsys, monkeypatch, command):
     root, config_path = workspace
+    monkeypatch.setattr(cli, "_load_encoded_dataset", _no_load)
     assert main([command, "--config", str(config_path), "--out", str(tmp_path), "--jobs", "0"]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigError" and "jobs" in err["message"]
@@ -116,6 +122,24 @@ def test_jobs_must_be_a_positive_integer(workspace, tmp_path, capsys, command):
     assert main([command, "--config", str(string_jobs), "--out", str(tmp_path)]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigError" and "jobs" in err["message"]
+
+
+@pytest.mark.parametrize(
+    "propensity",
+    [{"epochs": 0}, {"batch_size": 0}, {"learning_rate": -1e-3}, {"dropout_prob": 1.5}],
+    ids=["epochs", "batch_size", "learning_rate", "dropout_prob"],
+)
+def test_bad_propensity_config_exits_2_before_loading(workspace, tmp_path, capsys, monkeypatch, propensity):
+    _, config_path = workspace
+    monkeypatch.setattr(cli, "_load_encoded_dataset", _no_load)
+    config = json.loads(config_path.read_text())
+    config["propensity"] = {**config["propensity"], **propensity}
+    bad = tmp_path / "bad_propensity.json"
+    bad.write_text(json.dumps(config))
+    assert main(["run", "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and "propensity" in err["message"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_cull_renames_mask_column(workspace, capsys):

@@ -152,10 +152,21 @@ def test_discover_bounds_spans_and_reuse():
     b = res.bounds
     assert b.risk_min <= b.risk_max
     assert b.unfairness_min <= b.unfairness_max
-    assert b.risk_min == min(res.risk_fit.risk_values)
-    assert b.risk_max == max(res.risk_fit.risk_values)
-    u = np.array(res.unfairness_fit.unfairness_values)
-    assert b.unfairness_max == np.nanmax(u)
+    assert (b.risk_min, b.risk_max) == res.risk_fit.risk_range
+    assert (b.unfairness_min, b.unfairness_max) == res.unfairness_fit.unfairness_range
+
+
+def test_discover_bounds_needs_a_lambda_one_batch_with_both_groups():
+    # batches of one row each hold a single sensitive group
+    ds = generate_synthetic(n=200, p=4, bias_strength=2.0, seed=6)
+    a = np.zeros(200, dtype=int)
+    a[17] = 1
+    net = NetworkConfig(layer_sizes=[4, 3, 1], dropout_prob=0.0)
+    with pytest.raises(TrainingError, match="both sensitive groups"):
+        discover_bounds(
+            ds.features, ds.labels.astype(float), a, np.full(200, 0.5), net,
+            TrainConfig(epochs=2, batch_size=1), "penultimate", (1, 2), (3, 4),
+        )
 
 
 def test_train_scalarised_requires_bounds():

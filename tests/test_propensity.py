@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from fairfront.errors import ConfigError
 from fairfront.network import CLAMP, NetworkConfig, NetworkParams, bce_loss
 from fairfront.propensity import (
     PropensityConfig,
@@ -34,6 +35,16 @@ def miscalibrated_sample(rng, n=400, t_true=2.0):
 
 def nll_of(model, features, targets) -> float:
     return bce_loss(predict_propensity(model, features), targets)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("epochs", 0), ("batch_size", 0), ("learning_rate", 0.0), ("learning_rate", -1e-3),
+     ("dropout_prob", 1.5), ("dropout_prob", -0.1), ("hidden_layers", 0)],
+)
+def test_config_rejects_values_no_fit_can_run_with(field, value):
+    with pytest.raises(ConfigError, match=field.split("_")[0]):
+        PropensityConfig(**{field: value})
 
 
 def test_training_learns_separable_attribute():

@@ -16,8 +16,9 @@ from fairfront.network import (
     forward,
     init_network,
 )
-from fairfront.optim import AdamState, PlateauScheduler, adam_step, scheduler_step
-from fairfront.training import FitResult, TrainConfig, derive_seeds, fit_network
+from fairfront.optim import PlateauScheduler
+from fairfront.training import EMPTY_RANGE, FitResult, TrainConfig, derive_seeds, fit_network
+from oracles import LayerAdam
 
 
 def test_derive_seeds_depends_on_every_key():
@@ -49,7 +50,7 @@ def test_lambda_zero_run_is_bitwise_plain_bce_descent():
 
     # independent reference loop: raw BCE deltas, same rng consumption order
     params = init_network(net)
-    adam = AdamState.for_params(params, learning_rate=cfg.learning_rate)
+    adam = LayerAdam(params, cfg.learning_rate)
     sched = PlateauScheduler(factor=cfg.scheduler_factor, patience=cfg.scheduler_patience)
     rng = np.random.default_rng(5)
     indices = np.arange(150)
@@ -61,11 +62,11 @@ def test_lambda_zero_run_is_bitwise_plain_bce_descent():
             deltas = [None] * net.num_layers
             deltas[-1] = ((p - mb.labels) / mb.labels.size)[:, None]
             grads, _ = backprop(params, net, trace, deltas)
-            params, adam = adam_step(adam, params, grads)
+            adam.step(params, grads)
             risks.append(
                 float(-np.mean(mb.labels * np.log(p) + (1 - mb.labels) * np.log(1 - p)))
             )
-        sched, adam = scheduler_step(sched, float(np.mean(risks)), adam)
+        adam.learning_rate = sched.step(float(np.mean(risks)), adam.learning_rate)
 
     for w1, w2 in zip(fitted.params.weights + fitted.params.biases, params.weights + params.biases):
         assert np.array_equal(w1, w2)  # bitwise identical, not merely close
@@ -92,19 +93,21 @@ def test_single_group_batches_are_counted_and_survived():
         x, y, net, cfg, loop_seed=13, lambda_=0.4, sensitives=a, propensities=e
     )
     assert result.skipped_group_batches > 0
-    series = np.array(result.unfairness_values)
-    assert np.isnan(series).sum() == result.skipped_group_batches
-    assert np.isfinite(np.array(result.risk_values)).all()
+    u_min, u_max = result.unfairness_range
+    r_min, r_max = result.risk_range
+    assert np.isfinite([u_min, u_max, r_min, r_max]).all()
+    assert 0.0 <= u_min <= u_max and 0.0 < r_min <= r_max
     assert len(result.epoch_objectives) == cfg.epochs
 
 
-def test_series_shapes_and_lr_reporting():
+def test_ranges_and_lr_reporting():
     ds = generate_synthetic(n=90, p=3, bias_strength=1.0, seed=5)
     net = NetworkConfig(layer_sizes=[3, 2, 1], dropout_prob=0.0, seed=2)
     cfg = TrainConfig(epochs=3, batch_size=30)
     result = fit_network(ds.features, ds.labels, net, cfg, loop_seed=1)
-    assert len(result.risk_values) == 3 * 3
-    assert len(result.unfairness_values) == len(result.risk_values)
+    r_min, r_max = result.risk_range
+    assert np.isfinite([r_min, r_max]).all() and r_min <= r_max
+    assert result.unfairness_range == EMPTY_RANGE  # a lambda = 0 fit computes no penalty
     assert result.final_learning_rate <= cfg.learning_rate
 
 
@@ -142,8 +145,8 @@ def assert_same_fit(f1: FitResult, f2: FitResult):
     for w1, w2 in zip(f1.params.weights + f1.params.biases, f2.params.weights + f2.params.biases):
         assert np.array_equal(w1, w2)  # bitwise identical, not merely close
     assert f1.epoch_objectives == f2.epoch_objectives
-    assert f1.risk_values == f2.risk_values
-    assert np.array_equal(f1.unfairness_values, f2.unfairness_values, equal_nan=True)
+    assert f1.risk_range == f2.risk_range
+    assert f1.unfairness_range == f2.unfairness_range
     assert f1.skipped_group_batches == f2.skipped_group_batches
     assert f1.final_learning_rate == f2.final_learning_rate
 
@@ -179,7 +182,7 @@ def test_stacked_fit_matches_a_per_model_reference_loop():
     branches = set()
     for lam, net, (_, loop_seed), fit in zip(lambdas, nets, seeds, stacked):
         params = init_network(net)
-        adam = AdamState.for_params(params, learning_rate=cfg.learning_rate)
+        adam = LayerAdam(params, cfg.learning_rate)
         sched = PlateauScheduler(factor=cfg.scheduler_factor, patience=cfg.scheduler_patience)
         rng = np.random.default_rng(loop_seed)
         for _ in range(cfg.epochs):
@@ -210,9 +213,9 @@ def test_stacked_fit_matches_a_per_model_reference_loop():
                     coeff = np.where(s == 1, w / treated, -w / control)
                     deltas[0] = np.outer(coeff * lam / bounds.unfairness_span, np.sign(taus[0]))
                 grads, _ = backprop(params, net, trace, deltas)
-                params, adam = adam_step(adam, params, grads)
+                adam.step(params, grads)
                 objectives.append(max(r_t, u_t))
-            sched, adam = scheduler_step(sched, float(np.mean(objectives)), adam)
+            adam.learning_rate = sched.step(float(np.mean(objectives)), adam.learning_rate)
 
         for w1, w2 in zip(fit.params.weights + fit.params.biases, params.weights + params.biases):
             np.testing.assert_allclose(w1, w2, rtol=0, atol=1e-12)
