@@ -15,7 +15,7 @@ models, seed streams and test scoring.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -44,7 +44,6 @@ from .pareto import (
     TrainingSplit,
     _run_splits,
     _split_stage,
-    _with_seed,
 )
 
 # The split stage (pareto._split_stage) fits the propensity model and scores
@@ -192,7 +191,7 @@ def train_adversarial(
         raise InputError("sensitives must contain only 0/1 values")
     indices = np.arange(n)
 
-    clf_cfg = _with_seed(clf_template, seeds[0])
+    clf_cfg = replace(clf_template, seed=seeds[0])
     adv_init, loop_seed = derive_seeds(seeds[1])
     adv_cfg = adv_config.network_config(adv_init)
     clf = _Player(clf_cfg, train_config.learning_rate)

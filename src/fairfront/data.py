@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, IngestionError, InputError, ShapeError
+from .network import _sigmoid
 
 ROLE_NUMERIC = "numeric"
 ROLE_CATEGORICAL = "categorical"
@@ -416,8 +417,8 @@ def generate_synthetic(
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0]))
     for _ in range(MAX_SPLIT_ATTEMPTS):
         x = rng.standard_normal((n, p))
-        a = (rng.random(n) < _expit(confounding * (x @ w_a))).astype(np.int64)
-        y = (rng.random(n) < _expit(x @ w_y + bias_strength * a)).astype(np.int64)
+        a = (rng.random(n) < _sigmoid(confounding * (x @ w_a))).astype(np.int64)
+        y = (rng.random(n) < _sigmoid(x @ w_y + bias_strength * a)).astype(np.int64)
         if np.unique(a).shape[0] == 2 and np.unique(y).shape[0] == 2:
             break
     else:
@@ -429,15 +430,6 @@ def generate_synthetic(
         feature_names=[f"x{j}" for j in range(p)],
         standardisation_stats={f"x{j}": (0.0, 1.0) for j in range(p)},
     )
-
-
-def _expit(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
 
 
 def write_dataset_csv(dataset: Dataset, csv_path, schema_path=None):

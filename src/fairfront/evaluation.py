@@ -42,12 +42,11 @@ def evaluate_test_metrics(
     scores = forward(params, config, features, MODE_EVAL).output
     r_test = bce_loss(scores, y)
     e_hat = predict_propensity(propensity, features)
-    tau = ato_estimate(scores, overlap_weights(e_hat, a)).tau
-    u_ato = float(abs(tau))
-    mv_dp = mv_index(scores, a).value
+    u_ato = float(abs(ato_estimate(scores, overlap_weights(e_hat, a))))
+    mv_dp = mv_index(scores, a)
 
     try:
-        mv_eo = conditional_mv_index(scores, a, y).value
+        mv_eo = conditional_mv_index(scores, a, y)
     except DegenerateGroupError:
         warnings.warn("every label stratum lacks a group; mv_eo set to 0", UserWarning, stacklevel=2)
         mv_eo = 0.0
@@ -56,6 +55,6 @@ def evaluate_test_metrics(
         warnings.warn("stratum y=1 lacks a group; mv_eopp set to 0", UserWarning, stacklevel=2)
         mv_eopp = 0.0
     else:
-        mv_eopp = mv_index(scores[y1], a[y1]).value
+        mv_eopp = mv_index(scores[y1], a[y1])
 
     return {"r_test": r_test, "u_ato": u_ato, "mv_eo": mv_eo, "mv_eopp": mv_eopp, "mv_dp": mv_dp}

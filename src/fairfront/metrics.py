@@ -1,14 +1,16 @@
 """Group-disparity estimators: overlap-weighted mean contrasts and ECDF parity indices.
 
-All estimators are plug-in statistics over finite samples.  They operate on
+All estimators are plug-in statistics over finite samples and return plain
+numbers: ato_estimate the contrast tau (a float, or one per outcome column),
+mv_index and conditional_mv_index the index as a float.  They operate on
 plain numpy arrays and know nothing about networks or training; the one
 function that inspects a forward trace only reads its preactivation list.
 """
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -48,7 +50,7 @@ def _as_binary(x, name: str) -> np.ndarray:
 
 @dataclass
 class OverlapWeights:
-    """Per-row overlap weights together with the propensities they came from.
+    """Per-row overlap weights and the group indicators they pair with.
 
     weights[i] is 1 - e_i for treated rows (a_i = 1) and e_i for control rows
     (a_i = 0), which up-weights rows whose propensity lies away from the
@@ -59,7 +61,6 @@ class OverlapWeights:
     """
 
     weights: np.ndarray
-    propensities: np.ndarray
     sensitives: np.ndarray
     group_sums: tuple[np.ndarray, np.ndarray]
     degenerate: np.ndarray
@@ -111,15 +112,15 @@ def overlap_weights(propensities, sensitives, *, validate: bool = True) -> Overl
         raise DegenerateGroupError(
             f"group {g} has overlap-weight sum {float(sums[g]):.3e} (< {WEIGHT_SUM_FLOOR:.0e})"
         )
-    return OverlapWeights(weights=w, propensities=e, sensitives=a, group_sums=sums, degenerate=degenerate)
+    return OverlapWeights(weights=w, sensitives=a, group_sums=sums, degenerate=degenerate)
 
 
 def contrast_coefficients(weights: OverlapWeights) -> np.ndarray:
     """Row coefficients c with c @ o equal to the overlap-weighted contrast of o.
 
     c_i is w_i / (treated weight total) on treated rows and -w_i / (control
-    weight total) on control rows, so c @ o matches ato_estimate(o).tau up
-    to rounding.  Degenerate batches of a stack get all-zero coefficients.
+    weight total) on control rows, so c @ o matches ato_estimate(o) up to
+    rounding.  Degenerate batches of a stack get all-zero coefficients.
     """
     ok = ~weights.degenerate
     control, treated = (np.where(ok, s, 1.0)[..., None] for s in weights.group_sums)
@@ -128,20 +129,7 @@ def contrast_coefficients(weights: OverlapWeights) -> np.ndarray:
     return np.where(ok[..., None], coeff, 0.0)
 
 
-@dataclass
-class AtoResult:
-    """Overlap-weighted contrast estimate.
-
-    tau is a scalar for a single outcome vector and a 1-d array when a matrix
-    of outcomes (one column per unit) was supplied.
-    """
-
-    tau: float | np.ndarray
-    group_means: tuple[float | np.ndarray, float | np.ndarray]
-    n_effective: tuple[float, float]
-
-
-def ato_estimate(outcomes, weights: OverlapWeights) -> AtoResult:
+def ato_estimate(outcomes, weights: OverlapWeights) -> float | np.ndarray:
     """Estimate the average treatment effect on the overlap population.
 
     tau = sum_i a_i o_i w_i / sum_i a_i w_i - sum_i (1-a_i) o_i w_i / sum_i (1-a_i) w_i
@@ -155,8 +143,9 @@ def ato_estimate(outcomes, weights: OverlapWeights) -> AtoResult:
 
     Returns
     -------
-    AtoResult
-        tau, the two weighted group means, and Kish effective sample sizes.
+    float or array of shape (d,)
+        tau: a float for an outcome vector, one contrast per column for a
+        matrix.
     """
     o = np.asarray(outcomes, dtype=np.float64)
     if o.ndim not in (1, 2):
@@ -170,7 +159,6 @@ def ato_estimate(outcomes, weights: OverlapWeights) -> AtoResult:
     a = weights.sensitives
     w = weights.weights
     means = []
-    n_eff = []
     for g in (1, 0):
         mask = a == g
         wg = w[mask]
@@ -182,10 +170,7 @@ def ato_estimate(outcomes, weights: OverlapWeights) -> AtoResult:
             means.append(float(np.dot(wg, og) / total))
         else:
             means.append(wg @ og / total)
-        sq = float(np.dot(wg, wg))
-        n_eff.append(total * total / sq if sq > 0.0 else 0.0)
-    tau = means[0] - means[1]
-    return AtoResult(tau=tau, group_means=(means[1], means[0]), n_effective=(n_eff[1], n_eff[0]))
+    return means[0] - means[1]
 
 
 def ato_hidden_penalty(
@@ -216,8 +201,7 @@ def ato_hidden_penalty(
     taus: list[np.ndarray] = [np.empty(0) for _ in range(num_layers)]
     penalty = 0.0
     for idx in penalised_layers(num_layers, mode):
-        tau = ato_estimate(trace.preactivations[idx], weights).tau
-        taus[idx] = np.atleast_1d(tau)
+        taus[idx] = np.atleast_1d(ato_estimate(trace.preactivations[idx], weights))
         penalty += float(np.abs(taus[idx]).sum())
     return penalty, taus
 
@@ -229,24 +213,7 @@ def penalised_layers(num_layers: int, mode: str) -> list[int]:
     return list(range(num_layers - 1))
 
 
-@dataclass
-class MvResult:
-    """Between-group ECDF discrepancy.
-
-    value is the index itself.  For the conditional variant, per_stratum maps
-    each retained stratum label to its within-stratum index and argmax names
-    the stratum attaining the maximum.
-    """
-
-    value: float
-    group_levels: np.ndarray
-    group_probabilities: np.ndarray
-    group_terms: np.ndarray
-    per_stratum: dict = field(default_factory=dict)
-    argmax_stratum: object = None
-
-
-def mv_index(scores, groups) -> MvResult:
+def mv_index(scores, groups) -> float:
     """Plug-in index sum_r P(Z=z_r) * mean_i [F_r(S_i) - F(S_i)]^2.
 
     ECDFs are right-closed (P(S <= s)) and evaluated at the pooled sample
@@ -262,9 +229,9 @@ def mv_index(scores, groups) -> MvResult:
 
     Returns
     -------
-    MvResult
-        value = the index; group_terms holds each level's inner mean-square
-        before weighting by the level probability.
+    float
+        The index: each level's inner mean square, weighted by the level's
+        probability and summed.
     """
     s = _as_1d_float(scores, "scores")
     z = np.asarray(groups)
@@ -276,19 +243,18 @@ def mv_index(scores, groups) -> MvResult:
     order = np.sort(s)
     # F(S_i) for all i at once: right-closed counts via searchsorted on the pooled sort.
     pooled_cdf = np.searchsorted(order, s, side="right") / n
-    levels, inverse, counts = np.unique(z, return_inverse=True, return_counts=True)
+    _, inverse, counts = np.unique(z, return_inverse=True, return_counts=True)
     probs = counts / n
-    terms = np.empty(levels.shape[0])
-    for r in range(levels.shape[0]):
+    terms = np.empty(counts.shape[0])
+    for r in range(counts.shape[0]):
         group_sorted = np.sort(s[inverse == r])
         group_cdf = np.searchsorted(group_sorted, s, side="right") / counts[r]
         diff = group_cdf - pooled_cdf
         terms[r] = float(np.mean(diff * diff))
-    value = float(np.dot(probs, terms))
-    return MvResult(value=value, group_levels=levels, group_probabilities=probs, group_terms=terms)
+    return float(np.dot(probs, terms))
 
 
-def conditional_mv_index(scores, groups, strata) -> MvResult:
+def conditional_mv_index(scores, groups, strata) -> float:
     """Worst-stratum MV index: max_k of the index computed within stratum k.
 
     Strata with fewer than two distinct group levels cannot exhibit a
@@ -302,33 +268,18 @@ def conditional_mv_index(scores, groups, strata) -> MvResult:
         raise ShapeError(
             f"scores {s.shape}, groups {z.shape} and strata {u.shape} must share one length"
         )
-    per_stratum: dict = {}
-    best_value = 0.0
-    best_stratum = None
+    values = []
     skipped = []
     for level in np.unique(u):
         mask = u == level
         if np.unique(z[mask]).shape[0] < 2:
             skipped.append(level)
             continue
-        sub = mv_index(s[mask], z[mask])
-        key = level.item() if hasattr(level, "item") else level
-        per_stratum[key] = sub.value
-        if best_stratum is None or sub.value > best_value:
-            best_value = sub.value
-            best_stratum = key
+        values.append(mv_index(s[mask], z[mask]))
     if skipped:
         warnings.warn(
             f"strata {skipped} lack two group levels and were skipped", UserWarning, stacklevel=2
         )
-    if best_stratum is None:
+    if not values:
         raise DegenerateGroupError("every stratum lacks two group levels")
-    levels = np.unique(z)
-    return MvResult(
-        value=best_value,
-        group_levels=levels,
-        group_probabilities=np.empty(0),
-        group_terms=np.empty(0),
-        per_stratum=per_stratum,
-        argmax_stratum=best_stratum,
-    )
+    return max(values)

@@ -112,7 +112,6 @@ class ForwardTrace:
     preactivations: list[np.ndarray]
     activations: list[np.ndarray]
     dropout_masks: list[np.ndarray]
-    mode: str
 
     @property
     def output(self) -> np.ndarray:
@@ -201,7 +200,7 @@ def forward(
         else:
             p = np.minimum(np.maximum(_sigmoid(h), CLAMP), 1.0 - CLAMP)
             acts.append(p)
-    return ForwardTrace(inputs=x, preactivations=preacts, activations=acts, dropout_masks=drop, mode=mode)
+    return ForwardTrace(inputs=x, preactivations=preacts, activations=acts, dropout_masks=drop)
 
 
 def _sigmoid(h: np.ndarray) -> np.ndarray:

@@ -24,7 +24,7 @@ import csv
 import logging
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -109,6 +109,8 @@ class SweepConfig:
             raise ConfigError(f"num_layers must be >= 1, got {self.num_layers}")
         if self.hidden_width < 1:
             raise ConfigError(f"hidden_width must be >= 1, got {self.hidden_width}")
+        if not 0.0 <= self.dropout_prob < 1.0:
+            raise ConfigError(f"dropout_prob must lie in [0, 1), got {self.dropout_prob}")
         if self.penalty_mode not in PENALTY_MODES:
             raise ConfigError(f"unknown penalty mode {self.penalty_mode!r}")
         if not 0.0 < self.calibration_fraction < 1.0:
@@ -152,7 +154,7 @@ def _fit_stacks(
             fits += fit_network(
                 features,
                 labels,
-                [_with_seed(net_template, init_seed) for init_seed, _ in chunk],
+                [replace(net_template, seed=init_seed) for init_seed, _ in chunk],
                 train_config,
                 [loop_seed for _, loop_seed in chunk],
                 lambda_=lambdas[i : i + size],
@@ -200,12 +202,6 @@ def discover_bounds(
         raise TrainingError("no minibatch of the lambda = 1 run contained both sensitive groups")
     bounds = StandardisationBounds(*risk_fit.risk_range, u_min, u_max)
     return BoundsResult(bounds=bounds, risk_fit=risk_fit, unfairness_fit=unfair_fit)
-
-
-def _with_seed(template: NetworkConfig, seed: int) -> NetworkConfig:
-    return NetworkConfig(
-        layer_sizes=list(template.layer_sizes), dropout_prob=template.dropout_prob, seed=seed
-    )
 
 
 def train_scalarised(
@@ -387,9 +383,7 @@ def _fit_split_propensity(x_tr, a_tr, config: SweepConfig, master_seed: int, spl
     if n_cal >= n:
         raise ConfigError("calibration holdout would swallow the whole training split")
     cal_rows, fit_rows = perm[:n_cal], perm[n_cal:]
-    raw_model = train_propensity(
-        x_tr[fit_rows], a_tr[fit_rows], config.propensity, prop_seed, meta={"split_id": split_id}
-    )
+    raw_model = train_propensity(x_tr[fit_rows], a_tr[fit_rows], config.propensity, prop_seed)
     return calibrate_temperature(raw_model, x_tr[cal_rows], a_tr[cal_rows])
 
 
@@ -569,26 +563,17 @@ def read_candidates_csv(path) -> tuple[list[dict], str]:
             header = next(reader)
         except StopIteration:
             raise InputError(f"{path}: empty candidates file")
-        if header[:7] != CSV_HEADER[:7] or len(header) != 8 or not header[7].startswith("nondominated"):
+        width = len(CSV_HEADER)
+        if header[:-1] != CSV_HEADER[:-1] or len(header) != width or not header[-1].startswith("nondominated"):
             raise InputError(f"{path}: unexpected candidates header {header}")
         rows = []
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != 8:
-                raise InputError(f"{path}:{line_no}: expected 8 cells, got {len(row)}")
-            rows.append(
-                {
-                    "split_id": int(row[0]),
-                    "lambda": float(row[1]),
-                    "r_test": float(row[2]),
-                    "u_ato": float(row[3]),
-                    "mv_eo": float(row[4]),
-                    "mv_eopp": float(row[5]),
-                    "mv_dp": float(row[6]),
-                    "nondominated": int(row[7]),
-                }
-            )
+            if len(row) != width:
+                raise InputError(f"{path}:{line_no}: expected {width} cells, got {len(row)}")
+            values = dict(zip(CSV_HEADER[1:-1], map(float, row[1:-1])))
+            rows.append({"split_id": int(row[0]), **values, "nondominated": int(row[-1])})
     if not rows:
         raise InputError(f"{path}: no candidate rows")
-    return rows, header[7]
+    return rows, header[-1]

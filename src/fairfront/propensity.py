@@ -3,18 +3,19 @@
 The propensity network is a fixed small MLP trained with BCE on the
 sensitive attribute.  Calibration rescales its logits by a single scalar
 fitted on a held-out slice; the mapping is monotone, so score rankings are
-untouched.  Downstream consumers treat the calibrated scores as frozen data.
+untouched.  A model is its network and its temperature, nothing more.
+Downstream consumers treat the calibrated scores as frozen data.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .network import CLAMP, MODE_EVAL, NetworkConfig, NetworkParams, _sigmoid, forward
-from .training import TrainConfig, fit_network
+from .network import CLAMP, MODE_EVAL, NetworkConfig, NetworkParams, _bce, _sigmoid, forward
+from .training import TrainConfig, derive_seeds, fit_network
 
 TEMPERATURE_BRACKET = (0.05, 20.0)
 TEMPERATURE_TOL = 1e-4
@@ -46,12 +47,11 @@ class PropensityConfig:
 
 @dataclass
 class PropensityModel:
-    """Trained scorer plus its calibration temperature and provenance."""
+    """Trained scorer plus its calibration temperature."""
 
     params: NetworkParams
     config: NetworkConfig
     temperature: float = 1.0
-    training_meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not (math.isfinite(self.temperature) and self.temperature > 0.0):
@@ -59,14 +59,15 @@ class PropensityModel:
 
 
 def train_propensity(
-    features: np.ndarray, sensitives: np.ndarray, config: PropensityConfig, seed: int, meta: dict | None = None
+    features: np.ndarray, sensitives: np.ndarray, config: PropensityConfig, seed: int
 ) -> PropensityModel:
     """Fit the propensity network by plain BCE on the sensitive attribute.
 
-    Returns an uncalibrated model (temperature 1).
+    The initialisation and loop seeds both derive from ``seed``
+    (training.derive_seeds).  Returns an uncalibrated model (temperature 1).
     """
     layer_sizes = [features.shape[1]] + [config.hidden_width] * config.hidden_layers + [1]
-    init_seed, loop_seed = _propensity_seeds(seed)
+    init_seed, loop_seed = derive_seeds(seed)
     net_config = NetworkConfig(layer_sizes=layer_sizes, dropout_prob=config.dropout_prob, seed=init_seed)
     train_config = TrainConfig(
         epochs=config.epochs, batch_size=config.batch_size, learning_rate=config.learning_rate
@@ -74,15 +75,7 @@ def train_propensity(
     fit = fit_network(
         features, np.asarray(sensitives, dtype=np.float64), net_config, train_config, loop_seed
     )
-    info = {"epochs": config.epochs, "seed": int(seed)}
-    if meta:
-        info.update(meta)
-    return PropensityModel(params=fit.params, config=net_config, temperature=1.0, training_meta=info)
-
-
-def _propensity_seeds(seed: int) -> tuple[int, int]:
-    state = np.random.SeedSequence([int(seed)]).generate_state(2, dtype=np.uint64)
-    return int(state[0]), int(state[1])
+    return PropensityModel(params=fit.params, config=net_config, temperature=1.0)
 
 
 def propensity_logits(model: PropensityModel, features: np.ndarray) -> np.ndarray:
@@ -113,20 +106,14 @@ def calibrate_temperature(
     logits = propensity_logits(model, val_features)
 
     def nll_at(log_t: float) -> float:
-        p = np.clip(_sigmoid(logits / math.exp(log_t)), CLAMP, 1.0 - CLAMP)
-        return float(-np.mean(a * np.log(p) + (1.0 - a) * np.log1p(-p)))
+        return float(_bce(np.clip(_sigmoid(logits / math.exp(log_t)), CLAMP, 1.0 - CLAMP), a))
 
     lo, hi = (math.log(b) for b in TEMPERATURE_BRACKET)
     best_log_t = _golden_section(nll_at, lo, hi, TEMPERATURE_TOL)
     temperature = math.exp(best_log_t)
     if nll_at(best_log_t) > nll_at(0.0):
         temperature = 1.0
-    return PropensityModel(
-        params=model.params,
-        config=model.config,
-        temperature=temperature,
-        training_meta=dict(model.training_meta),
-    )
+    return PropensityModel(params=model.params, config=model.config, temperature=temperature)
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0

@@ -11,7 +11,9 @@ one stacked forward, backward and Adam update for all K.  Each member keeps
 its own lambda, initialisation seed, loop generator (epoch shuffles and
 dropout draws, in the order of a lone fit), learning-rate schedule and
 finiteness guard, so a member's numbers equal those of the same network
-trained alone and a diverging member fails alone.
+trained alone and a diverging member fails alone.  The stack keeps its shape
+for the whole fit: a failed member keeps its row as zeros, so the remaining
+steps stay finite, and is no longer read.
 """
 from __future__ import annotations
 
@@ -144,9 +146,8 @@ def fit_network(
     # Adam steps all parameters of a member in place as one row of a (K, P)
     # array; forward and backward read them through per-layer views of it.
     inits = [init_network(c) for c in configs]
-    shapes = [a.shape for a in (*inits[0].weights, *inits[0].biases)]
     flat = np.stack([_flatten(p) for p in inits])
-    params = _unflatten(flat, shapes)
+    params = _unflatten(flat, [a.shape for a in (*inits[0].weights, *inits[0].biases)])
     adam = AdamState(
         np.zeros_like(flat), np.zeros_like(flat), learning_rate=np.full(len(configs), train_config.learning_rate)
     )
@@ -156,7 +157,7 @@ def fit_network(
     ]
     rngs = [np.random.default_rng(s) for s in seeds]
     results: list[FitResult | TrainingError] = [FitResult(params=None) for _ in configs]
-    live = list(range(len(configs)))  # members still training, in stack order
+    alive = np.ones(len(configs), dtype=bool)  # members that have not failed
     n = labels.shape[0]
     indices = np.arange(n)
 
@@ -183,15 +184,15 @@ def fit_network(
             a_epoch = _stack([mb.sensitives for mb in passes])
             e_epoch = _stack([mb.propensities for mb in passes])
         starts = range(0, n, train_config.batch_size)
-        shape = (len(live), len(starts))
+        shape = (len(configs), len(starts))
         risks, unfairness = np.empty(shape), np.empty(shape)
-        skipped = np.zeros(len(live), dtype=int)
+        skipped = np.zeros(len(configs), dtype=int)
         for j, start in enumerate(starts):
             batch = slice(start, start + train_config.batch_size)
             weights = None
             if needs_penalty:
                 weights = overlap_weights(e_epoch[:, batch], a_epoch[:, batch], validate=False)
-                fallback = weights.degenerate & (lams > 0.0)
+                fallback = weights.degenerate & (lams > 0.0) & alive
                 if fallback.any():
                     skipped += fallback
                     log.debug(
@@ -208,39 +209,33 @@ def fit_network(
             unfairness[:, j] = back.unfairness
 
         epoch_means = _objective_value(risks, unfairness, lams[:, None], bounds).mean(axis=1)
-        finite = np.isfinite(epoch_means) & np.isfinite(flat).all(axis=1)
-        for i, k in enumerate(live):
+        failed = alive & ~(np.isfinite(epoch_means) & np.isfinite(flat).all(axis=1))
+        for i in np.flatnonzero(alive):
             mean, lr = float(epoch_means[i]), float(adam.learning_rate[i])
-            if not finite[i]:
-                results[k] = TrainingError(
+            if failed[i]:
+                results[i] = TrainingError(
                     f"epoch {epoch}: non-finite objective {mean} or parameters "
                     f"(lambda={lams[i]}, lr={lr})"
                 )
                 continue
-            res = results[k]
+            res = results[i]
             res.risk_range = _widen(res.risk_range, risks[i])
             res.unfairness_range = _widen(res.unfairness_range, unfairness[i])
             res.skipped_group_batches += int(skipped[i])
             res.epoch_objectives.append(mean)
             adam.learning_rate[i] = scheds[i].step(mean, lr)
-        if not finite.all():
-            # drop the failed members; the others' arithmetic never mixed with theirs
-            keep = np.flatnonzero(finite)
-            live = [live[i] for i in keep]
-            if not live:
+        if failed.any():
+            # A failed member stays in the stack, zeroed so that its later steps
+            # compute finite numbers; the others' arithmetic never mixes with its.
+            alive &= ~failed
+            if not alive.any():
                 break
-            flat = flat[keep]
-            params = _unflatten(flat, shapes)
-            adam.first_moment = adam.first_moment[keep]
-            adam.second_moment = adam.second_moment[keep]
-            adam.learning_rate = adam.learning_rate[keep]
-            lams = lams[keep]
-            scheds = [scheds[i] for i in keep]
-            rngs = [rngs[i] for i in keep]
+            for rows in (flat, adam.first_moment, adam.second_moment):
+                rows[failed] = 0.0
 
-    for i, k in enumerate(live):
-        results[k].params = params.member(i)
-        results[k].final_learning_rate = float(adam.learning_rate[i])
+    for i in np.flatnonzero(alive):
+        results[i].params = params.member(i)
+        results[i].final_learning_rate = float(adam.learning_rate[i])
     if stacked:
         return results
     if isinstance(results[0], TrainingError):

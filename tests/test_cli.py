@@ -142,6 +142,17 @@ def test_bad_propensity_config_exits_2_before_loading(workspace, tmp_path, capsy
     assert not (tmp_path / "out").exists()
 
 
+def test_bad_dropout_prob_exits_2_before_loading(workspace, tmp_path, capsys, monkeypatch):
+    _, config_path = workspace
+    monkeypatch.setattr(cli, "_load_encoded_dataset", _no_load)
+    bad = tmp_path / "bad_dropout.json"
+    bad.write_text(json.dumps({**json.loads(config_path.read_text()), "dropout_prob": 1.5}))
+    assert main(["run", "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and "dropout_prob" in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_cull_renames_mask_column(workspace, capsys):
     root, _ = workspace
     rc = main(["cull", str(root / "out" / "candidates.csv"), "--metric", "mv_dp"])

@@ -32,7 +32,7 @@ def test_mv_two_point_anchor():
     # Two scores, one per group.  Pooled F takes values 1/2 and 1; each
     # group's F is a single step.  Working the sum through by hand gives 1/8.
     result = mv_index(np.array([0.1, 0.9]), np.array([0, 1]))
-    assert result.value == pytest.approx(0.125, abs=1e-12)
+    assert result == pytest.approx(0.125, abs=1e-12)
 
 
 def test_ato_two_point_anchor():
@@ -40,7 +40,7 @@ def test_ato_two_point_anchor():
     # singleton groups are just the outcomes, so tau = 0.8 - 0.2 = 0.6.
     weights = overlap_weights(np.array([0.9, 0.3]), np.array([1, 0]))
     result = ato_estimate(np.array([0.8, 0.2]), weights)
-    assert result.tau == pytest.approx(0.6, abs=1e-10)
+    assert result == pytest.approx(0.6, abs=1e-10)
     assert weights.weights == pytest.approx([0.1, 0.3])
 
 
@@ -58,7 +58,7 @@ def test_ato_matches_brute_force():
         e = rng.uniform(0.02, 0.98, size=n)
         o = rng.normal(size=n)
         w = overlap_weights(e, a)
-        assert ato_estimate(o, w).tau == pytest.approx(bf_ato(o, a, e), abs=1e-10)
+        assert ato_estimate(o, w) == pytest.approx(bf_ato(o, a, e), abs=1e-10)
 
 
 def test_ato_vector_outcomes_are_columnwise():
@@ -68,7 +68,7 @@ def test_ato_vector_outcomes_are_columnwise():
     e = rng.uniform(0.1, 0.9, size=40)
     o = rng.normal(size=(40, 5))
     w = overlap_weights(e, a)
-    taus = ato_estimate(o, w).tau
+    taus = ato_estimate(o, w)
     assert taus.shape == (5,)
     for j in range(5):
         assert taus[j] == pytest.approx(bf_ato(o[:, j], a, e), abs=1e-10)
@@ -84,7 +84,7 @@ def test_mv_matches_brute_force_with_ties():
         groups = rng.integers(0, levels, size=n)
         if len(np.unique(groups)) < 2:
             continue
-        assert mv_index(scores, groups).value == pytest.approx(bf_mv(scores, groups), abs=1e-12)
+        assert mv_index(scores, groups) == pytest.approx(bf_mv(scores, groups), abs=1e-12)
 
 
 def test_conditional_mv_matches_brute_force():
@@ -103,7 +103,7 @@ def test_conditional_mv_matches_brute_force():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # partial degeneracy may warn
             result = conditional_mv_index(scores, groups, strata)
-        assert result.value == pytest.approx(expected, abs=1e-12)
+        assert result == pytest.approx(expected, abs=1e-12)
         checked += 1
     assert checked > 30
 
@@ -162,7 +162,7 @@ def test_conditional_mv_warns_and_skips_degenerate_stratum():
     with pytest.warns(UserWarning, match="lack two group levels"):
         result = conditional_mv_index(scores, groups, strata)
     mask = strata == 0
-    assert result.value == pytest.approx(bf_mv(scores[mask], groups[mask]), abs=1e-12)
+    assert result == pytest.approx(bf_mv(scores[mask], groups[mask]), abs=1e-12)
 
 
 def test_conditional_mv_all_degenerate_raises():
@@ -186,9 +186,9 @@ def test_mv_invariant_under_monotone_transform(data):
     rng = np.random.default_rng(seed)
     scores = rng.integers(0, 8, size=n) / 7.0
     groups = rng.integers(0, 2, size=n)
-    base = mv_index(scores, groups).value
+    base = mv_index(scores, groups)
     # a strictly increasing map preserves every ECDF comparison exactly
-    transformed = mv_index(np.exp(3.0 * scores), groups).value
+    transformed = mv_index(np.exp(3.0 * scores), groups)
     assert transformed == base
 
 
@@ -206,12 +206,12 @@ def test_ato_affine_equivariance_and_group_flip(data):
     alpha = data.draw(st.floats(-3, 3, allow_nan=False))
     beta = data.draw(st.floats(-3, 3, allow_nan=False))
     w = overlap_weights(e, a)
-    tau = ato_estimate(o, w).tau
-    scaled = ato_estimate(alpha * o + beta, w).tau
+    tau = ato_estimate(o, w)
+    scaled = ato_estimate(alpha * o + beta, w)
     assert scaled == pytest.approx(alpha * tau, abs=1e-8)
     # relabelling the groups (and propensities accordingly) flips the sign
     w_flip = overlap_weights(1.0 - e, 1 - a)
-    assert ato_estimate(o, w_flip).tau == pytest.approx(-tau, abs=1e-10)
+    assert ato_estimate(o, w_flip) == pytest.approx(-tau, abs=1e-10)
 
 
 def test_mv_nonnegative_and_zero_for_identical_groups():
@@ -219,4 +219,4 @@ def test_mv_nonnegative_and_zero_for_identical_groups():
     scores = np.tile(rng.uniform(size=10), 2)
     groups = np.repeat([0, 1], 10)
     # both groups hold identical samples, so every group ECDF equals the pooled one
-    assert mv_index(scores, groups).value == pytest.approx(0.0, abs=1e-15)
+    assert mv_index(scores, groups) == pytest.approx(0.0, abs=1e-15)

@@ -1,6 +1,8 @@
 """The shared minibatch training engine."""
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -248,6 +250,31 @@ def test_non_finite_member_fails_alone(monkeypatch):
         fit_network(
             x, y, stack_configs(STACK_SEEDS)[1], STACK_TRAIN, 8, lambda_=0.4, sensitives=a, propensities=e
         )
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_member_failing_in_a_later_epoch_keeps_its_slot(monkeypatch):
+    train = replace(STACK_TRAIN, epochs=4)
+    steps_per_epoch = -(-stack_problem()[0].shape[0] // train.batch_size)
+    poisoned_call = 2 * steps_per_epoch + 2  # the second step of epoch 2
+    calls = []
+    lone_adam_step = training.adam_step
+
+    def adam_step_with_poison(state, params, grads):
+        lone_adam_step(state, params, grads)
+        calls.append(params.shape[0])
+        if len(calls) == poisoned_call:
+            params[1] = np.inf
+
+    monkeypatch.setattr(training, "adam_step", adam_step_with_poison)
+    with_poison = fit_stack(STACK_LAMBDAS, STACK_SEEDS, train=train)
+    monkeypatch.undo()
+    assert calls == [3] * (4 * steps_per_epoch)  # every step of every epoch, on all three rows
+    assert isinstance(with_poison[1], TrainingError)
+    assert str(with_poison[1]).startswith("epoch 2: non-finite")
+    for k in (0, 2):
+        (alone,) = fit_stack([STACK_LAMBDAS[k]], [STACK_SEEDS[k]], train=train)
+        assert_same_fit(with_poison[k], alone)
 
 
 def test_stack_arguments_must_line_up():
