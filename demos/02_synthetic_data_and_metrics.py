@@ -18,6 +18,7 @@ from fairfront import (
     fit_network,
     generate_synthetic,
     make_splits,
+    predict_propensity,
     train_propensity,
 )
 
@@ -45,8 +46,9 @@ prop = train_propensity(ds.features[fit_rows], ds.sensitives[fit_rows].astype(fl
 prop = calibrate_temperature(prop, ds.features[cal_rows], ds.sensitives[cal_rows].astype(float))
 print(f"propensity temperature after calibration: {prop.temperature:.3f}")
 
+e_test = predict_propensity(prop, ds.features[test_rows])
 metrics = evaluate_test_metrics(fit.params, net, ds.features[test_rows],
-                                ds.sensitives[test_rows], ds.labels[test_rows], prop)
+                                ds.sensitives[test_rows], ds.labels[test_rows], e_test)
 print()
 print("held-out metrics of the risk-only classifier:")
 for name in ("r_test", "u_ato", "mv_dp", "mv_eo", "mv_eopp"):

@@ -295,11 +295,16 @@ def run_adversarial_sweep(
 
 
 def _adv_split_worker(payload):
-    return _split_stage(payload, _train_adversarial_split, "adversarial")
+    return _split_stage(payload, _train_adversarial_group, "adversarial")
+
+
+def _train_adversarial_group(splits: list[TrainingSplit], grid: LambdaGrid, config: SweepConfig, adv_config):
+    """The adversarial sweep's trainer: train_adversarial once per split and lambda."""
+    return [(_train_adversarial_split(split, grid, config, adv_config), None) for split in splits]
 
 
 def _train_adversarial_split(split: TrainingSplit, grid: LambdaGrid, config: SweepConfig, adv_config):
-    """The adversarial sweep's trainer: train_adversarial once per lambda."""
+    """One fit (or expected failure) per lambda of a split."""
     rows = (split.features, split.labels, split.sensitives, split.template, config.train, adv_config)
     fits: list[FitResult | Exception] = []
     for lam, seeds in zip(grid.values, split.seeds):
@@ -312,4 +317,4 @@ def _train_adversarial_split(split: TrainingSplit, grid: LambdaGrid, config: Swe
         fits.append(
             FitResult(run.classifier_params, [float("nan")], final_learning_rate=config.train.learning_rate)
         )
-    return fits, None
+    return fits

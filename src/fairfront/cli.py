@@ -44,7 +44,7 @@ from .pareto import (
     write_candidate_rows,
     write_candidates_csv,
 )
-from .propensity import PropensityConfig, PropensityModel
+from .propensity import PropensityConfig, PropensityModel, predict_propensity
 from .training import TrainConfig
 
 CULL_METRICS = ("u_ato", "mv_eo", "mv_eopp", "mv_dp")
@@ -263,9 +263,8 @@ def cmd_metrics(args) -> int:
             f"dataset encodes to {dataset.n_features} features but the model expects "
             f"{config.layer_sizes[0]}"
         )
-    metrics = evaluate_test_metrics(
-        params, config, dataset.features, dataset.sensitives, dataset.labels, propensity
-    )
+    e_hat = predict_propensity(propensity, dataset.features)
+    metrics = evaluate_test_metrics(params, config, dataset.features, dataset.sensitives, dataset.labels, e_hat)
     print(",".join(_fmt(metrics[k]) for k in ("r_test", "u_ato", "mv_eo", "mv_eopp", "mv_dp")))
     return 0
 

@@ -8,7 +8,6 @@ import numpy as np
 from .errors import DegenerateGroupError, EvaluationError
 from .metrics import ato_estimate, conditional_mv_index, mv_index, overlap_weights
 from .network import MODE_EVAL, NetworkConfig, NetworkParams, bce_loss, forward
-from .propensity import PropensityModel, predict_propensity
 
 METRIC_NAMES = ("r_test", "u_ato", "mv_eo", "mv_eopp", "mv_dp")
 
@@ -19,21 +18,22 @@ def evaluate_test_metrics(
     features: np.ndarray,
     sensitives: np.ndarray,
     labels: np.ndarray,
-    propensity: PropensityModel,
+    propensities: np.ndarray,
 ) -> dict[str, float]:
     """Score the test rows and compute the five standard metrics.
 
     r_test is the BCE of the eval-mode scores; u_ato the absolute
-    overlap-weighted contrast of the scores (propensities come from the
-    supplied model); mv_dp the marginal MV index over groups; mv_eo the
-    worst label-stratum MV index; mv_eopp the MV index within the y = 1
-    stratum.  A label stratum without both groups contributes zero with a
+    overlap-weighted contrast of the scores, the weights coming from the
+    rows' calibrated propensity scores (propensity.predict_propensity, which
+    a sweep calls once per split, not once per candidate); mv_dp the
+    marginal MV index over groups; mv_eo the worst label-stratum MV index;
+    mv_eopp the MV index within the y = 1 stratum.  A label stratum without both groups contributes zero with a
     warning rather than failing the evaluation.
     """
     a = np.asarray(sensitives)
     y = np.asarray(labels)
-    if features.shape[0] != a.shape[0] or a.shape[0] != y.shape[0]:
-        raise EvaluationError("features, sensitives and labels disagree on the row count")
+    if not features.shape[0] == a.shape[0] == y.shape[0] == np.shape(propensities)[0]:
+        raise EvaluationError("features, sensitives, labels and propensities disagree on the row count")
     if features.shape[0] == 0:
         raise EvaluationError("empty test split")
     if np.unique(a).shape[0] < 2 or np.unique(y).shape[0] < 2:
@@ -41,8 +41,7 @@ def evaluate_test_metrics(
 
     scores = forward(params, config, features, MODE_EVAL).output
     r_test = bce_loss(scores, y)
-    e_hat = predict_propensity(propensity, features)
-    u_ato = float(abs(ato_estimate(scores, overlap_weights(e_hat, a))))
+    u_ato = float(abs(ato_estimate(scores, overlap_weights(propensities, a))))
     mv_dp = mv_index(scores, a)
 
     try:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -233,28 +233,36 @@ class StandardisationBounds:
     """Risk and unfairness ranges observed during the endpoint runs.
 
     Spans are floored at 1e-12 when used as denominators.  Values outside the
-    recorded ranges simply standardise outside [0, 1].
+    recorded ranges simply standardise outside [0, 1].  The bounds of a stack
+    (stack()) hold one (K,) array per field, one entry per member; all their
+    arithmetic is elementwise, so a member standardises exactly as its own
+    bounds do.
     """
 
-    risk_min: float
-    risk_max: float
-    unfairness_min: float
-    unfairness_max: float
+    risk_min: float | np.ndarray
+    risk_max: float | np.ndarray
+    unfairness_min: float | np.ndarray
+    unfairness_max: float | np.ndarray
 
     def __post_init__(self):
         vals = (self.risk_min, self.risk_max, self.unfairness_min, self.unfairness_max)
-        if not all(np.isfinite(v) for v in vals):
+        if not all(np.all(np.isfinite(v)) for v in vals):
             raise NumericError(f"non-finite standardisation bounds {vals}")
-        if self.risk_max < self.risk_min or self.unfairness_max < self.unfairness_min:
+        if np.any(self.risk_max < self.risk_min) or np.any(self.unfairness_max < self.unfairness_min):
             raise NumericError(f"inverted standardisation bounds {vals}")
 
-    @property
-    def risk_span(self) -> float:
-        return max(self.risk_max - self.risk_min, SPAN_FLOOR)
+    @classmethod
+    def stack(cls, members: list["StandardisationBounds"]) -> "StandardisationBounds":
+        """The bounds of a stack whose member k standardises by members[k]."""
+        return cls(*np.array([astuple(b) for b in members], dtype=np.float64).T)
 
     @property
-    def unfairness_span(self) -> float:
-        return max(self.unfairness_max - self.unfairness_min, SPAN_FLOOR)
+    def risk_span(self) -> float | np.ndarray:
+        return np.maximum(self.risk_max - self.risk_min, SPAN_FLOOR)
+
+    @property
+    def unfairness_span(self) -> float | np.ndarray:
+        return np.maximum(self.unfairness_max - self.unfairness_min, SPAN_FLOOR)
 
     def standardise_risk(self, r: float) -> float:
         return (r - self.risk_min) / self.risk_span
@@ -299,7 +307,8 @@ def backward_composite(
     pure BCE and pure penalty training.  When ``weights`` is None, or marks a
     stack member's batch as degenerate, the penalty is undefined for that
     batch and the risk branch is forced (unfairness comes back as nan).  A
-    stack takes one lambda per member.
+    stack takes one lambda per member, and either one set of bounds or
+    stacked (K,) bounds (StandardisationBounds.stack).
     """
     lam = np.asarray(lambda_, dtype=np.float64)
     if not np.all((lam >= 0.0) & (lam <= 1.0)):

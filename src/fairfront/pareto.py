@@ -7,24 +7,41 @@ minibatch risks, the lambda = 1 run the range of minibatch penalties, and the
 endpoint models are reused as the lambda = 0 / lambda = 1 candidates instead
 of being retrained.
 
-The classifiers of a split train as stacks (see training.fit_network): one
-stack of the two endpoints, then the interior lambdas, each stack holding at
-most stack_size() networks.  A stacked network's numbers equal those of the
-same network trained alone, so results do not depend on the stack size.
+The sweep runs its splits in split groups (split_groups): at most
+stack_size() // 2 splits, the number whose endpoints fit one stack, and at
+least one group per worker.  A group trains in phases, each phase's
+networks stacked across its splits (see training.fit_network, which takes
+one training set and one set of bounds per stack member):
+
+1. the propensity models, one stack, each then temperature-calibrated on
+   its split's holdout;
+2. the endpoints (lambda = 0 and lambda = 1 of every split), which set each
+   split's bounds;
+3. the interior lambdas of the splits whose endpoints succeeded, in stacks
+   of at most stack_size() networks that mix splits;
+4. per split, the scoring of every candidate on the split's test rows,
+   whose propensity scores are predicted once.
+
+A stacked network's numbers equal those of the same network trained alone,
+so results depend neither on the stack size nor on the grouping, and a
+split whose propensity fit or endpoints fail fails alone.
 
 This sweep and the adversarial one (adversarial.run_adversarial_sweep) run
-one split stage, _split_stage: the same splits, calibrated propensity model,
+one split stage, _split_stage: the same splits, calibrated propensity models,
 seed streams, test scoring, failure records and pool dispatch.  Each sweep
-plugs in only its per-split trainer; this module's is
-_train_scalarised_split.
+plugs in only its trainer of a group's splits; this module's is
+_train_scalarised_group.
 """
 from __future__ import annotations
 
 import csv
+import ctypes
 import logging
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -133,8 +150,8 @@ def stack_size(batch_size: int, layer_sizes: list[int]) -> int:
 
 
 def _fit_stacks(
-    features: np.ndarray,
-    labels: np.ndarray,
+    features,
+    labels,
     net_template: NetworkConfig,
     train_config: TrainConfig,
     lambdas: list[float],
@@ -143,22 +160,27 @@ def _fit_stacks(
 ) -> list[FitResult | Exception]:
     """Train one network per (lambda, (init seed, loop seed)), stack_size() at a time.
 
-    Returns one entry per lambda: the fit, or the expected failure that ended
-    it (a stack that raises fails each of its networks).
+    The data and the keyword arguments are shared by every network, or lists
+    with one entry per lambda (a network's training set and bounds).  Returns
+    one entry per lambda: the fit, or the expected failure that ended it (a
+    stack that raises fails each of its networks).
     """
     size = stack_size(train_config.batch_size, net_template.layer_sizes)
     fits: list[FitResult | Exception] = []
     for i in range(0, len(lambdas), size):
+        def part(value):
+            return value[i : i + size] if isinstance(value, list) else value
+
         chunk = seeds[i : i + size]
         try:
             fits += fit_network(
-                features,
-                labels,
+                part(features),
+                part(labels),
                 [replace(net_template, seed=init_seed) for init_seed, _ in chunk],
                 train_config,
                 [loop_seed for _, loop_seed in chunk],
                 lambda_=lambdas[i : i + size],
-                **kw,
+                **{name: part(value) for name, value in kw.items()},
             )
         except EXPECTED_FAILURES as exc:
             fits += [exc] * len(chunk)
@@ -166,61 +188,90 @@ def _fit_stacks(
 
 
 def discover_bounds(
-    features: np.ndarray,
-    labels: np.ndarray,
-    sensitives: np.ndarray,
-    propensities: np.ndarray,
+    features,
+    labels,
+    sensitives,
+    propensities,
     net_template: NetworkConfig,
     train_config: TrainConfig,
     penalty_mode: str,
-    risk_seeds: tuple[int, int],
-    unfairness_seeds: tuple[int, int],
-) -> BoundsResult:
+    risk_seeds,
+    unfairness_seeds,
+):
     """Run the two endpoint trainings and collect the standardisation ranges.
 
     The lambda = 0 run is plain BCE training; every minibatch risk it ever
     sees defines [risk_min, risk_max].  The lambda = 1 run is pure penalty
     descent and defines the unfairness range from the batches where the
     penalty was computable.  Both trained models are returned for reuse.
+
+    Given lists with one entry per split (training rows and seed pairs), the
+    endpoints of all the splits train as stacks of up to stack_size()
+    networks, and one BoundsResult, or the expected failure that sank the
+    split's endpoints, comes back per split.  Given one split's arrays, its
+    BoundsResult is returned and a failure raised.
     """
-    risk_fit, unfair_fit = _fit_stacks(
-        features,
-        labels,
+    grouped = isinstance(features, list)
+    if not grouped:
+        features, labels, sensitives, propensities = ([v] for v in (features, labels, sensitives, propensities))
+        risk_seeds, unfairness_seeds = [risk_seeds], [unfairness_seeds]
+
+    def twice(values):
+        return [v for v in values for _ in (0, 1)]
+
+    fits = _fit_stacks(
+        twice(features),
+        twice(labels),
         net_template,
         train_config,
-        [0.0, 1.0],
-        [risk_seeds, unfairness_seeds],
-        sensitives=sensitives,
-        propensities=propensities,
+        [0.0, 1.0] * len(features),
+        [s for pair in zip(risk_seeds, unfairness_seeds) for s in pair],
+        sensitives=twice(sensitives),
+        propensities=twice(propensities),
         penalty_mode=penalty_mode,
     )
-    for fit in (risk_fit, unfair_fit):
-        if isinstance(fit, Exception):
-            raise fit
-    u_min, u_max = unfair_fit.unfairness_range
-    if u_min > u_max:
-        raise TrainingError("no minibatch of the lambda = 1 run contained both sensitive groups")
-    bounds = StandardisationBounds(*risk_fit.risk_range, u_min, u_max)
+    results = [_endpoint_bounds(*fits[i : i + 2]) for i in range(0, len(fits), 2)]
+    if grouped:
+        return results
+    if isinstance(results[0], Exception):
+        raise results[0]
+    return results[0]
+
+
+def _endpoint_bounds(risk_fit, unfair_fit) -> BoundsResult | Exception:
+    """A split's bounds from its endpoint fits, or the expected failure that prevents them."""
+    try:
+        for fit in (risk_fit, unfair_fit):
+            if isinstance(fit, Exception):
+                raise fit
+        u_min, u_max = unfair_fit.unfairness_range
+        if u_min > u_max:
+            raise TrainingError("no minibatch of the lambda = 1 run contained both sensitive groups")
+        bounds = StandardisationBounds(*risk_fit.risk_range, u_min, u_max)
+    except EXPECTED_FAILURES as exc:
+        return exc
     return BoundsResult(bounds=bounds, risk_fit=risk_fit, unfairness_fit=unfair_fit)
 
 
 def train_scalarised(
-    features: np.ndarray,
-    labels: np.ndarray,
-    sensitives: np.ndarray,
-    propensities: np.ndarray,
+    features,
+    labels,
+    sensitives,
+    propensities,
     net_template: NetworkConfig,
     train_config: TrainConfig,
     lambdas: list[float],
-    bounds: StandardisationBounds,
+    bounds: StandardisationBounds | list[StandardisationBounds],
     penalty_mode: str,
     seeds: list[tuple[int, int]],
 ) -> list[FitResult | Exception]:
     """Train the interior-lambda classifiers against frozen bounds.
 
-    seeds[i] is the (init seed, loop seed) pair of lambdas[i].  Returns one
-    entry per lambda: the fit, or the expected failure (a TrainingError of a
-    diverged network, say) that ended it.
+    seeds[i] is the (init seed, loop seed) pair of lambdas[i].  The training
+    rows and bounds are one split's, or lists with one entry per lambda, so
+    that the lambdas of several splits share stacks.  Returns one entry per
+    lambda: the fit, or the expected failure (a TrainingError of a diverged
+    network, say) that ended it.
     """
     if bounds is None:
         raise ConfigError("train_scalarised needs discovered standardisation bounds")
@@ -281,29 +332,57 @@ def run_sweep(
     Per split: carve a calibration holdout, fit and temperature-calibrate the
     propensity model, discover standardisation bounds (whose endpoint models
     become the lambda = 0 and lambda = 1 candidates), then train the
-    interior lambdas.  Every candidate is scored on the split's test rows.
+    interior lambdas; each of these phases trains as stacks across the
+    splits of a split group (see the module docstring).  Every candidate is
+    scored on the split's test rows.
     Jobs that fail with a package error or a numeric error are recorded and
     the sweep continues; any other exception is a bug and propagates.  All
     randomness derives from (plan.master_seed, split_id, lambda_index), so
     results depend neither on the degree of parallelism nor on the stack
-    size.  jobs=None runs one process per split, up to the CPU count; any
+    size or grouping.  jobs=None runs one process per split, up to the CPU count; any
     other value must be a positive integer.
     """
     return _run_splits(_split_worker, dataset, plan, grid, config, jobs, None)
 
 
 def _split_worker(payload):
-    return _split_stage(payload, _train_scalarised_split, "train_or_eval")
+    return _split_stage(payload, _train_scalarised_group, "train_or_eval")
 
 
-def _train_scalarised_split(split: TrainingSplit, grid: LambdaGrid, config: SweepConfig, _extra):
-    """The scalarised sweep's trainer: the endpoint stack, then the interior stacks."""
-    rows = (split.features, split.labels, split.sensitives, split.propensities, split.template, config.train)
-    bounds_res = discover_bounds(*rows, config.penalty_mode, split.seeds[0], split.seeds[-1])
-    interior_fits = train_scalarised(
-        *rows, grid.values[1:-1], bounds_res.bounds, config.penalty_mode, split.seeds[1:-1]
+def _train_scalarised_group(splits: list[TrainingSplit], grid: LambdaGrid, config: SweepConfig, _extra):
+    """The scalarised sweep's trainer: the group's endpoints, then its interior lambdas, stacked across splits.
+
+    A split whose endpoints failed gets that failure, and none of its
+    interior lambdas trains.
+    """
+    template = splits[0].template
+    found = discover_bounds(
+        *_rows(splits), template, config.train, config.penalty_mode,
+        [s.seeds[0] for s in splits], [s.seeds[-1] for s in splits],
     )
-    return [bounds_res.risk_fit, *interior_fits, bounds_res.unfairness_fit], bounds_res.bounds
+    interior = grid.values[1:-1]
+    bounded = [(split, res) for split, res in zip(splits, found) if not isinstance(res, Exception)]
+    fits = iter(
+        train_scalarised(
+            *_rows([split for split, _ in bounded for _ in interior]),
+            template,
+            config.train,
+            [lam for _ in bounded for lam in interior],
+            [res.bounds for _, res in bounded for _ in interior],
+            config.penalty_mode,
+            [seeds for split, _ in bounded for seeds in split.seeds[1:-1]],
+        )
+    )
+    return [
+        res if isinstance(res, Exception)
+        else ([res.risk_fit, *(next(fits) for _ in interior), res.unfairness_fit], res.bounds)
+        for res in found
+    ]
+
+
+def _rows(splits: list[TrainingSplit]) -> tuple[list, list, list, list]:
+    """The features, labels, sensitives and propensities of each split, as four lists."""
+    return tuple([getattr(s, name) for s in splits] for name in ("features", "labels", "sensitives", "propensities"))
 
 
 def check_jobs(jobs) -> None:
@@ -314,30 +393,84 @@ def check_jobs(jobs) -> None:
         raise ConfigError(f"jobs must be a positive integer or None, got {jobs!r}")
 
 
+def split_groups(num_splits: int, group_cap: int, jobs: int) -> list[range]:
+    """Cut split ids 0..num_splits-1 into near-equal contiguous groups.
+
+    There are as many groups as it takes to keep each within group_cap
+    splits, and at least one per worker (up to one per split).
+    """
+    count = max(-(-num_splits // group_cap), min(jobs, num_splits))
+    cuts = [i * num_splits // count for i in range(count + 1)]
+    return [range(a, b) for a, b in zip(cuts, cuts[1:])]
+
+
+def _openblas(symbol: str):
+    """A function of numpy's bundled OpenBLAS, or None where there is no such function."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("libscipy_openblas64_*.so")):
+        try:
+            return getattr(ctypes.CDLL(str(lib)), symbol)
+        except (OSError, AttributeError):
+            continue
+    return None
+
+
+def _set_blas_threads(count: int) -> int | None:
+    """Set numpy's BLAS thread count; returns the previous one, or None (nothing set) without OpenBLAS."""
+    get, set_ = _openblas("scipy_openblas_get_num_threads64_"), _openblas("scipy_openblas_set_num_threads64_")
+    if get is None or set_ is None:
+        return None
+    previous = get()
+    if previous != count:
+        set_(count)
+    return previous
+
+
+def _one_blas_thread():
+    """Pool initializer: one BLAS thread per worker, so that jobs workers use jobs CPUs."""
+    _set_blas_threads(1)
+
+
 def _run_splits(
     worker, dataset: Dataset, plan: SplitPlan, grid: LambdaGrid, config: SweepConfig, jobs: int | None, extra
 ) -> SweepResult:
-    """Run a sweep's split worker on every split and merge the results into a SweepResult.
+    """Run a sweep's split worker on every split group and merge the results into a SweepResult.
 
     ``worker`` is a module-level pool target calling _split_stage; ``extra``
-    goes to its trainer.  The splits run in a process pool when jobs > 1;
-    jobs=None uses one process per split, up to the CPU count.
+    goes to its trainer.  A group holds at most as many splits as have their
+    endpoints fit one stack (stack_size() // 2, at least one), and there is
+    at least one group per worker.  The groups run in a process pool of
+    forked workers when jobs > 1, in this process otherwise; either way with
+    one BLAS thread (numpy's bundled OpenBLAS, where it is found).  jobs=None
+    uses one process per split, up to the CPU count.
     """
     check_jobs(jobs)
     splits = make_splits(dataset.n_rows, plan, sensitives=dataset.sensitives, labels=dataset.labels)
-    payloads = [
-        (split_id, train_idx, test_idx, dataset, grid, config, plan.master_seed, extra)
-        for split_id, (train_idx, test_idx) in enumerate(splits)
-    ]
     if jobs is None:
-        jobs = max(1, min(len(payloads), os.cpu_count() or 1))
+        jobs = max(1, min(len(splits), os.cpu_count() or 1))
+    group_cap = max(1, stack_size(config.train.batch_size, config.layer_sizes(dataset.n_features)) // 2)
+    payloads = [
+        ([(i, *splits[i]) for i in ids], dataset, grid, config, plan.master_seed, extra)
+        for ids in split_groups(len(splits), group_cap, jobs)
+    ]
     if jobs > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
+        with ProcessPoolExecutor(
+            max_workers=min(jobs, len(payloads)),
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_one_blas_thread,
+        ) as pool:
             results = list(pool.map(worker, payloads))
     else:
-        results = [worker(p) for p in payloads]
+        # One BLAS thread here too: a multi-threaded BLAS may round
+        # differently, and results must not depend on jobs.
+        previous = _set_blas_threads(1)
+        try:
+            results = [worker(p) for p in payloads]
+        finally:
+            if previous is not None:
+                _set_blas_threads(previous)
     merged = SweepResult(candidates=[], failures=[])
-    for split_id, candidates, failures, bounds, prop_model in results:
+    for split_id, candidates, failures, bounds, prop_model in (r for group in results for r in group):
         merged.candidates.extend(candidates)
         merged.failures.extend(failures)
         if bounds is not None:
@@ -366,83 +499,118 @@ def _fail_split(split_id: int, grid: LambdaGrid, stage: str, exc: Exception) -> 
     return split_id, [], failures, None, None
 
 
-def _fit_split_propensity(x_tr, a_tr, config: SweepConfig, master_seed: int, split_id: int):
-    """Fit and temperature-calibrate a split's propensity model on its training rows.
+def _fit_propensities(xs, a_s, config: SweepConfig, master_seed: int, split_ids) -> list:
+    """Fit and temperature-calibrate each split's propensity model on its training rows.
 
     A calibration holdout of config.calibration_fraction of the rows is carved
     off first.  The holdout and the model's seed come from (master_seed,
-    split_id) on streams of their own, clear of the lambda jobs' seeds.
+    split_id) on streams of their own, clear of the lambda jobs' seeds.  The
+    splits' raw fits train as one stack.  Returns one calibrated model, or
+    the expected failure that sank it, per split.
     """
-    prop_seed = int(
-        np.random.SeedSequence([master_seed, split_id, _PROPENSITY_STREAM]).generate_state(1)[0]
-    )
-    cal_rng = np.random.default_rng(np.random.SeedSequence([master_seed, split_id, _CALIBRATION_STREAM]))
-    n = a_tr.shape[0]
-    perm = cal_rng.permutation(n)
+    n = a_s[0].shape[0]
     n_cal = max(1, int(np.floor(config.calibration_fraction * n)))
     if n_cal >= n:
-        raise ConfigError("calibration holdout would swallow the whole training split")
-    cal_rows, fit_rows = perm[:n_cal], perm[n_cal:]
-    raw_model = train_propensity(x_tr[fit_rows], a_tr[fit_rows], config.propensity, prop_seed)
-    return calibrate_temperature(raw_model, x_tr[cal_rows], a_tr[cal_rows])
+        return [ConfigError("calibration holdout would swallow the whole training split")] * len(xs)
+    prop_seeds = [
+        int(np.random.SeedSequence([master_seed, split_id, _PROPENSITY_STREAM]).generate_state(1)[0])
+        for split_id in split_ids
+    ]
+    perms = [
+        np.random.default_rng(np.random.SeedSequence([master_seed, split_id, _CALIBRATION_STREAM])).permutation(n)
+        for split_id in split_ids
+    ]
+    try:
+        raw_models = train_propensity(
+            [x[perm[n_cal:]] for x, perm in zip(xs, perms)],
+            [a[perm[n_cal:]] for a, perm in zip(a_s, perms)],
+            config.propensity,
+            prop_seeds,
+        )
+    except EXPECTED_FAILURES as exc:
+        raw_models = [exc] * len(xs)
+    models = []
+    for raw, x, a, perm in zip(raw_models, xs, a_s, perms):
+        try:
+            if isinstance(raw, Exception):
+                raise raw
+            models.append(calibrate_temperature(raw, x[perm[:n_cal]], a[perm[:n_cal]]))
+        except EXPECTED_FAILURES as exc:
+            models.append(exc)
+    return models
 
 
-def _split_stage(payload, train, stage: str) -> tuple:
-    """Everything a split does but training, around a sweep's trainer ``train``.
+def _split_stage(payload, train, stage: str) -> list[tuple]:
+    """Everything a group of splits does but training, around a sweep's trainer ``train``.
 
-    Fits the split's propensity model; a failure there sinks every lambda at
-    stage "propensity".  Then ``train(split, grid, config, extra)`` gets a
-    TrainingSplit and returns one FitResult or expected failure per lambda,
-    plus the split's standardisation bounds or None.  An expected failure it
-    raises (only the scalarised endpoint stack raises one) sinks every lambda
-    at stage "bounds".  Each fit is scored on the test rows into a
-    ParetoCandidate; a lambda whose training or scoring failed is recorded at
-    ``stage``.  Returns (split_id, candidates, failures, bounds, propensity
-    model), the last two None when the split failed as a whole.
+    Fits the splits' propensity models (one stack); a split whose model
+    failed has every lambda fail at stage "propensity".  Then
+    ``train(splits, grid, config, extra)`` gets the other splits' TrainingSplits
+    and returns, per split, either its fits (one FitResult or expected
+    failure per lambda) and standardisation bounds (or None), or the expected
+    failure that sank the split: every lambda of it fails at stage "bounds"
+    (only the scalarised endpoints fail this way).  Each fit is scored on the
+    split's test rows into a ParetoCandidate; a lambda whose training or
+    scoring failed is recorded at ``stage``.  Returns, per split of the
+    group, (split_id, candidates, failures, bounds, propensity model), the
+    last two None when the split failed as a whole.
     """
-    split_id, train_idx, test_idx, dataset, grid, config, master_seed, extra = payload
-    x_tr = dataset.features[train_idx]
-    y_tr = dataset.labels[train_idx].astype(np.float64)
-    a_tr = dataset.sensitives[train_idx]
-    x_te, a_te, y_te = dataset.features[test_idx], dataset.sensitives[test_idx], dataset.labels[test_idx]
+    group, dataset, grid, config, master_seed, extra = payload
     template = NetworkConfig(
         layer_sizes=config.layer_sizes(dataset.n_features), dropout_prob=config.dropout_prob
     )
-    try:
-        prop_model = _fit_split_propensity(x_tr, a_tr, config, master_seed, split_id)
-        e_tr = predict_propensity(prop_model, x_tr)
-    except EXPECTED_FAILURES as exc:
-        return _fail_split(split_id, grid, "propensity", exc)
-    seeds = [derive_seeds(master_seed, split_id, k) for k in range(len(grid))]
-    try:
-        fits, bounds = train(TrainingSplit(x_tr, y_tr, a_tr, e_tr, template, seeds), grid, config, extra)
-    except EXPECTED_FAILURES as exc:
-        return _fail_split(split_id, grid, "bounds", exc)
+    xs = [dataset.features[train_idx] for _, train_idx, _ in group]
+    a_s = [dataset.sensitives[train_idx] for _, train_idx, _ in group]
+    models = _fit_propensities(xs, a_s, config, master_seed, [split_id for split_id, *_ in group])
 
-    candidates: list[ParetoCandidate] = []
-    failures: list[dict] = []
-    for k, (lam, fit) in enumerate(zip(grid.values, fits)):
+    results: dict[int, tuple] = {}
+    trained = []  # (split_id, test rows, propensity model, test propensities) of each split that trains
+    splits: list[TrainingSplit] = []
+    for (split_id, train_idx, test_idx), x_tr, a_tr, model in zip(group, xs, a_s, models):
+        x_te = dataset.features[test_idx]
         try:
-            if isinstance(fit, Exception):
-                raise fit
-            metrics = evaluate_test_metrics(fit.params, template, x_te, a_te, y_te, prop_model)
+            if isinstance(model, Exception):
+                raise model
+            e_tr, e_te = predict_propensity(model, x_tr), predict_propensity(model, x_te)
         except EXPECTED_FAILURES as exc:
-            failures.append(_failure_record(split_id, k, lam, stage, exc))
+            results[split_id] = _fail_split(split_id, grid, "propensity", exc)
             continue
-        candidates.append(
-            ParetoCandidate(
-                split_id=split_id,
-                lambda_index=k,
-                lambda_=lam,
-                params=fit.params,
-                net_config=template,
-                metrics=metrics,
-                final_epoch_objective=fit.epoch_objectives[-1],
-                final_learning_rate=fit.final_learning_rate,
-                skipped_group_batches=fit.skipped_group_batches,
+        test = (x_te, dataset.sensitives[test_idx], dataset.labels[test_idx])
+        trained.append((split_id, test, model, e_te))
+        seeds = [derive_seeds(master_seed, split_id, k) for k in range(len(grid))]
+        y_tr = dataset.labels[train_idx].astype(np.float64)
+        splits.append(TrainingSplit(x_tr, y_tr, a_tr, e_tr, template, seeds))
+
+    for (split_id, test, model, e_te), outcome in zip(trained, train(splits, grid, config, extra) if splits else []):
+        if isinstance(outcome, Exception):
+            results[split_id] = _fail_split(split_id, grid, "bounds", outcome)
+            continue
+        fits, bounds = outcome
+        candidates: list[ParetoCandidate] = []
+        failures: list[dict] = []
+        for k, (lam, fit) in enumerate(zip(grid.values, fits)):
+            try:
+                if isinstance(fit, Exception):
+                    raise fit
+                metrics = evaluate_test_metrics(fit.params, template, *test, e_te)
+            except EXPECTED_FAILURES as exc:
+                failures.append(_failure_record(split_id, k, lam, stage, exc))
+                continue
+            candidates.append(
+                ParetoCandidate(
+                    split_id=split_id,
+                    lambda_index=k,
+                    lambda_=lam,
+                    params=fit.params,
+                    net_config=template,
+                    metrics=metrics,
+                    final_epoch_objective=fit.epoch_objectives[-1],
+                    final_learning_rate=fit.final_learning_rate,
+                    skipped_group_batches=fit.skipped_group_batches,
+                )
             )
-        )
-    return split_id, candidates, failures, bounds, prop_model
+        results[split_id] = (split_id, candidates, failures, bounds, model)
+    return [results[split_id] for split_id, *_ in group]
 
 
 def cull_nondominated(risks, unfairness) -> np.ndarray:

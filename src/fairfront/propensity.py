@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InputError
+from .errors import ConfigError, InputError, TrainingError
 from .network import CLAMP, MODE_EVAL, NetworkConfig, NetworkParams, _bce, _sigmoid, forward
 from .training import TrainConfig, derive_seeds, fit_network
 
@@ -59,23 +59,38 @@ class PropensityModel:
 
 
 def train_propensity(
-    features: np.ndarray, sensitives: np.ndarray, config: PropensityConfig, seed: int
-) -> PropensityModel:
+    features: np.ndarray | list[np.ndarray],
+    sensitives: np.ndarray | list[np.ndarray],
+    config: PropensityConfig,
+    seed: int | list[int],
+) -> PropensityModel | list[PropensityModel | TrainingError]:
     """Fit the propensity network by plain BCE on the sensitive attribute.
 
     The initialisation and loop seeds both derive from ``seed``
     (training.derive_seeds).  Returns an uncalibrated model (temperature 1).
+    Lists of K feature matrices, sensitive vectors and seeds, all with one
+    row count, fit K models as one stack (training.fit_network) and return
+    one model, or the TrainingError of a diverged fit, per entry.
     """
-    layer_sizes = [features.shape[1]] + [config.hidden_width] * config.hidden_layers + [1]
-    init_seed, loop_seed = derive_seeds(seed)
-    net_config = NetworkConfig(layer_sizes=layer_sizes, dropout_prob=config.dropout_prob, seed=init_seed)
+    stacked = isinstance(seed, list)
+    xs, a_s, seeds = (features, sensitives, seed) if stacked else ([features], [sensitives], [seed])
+    layer_sizes = [xs[0].shape[1]] + [config.hidden_width] * config.hidden_layers + [1]
+    inits, loops = zip(*(derive_seeds(s) for s in seeds))
+    net_configs = [NetworkConfig(layer_sizes=layer_sizes, dropout_prob=config.dropout_prob, seed=i) for i in inits]
     train_config = TrainConfig(
         epochs=config.epochs, batch_size=config.batch_size, learning_rate=config.learning_rate
     )
-    fit = fit_network(
-        features, np.asarray(sensitives, dtype=np.float64), net_config, train_config, loop_seed
-    )
-    return PropensityModel(params=fit.params, config=net_config, temperature=1.0)
+    labels = [np.asarray(a, dtype=np.float64) for a in a_s]
+    fits = fit_network(xs, labels, net_configs, train_config, list(loops), lambda_=[0.0] * len(seeds))
+    models = [
+        fit if isinstance(fit, TrainingError) else PropensityModel(params=fit.params, config=net, temperature=1.0)
+        for fit, net in zip(fits, net_configs)
+    ]
+    if stacked:
+        return models
+    if isinstance(models[0], TrainingError):
+        raise models[0]
+    return models[0]
 
 
 def propensity_logits(model: PropensityModel, features: np.ndarray) -> np.ndarray:

@@ -6,20 +6,22 @@ interior Chebyshev fits.  Identity standardisation bounds make the lambda = 0
 path literally a pure-BCE trainer, which is what the endpoint runs use while
 recording the risk/unfairness ranges.
 
-The engine trains K >= 1 networks on one data set as one stack: each step is
-one stacked forward, backward and Adam update for all K.  Each member keeps
-its own lambda, initialisation seed, loop generator (epoch shuffles and
-dropout draws, in the order of a lone fit), learning-rate schedule and
-finiteness guard, so a member's numbers equal those of the same network
-trained alone and a diverging member fails alone.  The stack keeps its shape
-for the whole fit: a failed member keeps its row as zeros, so the remaining
-steps stay finite, and is no longer read.
+The engine trains K >= 1 networks as one stack: each step is one stacked
+forward, backward and Adam update for all K.  The members share one
+training set, or each has its own of one row count (the splits of a sweep's
+split group), and likewise share one set of standardisation bounds or have
+their own.  Each member keeps its own lambda, initialisation seed, loop
+generator (epoch shuffles and dropout draws, in the order of a lone fit),
+learning-rate schedule and finiteness guard, so a member's numbers equal
+those of the same network trained alone and a diverging member fails alone.
+The stack keeps its shape for the whole fit: a failed member keeps its row
+as zeros, so the remaining steps stay finite, and is no longer read.
 """
 from __future__ import annotations
 
 import logging
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -94,16 +96,16 @@ def derive_seeds(*keys: int) -> tuple[int, int]:
 
 
 def fit_network(
-    features: np.ndarray,
-    labels: np.ndarray,
+    features: np.ndarray | Sequence[np.ndarray],
+    labels: np.ndarray | Sequence[np.ndarray],
     net_config: NetworkConfig | Sequence[NetworkConfig],
     train_config: TrainConfig,
     loop_seed: int | Sequence[int],
     *,
     lambda_: float | Sequence[float] = 0.0,
-    bounds: StandardisationBounds | None = None,
-    sensitives: np.ndarray | None = None,
-    propensities: np.ndarray | None = None,
+    bounds: StandardisationBounds | Sequence[StandardisationBounds] | None = None,
+    sensitives: np.ndarray | Sequence[np.ndarray] | None = None,
+    propensities: np.ndarray | Sequence[np.ndarray] | None = None,
     penalty_mode: str = PENALTY_PENULTIMATE,
 ) -> FitResult | list[FitResult | TrainingError]:
     """Adam-train a fresh network, or a stack of them, on (features, labels).
@@ -120,12 +122,17 @@ def fit_network(
     K loop seeds and K lambdas trains the K networks as one stack and returns
     K entries: a FitResult, or the TrainingError of a member whose objective
     or parameters went non-finite.  A single network's failure is raised.
+    A stack's features, labels, sensitives and propensities are either one
+    training set shared by every member, or one per member: a list of K
+    arrays, or an array with a leading axis of K.  The members' row counts
+    must agree.  Its bounds are likewise shared, or a list of K bounds.
     """
     stacked = not isinstance(net_config, NetworkConfig)
     configs = list(net_config) if stacked else [net_config]
     seeds = list(loop_seed) if stacked else [loop_seed]
     lams = np.array(lambda_ if stacked else [lambda_], dtype=np.float64)
-    if not configs or len(seeds) != len(configs) or lams.shape != (len(configs),):
+    k = len(configs)
+    if not configs or len(seeds) != k or lams.shape != (k,):
         raise ConfigError("a stack needs one config, one loop seed and one lambda per network")
     net = configs[0]
     if any(c.layer_sizes != net.layer_sizes or c.dropout_prob != net.dropout_prob for c in configs):
@@ -134,14 +141,30 @@ def fit_network(
         raise ConfigError(f"lambda must lie in [0, 1], got {lambda_}")
     if penalty_mode not in PENALTY_MODES:
         raise ConfigError(f"unknown penalty mode {penalty_mode!r}")
-    features, labels = _validated_data(features, labels, net)
     needs_penalty = bool(np.any(lams > 0.0))
-    if needs_penalty:
-        if sensitives is None or propensities is None:
-            raise ConfigError("lambda > 0 requires sensitives and propensities")
-        sensitives, propensities = _validated_groups(sensitives, propensities, labels.shape[0])
-    else:
-        sensitives = propensities = None
+    if needs_penalty and (sensitives is None or propensities is None):
+        raise ConfigError("lambda > 0 requires sensitives and propensities")
+    # Each member's training set (x, y, a, e), each distinct one validated once.
+    data = [_members(features, k, 2, stacked), _members(labels, k, 1, stacked)]
+    data += [_members(v, k, 1, stacked) if needs_penalty else [None] * k for v in (sensitives, propensities)]
+    checked: dict[tuple, tuple] = {}
+    sets = []
+    for raw in zip(*data):
+        key = tuple(map(id, raw))
+        if key not in checked:
+            x, y = _validated_data(*raw[:2], net)
+            a, e = _validated_groups(*raw[2:], y.shape[0]) if needs_penalty else (None, None)
+            checked[key] = (x, y, a, e)
+        sets.append(checked[key])
+    n = sets[0][1].shape[0]
+    if any(y.shape[0] != n for _, y, _, _ in sets):
+        raise ConfigError("stacked training sets must have equal row counts")
+    if isinstance(bounds, (list, tuple)):
+        if len(bounds) != k:
+            raise ConfigError(f"{len(bounds)} bounds for a stack of {k}")
+        bounds = StandardisationBounds.stack(bounds)
+    # the same bounds as columns, against the (K, steps) epoch series
+    columns = None if bounds is None else StandardisationBounds(*(np.reshape(v, (-1, 1)) for v in astuple(bounds)))
 
     # Adam steps all parameters of a member in place as one row of a (K, P)
     # array; forward and backward read them through per-layer views of it.
@@ -158,31 +181,24 @@ def fit_network(
     rngs = [np.random.default_rng(s) for s in seeds]
     results: list[FitResult | TrainingError] = [FitResult(params=None) for _ in configs]
     alive = np.ones(len(configs), dtype=bool)  # members that have not failed
-    n = labels.shape[0]
     indices = np.arange(n)
+
+    # Each epoch's shuffled rows of every member, (K, n, ...), filled in place
+    # so that no epoch holds two copies of them.
+    x_epoch, y_epoch = np.empty((k, n, net.layer_sizes[0])), np.empty((k, n))
+    if needs_penalty:
+        a_epoch, e_epoch = np.empty((k, n), dtype=sets[0][2].dtype), np.empty((k, n))
 
     for epoch in range(train_config.epochs):
         # One shuffled pass per member: minibatches with a single batch of all
         # n rows draws the member's epoch permutation exactly as a lone fit
-        # does.  Stacked, the passes give (K, n, ...) arrays, and step j takes
-        # rows [j * batch_size, (j + 1) * batch_size), the partition
-        # minibatches makes.
-        passes = [
-            minibatches(
-                indices,
-                n,
-                rng,
-                features=features,
-                sensitives=sensitives,
-                labels=labels,
-                propensities=propensities,
-            )[0]
-            for rng in rngs
-        ]
-        x_epoch, y_epoch = _stack([mb.features for mb in passes]), _stack([mb.labels for mb in passes])
-        if needs_penalty:
-            a_epoch = _stack([mb.sensitives for mb in passes])
-            e_epoch = _stack([mb.propensities for mb in passes])
+        # does.  Step j takes rows [j * batch_size, (j + 1) * batch_size) of
+        # it, the partition minibatches makes.
+        for i, (rng, (x, y, a, e)) in enumerate(zip(rngs, sets)):
+            (mb,) = minibatches(indices, n, rng, features=x, sensitives=a, labels=y, propensities=e)
+            x_epoch[i], y_epoch[i] = mb.features, mb.labels
+            if needs_penalty:
+                a_epoch[i], e_epoch[i] = mb.sensitives, mb.propensities
         starts = range(0, n, train_config.batch_size)
         shape = (len(configs), len(starts))
         risks, unfairness = np.empty(shape), np.empty(shape)
@@ -208,7 +224,7 @@ def fit_network(
             risks[:, j] = back.risk
             unfairness[:, j] = back.unfairness
 
-        epoch_means = _objective_value(risks, unfairness, lams[:, None], bounds).mean(axis=1)
+        epoch_means = _objective_value(risks, unfairness, lams[:, None], columns).mean(axis=1)
         failed = alive & ~(np.isfinite(epoch_means) & np.isfinite(flat).all(axis=1))
         for i in np.flatnonzero(alive):
             mean, lr = float(epoch_means[i]), float(adam.learning_rate[i])
@@ -248,8 +264,16 @@ def _widen(range_: tuple[float, float], series: np.ndarray) -> tuple[float, floa
     return float(np.fmin.reduce(series, initial=range_[0])), float(np.fmax.reduce(series, initial=range_[1]))
 
 
-def _stack(arrays: list[np.ndarray]) -> np.ndarray:
-    return arrays[0][np.newaxis] if len(arrays) == 1 else np.stack(arrays)
+def _members(value, k: int, ndim: int, stacked: bool) -> list:
+    """One array per stack member: a shared ndim-d array K times, or the members given."""
+    if stacked and isinstance(value, (list, tuple)):
+        members = list(value)
+    else:
+        arr = np.asarray(value)
+        members = list(arr) if stacked and arr.ndim == ndim + 1 else [arr] * k
+    if len(members) != k:
+        raise ConfigError(f"{len(members)} training sets for a stack of {k}")
+    return members
 
 
 def _validated_data(features, labels, net: NetworkConfig) -> tuple[np.ndarray, np.ndarray]:

@@ -33,10 +33,10 @@ def build_case(seed=0, n=80, p=4):
 def test_metric_dict_matches_independent_recomputation():
     params, config, x, a, y = build_case(3)
     prop = linear_propensity(4, seed=1)
-    out = evaluate_test_metrics(params, config, x, a, y, prop)
+    e = predict_propensity(prop, x)
+    out = evaluate_test_metrics(params, config, x, a, y, e)
     assert tuple(out) == METRIC_NAMES
     scores = forward(params, config, x, MODE_EVAL).output
-    e = predict_propensity(prop, x)
     assert out["r_test"] == pytest.approx(bce_loss(scores, y), abs=1e-15)
     assert out["u_ato"] == pytest.approx(abs(bf_ato(scores, a, e)), abs=1e-10)
     assert out["mv_dp"] == pytest.approx(bf_mv(scores, a), abs=1e-12)
@@ -44,7 +44,7 @@ def test_metric_dict_matches_independent_recomputation():
     y1 = y == 1.0
     assert out["mv_eopp"] == pytest.approx(bf_mv(scores[y1], a[y1]), abs=1e-12)
     # scores are eval-mode: dropout must not perturb evaluation
-    again = evaluate_test_metrics(params, config, x, a, y, prop)
+    again = evaluate_test_metrics(params, config, x, a, y, e)
     assert out == again
 
 
@@ -53,19 +53,21 @@ def test_single_group_positive_stratum_warns_and_zeroes_eopp():
     a = np.where(y == 1.0, 0, a)  # no group-1 rows among the positives
     if len(np.unique(a)) < 2:
         a[np.argmin(y)] = 1
-    prop = linear_propensity(4)
+    e = predict_propensity(linear_propensity(4), x)
     with pytest.warns(UserWarning, match="mv_eopp"):
-        out = evaluate_test_metrics(params, config, x, a, y, prop)
+        out = evaluate_test_metrics(params, config, x, a, y, e)
     assert out["mv_eopp"] == 0.0
     assert out["mv_dp"] > 0.0
 
 
 def test_validation_failures():
     params, config, x, a, y = build_case(7, n=20)
-    prop = linear_propensity(4)
+    e = predict_propensity(linear_propensity(4), x)
     with pytest.raises(EvaluationError):
-        evaluate_test_metrics(params, config, x[:0], a[:0], y[:0], prop)
+        evaluate_test_metrics(params, config, x[:0], a[:0], y[:0], e[:0])
     with pytest.raises(EvaluationError):
-        evaluate_test_metrics(params, config, x, a[:-1], y, prop)
+        evaluate_test_metrics(params, config, x, a[:-1], y, e)
     with pytest.raises(EvaluationError):
-        evaluate_test_metrics(params, config, x, np.zeros_like(a), y, prop)
+        evaluate_test_metrics(params, config, x, a, y, e[:-1])
+    with pytest.raises(EvaluationError):
+        evaluate_test_metrics(params, config, x, np.zeros_like(a), y, e)

@@ -27,7 +27,7 @@ from fairfront.pareto import (
     write_candidates_csv,
 )
 from fairfront.propensity import PropensityConfig
-from fairfront.training import TrainConfig, derive_seeds
+from fairfront.training import EMPTY_RANGE, TrainConfig, derive_seeds
 
 from oracles import bf_nondominated
 
@@ -311,9 +311,9 @@ BOTH_SWEEPS = pytest.mark.parametrize(
 )
 
 
-def every_lambda_failed(grid, stage, error):
+def every_lambda_failed(grid, stage, error, split_id=0):
     return [
-        {"split_id": 0, "lambda_index": k, "lambda": lam, "stage": stage, "error": error}
+        {"split_id": split_id, "lambda_index": k, "lambda": lam, "stage": stage, "error": error}
         for k, lam in enumerate(grid.values)
     ]
 
@@ -386,6 +386,135 @@ def test_jobs_must_be_a_positive_integer_or_none(sweep, jobs):
     ds, plan, grid = sweep_setup()
     with pytest.raises(ConfigError, match="jobs"):
         sweep(ds, plan, grid, jobs=jobs)
+
+
+# ---------------------------------------------------------------------------
+# split groups
+
+
+def three_splits():
+    ds = generate_synthetic(n=240, p=4, bias_strength=2.0, seed=9)
+    return ds, SplitPlan(num_splits=3, train_fraction=0.5, master_seed=5), build_lambda_grid(4)
+
+
+def assert_same_sweep(res, ref, split_ids=(0, 1, 2)):
+    """res equals ref bitwise on the given splits: candidates, parameters, bounds and failures."""
+    def pick(candidates):
+        return [c for c in candidates if c.split_id in split_ids]
+
+    assert [(c.split_id, c.lambda_index, c.metrics) for c in pick(res.candidates)] == [
+        (c.split_id, c.lambda_index, c.metrics) for c in pick(ref.candidates)
+    ]
+    for c1, c2 in zip(pick(res.candidates), pick(ref.candidates)):
+        for w1, w2 in zip(c1.params.weights + c1.params.biases, c2.params.weights + c2.params.biases):
+            assert np.array_equal(w1, w2)
+    assert {k: b for k, b in res.bounds.items() if k in split_ids} == {
+        k: b for k, b in ref.bounds.items() if k in split_ids
+    }
+    assert [f for f in res.failures if f["split_id"] in split_ids] == [
+        f for f in ref.failures if f["split_id"] in split_ids
+    ]
+
+
+@pytest.fixture(scope="module")
+def ungrouped():
+    """The three-split sweep with every split in a group, and every network in a stack, of its own."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pareto, "STACK_CAP", 1)
+        return run_sweep(*three_splits(), SMALL_SWEEP, jobs=1)
+
+
+def test_split_groups_are_near_equal_and_cover_every_split():
+    assert pareto.split_groups(3, 6, 1) == [range(0, 3)]
+    assert pareto.split_groups(3, 6, 2) == [range(0, 1), range(1, 3)]
+    assert pareto.split_groups(3, 6, 8) == [range(0, 1), range(1, 2), range(2, 3)]
+    assert pareto.split_groups(100, 6, 1) == [
+        range(i * 100 // 17, (i + 1) * 100 // 17) for i in range(17)
+    ]  # 17 groups of 5 or 6
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3, None])
+def test_grouped_sweep_is_bitwise_the_ungrouped_one(jobs, ungrouped):
+    res = run_sweep(*three_splits(), SMALL_SWEEP, jobs=jobs)
+    assert len(res.candidates) == 3 * 4 and not res.failures
+    assert_same_sweep(res, ungrouped)
+
+
+def test_one_split_of_a_group_failing_its_propensity_fit_fails_alone(monkeypatch, ungrouped):
+    real = pareto.train_propensity
+    stacked = []
+
+    def second_member_diverges(features, sensitives, config, seed):
+        stacked.append(len(seed))
+        models = real(features, sensitives, config, seed)
+        models[1] = TrainingError("propensity diverged")
+        return models
+
+    monkeypatch.setattr(pareto, "train_propensity", second_member_diverges)
+    res = run_sweep(*three_splits(), SMALL_SWEEP, jobs=1)
+    assert stacked == [3]  # the group's three propensity networks train as one stack
+    grid = three_splits()[2]
+    assert res.failures == every_lambda_failed(grid, "propensity", "TrainingError: propensity diverged", split_id=1)
+    assert 1 not in res.bounds and 1 not in res.propensity_models
+    assert_same_sweep(res, ungrouped, split_ids=(0, 2))
+
+
+def keep_no_unfairness_range(fit):
+    fit.unfairness_range = EMPTY_RANGE
+    return fit
+
+
+@pytest.mark.parametrize(
+    "sink, error",
+    [
+        (lambda fit: TrainingError("endpoint diverged"), "TrainingError: endpoint diverged"),
+        (keep_no_unfairness_range, "TrainingError: no minibatch of the lambda = 1 run contained both sensitive groups"),
+    ],
+    ids=["diverged", "no-two-group-batch"],
+)
+def test_one_split_of_a_group_failing_its_bounds_fails_alone(sink, error, monkeypatch, ungrouped):
+    ds, plan, grid = three_splits()
+    loop_seed = {k: derive_seeds(plan.master_seed, 1, k)[1] for k in range(len(grid))}
+    real = pareto.fit_network
+    stacks = []
+
+    def sink_split_1_lambda_1(features, labels, net_config, train_config, loop_seeds, *, lambda_, **kw):
+        stacks.append(list(loop_seeds))
+        fits = real(features, labels, net_config, train_config, loop_seeds, lambda_=lambda_, **kw)
+        return [sink(fit) if seed == loop_seed[len(grid) - 1] else fit for seed, fit in zip(loop_seeds, fits)]
+
+    monkeypatch.setattr(pareto, "fit_network", sink_split_1_lambda_1)
+    res = run_sweep(ds, plan, grid, SMALL_SWEEP, jobs=1)
+    endpoints, *interior = stacks
+    assert len(endpoints) == 6 and interior  # one endpoint stack for the group, then the interior
+    assert not {loop_seed[k] for k in range(1, len(grid) - 1)} & {s for stack in interior for s in stack}
+    assert res.failures == every_lambda_failed(grid, "bounds", error, split_id=1)
+    assert 1 not in res.bounds
+    assert_same_sweep(res, ungrouped, split_ids=(0, 2))
+
+
+def test_sweeps_pin_blas_to_one_thread_and_restore_it(monkeypatch):
+    counts = [4]
+    fake = {"scipy_openblas_get_num_threads64_": lambda: counts[-1], "scipy_openblas_set_num_threads64_": counts.append}
+    monkeypatch.setattr(pareto, "_openblas", fake.get)
+    pareto._one_blas_thread()  # the pool initializer
+    assert counts == [4, 1]
+    pareto._one_blas_thread()
+    assert counts == [4, 1]  # already one thread: nothing set
+    counts[:] = [4]
+    run_sweep(*sweep_setup(), SMALL_SWEEP, jobs=1)
+    assert counts == [4, 1, 4]  # pinned while the splits ran in this process
+
+
+def test_blas_pinning_does_nothing_when_the_symbol_lookup_fails(monkeypatch):
+    class NoSymbols:
+        def __init__(self, path):
+            pass
+
+    monkeypatch.setattr(pareto.ctypes, "CDLL", NoSymbols)
+    assert pareto._openblas("scipy_openblas_set_num_threads64_") is None
+    assert pareto._set_blas_threads(1) is None
+    pareto._one_blas_thread()  # nothing to call, nothing raised
 
 
 # ---------------------------------------------------------------------------

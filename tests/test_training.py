@@ -166,6 +166,49 @@ def test_stack_members_are_bitwise_their_lone_fits(bounds):
     assert len({m.final_learning_rate for m in stacked}) > 1
 
 
+def test_members_with_their_own_rows_and_bounds_are_bitwise_their_lone_fits():
+    # three training sets of one row count, as the splits of a sweep have them
+    x, y, a, e = stack_problem(n=390)
+    rows = [np.arange(0, 390, 3), np.arange(1, 390, 3), np.arange(2, 390, 3)]
+    sets = [(x[r], y[r], a[r], e[r]) for r in rows]
+    bounds = [
+        StandardisationBounds(0.3, 0.8, 0.0, 0.4),
+        StandardisationBounds(0.4, 0.6, 0.0, 1.0),
+        StandardisationBounds(0.5, 0.7, 0.1, 0.2),
+    ]
+    columns = [list(c) for c in zip(*sets)]
+    for features, labels, sensitives, propensities in (columns, [np.stack(c) for c in columns]):
+        stacked = fit_network(
+            features, labels, stack_configs(STACK_SEEDS), STACK_TRAIN, [loop for _, loop in STACK_SEEDS],
+            lambda_=STACK_LAMBDAS, bounds=bounds, sensitives=sensitives, propensities=propensities,
+            penalty_mode="all_layers",
+        )
+        for (xk, yk, ak, ek), b, lam, seeds, member in zip(sets, bounds, STACK_LAMBDAS, STACK_SEEDS, stacked):
+            alone = fit_network(
+                xk, yk, stack_configs([seeds])[0], STACK_TRAIN, seeds[1], lambda_=lam, bounds=b,
+                sensitives=ak, propensities=ek, penalty_mode="all_layers",
+            )
+            assert_same_fit(member, alone)
+
+
+def test_per_member_training_sets_must_line_up():
+    x, y, a, e = stack_problem()
+    configs = stack_configs(STACK_SEEDS[:2])
+    with pytest.raises(ConfigError, match="equal row counts"):
+        fit_network([x, x[:-1]], [y, y[:-1]], configs, STACK_TRAIN, [1, 2], lambda_=[0.0, 0.0])
+    with pytest.raises(ConfigError, match="training sets"):
+        fit_network([x], [y], configs, STACK_TRAIN, [1, 2], lambda_=[0.0, 0.0])
+    with pytest.raises(ConfigError, match="bounds"):
+        fit_network(
+            x, y, configs, STACK_TRAIN, [1, 2], lambda_=[0.5, 0.5], sensitives=a, propensities=e,
+            bounds=[StandardisationBounds(0.3, 0.8, 0.0, 0.4)],
+        )
+    bad_x = x.copy()
+    bad_x[3, 1] = np.nan
+    with pytest.raises(InputError, match="finite"):
+        fit_network([x, bad_x], [y, y], configs, STACK_TRAIN, [1, 2], lambda_=[0.0, 0.0])
+
+
 def test_stacked_fit_matches_a_per_model_reference_loop():
     """Three epochs of a 3-lambda stack against plain 2-d per-model Chebyshev descent."""
     ds = generate_synthetic(n=192, p=4, bias_strength=2.0, seed=10)
