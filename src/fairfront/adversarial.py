@@ -235,11 +235,11 @@ def train_adversarial(
         check_finite(f"adversary pretraining epoch {epoch}")
 
     # Alternation proper; only these steps are reflected in the counters.
-    cycler = _BatchCycler(indices, train_config.batch_size, rng)
+    batches = _cycled_batches(indices, train_config.batch_size, rng)
     for round_ in range(adv_config.rounds):
         adversary_epoch()
         result.adversary_epochs += 1
-        classifier_step(cycler.next_batch())
+        classifier_step(next(batches))
         result.classifier_steps += 1
         check_finite(f"round {round_}")
 
@@ -254,23 +254,11 @@ def train_adversarial(
     return result
 
 
-class _BatchCycler:
-    """Hands out successive batches of a shuffled index cycle."""
-
-    def __init__(self, indices: np.ndarray, batch_size: int, rng: np.random.Generator):
-        self.indices = indices
-        self.batch_size = batch_size
-        self.rng = rng
-        self.order = np.empty(0, dtype=np.int64)
-        self.pos = 0
-
-    def next_batch(self) -> np.ndarray:
-        if self.pos >= self.order.size:
-            self.order = self.indices[self.rng.permutation(self.indices.size)]
-            self.pos = 0
-        rows = self.order[self.pos : self.pos + self.batch_size]
-        self.pos += self.batch_size
-        return rows
+def _cycled_batches(indices: np.ndarray, batch_size: int, rng: np.random.Generator):
+    """Successive batches of shuffled passes over indices, each pass drawn when the last runs out."""
+    while True:
+        for mb in minibatches(indices, batch_size, rng):
+            yield mb.indices
 
 
 def run_adversarial_sweep(

@@ -117,38 +117,48 @@ def load_run_config(path) -> dict:
     return resolved
 
 
+def _number(cast, key: str, section: dict, where: str = ""):
+    """section[key] as an int or a float; ConfigError naming the key when it is not a number."""
+    try:
+        return cast(section[key])
+    except (TypeError, ValueError):
+        raise ConfigError(f"config key {where}{key!r} must be a number, got {section[key]!r}") from None
+
+
 def _build_objects(resolved: dict):
     prop = dict(resolved["propensity"])
     if prop["batch_size"] is None:
         prop["batch_size"] = resolved["batch_size"]
+    top = functools.partial(_number, section=resolved)
+    nested = functools.partial(_number, section=prop, where="propensity.")
     sweep_config = SweepConfig(
-        num_layers=int(resolved["num_layers"]),
-        hidden_width=int(resolved["hidden_width"]),
-        dropout_prob=float(resolved["dropout_prob"]),
+        num_layers=top(int, "num_layers"),
+        hidden_width=top(int, "hidden_width"),
+        dropout_prob=top(float, "dropout_prob"),
         penalty_mode=resolved["penalty_mode"],
         train=TrainConfig(
-            epochs=int(resolved["epochs"]),
-            batch_size=int(resolved["batch_size"]),
-            learning_rate=float(resolved["learning_rate"]),
-            scheduler_factor=float(resolved["scheduler_factor"]),
-            scheduler_patience=int(resolved["scheduler_patience"]),
+            epochs=top(int, "epochs"),
+            batch_size=top(int, "batch_size"),
+            learning_rate=top(float, "learning_rate"),
+            scheduler_factor=top(float, "scheduler_factor"),
+            scheduler_patience=top(int, "scheduler_patience"),
         ),
         propensity=PropensityConfig(
-            hidden_layers=int(prop["hidden_layers"]),
-            hidden_width=int(prop["hidden_width"]),
-            dropout_prob=float(prop["dropout_prob"]),
-            epochs=int(prop["epochs"]),
-            batch_size=int(prop["batch_size"]),
-            learning_rate=float(prop["learning_rate"]),
+            hidden_layers=nested(int, "hidden_layers"),
+            hidden_width=nested(int, "hidden_width"),
+            dropout_prob=nested(float, "dropout_prob"),
+            epochs=nested(int, "epochs"),
+            batch_size=nested(int, "batch_size"),
+            learning_rate=nested(float, "learning_rate"),
         ),
-        calibration_fraction=float(resolved["calibration_fraction"]),
+        calibration_fraction=top(float, "calibration_fraction"),
     )
     plan = SplitPlan(
-        num_splits=int(resolved["num_splits"]),
-        train_fraction=float(resolved["train_fraction"]),
-        master_seed=int(resolved["master_seed"]),
+        num_splits=top(int, "num_splits"),
+        train_fraction=top(float, "train_fraction"),
+        master_seed=top(int, "master_seed"),
     )
-    grid = build_lambda_grid(int(resolved["lambda_count"]))
+    grid = build_lambda_grid(top(int, "lambda_count"))
     return sweep_config, plan, grid
 
 
@@ -200,14 +210,14 @@ def cmd_sweep(args) -> int:
     _apply_overrides(resolved, args)
     sweep_config, plan, grid = _build_objects(resolved)
     if args.command == "adversarial":
-        adv = resolved["adversary"]
+        adv = functools.partial(_number, section=resolved["adversary"], where="adversary.")
         adv_config = AdversaryConfig(
-            hidden_layers=int(adv["hidden_layers"]),
-            hidden_width=int(adv["hidden_width"]),
-            pretrain_classifier_epochs=int(adv["pretrain_classifier_epochs"]),
-            pretrain_adversary_epochs=int(adv["pretrain_adversary_epochs"]),
-            rounds=int(adv["rounds"]),
-            learning_rate=float(adv["learning_rate"]),
+            hidden_layers=adv(int, "hidden_layers"),
+            hidden_width=adv(int, "hidden_width"),
+            pretrain_classifier_epochs=adv(int, "pretrain_classifier_epochs"),
+            pretrain_adversary_epochs=adv(int, "pretrain_adversary_epochs"),
+            rounds=adv(int, "rounds"),
+            learning_rate=adv(float, "learning_rate"),
         )
         sweep = functools.partial(run_adversarial_sweep, adv_config=adv_config)
         csv_name = "adversarial_candidates.csv"

@@ -438,7 +438,12 @@ def save_model(path, params: NetworkParams, config: NetworkConfig, temperature: 
 def load_model(path) -> tuple[NetworkParams, NetworkConfig, float | None]:
     """Inverse of save_model. Returns (params, config, temperature-or-None)."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"model document {path} is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise InputError(f"model document {path} must hold a JSON object")
     for key in ("layer_sizes", "dropout_prob", "weights", "biases"):
         if key not in doc:
             raise ConfigError(f"model document {path} lacks field {key!r}")

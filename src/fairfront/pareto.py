@@ -22,7 +22,11 @@ one training set and one set of bounds per stack member):
 4. per split, the scoring of every candidate on the split's test rows,
    whose propensity scores are predicted once.
 
-A stacked network's numbers equal those of the same network trained alone,
+Phases 2 and 3 are discover_bounds and train_scalarised, which take the
+group's TrainingSplits (with their bounds, for the interior) and hand
+_fit_stacks one (split, lambda, seed pair, bounds) entry per network;
+_fit_stacks alone turns those into fit_network's per-member lists.  A
+stacked network's numbers equal those of the same network trained alone,
 so results depend neither on the stack size nor on the grouping, and a
 split whose propensity fit or endpoints fail fails alone.
 
@@ -144,98 +148,73 @@ class BoundsResult:
     unfairness_fit: FitResult
 
 
+@dataclass
+class TrainingSplit:
+    """A split's training rows and per-lambda seeds, as a sweep's trainer gets them."""
+
+    features: np.ndarray
+    labels: np.ndarray  # float64
+    sensitives: np.ndarray
+    propensities: np.ndarray  # calibrated propensity scores of the rows
+    template: NetworkConfig  # the classifier architecture, seed unset
+    seeds: list[tuple[int, int]]  # (init seed, loop seed) of each lambda index
+
+
 def stack_size(batch_size: int, layer_sizes: list[int]) -> int:
     """How many networks of this shape train as one stack."""
     return max(1, STACK_CAP // (batch_size * max(layer_sizes)))
 
 
-def _fit_stacks(
-    features,
-    labels,
-    net_template: NetworkConfig,
-    train_config: TrainConfig,
-    lambdas: list[float],
-    seeds: list[tuple[int, int]],
-    **kw,
-) -> list[FitResult | Exception]:
-    """Train one network per (lambda, (init seed, loop seed)), stack_size() at a time.
+def _fit_stacks(members: list[tuple], train_config: TrainConfig, penalty_mode: str) -> list[FitResult | Exception]:
+    """Train one network per member, stack_size() at a time.
 
-    The data and the keyword arguments are shared by every network, or lists
-    with one entry per lambda (a network's training set and bounds).  Returns
-    one entry per lambda: the fit, or the expected failure that ended it (a
-    stack that raises fails each of its networks).
+    A member is (split, lambda, (init seed, loop seed), bounds): the network
+    trains on the TrainingSplit's rows, with bounds None for the identity
+    standardisation.  This is where a group's splits become fit_network's
+    per-member lists.  Returns one entry per member: the fit, or the expected
+    failure that ended it (a stack that raises fails each of its networks).
     """
-    size = stack_size(train_config.batch_size, net_template.layer_sizes)
+    size = stack_size(train_config.batch_size, members[0][0].template.layer_sizes) if members else 1
     fits: list[FitResult | Exception] = []
-    for i in range(0, len(lambdas), size):
-        def part(value):
-            return value[i : i + size] if isinstance(value, list) else value
-
-        chunk = seeds[i : i + size]
+    for i in range(0, len(members), size):
+        splits, lambdas, seeds, bounds = zip(*members[i : i + size])
         try:
             fits += fit_network(
-                part(features),
-                part(labels),
-                [replace(net_template, seed=init_seed) for init_seed, _ in chunk],
+                [s.features for s in splits],
+                [s.labels for s in splits],
+                [replace(s.template, seed=init_seed) for s, (init_seed, _) in zip(splits, seeds)],
                 train_config,
-                [loop_seed for _, loop_seed in chunk],
-                lambda_=lambdas[i : i + size],
-                **{name: part(value) for name, value in kw.items()},
+                [loop_seed for _, loop_seed in seeds],
+                lambda_=list(lambdas),
+                bounds=None if bounds[0] is None else list(bounds),
+                sensitives=[s.sensitives for s in splits],
+                propensities=[s.propensities for s in splits],
+                penalty_mode=penalty_mode,
             )
         except EXPECTED_FAILURES as exc:
-            fits += [exc] * len(chunk)
+            fits += [exc] * len(splits)
     return fits
 
 
 def discover_bounds(
-    features,
-    labels,
-    sensitives,
-    propensities,
-    net_template: NetworkConfig,
-    train_config: TrainConfig,
-    penalty_mode: str,
-    risk_seeds,
-    unfairness_seeds,
-):
-    """Run the two endpoint trainings and collect the standardisation ranges.
+    splits: list[TrainingSplit], train_config: TrainConfig, penalty_mode: str
+) -> list[BoundsResult | Exception]:
+    """Run each split's two endpoint trainings and collect its standardisation ranges.
 
-    The lambda = 0 run is plain BCE training; every minibatch risk it ever
-    sees defines [risk_min, risk_max].  The lambda = 1 run is pure penalty
-    descent and defines the unfairness range from the batches where the
-    penalty was computable.  Both trained models are returned for reuse.
-
-    Given lists with one entry per split (training rows and seed pairs), the
-    endpoints of all the splits train as stacks of up to stack_size()
-    networks, and one BoundsResult, or the expected failure that sank the
-    split's endpoints, comes back per split.  Given one split's arrays, its
-    BoundsResult is returned and a failure raised.
+    The lambda = 0 run (seeds split.seeds[0]) is plain BCE training; every
+    minibatch risk it ever sees defines [risk_min, risk_max].  The lambda = 1
+    run (split.seeds[-1]) is pure penalty descent and defines the unfairness
+    range from the batches where the penalty was computable.  The endpoints
+    of all the splits train as stacks of up to stack_size() networks.
+    Returns, per split, a BoundsResult holding both trained models for
+    reuse, or the expected failure that sank the split's endpoints.
     """
-    grouped = isinstance(features, list)
-    if not grouped:
-        features, labels, sensitives, propensities = ([v] for v in (features, labels, sensitives, propensities))
-        risk_seeds, unfairness_seeds = [risk_seeds], [unfairness_seeds]
-
-    def twice(values):
-        return [v for v in values for _ in (0, 1)]
-
     fits = _fit_stacks(
-        twice(features),
-        twice(labels),
-        net_template,
+        [(s, lam, seeds, None) for s in splits for lam, seeds in ((0.0, s.seeds[0]), (1.0, s.seeds[-1]))],
         train_config,
-        [0.0, 1.0] * len(features),
-        [s for pair in zip(risk_seeds, unfairness_seeds) for s in pair],
-        sensitives=twice(sensitives),
-        propensities=twice(propensities),
-        penalty_mode=penalty_mode,
+        penalty_mode,
     )
-    results = [_endpoint_bounds(*fits[i : i + 2]) for i in range(0, len(fits), 2)]
-    if grouped:
-        return results
-    if isinstance(results[0], Exception):
-        raise results[0]
-    return results[0]
+    return [_endpoint_bounds(*fits[i : i + 2]) for i in range(0, len(fits), 2)]
 
 
 def _endpoint_bounds(risk_fit, unfair_fit) -> BoundsResult | Exception:
@@ -254,38 +233,26 @@ def _endpoint_bounds(risk_fit, unfair_fit) -> BoundsResult | Exception:
 
 
 def train_scalarised(
-    features,
-    labels,
-    sensitives,
-    propensities,
-    net_template: NetworkConfig,
-    train_config: TrainConfig,
+    bounded: list[tuple[TrainingSplit, StandardisationBounds]],
     lambdas: list[float],
-    bounds: StandardisationBounds | list[StandardisationBounds],
+    train_config: TrainConfig,
     penalty_mode: str,
-    seeds: list[tuple[int, int]],
 ) -> list[FitResult | Exception]:
-    """Train the interior-lambda classifiers against frozen bounds.
+    """Train the interior-lambda classifiers of each split against its frozen bounds.
 
-    seeds[i] is the (init seed, loop seed) pair of lambdas[i].  The training
-    rows and bounds are one split's, or lists with one entry per lambda, so
-    that the lambdas of several splits share stacks.  Returns one entry per
+    ``bounded`` pairs each split with its discovered bounds; lambdas[i]
+    trains with the split's seeds[i + 1], the seeds of its lambda index in a
+    grid whose endpoints flank ``lambdas``.  The networks of all the splits
+    share stacks.  Returns one entry per (split, lambda), by split and then
     lambda: the fit, or the expected failure (a TrainingError of a diverged
     network, say) that ended it.
     """
-    if bounds is None:
+    if any(bounds is None for _, bounds in bounded):
         raise ConfigError("train_scalarised needs discovered standardisation bounds")
     return _fit_stacks(
-        features,
-        labels,
-        net_template,
+        [(s, lam, seeds, bounds) for s, bounds in bounded for lam, seeds in zip(lambdas, s.seeds[1:])],
         train_config,
-        lambdas,
-        seeds,
-        bounds=bounds,
-        sensitives=sensitives,
-        propensities=propensities,
-        penalty_mode=penalty_mode,
+        penalty_mode,
     )
 
 
@@ -310,18 +277,6 @@ class SweepResult:
     failures: list[dict]
     bounds: dict[int, StandardisationBounds] = field(default_factory=dict)
     propensity_models: dict[int, object] = field(default_factory=dict)
-
-
-@dataclass
-class TrainingSplit:
-    """A split's training rows and per-lambda seeds, as a sweep's trainer gets them."""
-
-    features: np.ndarray
-    labels: np.ndarray  # float64
-    sensitives: np.ndarray
-    propensities: np.ndarray  # calibrated propensity scores of the rows
-    template: NetworkConfig  # the classifier architecture, seed unset
-    seeds: list[tuple[int, int]]  # (init seed, loop seed) of each lambda index
 
 
 def run_sweep(
@@ -355,34 +310,15 @@ def _train_scalarised_group(splits: list[TrainingSplit], grid: LambdaGrid, confi
     A split whose endpoints failed gets that failure, and none of its
     interior lambdas trains.
     """
-    template = splits[0].template
-    found = discover_bounds(
-        *_rows(splits), template, config.train, config.penalty_mode,
-        [s.seeds[0] for s in splits], [s.seeds[-1] for s in splits],
-    )
+    found = discover_bounds(splits, config.train, config.penalty_mode)
     interior = grid.values[1:-1]
-    bounded = [(split, res) for split, res in zip(splits, found) if not isinstance(res, Exception)]
-    fits = iter(
-        train_scalarised(
-            *_rows([split for split, _ in bounded for _ in interior]),
-            template,
-            config.train,
-            [lam for _ in bounded for lam in interior],
-            [res.bounds for _, res in bounded for _ in interior],
-            config.penalty_mode,
-            [seeds for split, _ in bounded for seeds in split.seeds[1:-1]],
-        )
-    )
+    bounded = [(split, res.bounds) for split, res in zip(splits, found) if not isinstance(res, Exception)]
+    fits = iter(train_scalarised(bounded, interior, config.train, config.penalty_mode))
     return [
         res if isinstance(res, Exception)
         else ([res.risk_fit, *(next(fits) for _ in interior), res.unfairness_fit], res.bounds)
         for res in found
     ]
-
-
-def _rows(splits: list[TrainingSplit]) -> tuple[list, list, list, list]:
-    """The features, labels, sensitives and propensities of each split, as four lists."""
-    return tuple([getattr(s, name) for s in splits] for name in ("features", "labels", "sensitives", "propensities"))
 
 
 def check_jobs(jobs) -> None:
@@ -740,8 +676,11 @@ def read_candidates_csv(path) -> tuple[list[dict], str]:
                 continue
             if len(row) != width:
                 raise InputError(f"{path}:{line_no}: expected {width} cells, got {len(row)}")
-            values = dict(zip(CSV_HEADER[1:-1], map(float, row[1:-1])))
-            rows.append({"split_id": int(row[0]), **values, "nondominated": int(row[-1])})
+            try:
+                values = dict(zip(CSV_HEADER[1:-1], map(float, row[1:-1])))
+                rows.append({"split_id": int(row[0]), **values, "nondominated": int(row[-1])})
+            except ValueError as exc:
+                raise InputError(f"{path}:{line_no}: {exc}") from None
     if not rows:
         raise InputError(f"{path}: no candidate rows")
     return rows, header[-1]

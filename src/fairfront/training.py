@@ -7,13 +7,15 @@ path literally a pure-BCE trainer, which is what the endpoint runs use while
 recording the risk/unfairness ranges.
 
 The engine trains K >= 1 networks as one stack: each step is one stacked
-forward, backward and Adam update for all K.  The members share one
-training set, or each has its own of one row count (the splits of a sweep's
-split group), and likewise share one set of standardisation bounds or have
-their own.  Each member keeps its own lambda, initialisation seed, loop
-generator (epoch shuffles and dropout draws, in the order of a lone fit),
-learning-rate schedule and finiteness guard, so a member's numbers equal
-those of the same network trained alone and a diverging member fails alone.
+forward, backward and Adam update for all K.  A stack takes every per-member
+argument as a list with one entry per member: each member has its own
+training set, all of one row count (the splits of a sweep's split group, or
+one split's rows repeated), and its own standardisation bounds.  A lone
+network is a stack of one.  Each member keeps its own lambda, init seed,
+loop generator (epoch shuffles and dropout draws, in the order of a lone
+fit), learning-rate schedule and finiteness guard, so a member's numbers
+equal those of the same network trained alone and a diverging member fails
+alone.
 The stack keeps its shape for the whole fit: a failed member keeps its row
 as zeros, so the remaining steps stay finite, and is no longer read.
 """
@@ -96,16 +98,16 @@ def derive_seeds(*keys: int) -> tuple[int, int]:
 
 
 def fit_network(
-    features: np.ndarray | Sequence[np.ndarray],
-    labels: np.ndarray | Sequence[np.ndarray],
+    features: np.ndarray | list[np.ndarray],
+    labels: np.ndarray | list[np.ndarray],
     net_config: NetworkConfig | Sequence[NetworkConfig],
     train_config: TrainConfig,
     loop_seed: int | Sequence[int],
     *,
     lambda_: float | Sequence[float] = 0.0,
-    bounds: StandardisationBounds | Sequence[StandardisationBounds] | None = None,
-    sensitives: np.ndarray | Sequence[np.ndarray] | None = None,
-    propensities: np.ndarray | Sequence[np.ndarray] | None = None,
+    bounds: StandardisationBounds | list[StandardisationBounds] | None = None,
+    sensitives: np.ndarray | list[np.ndarray] | None = None,
+    propensities: np.ndarray | list[np.ndarray] | None = None,
     penalty_mode: str = PENALTY_PENULTIMATE,
 ) -> FitResult | list[FitResult | TrainingError]:
     """Adam-train a fresh network, or a stack of them, on (features, labels).
@@ -122,15 +124,17 @@ def fit_network(
     K loop seeds and K lambdas trains the K networks as one stack and returns
     K entries: a FitResult, or the TrainingError of a member whose objective
     or parameters went non-finite.  A single network's failure is raised.
-    A stack's features, labels, sensitives and propensities are either one
-    training set shared by every member, or one per member: a list of K
-    arrays, or an array with a leading axis of K.  The members' row counts
-    must agree.  Its bounds are likewise shared, or a list of K bounds.
+    A stack's features, labels, sensitives, propensities and bounds (when
+    given) are lists of K, one entry per member, and the members' row counts
+    must agree; any other form raises ConfigError.
     """
     stacked = not isinstance(net_config, NetworkConfig)
-    configs = list(net_config) if stacked else [net_config]
-    seeds = list(loop_seed) if stacked else [loop_seed]
-    lams = np.array(lambda_ if stacked else [lambda_], dtype=np.float64)
+    if not stacked:
+        # one network is a stack of one: each argument is its only entry
+        features, labels, net_config, loop_seed, lambda_ = [features], [labels], [net_config], [loop_seed], [lambda_]
+        sensitives, propensities, bounds = (None if v is None else [v] for v in (sensitives, propensities, bounds))
+    configs, seeds = list(net_config), list(loop_seed)
+    lams = np.array(lambda_, dtype=np.float64)
     k = len(configs)
     if not configs or len(seeds) != k or lams.shape != (k,):
         raise ConfigError("a stack needs one config, one loop seed and one lambda per network")
@@ -145,8 +149,11 @@ def fit_network(
     if needs_penalty and (sensitives is None or propensities is None):
         raise ConfigError("lambda > 0 requires sensitives and propensities")
     # Each member's training set (x, y, a, e), each distinct one validated once.
-    data = [_members(features, k, 2, stacked), _members(labels, k, 1, stacked)]
-    data += [_members(v, k, 1, stacked) if needs_penalty else [None] * k for v in (sensitives, propensities)]
+    data = [_members("features", features, k), _members("labels", labels, k)]
+    data += [
+        _members(name, v, k) if needs_penalty else [None] * k
+        for name, v in (("sensitives", sensitives), ("propensities", propensities))
+    ]
     checked: dict[tuple, tuple] = {}
     sets = []
     for raw in zip(*data):
@@ -159,10 +166,8 @@ def fit_network(
     n = sets[0][1].shape[0]
     if any(y.shape[0] != n for _, y, _, _ in sets):
         raise ConfigError("stacked training sets must have equal row counts")
-    if isinstance(bounds, (list, tuple)):
-        if len(bounds) != k:
-            raise ConfigError(f"{len(bounds)} bounds for a stack of {k}")
-        bounds = StandardisationBounds.stack(bounds)
+    if bounds is not None:
+        bounds = StandardisationBounds.stack(_members("bounds", bounds, k))
     # the same bounds as columns, against the (K, steps) epoch series
     columns = None if bounds is None else StandardisationBounds(*(np.reshape(v, (-1, 1)) for v in astuple(bounds)))
 
@@ -264,16 +269,12 @@ def _widen(range_: tuple[float, float], series: np.ndarray) -> tuple[float, floa
     return float(np.fmin.reduce(series, initial=range_[0])), float(np.fmax.reduce(series, initial=range_[1]))
 
 
-def _members(value, k: int, ndim: int, stacked: bool) -> list:
-    """One array per stack member: a shared ndim-d array K times, or the members given."""
-    if stacked and isinstance(value, (list, tuple)):
-        members = list(value)
-    else:
-        arr = np.asarray(value)
-        members = list(arr) if stacked and arr.ndim == ndim + 1 else [arr] * k
-    if len(members) != k:
-        raise ConfigError(f"{len(members)} training sets for a stack of {k}")
-    return members
+def _members(name: str, value, k: int) -> list:
+    """A stack's argument ``name``, which must be a list of K, one entry per member."""
+    if not isinstance(value, list) or len(value) != k:
+        got = f"{len(value)} entries" if isinstance(value, list) else type(value).__name__
+        raise ConfigError(f"a stack of {k} takes {name} as a list of {k}, one per network; got {got}")
+    return value
 
 
 def _validated_data(features, labels, net: NetworkConfig) -> tuple[np.ndarray, np.ndarray]:

@@ -9,7 +9,7 @@ import pytest
 from fairfront import adversarial
 from fairfront.adversarial import (
     AdversaryConfig,
-    _BatchCycler,
+    _cycled_batches,
     classifier_objective_gradient,
     run_adversarial_sweep,
     train_adversarial,
@@ -122,11 +122,11 @@ def test_training_is_deterministic_in_seeds():
 def test_batch_cycler_covers_everything_and_reshuffles():
     rng = np.random.default_rng(0)
     idx = np.arange(10)
-    cycler = _BatchCycler(idx, 4, rng)
-    first_pass = [cycler.next_batch() for _ in range(3)]
+    batches = _cycled_batches(idx, 4, rng)
+    first_pass = [next(batches) for _ in range(3)]
     assert [len(b) for b in first_pass] == [4, 4, 2]
     assert np.array_equal(np.sort(np.concatenate(first_pass)), idx)
-    second_pass = [cycler.next_batch() for _ in range(3)]
+    second_pass = [next(batches) for _ in range(3)]
     assert np.array_equal(np.sort(np.concatenate(second_pass)), idx)
     assert any(
         not np.array_equal(a, b) for a, b in zip(first_pass, second_pass)

@@ -264,3 +264,39 @@ def test_cull_missing_file_exit_code(tmp_path, capsys):
 def test_no_subcommand_is_usage_error(capsys):
     assert main([]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("epochs", None), ("num_splits", "ten"), ("propensity", {"epochs": []})],
+    ids=["null-epochs", "text-num_splits", "list-propensity-epochs"],
+)
+def test_config_values_of_the_wrong_type_exit_2_before_loading(workspace, tmp_path, capsys, monkeypatch, key, value):
+    _, config_path = workspace
+    monkeypatch.setattr(cli, "_load_encoded_dataset", _no_load)
+    bad = tmp_path / "bad_type.json"
+    bad.write_text(json.dumps({**json.loads(config_path.read_text()), key: value}))
+    assert main(["run", "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and key in err["message"]
+
+
+def test_cull_non_numeric_cell_exits_2_naming_the_line(tmp_path, capsys):
+    src = tmp_path / "in.csv"
+    src.write_bytes(CULL_INPUT.replace("0.52,1e-05", "0.52,lots").encode())
+    assert main(["cull", str(src)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "InputError" and f"{src}:3" in err["message"]
+
+
+@pytest.mark.parametrize("text", ['{"layer_sizes": [4, 8, 1],', "5"], ids=["truncated", "number"])
+def test_metrics_model_that_is_not_a_json_object_exits_2(workspace, tmp_path, capsys, text):
+    root, _ = workspace
+    broken = tmp_path / "broken.json"
+    broken.write_text(text)
+    rc = main(["metrics", str(broken), str(root / "data" / "synthetic.csv"),
+               str(root / "data" / "synthetic.schema.json"),
+               str(root / "out" / "models" / "propensity_s000.json")])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "InputError" and str(broken) in err["message"]

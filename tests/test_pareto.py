@@ -14,6 +14,7 @@ from fairfront.pareto import (
     LAMBDA_INTERIOR_LOW,
     LambdaGrid,
     SweepConfig,
+    TrainingSplit,
     build_front,
     build_lambda_grid,
     chebyshev_toy_minimiser,
@@ -145,10 +146,10 @@ def test_discover_bounds_spans_and_reuse():
     e = np.clip(np.full(200, 0.5), 0.01, 0.99)
     net = NetworkConfig(layer_sizes=[4, 3, 1], dropout_prob=0.2)
     cfg = TrainConfig(epochs=6, batch_size=64)
-    res = discover_bounds(
-        ds.features, ds.labels.astype(float), ds.sensitives, e, net, cfg,
-        "penultimate", derive_seeds(1, 0, 0), derive_seeds(1, 0, 2),
-    )
+    # a one-split group whose seeds are those of a three-lambda grid
+    seeds = [derive_seeds(1, 0, k) for k in range(3)]
+    split = TrainingSplit(ds.features, ds.labels.astype(float), ds.sensitives, e, net, seeds)
+    (res,) = discover_bounds([split], cfg, "penultimate")
     b = res.bounds
     assert b.risk_min <= b.risk_max
     assert b.unfairness_min <= b.unfairness_max
@@ -162,22 +163,17 @@ def test_discover_bounds_needs_a_lambda_one_batch_with_both_groups():
     a = np.zeros(200, dtype=int)
     a[17] = 1
     net = NetworkConfig(layer_sizes=[4, 3, 1], dropout_prob=0.0)
-    with pytest.raises(TrainingError, match="both sensitive groups"):
-        discover_bounds(
-            ds.features, ds.labels.astype(float), a, np.full(200, 0.5), net,
-            TrainConfig(epochs=2, batch_size=1), "penultimate", (1, 2), (3, 4),
-        )
+    split = TrainingSplit(ds.features, ds.labels.astype(float), a, np.full(200, 0.5), net, [(1, 2), (3, 4)])
+    (res,) = discover_bounds([split], TrainConfig(epochs=2, batch_size=1), "penultimate")
+    assert isinstance(res, TrainingError) and "both sensitive groups" in str(res)
 
 
 def test_train_scalarised_requires_bounds():
     ds = generate_synthetic(n=100, p=3, bias_strength=1.0, seed=1)
     net = NetworkConfig(layer_sizes=[3, 2, 1], dropout_prob=0.0)
+    split = TrainingSplit(ds.features, ds.labels.astype(float), ds.sensitives, np.full(100, 0.5), net, [(0, 0)] * 3)
     with pytest.raises(ConfigError, match="bounds"):
-        train_scalarised(
-            ds.features, ds.labels.astype(float), ds.sensitives,
-            np.full(100, 0.5), net, TrainConfig(epochs=1, batch_size=32),
-            0.5, None, "penultimate", (0, 0),
-        )
+        train_scalarised([(split, None)], [0.5], TrainConfig(epochs=1, batch_size=32), "penultimate")
 
 
 # ---------------------------------------------------------------------------

@@ -135,11 +135,14 @@ def stack_configs(seeds):
     return [NetworkConfig(layer_sizes=[4, 5, 3, 1], dropout_prob=0.2, seed=s) for s, _ in seeds]
 
 
-def fit_stack(lambdas, seeds, train=STACK_TRAIN, **kw):
+def fit_stack(lambdas, seeds, train=STACK_TRAIN, bounds=None):
+    """The networks trained as one stack, every member on the same rows and bounds."""
     x, y, a, e = stack_problem()
+    k = len(seeds)
     return fit_network(
-        x, y, stack_configs(seeds), train, [loop for _, loop in seeds], lambda_=lambdas,
-        sensitives=a, propensities=e, penalty_mode="all_layers", **kw,
+        [x] * k, [y] * k, stack_configs(seeds), train, [loop for _, loop in seeds], lambda_=lambdas,
+        bounds=None if bounds is None else [bounds] * k, sensitives=[a] * k, propensities=[e] * k,
+        penalty_mode="all_layers",
     )
 
 
@@ -176,19 +179,37 @@ def test_members_with_their_own_rows_and_bounds_are_bitwise_their_lone_fits():
         StandardisationBounds(0.4, 0.6, 0.0, 1.0),
         StandardisationBounds(0.5, 0.7, 0.1, 0.2),
     ]
-    columns = [list(c) for c in zip(*sets)]
-    for features, labels, sensitives, propensities in (columns, [np.stack(c) for c in columns]):
-        stacked = fit_network(
-            features, labels, stack_configs(STACK_SEEDS), STACK_TRAIN, [loop for _, loop in STACK_SEEDS],
-            lambda_=STACK_LAMBDAS, bounds=bounds, sensitives=sensitives, propensities=propensities,
-            penalty_mode="all_layers",
+    features, labels, sensitives, propensities = (list(c) for c in zip(*sets))
+
+    def fit_all(**wrong):
+        per_member = dict(
+            features=features, labels=labels, bounds=bounds, sensitives=sensitives, propensities=propensities
         )
-        for (xk, yk, ak, ek), b, lam, seeds, member in zip(sets, bounds, STACK_LAMBDAS, STACK_SEEDS, stacked):
-            alone = fit_network(
-                xk, yk, stack_configs([seeds])[0], STACK_TRAIN, seeds[1], lambda_=lam, bounds=b,
-                sensitives=ak, propensities=ek, penalty_mode="all_layers",
-            )
-            assert_same_fit(member, alone)
+        per_member.update(wrong)
+        return fit_network(
+            per_member.pop("features"), per_member.pop("labels"), stack_configs(STACK_SEEDS), STACK_TRAIN,
+            [loop for _, loop in STACK_SEEDS], lambda_=STACK_LAMBDAS, penalty_mode="all_layers", **per_member,
+        )
+
+    for (xk, yk, ak, ek), b, lam, seeds, member in zip(sets, bounds, STACK_LAMBDAS, STACK_SEEDS, fit_all()):
+        alone = fit_network(
+            xk, yk, stack_configs([seeds])[0], STACK_TRAIN, seeds[1], lambda_=lam, bounds=b,
+            sensitives=ak, propensities=ek, penalty_mode="all_layers",
+        )
+        assert_same_fit(member, alone)
+
+    # a stack takes lists only: no shared array, no (K, n, ...) array, no shared bounds
+    for wrong in [
+        dict(features=x[rows[0]]),
+        dict(features=np.stack(features)),
+        dict(labels=np.stack(labels)),
+        dict(sensitives=a[rows[0]]),
+        dict(propensities=np.stack(propensities)),
+        dict(bounds=bounds[0]),
+    ]:
+        (name,) = wrong
+        with pytest.raises(ConfigError, match=name):
+            fit_all(**wrong)
 
 
 def test_per_member_training_sets_must_line_up():
@@ -196,12 +217,12 @@ def test_per_member_training_sets_must_line_up():
     configs = stack_configs(STACK_SEEDS[:2])
     with pytest.raises(ConfigError, match="equal row counts"):
         fit_network([x, x[:-1]], [y, y[:-1]], configs, STACK_TRAIN, [1, 2], lambda_=[0.0, 0.0])
-    with pytest.raises(ConfigError, match="training sets"):
+    with pytest.raises(ConfigError, match="features"):
         fit_network([x], [y], configs, STACK_TRAIN, [1, 2], lambda_=[0.0, 0.0])
     with pytest.raises(ConfigError, match="bounds"):
         fit_network(
-            x, y, configs, STACK_TRAIN, [1, 2], lambda_=[0.5, 0.5], sensitives=a, propensities=e,
-            bounds=[StandardisationBounds(0.3, 0.8, 0.0, 0.4)],
+            [x, x], [y, y], configs, STACK_TRAIN, [1, 2], lambda_=[0.5, 0.5], sensitives=[a, a],
+            propensities=[e, e], bounds=[StandardisationBounds(0.3, 0.8, 0.0, 0.4)],
         )
     bad_x = x.copy()
     bad_x[3, 1] = np.nan
@@ -220,8 +241,8 @@ def test_stacked_fit_matches_a_per_model_reference_loop():
     seeds = [(41, 1), (42, 2), (43, 3)]
     nets = [NetworkConfig(layer_sizes=[4, 6, 1], dropout_prob=0.2, seed=s) for s, _ in seeds]
     stacked = fit_network(
-        x, y, nets, cfg, [loop for _, loop in seeds], lambda_=lambdas, bounds=bounds,
-        sensitives=a, propensities=e,
+        [x] * 3, [y] * 3, nets, cfg, [loop for _, loop in seeds], lambda_=lambdas, bounds=[bounds] * 3,
+        sensitives=[a] * 3, propensities=[e] * 3,
     )
 
     branches = set()
@@ -324,12 +345,12 @@ def test_stack_arguments_must_line_up():
     x, y, a, e = stack_problem()
     with pytest.raises(ConfigError, match="one loop seed"):
         fit_network(
-            x, y, stack_configs(STACK_SEEDS), STACK_TRAIN, [1, 2], lambda_=STACK_LAMBDAS,
-            sensitives=a, propensities=e,
+            [x] * 3, [y] * 3, stack_configs(STACK_SEEDS), STACK_TRAIN, [1, 2], lambda_=STACK_LAMBDAS,
+            sensitives=[a] * 3, propensities=[e] * 3,
         )
     mixed = stack_configs(STACK_SEEDS[:1]) + [NetworkConfig(layer_sizes=[4, 2, 1], seed=0)]
     with pytest.raises(ConfigError, match="architecture"):
-        fit_network(x, y, mixed, STACK_TRAIN, [1, 2], lambda_=[0.0, 0.0])
+        fit_network([x, x], [y, y], mixed, STACK_TRAIN, [1, 2], lambda_=[0.0, 0.0])
 
 
 def test_fit_rejects_bad_data_up_front():
