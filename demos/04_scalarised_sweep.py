@@ -16,8 +16,8 @@ from fairfront import (
     SplitPlan,
     SweepConfig,
     TrainConfig,
-    build_front,
     build_lambda_grid,
+    cull_nondominated,
     generate_synthetic,
     run_sweep,
     write_candidates_csv,
@@ -41,11 +41,11 @@ for c in result.candidates:
 
 r = np.array([c.metrics["r_test"] for c in result.candidates])
 u = np.array([c.metrics["u_ato"] for c in result.candidates])
-front = [p for p in build_front(r, u) if not p.dominated]
+keep = cull_nondominated(r, u)
 print()
-print(f"non-dominated in the (r_test, u_ato) plane: {len(front)} of {len(r)}")
-for p in sorted(front, key=lambda p: p.risk):
-    print(f"  risk {p.risk:.4f}  unfairness {p.unfairness:.4f}")
+print(f"non-dominated in the (r_test, u_ato) plane: {int(keep.sum())} of {len(r)}")
+for i in np.flatnonzero(keep)[np.argsort(r[keep], kind="stable")]:
+    print(f"  risk {r[i]:.4f}  unfairness {u[i]:.4f}")
 
 out = os.path.join(tempfile.mkdtemp(prefix="fairfront_demo_"), "candidates.csv")
 write_candidates_csv(out, result.candidates)

@@ -267,7 +267,7 @@ def run_adversarial_sweep(
     grid: LambdaGrid,
     config: SweepConfig,
     adv_config: AdversaryConfig | None = None,
-    jobs: int | None = 1,
+    jobs: int = 1,
 ) -> SweepResult:
     """Adversarial counterpart of run_sweep: every lambda is trained fully.
 

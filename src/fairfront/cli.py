@@ -13,10 +13,12 @@ Errors are reported as one JSON object on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
 import time
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -49,42 +51,32 @@ from .training import TrainConfig
 
 CULL_METRICS = ("u_ato", "mv_eo", "mv_eopp", "mv_dp")
 
+
+def _defaults(cls) -> dict:
+    """The fields of a config class that have a plain default, with that default."""
+    return {f.name: f.default for f in dataclasses.fields(cls) if f.default is not dataclasses.MISSING}
+
+
+# Every run-config key with its default.  Besides the keys of no config
+# object, these are the config classes' fields with the classes' defaults.
 CONFIG_DEFAULTS = {
     "dataset_csv": None,
     "schema_json": None,
     "output_dir": "fairfront_out",
-    "master_seed": 0,
     "num_splits": 100,
-    "train_fraction": 0.5,
     "lambda_count": 15,
-    "penalty_mode": "penultimate",
-    "num_layers": 2,
-    "hidden_width": 8,
-    "dropout_prob": 0.2,
-    "epochs": 500,
-    "batch_size": 128,
-    "learning_rate": 1e-3,
-    "scheduler_factor": 0.9,
-    "scheduler_patience": 10,
-    "calibration_fraction": 0.2,
     "jobs": 1,
-    "propensity": {
-        "hidden_layers": 3,
-        "hidden_width": 32,
-        "dropout_prob": 0.2,
-        "epochs": 100,
-        "batch_size": None,  # falls back to the top-level batch_size
-        "learning_rate": 1e-3,
-    },
-    "adversary": {
-        "hidden_layers": 4,
-        "hidden_width": 32,
-        "pretrain_classifier_epochs": 2,
-        "pretrain_adversary_epochs": 5,
-        "rounds": 200,
-        "learning_rate": 1e-3,
-    },
+    **_defaults(SplitPlan),
+    **_defaults(SweepConfig),
+    **_defaults(TrainConfig),
+    # batch_size None falls back to the top-level batch_size
+    "propensity": {**_defaults(PropensityConfig), "batch_size": None},
+    "adversary": _defaults(AdversaryConfig),
 }
+
+# The JSON values a config field of each type takes (a bool is none of them),
+# and how an error names them.
+_JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"), str: ((str,), "a string")}
 
 
 def load_run_config(path) -> dict:
@@ -114,52 +106,41 @@ def load_run_config(path) -> dict:
     for required in ("dataset_csv", "schema_json"):
         if not resolved[required]:
             raise ConfigError(f"config key {required!r} is required")
+    for key in ("dataset_csv", "schema_json", "output_dir"):
+        if not isinstance(resolved[key], str):
+            raise ConfigError(f"config key {key!r} must be a path string, got {resolved[key]!r}")
     return resolved
 
 
-def _number(cast, key: str, section: dict, where: str = ""):
-    """section[key] as an int or a float; ConfigError naming the key when it is not a number."""
-    try:
-        return cast(section[key])
-    except (TypeError, ValueError):
-        raise ConfigError(f"config key {where}{key!r} must be a number, got {section[key]!r}") from None
+def _build(cls, section: dict, where: str = "", **given):
+    """cls from ``given`` and the section's values of its int, float and str fields.
+
+    Each section value is checked against its field's type: an int field
+    takes an integer, a float field any number (converted to float), a str
+    field a string.
+    """
+    for name, kind in typing.get_type_hints(cls).items():
+        if kind not in _JSON_TYPES:
+            continue
+        value = section[name]
+        accepted, described = _JSON_TYPES[kind]
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            raise ConfigError(f"config key {where}{name!r} must be {described}, got {value!r}")
+        given[name] = kind(value)
+    return cls(**given)
 
 
 def _build_objects(resolved: dict):
     prop = dict(resolved["propensity"])
     if prop["batch_size"] is None:
         prop["batch_size"] = resolved["batch_size"]
-    top = functools.partial(_number, section=resolved)
-    nested = functools.partial(_number, section=prop, where="propensity.")
-    sweep_config = SweepConfig(
-        num_layers=top(int, "num_layers"),
-        hidden_width=top(int, "hidden_width"),
-        dropout_prob=top(float, "dropout_prob"),
-        penalty_mode=resolved["penalty_mode"],
-        train=TrainConfig(
-            epochs=top(int, "epochs"),
-            batch_size=top(int, "batch_size"),
-            learning_rate=top(float, "learning_rate"),
-            scheduler_factor=top(float, "scheduler_factor"),
-            scheduler_patience=top(int, "scheduler_patience"),
-        ),
-        propensity=PropensityConfig(
-            hidden_layers=nested(int, "hidden_layers"),
-            hidden_width=nested(int, "hidden_width"),
-            dropout_prob=nested(float, "dropout_prob"),
-            epochs=nested(int, "epochs"),
-            batch_size=nested(int, "batch_size"),
-            learning_rate=nested(float, "learning_rate"),
-        ),
-        calibration_fraction=top(float, "calibration_fraction"),
+    sweep_config = _build(
+        SweepConfig,
+        resolved,
+        train=_build(TrainConfig, resolved),
+        propensity=_build(PropensityConfig, prop, "propensity."),
     )
-    plan = SplitPlan(
-        num_splits=top(int, "num_splits"),
-        train_fraction=top(float, "train_fraction"),
-        master_seed=top(int, "master_seed"),
-    )
-    grid = build_lambda_grid(top(int, "lambda_count"))
-    return sweep_config, plan, grid
+    return sweep_config, _build(SplitPlan, resolved), build_lambda_grid(resolved["lambda_count"])
 
 
 def _load_encoded_dataset(resolved: dict):
@@ -210,15 +191,7 @@ def cmd_sweep(args) -> int:
     _apply_overrides(resolved, args)
     sweep_config, plan, grid = _build_objects(resolved)
     if args.command == "adversarial":
-        adv = functools.partial(_number, section=resolved["adversary"], where="adversary.")
-        adv_config = AdversaryConfig(
-            hidden_layers=adv(int, "hidden_layers"),
-            hidden_width=adv(int, "hidden_width"),
-            pretrain_classifier_epochs=adv(int, "pretrain_classifier_epochs"),
-            pretrain_adversary_epochs=adv(int, "pretrain_adversary_epochs"),
-            rounds=adv(int, "rounds"),
-            learning_rate=adv(float, "learning_rate"),
-        )
+        adv_config = _build(AdversaryConfig, resolved["adversary"], "adversary.")
         sweep = functools.partial(run_adversarial_sweep, adv_config=adv_config)
         csv_name = "adversarial_candidates.csv"
     else:

@@ -61,12 +61,12 @@ class ColumnSchema:
             raise ConfigError(f"schema file not found: {path}")
         except json.JSONDecodeError as exc:
             raise ConfigError(f"schema file {path} is not valid JSON: {exc}")
-        if not isinstance(doc, dict) or "columns" not in doc:
-            raise ConfigError(f"schema file {path} must be an object with a 'columns' field")
-        return cls(
-            columns=dict(doc["columns"]),
-            missing_values=tuple(doc.get("missing_values", DEFAULT_MISSING)),
-        )
+        if not isinstance(doc, dict) or not isinstance(doc.get("columns"), dict):
+            raise ConfigError(f"schema file {path} must be an object whose 'columns' field is an object")
+        missing = doc.get("missing_values", list(DEFAULT_MISSING))
+        if not isinstance(missing, list) or not all(isinstance(v, str) for v in missing):
+            raise ConfigError(f"schema file {path}: 'missing_values' must be a list of strings")
+        return cls(columns=doc["columns"], missing_values=tuple(missing))
 
     def to_json(self, path):
         with open(path, "w", encoding="utf-8") as fh:

@@ -447,17 +447,27 @@ def load_model(path) -> tuple[NetworkParams, NetworkConfig, float | None]:
     for key in ("layer_sizes", "dropout_prob", "weights", "biases"):
         if key not in doc:
             raise ConfigError(f"model document {path} lacks field {key!r}")
-    config = NetworkConfig(layer_sizes=list(doc["layer_sizes"]), dropout_prob=float(doc["dropout_prob"]))
-    params = NetworkParams(
-        weights=[np.asarray(w, dtype=np.float64) for w in doc["weights"]],
-        biases=[np.asarray(b, dtype=np.float64) for b in doc["biases"]],
-    )
-    if len(params.weights) != config.num_layers:
+    sizes = doc["layer_sizes"]
+    if not isinstance(sizes, list) or any(isinstance(m, bool) or not isinstance(m, int) for m in sizes):
+        raise InputError(f"model document {path}: layer_sizes must be a list of integers")
+    try:
+        dropout_prob = float(doc["dropout_prob"])
+        temperature = None if doc.get("temperature") is None else float(doc["temperature"])
+        params = NetworkParams(
+            weights=[np.asarray(w, dtype=np.float64) for w in doc["weights"]],
+            biases=[np.asarray(b, dtype=np.float64) for b in doc["biases"]],
+        )
+    except (TypeError, ValueError):
+        raise InputError(
+            f"model document {path}: dropout_prob, temperature, weights and biases must be numbers"
+            " in regular arrays"
+        ) from None
+    config = NetworkConfig(layer_sizes=sizes, dropout_prob=dropout_prob)
+    if len(params.weights) != config.num_layers or len(params.biases) != config.num_layers:
         raise ConfigError(f"model document {path} has inconsistent layer counts")
     for l, (w, b) in enumerate(zip(params.weights, params.biases)):
         expect = (config.layer_sizes[l + 1], config.layer_sizes[l])
         if w.shape != expect or b.shape != (expect[0],):
             raise ConfigError(f"model document {path}: layer {l} shapes do not match layer_sizes")
     params.validate_finite()
-    temp = doc.get("temperature")
-    return params, config, None if temp is None else float(temp)
+    return params, config, temperature

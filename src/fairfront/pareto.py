@@ -42,7 +42,6 @@ import csv
 import ctypes
 import logging
 import multiprocessing
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -101,8 +100,8 @@ class LambdaGrid:
 
 def build_lambda_grid(count: int) -> LambdaGrid:
     """{0, 1} plus count - 2 geometrically spaced values in [1e-2, 0.9]."""
-    if count < 2:
-        raise ConfigError(f"lambda count must be >= 2, got {count}")
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 2:
+        raise ConfigError(f"lambda_count must be an integer >= 2, got {count!r}")
     interior = count - 2
     if interior == 0:
         inner: list[float] = []
@@ -280,7 +279,7 @@ class SweepResult:
 
 
 def run_sweep(
-    dataset: Dataset, plan: SplitPlan, grid: LambdaGrid, config: SweepConfig, jobs: int | None = 1
+    dataset: Dataset, plan: SplitPlan, grid: LambdaGrid, config: SweepConfig, jobs: int = 1
 ) -> SweepResult:
     """Train and evaluate the full (split, lambda) grid of candidates.
 
@@ -294,8 +293,8 @@ def run_sweep(
     the sweep continues; any other exception is a bug and propagates.  All
     randomness derives from (plan.master_seed, split_id, lambda_index), so
     results depend neither on the degree of parallelism nor on the stack
-    size or grouping.  jobs=None runs one process per split, up to the CPU count; any
-    other value must be a positive integer.
+    size or grouping.  jobs, the number of worker processes, must be a
+    positive integer.
     """
     return _run_splits(_split_worker, dataset, plan, grid, config, jobs, None)
 
@@ -322,11 +321,9 @@ def _train_scalarised_group(splits: list[TrainingSplit], grid: LambdaGrid, confi
 
 
 def check_jobs(jobs) -> None:
-    """Raise ConfigError unless ``jobs`` is a positive integer or None."""
-    if jobs is not None and (
-        isinstance(jobs, bool) or not isinstance(jobs, (int, np.integer)) or jobs < 1
-    ):
-        raise ConfigError(f"jobs must be a positive integer or None, got {jobs!r}")
+    """Raise ConfigError unless ``jobs`` is a positive integer."""
+    if isinstance(jobs, bool) or not isinstance(jobs, (int, np.integer)) or jobs < 1:
+        raise ConfigError(f"jobs must be a positive integer, got {jobs!r}")
 
 
 def split_groups(num_splits: int, group_cap: int, jobs: int) -> list[range]:
@@ -368,7 +365,7 @@ def _one_blas_thread():
 
 
 def _run_splits(
-    worker, dataset: Dataset, plan: SplitPlan, grid: LambdaGrid, config: SweepConfig, jobs: int | None, extra
+    worker, dataset: Dataset, plan: SplitPlan, grid: LambdaGrid, config: SweepConfig, jobs: int, extra
 ) -> SweepResult:
     """Run a sweep's split worker on every split group and merge the results into a SweepResult.
 
@@ -377,13 +374,10 @@ def _run_splits(
     endpoints fit one stack (stack_size() // 2, at least one), and there is
     at least one group per worker.  The groups run in a process pool of
     forked workers when jobs > 1, in this process otherwise; either way with
-    one BLAS thread (numpy's bundled OpenBLAS, where it is found).  jobs=None
-    uses one process per split, up to the CPU count.
+    one BLAS thread (numpy's bundled OpenBLAS, where it is found).
     """
     check_jobs(jobs)
     splits = make_splits(dataset.n_rows, plan, sensitives=dataset.sensitives, labels=dataset.labels)
-    if jobs is None:
-        jobs = max(1, min(len(splits), os.cpu_count() or 1))
     group_cap = max(1, stack_size(config.train.batch_size, config.layer_sizes(dataset.n_features)) // 2)
     payloads = [
         ([(i, *splits[i]) for i in ids], dataset, grid, config, plan.master_seed, extra)
@@ -579,27 +573,6 @@ def cull_nondominated(risks, unfairness) -> np.ndarray:
         best_u_prev = min(best_u_prev, group_min_u)
         i = j
     return keep
-
-
-@dataclass
-class FrontPoint:
-    """A candidate's coordinates in one trade-off plane."""
-
-    index: int
-    risk: float
-    unfairness: float
-    dominated: bool
-
-
-def build_front(risks, unfairness) -> list[FrontPoint]:
-    """Wrap cull_nondominated's verdicts in per-point records."""
-    keep = cull_nondominated(risks, unfairness)
-    r = np.asarray(risks, dtype=np.float64)
-    u = np.asarray(unfairness, dtype=np.float64)
-    return [
-        FrontPoint(index=i, risk=float(r[i]), unfairness=float(u[i]), dominated=not keep[i])
-        for i in range(r.size)
-    ]
 
 
 def chebyshev_toy_minimiser(lambda_: float, j1, j2) -> int:

@@ -268,8 +268,30 @@ def test_no_subcommand_is_usage_error(capsys):
 
 @pytest.mark.parametrize(
     "key, value",
-    [("epochs", None), ("num_splits", "ten"), ("propensity", {"epochs": []})],
-    ids=["null-epochs", "text-num_splits", "list-propensity-epochs"],
+    [
+        ("epochs", None),
+        ("num_splits", "ten"),
+        ("propensity", {"epochs": []}),
+        ("epochs", 2.5),
+        ("epochs", "12"),
+        ("epochs", True),
+        ("penalty_mode", 3),
+        ("lambda_count", 4.5),
+        ("output_dir", 5),
+        ("schema_json", ["a.json"]),
+    ],
+    ids=[
+        "null-epochs",
+        "text-num_splits",
+        "list-propensity-epochs",
+        "fractional-epochs",
+        "numeric-text-epochs",
+        "bool-epochs",
+        "number-penalty_mode",
+        "fractional-lambda_count",
+        "number-output_dir",
+        "list-schema_json",
+    ],
 )
 def test_config_values_of_the_wrong_type_exit_2_before_loading(workspace, tmp_path, capsys, monkeypatch, key, value):
     _, config_path = workspace
@@ -289,7 +311,26 @@ def test_cull_non_numeric_cell_exits_2_naming_the_line(tmp_path, capsys):
     assert err["error"] == "InputError" and f"{src}:3" in err["message"]
 
 
-@pytest.mark.parametrize("text", ['{"layer_sizes": [4, 8, 1],', "5"], ids=["truncated", "number"])
+def _model_text(**fields):
+    return json.dumps({"layer_sizes": [4, 1], "dropout_prob": 0.2, "weights": [[[1, 2, 3, 4]]], "biases": [[0]],
+                       **fields})
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"layer_sizes": [4, 8, 1],',
+        "5",
+        _model_text(weights=[[["a", 1]]]),
+        _model_text(weights=[[[1, 2, 3, 4], [1]]]),
+        _model_text(biases=[["x"]]),
+        _model_text(layer_sizes="ab"),
+        _model_text(layer_sizes=[4.5, 1]),
+        _model_text(dropout_prob="high"),
+    ],
+    ids=["truncated", "number", "text-weight", "ragged-weights", "text-bias", "text-layer_sizes",
+         "fractional-layer_sizes", "text-dropout_prob"],
+)
 def test_metrics_model_that_is_not_a_json_object_exits_2(workspace, tmp_path, capsys, text):
     root, _ = workspace
     broken = tmp_path / "broken.json"
@@ -300,3 +341,36 @@ def test_metrics_model_that_is_not_a_json_object_exits_2(workspace, tmp_path, ca
     assert rc == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "InputError" and str(broken) in err["message"]
+
+
+def test_integer_learning_rates_build_float_rates(workspace, tmp_path):
+    _, config_path = workspace
+    config = tmp_path / "integer_rates.json"
+    config.write_text(json.dumps({
+        **json.loads(config_path.read_text()),
+        "learning_rate": 1,
+        "propensity": {"learning_rate": 1},
+        "adversary": {"learning_rate": 1},
+    }))
+    resolved = cli.load_run_config(config)
+    sweep_config, _, _ = cli._build_objects(resolved)
+    adv_config = cli._build(cli.AdversaryConfig, resolved["adversary"])
+    for rate in (sweep_config.train.learning_rate, sweep_config.propensity.learning_rate, adv_config.learning_rate):
+        assert type(rate) is float and rate == 1.0
+
+
+@pytest.mark.parametrize(
+    "schema",
+    [{"columns": ["a"]}, {"columns": {"s": "sensitive", "y": "target"}, "missing_values": 5}],
+    ids=["columns-list", "missing_values-number"],
+)
+def test_metrics_malformed_schema_sidecar_exits_2(workspace, tmp_path, capsys, schema):
+    root, _ = workspace
+    sidecar = tmp_path / "bad.schema.json"
+    sidecar.write_text(json.dumps(schema))
+    models = root / "out" / "models"
+    rc = main(["metrics", str(models / "candidate_s000_l00.json"), str(root / "data" / "synthetic.csv"),
+               str(sidecar), str(models / "propensity_s000.json")])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and str(sidecar) in err["message"]

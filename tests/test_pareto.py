@@ -15,7 +15,6 @@ from fairfront.pareto import (
     LambdaGrid,
     SweepConfig,
     TrainingSplit,
-    build_front,
     build_lambda_grid,
     chebyshev_toy_minimiser,
     cull_nondominated,
@@ -99,15 +98,6 @@ def test_cull_single_and_identical_points():
     r = np.full(5, 0.2)
     u = np.full(5, 0.4)
     assert cull_nondominated(r, u).all()
-
-
-def test_build_front_keeps_input_order_and_flags_dominated():
-    r = np.array([0.5, 0.1, 0.3, 0.6])
-    u = np.array([0.1, 0.9, 0.4, 0.5])
-    points = build_front(r, u)
-    assert [p.index for p in points] == [0, 1, 2, 3]
-    assert [p.dominated for p in points] == [False, False, False, True]
-    assert points[3].risk == 0.6 and points[3].unfairness == 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -363,21 +353,20 @@ def test_candidates_do_not_depend_on_the_worker_count(sweep):
     ds = generate_synthetic(n=240, p=4, bias_strength=2.0, seed=9)
     plan = SplitPlan(num_splits=2, train_fraction=0.5, master_seed=4)
     grid = build_lambda_grid(3)
-    serial, pooled, per_split = (sweep(ds, plan, grid, jobs=jobs) for jobs in (1, 2, None))
+    serial, pooled = (sweep(ds, plan, grid, jobs=jobs) for jobs in (1, 2))
     assert len(serial.candidates) == 2 * 3 and not serial.failures
-    for other in (pooled, per_split):
-        assert [(c.split_id, c.lambda_index, c.metrics) for c in other.candidates] == [
-            (c.split_id, c.lambda_index, c.metrics) for c in serial.candidates
-        ]
-        for c1, c2 in zip(serial.candidates, other.candidates):
-            for w1, w2 in zip(c1.params.weights + c1.params.biases, c2.params.weights + c2.params.biases):
-                assert np.array_equal(w1, w2)
-        assert other.bounds == serial.bounds
-        assert set(other.propensity_models) == {0, 1}
+    assert [(c.split_id, c.lambda_index, c.metrics) for c in pooled.candidates] == [
+        (c.split_id, c.lambda_index, c.metrics) for c in serial.candidates
+    ]
+    for c1, c2 in zip(serial.candidates, pooled.candidates):
+        for w1, w2 in zip(c1.params.weights + c1.params.biases, c2.params.weights + c2.params.biases):
+            assert np.array_equal(w1, w2)
+    assert pooled.bounds == serial.bounds
+    assert set(pooled.propensity_models) == {0, 1}
 
 
 @BOTH_SWEEPS
-@pytest.mark.parametrize("jobs", [0, -2, 1.5, "2", True])
+@pytest.mark.parametrize("jobs", [0, -2, 1.5, "2", True, None])
 def test_jobs_must_be_a_positive_integer_or_none(sweep, jobs):
     ds, plan, grid = sweep_setup()
     with pytest.raises(ConfigError, match="jobs"):
@@ -429,7 +418,7 @@ def test_split_groups_are_near_equal_and_cover_every_split():
     ]  # 17 groups of 5 or 6
 
 
-@pytest.mark.parametrize("jobs", [1, 2, 3, None])
+@pytest.mark.parametrize("jobs", [1, 2, 3])
 def test_grouped_sweep_is_bitwise_the_ungrouped_one(jobs, ungrouped):
     res = run_sweep(*three_splits(), SMALL_SWEEP, jobs=jobs)
     assert len(res.candidates) == 3 * 4 and not res.failures
