@@ -22,18 +22,17 @@ import numpy as np
 from .data import Dataset, SplitPlan, minibatches
 from .errors import ConfigError, InputError, NumericError, ShapeError
 from .network import (
-    CLAMP,
     MODE_EVAL,
     MODE_TRAIN,
     NetworkConfig,
     NetworkParams,
     _bce,
     _flatten,
-    _sigmoid,
     _unflatten,
     backprop,
     forward,
     init_network,
+    unclamped,
 )
 from .optim import AdamState, adam_step
 from .pareto import (
@@ -117,26 +116,30 @@ def classifier_objective_gradient(
     Nothing is validated here: train_adversarial checks its data on entry.
     """
     p = trace.output
-    raw = _sigmoid(trace.preactivations[-1][:, 0])
-    unclamped = (raw > CLAMP) & (raw < 1.0 - CLAMP)
-    b = labels.size
-    delta = np.where(unclamped, p - labels, 0.0) / b
+    # where the clamp is open, p is the raw sigmoid and p * (1 - p) its slope
+    gate = unclamped(p)
+    delta = np.where(gate, p - labels, 0.0) / labels.size
     objective = _bce(p, labels)
     if lambda_ > 0.0:
-        adv_trace = forward(adv_params, adv_config, p[:, None], MODE_EVAL, validate=False)
-        q = adv_trace.output
-        adv_deltas: list = [None] * adv_config.num_layers
-        adv_deltas[-1] = ((q - sensitives) / b)[:, None]
-        _, input_grad = backprop(adv_params, adv_config, adv_trace, adv_deltas)
+        _, d_scores, q = _adversary_gradient(adv_params, adv_config, p, sensitives)
         # dLoss_a/dh of the classifier output: through the adversary's
         # input, then the classifier's clamped sigmoid.
-        delta_adv = np.where(unclamped, input_grad[:, 0] * raw * (1.0 - raw), 0.0)
-        delta = delta - lambda_ * delta_adv
+        delta = delta - lambda_ * np.where(gate, d_scores * p * (1.0 - p), 0.0)
         objective -= lambda_ * _bce(q, sensitives)
     deltas: list = [None] * clf_config.num_layers
     deltas[-1] = delta[:, None]
     grads, _ = backprop(clf_params, clf_config, trace, deltas)
     return grads, float(objective)
+
+
+def _adversary_gradient(adv_params: NetworkParams, adv_config: NetworkConfig, scores, sensitives):
+    """Gradients of the adversary's mean BCE on (scores, sensitives): (parameters, d/dscores, predictions)."""
+    trace = forward(adv_params, adv_config, scores[:, None], MODE_EVAL, validate=False)
+    q = trace.output
+    deltas: list = [None] * adv_config.num_layers
+    deltas[-1] = ((q - sensitives) / scores.size)[:, None]
+    grads, d_scores = backprop(adv_params, adv_config, trace, deltas)
+    return grads, d_scores[:, 0], q
 
 
 class _Player:
@@ -215,12 +218,7 @@ def train_adversarial(
         # The classifier is frozen for the whole epoch: score every row once.
         scores = forward(clf.params, clf_cfg, x, MODE_EVAL, validate=False).output
         for mb in minibatches(indices, train_config.batch_size, rng):
-            rows = mb.indices
-            adv_trace = forward(adv.params, adv_cfg, scores[rows, None], MODE_EVAL, validate=False)
-            deltas: list = [None] * adv_cfg.num_layers
-            deltas[-1] = ((adv_trace.output - a[rows]) / rows.size)[:, None]
-            grads, _ = backprop(adv.params, adv_cfg, adv_trace, deltas)
-            adv.step(grads)
+            adv.step(_adversary_gradient(adv.params, adv_cfg, scores[mb.indices], a[mb.indices])[0])
 
     def check_finite(phase: str):
         if not (np.isfinite(clf.flat).all() and np.isfinite(adv.flat).all()):

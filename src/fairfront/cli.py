@@ -140,12 +140,13 @@ def _build_objects(resolved: dict):
         train=_build(TrainConfig, resolved),
         propensity=_build(PropensityConfig, prop, "propensity."),
     )
-    return sweep_config, _build(SplitPlan, resolved), build_lambda_grid(resolved["lambda_count"])
+    plan, grid = _build(SplitPlan, resolved), build_lambda_grid(resolved["lambda_count"])
+    return sweep_config, plan, grid, _build(AdversaryConfig, resolved["adversary"], "adversary.")
 
 
-def _load_encoded_dataset(resolved: dict):
-    schema = ColumnSchema.from_json(resolved["schema_json"])
-    table = load_csv(resolved["dataset_csv"], schema)
+def _load_encoded_dataset(dataset_csv, schema_json):
+    schema = ColumnSchema.from_json(schema_json)
+    table = load_csv(dataset_csv, schema)
     # The architecture is shared across splits, so the encoding (and with it
     # the feature width) is fixed once over all rows rather than per split.
     return encode_and_standardise(table, np.arange(table.n_rows))
@@ -159,7 +160,7 @@ def _write_sweep_outputs(out_dir: Path, resolved: dict, result, csv_name: str, s
         raise FairfrontError(
             f"every sweep job failed; first error: {result.failures[0]['error'] if result.failures else 'unknown'}"
         )
-    write_candidates_csv(out_dir / csv_name, result.candidates)
+    keep = write_candidates_csv(out_dir / csv_name, result.candidates)
     models_dir = out_dir / "models"
     models_dir.mkdir(exist_ok=True)
     for c in result.candidates:
@@ -171,12 +172,10 @@ def _write_sweep_outputs(out_dir: Path, resolved: dict, result, csv_name: str, s
             model.config,
             temperature=model.temperature,
         )
-    r = np.array([c.metrics["r_test"] for c in result.candidates])
-    u = np.array([c.metrics["u_ato"] for c in result.candidates])
     summary = {
         "candidates": len(result.candidates),
         "failures": result.failures,
-        "nondominated_ato": int(cull_nondominated(r, u).sum()),
+        "nondominated_ato": int(keep.sum()),
         "wall_time_seconds": time.monotonic() - started,
     }
     with open(out_dir / "summary.json", "w", encoding="utf-8") as fh:
@@ -189,15 +188,14 @@ def cmd_sweep(args) -> int:
     started = time.monotonic()
     resolved = load_run_config(args.config)
     _apply_overrides(resolved, args)
-    sweep_config, plan, grid = _build_objects(resolved)
+    sweep_config, plan, grid, adv_config = _build_objects(resolved)
     if args.command == "adversarial":
-        adv_config = _build(AdversaryConfig, resolved["adversary"], "adversary.")
         sweep = functools.partial(run_adversarial_sweep, adv_config=adv_config)
         csv_name = "adversarial_candidates.csv"
     else:
         sweep, csv_name = run_sweep, "candidates.csv"
     check_jobs(resolved["jobs"])
-    dataset = _load_encoded_dataset(resolved)
+    dataset = _load_encoded_dataset(resolved["dataset_csv"], resolved["schema_json"])
     result = sweep(dataset, plan, grid, sweep_config, jobs=resolved["jobs"])
     out_dir = Path(resolved["output_dir"])
     summary = _write_sweep_outputs(out_dir, resolved, result, csv_name, started)
@@ -238,9 +236,7 @@ def cmd_metrics(args) -> int:
     if temperature is None:
         raise ConfigError(f"{args.propensity} lacks a temperature field; not a propensity model")
     propensity = PropensityModel(params=p_params, config=p_config, temperature=temperature)
-    schema = ColumnSchema.from_json(args.schema)
-    table = load_csv(args.dataset, schema)
-    dataset = encode_and_standardise(table, np.arange(table.n_rows))
+    dataset = _load_encoded_dataset(args.dataset, args.schema)
     if dataset.n_features != config.layer_sizes[0]:
         raise ConfigError(
             f"dataset encodes to {dataset.n_features} features but the model expects "

@@ -1,9 +1,10 @@
 """Fully-connected feedforward binary classifier with hand-rolled backprop.
 
 Hidden layers are ReLU with inverted dropout; the output layer is a single
-sigmoid unit clamped away from {0, 1}.  The backward pass differentiates a
-Chebyshev composite of standardised risk and a hidden-layer contrast penalty,
-of which plain binary cross-entropy is the lambda = 0 special case.
+sigmoid unit clamped away from {0, 1} (clamped_sigmoid).  The backward pass
+differentiates a Chebyshev composite of standardised risk and a hidden-layer
+contrast penalty, of which plain binary cross-entropy is the lambda = 0
+special case, and returns its value: the composite is defined here only.
 
 forward, backward_composite and backprop also accept a stack of K networks of
 one architecture: weights of shape (K, fan_out, fan_in), biases (K, fan_out),
@@ -198,8 +199,7 @@ def forward(
                 v = v * m
             acts.append(v)
         else:
-            p = np.minimum(np.maximum(_sigmoid(h), CLAMP), 1.0 - CLAMP)
-            acts.append(p)
+            acts.append(clamped_sigmoid(h))
     return ForwardTrace(inputs=x, preactivations=preacts, activations=acts, dropout_masks=drop)
 
 
@@ -208,6 +208,16 @@ def _sigmoid(h: np.ndarray) -> np.ndarray:
     # h >= 0 and e^h / (1 + e^h) below, both from e = exp(-|h|).
     e = np.exp(-np.abs(h))
     return np.where(h >= 0, 1.0, e) / (1.0 + e)
+
+
+def clamped_sigmoid(h: np.ndarray) -> np.ndarray:
+    """The output unit: sigmoid(h) clamped to [CLAMP, 1 - CLAMP]."""
+    return np.minimum(np.maximum(_sigmoid(h), CLAMP), 1.0 - CLAMP)
+
+
+def unclamped(p: np.ndarray) -> np.ndarray:
+    """Where the clamp left the sigmoid output p untouched, the only places it passes gradient."""
+    return (p > CLAMP) & (p < 1.0 - CLAMP)
 
 
 def bce_loss(scores, labels) -> float:
@@ -275,16 +285,17 @@ IDENTITY_BOUNDS = StandardisationBounds(0.0, 1.0, 0.0, 1.0)
 
 
 class BackwardResult(NamedTuple):
-    """Gradients plus the batch risk, penalty and active branch.
+    """Gradients plus the batch risk, penalty, active branch and objective value.
 
-    For a stack, risk and unfairness are (K,) arrays and active_branch is a
-    (K,) array of branch names.
+    For a stack, risk, unfairness and objective are (K,) arrays and
+    active_branch is a (K,) array of branch names.
     """
 
     gradients: NetworkParams
     risk: float | np.ndarray
     unfairness: float | np.ndarray
     active_branch: str | np.ndarray
+    objective: float | np.ndarray
 
 
 def backward_composite(
@@ -306,9 +317,10 @@ def backward_composite(
     deterministically select risk / unfairness so the endpoints degenerate to
     pure BCE and pure penalty training.  When ``weights`` is None, or marks a
     stack member's batch as degenerate, the penalty is undefined for that
-    batch and the risk branch is forced (unfairness comes back as nan).  A
-    stack takes one lambda per member, and either one set of bounds or
-    stacked (K,) bounds (StandardisationBounds.stack).
+    batch, the risk branch is forced (unfairness comes back as nan) and the
+    objective is (1-lambda) * R~ alone.  A stack takes one lambda per member,
+    and either one set of bounds or stacked (K,) bounds
+    (StandardisationBounds.stack).
     """
     lam = np.asarray(lambda_, dtype=np.float64)
     if not np.all((lam >= 0.0) & (lam <= 1.0)):
@@ -324,6 +336,7 @@ def backward_composite(
     batch = y.shape[-1]
 
     risk = _bce(p, y)
+    r_scaled = (1.0 - lam) * bounds.standardise_risk(risk)
     penalised = lam > 0.0
     if weights is None:
         penalised = np.zeros_like(penalised)
@@ -332,6 +345,7 @@ def backward_composite(
     L = config.num_layers
     taus: dict[int, np.ndarray] = {}
     unfairness = np.full(lam.shape, np.nan)
+    objective = r_scaled
     risk_branch = ~penalised
     if penalised.any():
         # tau = coeff @ h is the overlap-weighted contrast of each unit's preactivation.
@@ -341,9 +355,11 @@ def backward_composite(
             taus[l] = (coeff[..., None, :] @ trace.preactivations[l])[..., 0, :]
             penalty = penalty + np.abs(taus[l]).sum(axis=-1)
         unfairness = np.where(penalised, penalty, np.nan)
-        r_tilde = bounds.standardise_risk(risk)
         u_tilde = bounds.standardise_unfairness(unfairness)
-        risk_branch |= (lam < 1.0) & ((1.0 - lam) * r_tilde >= lam * u_tilde)
+        u_scaled = lam * u_tilde
+        risk_branch |= (lam < 1.0) & (r_scaled >= u_scaled)
+        chebyshev = np.where(lam == 1.0, u_tilde, np.maximum(r_scaled, u_scaled))
+        objective = np.where(np.isnan(unfairness), r_scaled, chebyshev)
 
     deltas: list[np.ndarray | None] = [None] * L
     if risk_branch.any():
@@ -351,9 +367,7 @@ def backward_composite(
         # identity-bounds path bit-identical to plain BCE backprop (x * 1.0
         # is exact); d/dh of mean BCE through the sigmoid is (p - y) / batch.
         scale = np.where(risk_branch, (1.0 - lam) / bounds.risk_span, 0.0)
-        # the clamp passes gradient only where it left the sigmoid untouched
-        unclamped = (p > CLAMP) & (p < 1.0 - CLAMP)
-        deltas[L - 1] = (np.where(unclamped, p - y, 0.0) / batch * scale[..., None])[..., None]
+        deltas[L - 1] = (np.where(unclamped(p), p - y, 0.0) / batch * scale[..., None])[..., None]
     if not risk_branch.all():
         scale = np.where(risk_branch, 0.0, lam / bounds.unfairness_span)
         scaled = (coeff * scale[..., None])[..., :, None]
@@ -363,9 +377,9 @@ def backward_composite(
     grads, _ = backprop(params, config, trace, deltas)
     if lam.ndim == 0:
         branch = BRANCH_RISK if risk_branch else BRANCH_UNFAIRNESS
-        return BackwardResult(grads, float(risk), float(unfairness), branch)
+        return BackwardResult(grads, float(risk), float(unfairness), branch, float(objective))
     branch = np.where(risk_branch, BRANCH_RISK, BRANCH_UNFAIRNESS)
-    return BackwardResult(grads, risk, unfairness, branch)
+    return BackwardResult(grads, risk, unfairness, branch, objective)
 
 
 def backprop(

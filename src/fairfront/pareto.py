@@ -593,8 +593,8 @@ def linear_toy_minimiser(lambda_: float, j1, j2) -> int:
     return int(np.argmin((1.0 - lambda_) * a + lambda_ * b))
 
 
-def write_candidates_csv(path, candidates: list[ParetoCandidate]):
-    """Serialise candidates with a freshly computed (r_test, u_ato) keep-mask.
+def write_candidates_csv(path, candidates: list[ParetoCandidate]) -> np.ndarray:
+    """Serialise candidates with a freshly computed (r_test, u_ato) keep-mask, and return the mask.
 
     Floats carry 17 significant digits so a rerun with identical numbers
     produces a byte-identical file.
@@ -604,7 +604,9 @@ def write_candidates_csv(path, candidates: list[ParetoCandidate]):
     rows = [{"split_id": c.split_id, "lambda": c.lambda_, **c.metrics} for c in candidates]
     r = np.array([row["r_test"] for row in rows])
     u = np.array([row["u_ato"] for row in rows])
-    write_candidate_rows(path, rows, cull_nondominated(r, u), CSV_HEADER[-1])
+    keep = cull_nondominated(r, u)
+    write_candidate_rows(path, rows, keep, CSV_HEADER[-1])
+    return keep
 
 
 def write_candidate_rows(path, rows: list[dict], keep: np.ndarray, mask_column: str):

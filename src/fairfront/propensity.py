@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InputError, TrainingError
-from .network import CLAMP, MODE_EVAL, NetworkConfig, NetworkParams, _bce, _sigmoid, forward
+from .network import MODE_EVAL, NetworkConfig, NetworkParams, _bce, clamped_sigmoid, forward
 from .training import TrainConfig, derive_seeds, fit_network
 
 TEMPERATURE_BRACKET = (0.05, 20.0)
@@ -102,7 +102,7 @@ def propensity_logits(model: PropensityModel, features: np.ndarray) -> np.ndarra
 def predict_propensity(model: PropensityModel, features: np.ndarray) -> np.ndarray:
     """Calibrated scores sigmoid(logit / T), clamped inside (0, 1)."""
     logits = propensity_logits(model, features)
-    return np.clip(_sigmoid(logits / model.temperature), CLAMP, 1.0 - CLAMP)
+    return clamped_sigmoid(logits / model.temperature)
 
 
 def calibrate_temperature(
@@ -121,7 +121,7 @@ def calibrate_temperature(
     logits = propensity_logits(model, val_features)
 
     def nll_at(log_t: float) -> float:
-        return float(_bce(np.clip(_sigmoid(logits / math.exp(log_t)), CLAMP, 1.0 - CLAMP), a))
+        return float(_bce(clamped_sigmoid(logits / math.exp(log_t)), a))
 
     lo, hi = (math.log(b) for b in TEMPERATURE_BRACKET)
     best_log_t = _golden_section(nll_at, lo, hi, TEMPERATURE_TOL)

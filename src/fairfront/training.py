@@ -4,7 +4,8 @@ One engine drives every gradient-trained network in the package: plain BCE
 fits (classifier endpoints, the propensity model), penalty-only fits, and
 interior Chebyshev fits.  Identity standardisation bounds make the lambda = 0
 path literally a pure-BCE trainer, which is what the endpoint runs use while
-recording the risk/unfairness ranges.
+recording the risk/unfairness ranges.  The objective and its single-group
+fallback are network.backward_composite's; the loop reads what it returns.
 
 The engine trains K >= 1 networks as one stack: each step is one stacked
 forward, backward and Adam update for all K.  A stack takes every per-member
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import logging
 from collections.abc import Sequence
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,7 +32,6 @@ from .data import minibatches
 from .errors import ConfigError, InputError, ShapeError, TrainingError
 from .metrics import PENALTY_MODES, PENALTY_PENULTIMATE, overlap_weights
 from .network import (
-    IDENTITY_BOUNDS,
     MODE_TRAIN,
     NetworkConfig,
     NetworkParams,
@@ -115,10 +115,11 @@ def fit_network(
     The per-step objective is max{(1-lambda)*R~, lambda*U~}; with bounds=None
     the standardisation is the identity, so lambda = 0 yields plain BCE
     descent and lambda = 1 plain penalty descent.  The plateau scheduler is
-    driven by the epoch mean of the scalarised objective.  Initialisation is
-    deterministic in net_config.seed, shuffling and dropout in loop_seed; a
-    minibatch containing a single sensitive group falls back to the risk
-    branch and is excluded from the unfairness range.
+    driven by the epoch mean of the step objectives backward_composite
+    returns.  Initialisation is deterministic in net_config.seed, shuffling
+    and dropout in loop_seed; a minibatch containing a single sensitive group
+    falls back to the risk branch (its unfairness comes back nan), is counted
+    in skipped_group_batches and is excluded from the unfairness range.
 
     Passing sequences of K configs (one architecture, one init seed each),
     K loop seeds and K lambdas trains the K networks as one stack and returns
@@ -168,8 +169,6 @@ def fit_network(
         raise ConfigError("stacked training sets must have equal row counts")
     if bounds is not None:
         bounds = StandardisationBounds.stack(_members("bounds", bounds, k))
-    # the same bounds as columns, against the (K, steps) epoch series
-    columns = None if bounds is None else StandardisationBounds(*(np.reshape(v, (-1, 1)) for v in astuple(bounds)))
 
     # Adam steps all parameters of a member in place as one row of a (K, P)
     # array; forward and backward read them through per-layer views of it.
@@ -206,30 +205,23 @@ def fit_network(
                 a_epoch[i], e_epoch[i] = mb.sensitives, mb.propensities
         starts = range(0, n, train_config.batch_size)
         shape = (len(configs), len(starts))
-        risks, unfairness = np.empty(shape), np.empty(shape)
-        skipped = np.zeros(len(configs), dtype=int)
+        risks, unfairness, objectives = np.empty(shape), np.empty(shape), np.empty(shape)
         for j, start in enumerate(starts):
             batch = slice(start, start + train_config.batch_size)
             weights = None
             if needs_penalty:
                 weights = overlap_weights(e_epoch[:, batch], a_epoch[:, batch], validate=False)
-                fallback = weights.degenerate & (lams > 0.0) & alive
-                if fallback.any():
-                    skipped += fallback
-                    log.debug(
-                        "epoch %d: %d network(s) drew a batch with a single sensitive group; "
-                        "using the risk branch",
-                        epoch,
-                        int(fallback.sum()),
-                    )
             x, y = x_epoch[:, batch], y_epoch[:, batch]
             trace = forward(params, net, x, MODE_TRAIN, rng=rngs, validate=False)
             back = backward_composite(trace, params, net, y, weights, lams, bounds, penalty_mode)
             adam_step(adam, flat, _flatten(back.gradients))
-            risks[:, j] = back.risk
-            unfairness[:, j] = back.unfairness
+            risks[:, j], unfairness[:, j], objectives[:, j] = back.risk, back.unfairness, back.objective
 
-        epoch_means = _objective_value(risks, unfairness, lams[:, None], columns).mean(axis=1)
+        # lambda > 0 steps that came back without an unfairness fell back to the risk branch
+        skipped = (np.isnan(unfairness) & ((lams > 0.0) & alive)[:, None]).sum(axis=1)
+        if skipped.any():
+            log.debug("epoch %d: %d single-group batch(es) took the risk branch", epoch, skipped.sum())
+        epoch_means = objectives.mean(axis=1)
         failed = alive & ~(np.isfinite(epoch_means) & np.isfinite(flat).all(axis=1))
         for i in np.flatnonzero(alive):
             mean, lr = float(epoch_means[i]), float(adam.learning_rate[i])
@@ -301,13 +293,3 @@ def _validated_groups(sensitives, propensities, n: int) -> tuple[np.ndarray, np.
     if not np.all((e > 0.0) & (e < 1.0)):
         raise InputError("propensities must lie strictly inside (0, 1)")
     return a, e
-
-
-def _objective_value(risk, unfairness, lambda_, bounds: StandardisationBounds | None):
-    """Scalarised objective of each step, elementwise in its risk and penalty."""
-    bounds = IDENTITY_BOUNDS if bounds is None else bounds
-    r_t = (1.0 - lambda_) * bounds.standardise_risk(risk)
-    u_t = bounds.standardise_unfairness(unfairness)
-    # lambda = 0 and single-group fallback steps are pure-risk steps
-    pure_risk = (lambda_ == 0.0) | np.isnan(unfairness)
-    return np.where(pure_risk, r_t, np.where(lambda_ == 1.0, u_t, np.maximum(r_t, lambda_ * u_t)))

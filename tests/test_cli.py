@@ -106,7 +106,7 @@ def test_adversarial_writes_candidates_summary_and_models(workspace, capsys):
         assert (serial / name).read_bytes() == (pooled / name).read_bytes(), name
 
 
-def _no_load(resolved):
+def _no_load(dataset_csv, schema_json):
     raise AssertionError("the dataset was loaded before the configuration was checked")
 
 
@@ -279,6 +279,7 @@ def test_no_subcommand_is_usage_error(capsys):
         ("lambda_count", 4.5),
         ("output_dir", 5),
         ("schema_json", ["a.json"]),
+        ("adversary", {"rounds": "x"}),
     ],
     ids=[
         "null-epochs",
@@ -291,6 +292,7 @@ def test_no_subcommand_is_usage_error(capsys):
         "fractional-lambda_count",
         "number-output_dir",
         "list-schema_json",
+        "text-adversary-rounds",
     ],
 )
 def test_config_values_of_the_wrong_type_exit_2_before_loading(workspace, tmp_path, capsys, monkeypatch, key, value):
@@ -353,8 +355,7 @@ def test_integer_learning_rates_build_float_rates(workspace, tmp_path):
         "adversary": {"learning_rate": 1},
     }))
     resolved = cli.load_run_config(config)
-    sweep_config, _, _ = cli._build_objects(resolved)
-    adv_config = cli._build(cli.AdversaryConfig, resolved["adversary"])
+    sweep_config, _, _, adv_config = cli._build_objects(resolved)
     for rate in (sweep_config.train.learning_rate, sweep_config.propensity.learning_rate, adv_config.learning_rate):
         assert type(rate) is float and rate == 1.0
 

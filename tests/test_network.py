@@ -25,6 +25,7 @@ from fairfront.network import (
     init_network,
     load_model,
     save_model,
+    unclamped,
 )
 
 from conftest import draw_gradient_fixture
@@ -256,6 +257,42 @@ def test_composite_gradient_matches_finite_differences(mode):
                 fx["params"],
             )
             assert max_relative_error(result.gradients, numeric) < 1e-4
+
+
+@pytest.mark.parametrize("mode", [PENALTY_PENULTIMATE, PENALTY_ALL_LAYERS])
+def test_backward_objective_matches_the_oracle_and_stacks_bitwise(mode):
+    rng = np.random.default_rng(78)
+    lambdas = [0.0, 0.3, 0.7, 1.0]
+    k = len(lambdas)
+
+    def stack(a):  # one copy per stack member
+        return np.stack([a] * k)
+
+    for _ in range(3):
+        fx = draw_gradient_fixture(rng, penalty_mode=mode)
+        args = (fx["params"], fx["config"], fx["labels"], fx["weights"])
+        alone = [backward_composite(fx["trace"], *args, lam, fx["bounds"], mode).objective for lam in lambdas]
+        for lam, value in zip(lambdas, alone):
+            expected = composite_objective(
+                fx["params"], fx["config"], fx["x"], fx["labels"], fx["sensitives"],
+                fx["propensities"], lam, fx["bounds"], fx["masks"], mode,
+            )
+            assert abs(value - expected) <= 1e-12
+        # without weights (the single-group fallback) the objective is the risk term alone
+        fallback = backward_composite(fx["trace"], *args[:3], None, 0.7, fx["bounds"], mode)
+        assert fallback.objective == (1.0 - 0.7) * fx["bounds"].standardise_risk(fallback.risk)
+        # the same batch as a stack of k members, one lambda each
+        params = NetworkParams([stack(w) for w in fx["params"].weights], [stack(b) for b in fx["params"].biases])
+        trace = forward(params, fx["config"], stack(fx["x"]), MODE_TRAIN, masks=[stack(m) for m in fx["masks"]])
+        weights = overlap_weights(stack(fx["propensities"]), stack(fx["sensitives"]), validate=False)
+        stacked = backward_composite(trace, params, fx["config"], stack(fx["labels"]), weights, lambdas,
+                                     fx["bounds"], mode)
+        assert stacked.objective.tolist() == alone
+
+
+def test_clamp_gate_is_closed_at_the_clamp_and_open_strictly_inside():
+    p = np.array([0.0, CLAMP, np.nextafter(CLAMP, 1.0), 0.5, np.nextafter(1.0 - CLAMP, 0.0), 1.0 - CLAMP, 1.0])
+    assert unclamped(p).tolist() == [False, False, True, True, True, False, False]
 
 
 def test_standardisation_span_floor():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fairfront.errors import ConfigError
-from fairfront.network import CLAMP, NetworkConfig, NetworkParams, bce_loss
+from fairfront.network import CLAMP, NetworkConfig, NetworkParams, _sigmoid, bce_loss
 from fairfront.propensity import (
     PropensityConfig,
     PropensityModel,
@@ -128,6 +128,10 @@ def test_predict_is_clamped_scaled_sigmoid():
     assert e[1] == pytest.approx(0.5)
     logits = propensity_logits(recal, x)
     assert logits[1] == 0.0 and logits[2] == 300.0
+    # bitwise the sigmoid clipped by np.clip, on logits spanning +-40
+    z = np.linspace(-40.0, 40.0, 2001)
+    halved = PropensityModel(params=logit_passthrough_model().params, config=model.config, temperature=2.0)
+    assert np.array_equal(predict_propensity(halved, z[:, None]), np.clip(_sigmoid(z / 2.0), CLAMP, 1.0 - CLAMP))
 
 
 def test_propensity_model_validates_temperature():
