@@ -86,14 +86,12 @@ class AdversaryConfig:
 
 @dataclass
 class AdversarialResult:
-    """Trained players plus alternation bookkeeping."""
+    """The two trained players and their architectures."""
 
     classifier_params: NetworkParams
     classifier_config: NetworkConfig
     adversary_params: NetworkParams
     adversary_config: NetworkConfig
-    adversary_epochs: int = 0
-    classifier_steps: int = 0
 
 
 def classifier_objective_gradient(
@@ -200,12 +198,6 @@ def train_adversarial(
     clf = _Player(clf_cfg, train_config.learning_rate)
     adv = _Player(adv_cfg, adv_config.learning_rate)
     rng = np.random.default_rng(loop_seed)
-    result = AdversarialResult(
-        classifier_params=clf.params,
-        classifier_config=clf_cfg,
-        adversary_params=adv.params,
-        adversary_config=adv_cfg,
-    )
 
     def classifier_step(rows: np.ndarray):
         trace = forward(clf.params, clf_cfg, x[rows], MODE_TRAIN, rng=rng, validate=False)
@@ -232,24 +224,20 @@ def train_adversarial(
         adversary_epoch()
         check_finite(f"adversary pretraining epoch {epoch}")
 
-    # Alternation proper; only these steps are reflected in the counters.
+    # Alternation proper: one adversary epoch and one classifier step per round.
     batches = _cycled_batches(indices, train_config.batch_size, rng)
     for round_ in range(adv_config.rounds):
         adversary_epoch()
-        result.adversary_epochs += 1
         classifier_step(next(batches))
-        result.classifier_steps += 1
         check_finite(f"round {round_}")
 
-    result.classifier_params = clf.params
-    result.adversary_params = adv.params
-    log.debug(
-        "adversarial run (lambda=%g): %d adversary epochs / %d classifier steps after pretraining",
-        lambda_,
-        result.adversary_epochs,
-        result.classifier_steps,
+    log.debug("adversarial run (lambda=%g): %d rounds after pretraining", lambda_, adv_config.rounds)
+    return AdversarialResult(
+        classifier_params=clf.params,
+        classifier_config=clf_cfg,
+        adversary_params=adv.params,
+        adversary_config=adv_cfg,
     )
-    return result
 
 
 def _cycled_batches(indices: np.ndarray, batch_size: int, rng: np.random.Generator):

@@ -43,9 +43,6 @@ SPAN_FLOOR = 1e-12
 MODE_TRAIN = "train"
 MODE_EVAL = "eval"
 
-BRANCH_RISK = "risk"
-BRANCH_UNFAIRNESS = "unfairness"
-
 
 @dataclass
 class NetworkConfig:
@@ -287,15 +284,16 @@ IDENTITY_BOUNDS = StandardisationBounds(0.0, 1.0, 0.0, 1.0)
 class BackwardResult(NamedTuple):
     """Gradients plus the batch risk, penalty, active branch and objective value.
 
-    For a stack, risk, unfairness and objective are (K,) arrays and
-    active_branch is a (K,) array of branch names.
+    risk, unfairness, risk_branch and objective have lambda's shape: () for
+    one network, (K,) for a stack of K.  risk_branch is True where the
+    gradient is that of the risk branch of the max.
     """
 
     gradients: NetworkParams
-    risk: float | np.ndarray
-    unfairness: float | np.ndarray
-    active_branch: str | np.ndarray
-    objective: float | np.ndarray
+    risk: np.ndarray
+    unfairness: np.ndarray
+    risk_branch: np.ndarray
+    objective: np.ndarray
 
 
 def backward_composite(
@@ -312,15 +310,15 @@ def backward_composite(
 
     R~ and U~ are the batch risk and hidden-layer penalty standardised by
     ``bounds`` (identity when None).  Exactly one branch of the max is active
-    per network; its gradient is what backprop propagates, reusing the trace's
-    dropout masks.  Ties go to the risk branch, and lambda = 0 / lambda = 1
-    deterministically select risk / unfairness so the endpoints degenerate to
-    pure BCE and pure penalty training.  When ``weights`` is None, or marks a
-    stack member's batch as degenerate, the penalty is undefined for that
-    batch, the risk branch is forced (unfairness comes back as nan) and the
-    objective is (1-lambda) * R~ alone.  A stack takes one lambda per member,
-    and either one set of bounds or stacked (K,) bounds
-    (StandardisationBounds.stack).
+    per network, reported in risk_branch; its gradient is what backprop
+    propagates, reusing the trace's dropout masks.  Ties go to the risk
+    branch, and lambda = 0 / lambda = 1 deterministically select risk /
+    unfairness so the endpoints degenerate to pure BCE and pure penalty
+    training.  When ``weights`` is None, or marks a stack member's batch as
+    degenerate, the penalty is undefined for that batch, the risk branch is
+    forced (unfairness comes back as nan) and the objective is
+    (1-lambda) * R~ alone.  A stack takes one lambda per member, and either
+    one set of bounds or stacked (K,) bounds (StandardisationBounds.stack).
     """
     lam = np.asarray(lambda_, dtype=np.float64)
     if not np.all((lam >= 0.0) & (lam <= 1.0)):
@@ -375,11 +373,7 @@ def backward_composite(
             deltas[l] = scaled * np.sign(tau)[..., None, :]
 
     grads, _ = backprop(params, config, trace, deltas)
-    if lam.ndim == 0:
-        branch = BRANCH_RISK if risk_branch else BRANCH_UNFAIRNESS
-        return BackwardResult(grads, float(risk), float(unfairness), branch, float(objective))
-    branch = np.where(risk_branch, BRANCH_RISK, BRANCH_UNFAIRNESS)
-    return BackwardResult(grads, risk, unfairness, branch, objective)
+    return BackwardResult(grads, risk, unfairness, risk_branch, objective)
 
 
 def backprop(

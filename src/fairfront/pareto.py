@@ -440,8 +440,6 @@ def _fit_propensities(xs, a_s, config: SweepConfig, master_seed: int, split_ids)
     """
     n = a_s[0].shape[0]
     n_cal = max(1, int(np.floor(config.calibration_fraction * n)))
-    if n_cal >= n:
-        return [ConfigError("calibration holdout would swallow the whole training split")] * len(xs)
     prop_seeds = [
         int(np.random.SeedSequence([master_seed, split_id, _PROPENSITY_STREAM]).generate_state(1)[0])
         for split_id in split_ids

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigError, InputError, TrainingError
 from .network import MODE_EVAL, NetworkConfig, NetworkParams, _bce, clamped_sigmoid, forward
-from .training import TrainConfig, derive_seeds, fit_network
+from .training import TrainConfig, _members, derive_seeds, fit_network
 
 TEMPERATURE_BRACKET = (0.05, 20.0)
 TEMPERATURE_TOL = 1e-4
@@ -59,21 +59,23 @@ class PropensityModel:
 
 
 def train_propensity(
-    features: np.ndarray | list[np.ndarray],
-    sensitives: np.ndarray | list[np.ndarray],
+    features: list[np.ndarray],
+    sensitives: list[np.ndarray],
     config: PropensityConfig,
-    seed: int | list[int],
-) -> PropensityModel | list[PropensityModel | TrainingError]:
-    """Fit the propensity network by plain BCE on the sensitive attribute.
+    seed: list[int],
+) -> list[PropensityModel | TrainingError]:
+    """Fit K propensity networks as one stack by plain BCE on the sensitive attribute.
 
-    The initialisation and loop seeds both derive from ``seed``
-    (training.derive_seeds).  Returns an uncalibrated model (temperature 1).
-    Lists of K feature matrices, sensitive vectors and seeds, all with one
-    row count, fit K models as one stack (training.fit_network) and return
-    one model, or the TrainingError of a diverged fit, per entry.
+    features, sensitives and seed are lists of K, one entry per model, all
+    of one row count (training.fit_network); any other form raises
+    ConfigError naming the argument.  Each model's initialisation and loop
+    seeds both derive from its seed (training.derive_seeds).  Returns one
+    uncalibrated model (temperature 1), or the TrainingError of a diverged
+    fit, per entry.
     """
-    stacked = isinstance(seed, list)
-    xs, a_s, seeds = (features, sensitives, seed) if stacked else ([features], [sensitives], [seed])
+    k = len(seed) if isinstance(seed, list) else 1
+    seeds = _members("seed", seed, k)
+    xs, a_s = _members("features", features, k), _members("sensitives", sensitives, k)
     layer_sizes = [xs[0].shape[1]] + [config.hidden_width] * config.hidden_layers + [1]
     inits, loops = zip(*(derive_seeds(s) for s in seeds))
     net_configs = [NetworkConfig(layer_sizes=layer_sizes, dropout_prob=config.dropout_prob, seed=i) for i in inits]
@@ -81,16 +83,11 @@ def train_propensity(
         epochs=config.epochs, batch_size=config.batch_size, learning_rate=config.learning_rate
     )
     labels = [np.asarray(a, dtype=np.float64) for a in a_s]
-    fits = fit_network(xs, labels, net_configs, train_config, list(loops), lambda_=[0.0] * len(seeds))
-    models = [
+    fits = fit_network(xs, labels, net_configs, train_config, list(loops))
+    return [
         fit if isinstance(fit, TrainingError) else PropensityModel(params=fit.params, config=net, temperature=1.0)
         for fit, net in zip(fits, net_configs)
     ]
-    if stacked:
-        return models
-    if isinstance(models[0], TrainingError):
-        raise models[0]
-    return models[0]
 
 
 def propensity_logits(model: PropensityModel, features: np.ndarray) -> np.ndarray:

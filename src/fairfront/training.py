@@ -8,22 +8,22 @@ recording the risk/unfairness ranges.  The objective and its single-group
 fallback are network.backward_composite's; the loop reads what it returns.
 
 The engine trains K >= 1 networks as one stack: each step is one stacked
-forward, backward and Adam update for all K.  A stack takes every per-member
-argument as a list with one entry per member: each member has its own
+forward, backward and Adam update for all K.  fit_network takes every
+per-member argument as a list with one entry per member and returns one
+result per member; one network is a stack of one, and its failure is
+returned like any member's.  Each member has its own config, lambda and
 training set, all of one row count (the splits of a sweep's split group, or
-one split's rows repeated), and its own standardisation bounds.  A lone
-network is a stack of one.  Each member keeps its own lambda, init seed,
-loop generator (epoch shuffles and dropout draws, in the order of a lone
-fit), learning-rate schedule and finiteness guard, so a member's numbers
-equal those of the same network trained alone and a diverging member fails
-alone.
+one split's rows repeated), and its own standardisation bounds.  Each member
+also keeps its own loop generator (epoch shuffles and dropout draws),
+learning-rate schedule and finiteness guard, so a member's numbers equal
+those of the same network trained as a stack of one, and a diverging member
+fails alone.
 The stack keeps its shape for the whole fit: a failed member keeps its row
 as zeros, so the remaining steps stay finite, and is no longer read.
 """
 from __future__ import annotations
 
 import logging
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,19 +98,26 @@ def derive_seeds(*keys: int) -> tuple[int, int]:
 
 
 def fit_network(
-    features: np.ndarray | list[np.ndarray],
-    labels: np.ndarray | list[np.ndarray],
-    net_config: NetworkConfig | Sequence[NetworkConfig],
+    features: list[np.ndarray],
+    labels: list[np.ndarray],
+    net_config: list[NetworkConfig],
     train_config: TrainConfig,
-    loop_seed: int | Sequence[int],
+    loop_seed: list[int],
     *,
-    lambda_: float | Sequence[float] = 0.0,
-    bounds: StandardisationBounds | list[StandardisationBounds] | None = None,
-    sensitives: np.ndarray | list[np.ndarray] | None = None,
-    propensities: np.ndarray | list[np.ndarray] | None = None,
+    lambda_: list[float] | None = None,
+    bounds: list[StandardisationBounds] | None = None,
+    sensitives: list[np.ndarray] | None = None,
+    propensities: list[np.ndarray] | None = None,
     penalty_mode: str = PENALTY_PENULTIMATE,
-) -> FitResult | list[FitResult | TrainingError]:
-    """Adam-train a fresh network, or a stack of them, on (features, labels).
+) -> list[FitResult | TrainingError]:
+    """Adam-train a stack of K fresh networks, member k on (features[k], labels[k]).
+
+    Every per-member argument is a list of K, one entry per network: the
+    configs (one architecture, one init seed each), loop seeds, lambdas
+    (None trains every member at lambda = 0), features and labels, and the
+    sensitives, propensities and bounds when given.  The members' row counts
+    must agree.  Any other form, a bare value included, raises ConfigError
+    naming the argument; one network is a stack of one.
 
     The per-step objective is max{(1-lambda)*R~, lambda*U~}; with bounds=None
     the standardisation is the identity, so lambda = 0 yields plain BCE
@@ -121,24 +128,14 @@ def fit_network(
     falls back to the risk branch (its unfairness comes back nan), is counted
     in skipped_group_batches and is excluded from the unfairness range.
 
-    Passing sequences of K configs (one architecture, one init seed each),
-    K loop seeds and K lambdas trains the K networks as one stack and returns
-    K entries: a FitResult, or the TrainingError of a member whose objective
-    or parameters went non-finite.  A single network's failure is raised.
-    A stack's features, labels, sensitives, propensities and bounds (when
-    given) are lists of K, one entry per member, and the members' row counts
-    must agree; any other form raises ConfigError.
+    Returns K entries: a FitResult, or the TrainingError of a member whose
+    objective or parameters went non-finite.
     """
-    stacked = not isinstance(net_config, NetworkConfig)
-    if not stacked:
-        # one network is a stack of one: each argument is its only entry
-        features, labels, net_config, loop_seed, lambda_ = [features], [labels], [net_config], [loop_seed], [lambda_]
-        sensitives, propensities, bounds = (None if v is None else [v] for v in (sensitives, propensities, bounds))
-    configs, seeds = list(net_config), list(loop_seed)
-    lams = np.array(lambda_, dtype=np.float64)
-    k = len(configs)
-    if not configs or len(seeds) != k or lams.shape != (k,):
-        raise ConfigError("a stack needs one config, one loop seed and one lambda per network")
+    k = len(net_config) if isinstance(net_config, list) else 1
+    configs, seeds = _members("net_config", net_config, k), _members("loop_seed", loop_seed, k)
+    lams = np.zeros(k) if lambda_ is None else np.array(_members("lambda_", lambda_, k), dtype=np.float64)
+    if not configs:
+        raise ConfigError("a stack needs at least one network")
     net = configs[0]
     if any(c.layer_sizes != net.layer_sizes or c.dropout_prob != net.dropout_prob for c in configs):
         raise ConfigError("stacked networks must share one architecture")
@@ -195,9 +192,10 @@ def fit_network(
 
     for epoch in range(train_config.epochs):
         # One shuffled pass per member: minibatches with a single batch of all
-        # n rows draws the member's epoch permutation exactly as a lone fit
-        # does.  Step j takes rows [j * batch_size, (j + 1) * batch_size) of
-        # it, the partition minibatches makes.
+        # n rows draws the member's epoch permutation exactly as
+        # minibatches(indices, batch_size, rng) does.  Step j takes rows
+        # [j * batch_size, (j + 1) * batch_size) of it, the partition
+        # minibatches makes.
         for i, (rng, (x, y, a, e)) in enumerate(zip(rngs, sets)):
             (mb,) = minibatches(indices, n, rng, features=x, sensitives=a, labels=y, propensities=e)
             x_epoch[i], y_epoch[i] = mb.features, mb.labels
@@ -249,11 +247,7 @@ def fit_network(
     for i in np.flatnonzero(alive):
         results[i].params = params.member(i)
         results[i].final_learning_rate = float(adam.learning_rate[i])
-    if stacked:
-        return results
-    if isinstance(results[0], TrainingError):
-        raise results[0]
-    return results[0]
+    return results
 
 
 def _widen(range_: tuple[float, float], series: np.ndarray) -> tuple[float, float]:

@@ -9,8 +9,6 @@ import pytest
 from fairfront.errors import ConfigError, InputError, NumericError, ShapeError
 from fairfront.metrics import PENALTY_ALL_LAYERS, PENALTY_PENULTIMATE, overlap_weights
 from fairfront.network import (
-    BRANCH_RISK,
-    BRANCH_UNFAIRNESS,
     CLAMP,
     IDENTITY_BOUNDS,
     MODE_EVAL,
@@ -192,10 +190,10 @@ def test_branch_forcing_at_endpoints_and_none_weights():
     x, y, a, e = _two_group_batch(rng, 4)
     w = overlap_weights(e, a)
     trace = forward(params, config, x)
-    assert backward_composite(trace, params, config, y, w, 0.0).active_branch == BRANCH_RISK
-    assert backward_composite(trace, params, config, y, w, 1.0).active_branch == BRANCH_UNFAIRNESS
+    assert backward_composite(trace, params, config, y, w, 0.0).risk_branch
+    assert not backward_composite(trace, params, config, y, w, 1.0).risk_branch
     # missing weights always forces the risk branch, whatever lambda says
-    assert backward_composite(trace, params, config, y, None, 0.7).active_branch == BRANCH_RISK
+    assert backward_composite(trace, params, config, y, None, 0.7).risk_branch
 
 
 def test_branch_tie_prefers_risk():
@@ -208,7 +206,7 @@ def test_branch_tie_prefers_risk():
     # bounds chosen so both standardised values are exactly 1.0: x/x == 1.0
     bounds = StandardisationBounds(0.0, probe.risk, 0.0, probe.unfairness)
     result = backward_composite(trace, params, config, y, w, 0.5, bounds)
-    assert result.active_branch == BRANCH_RISK
+    assert result.risk_branch
 
 
 def test_lambda_zero_identity_bounds_is_plain_bce_gradient():

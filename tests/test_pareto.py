@@ -205,9 +205,9 @@ def test_run_sweep_reuses_endpoint_models():
     train_idx = None  # reconstruct the split exactly as the sweep did
     from fairfront.data import make_splits
     train_idx, _ = make_splits(ds.n_rows, plan, sensitives=ds.sensitives, labels=ds.labels)[0]
-    refit = fit_network(
-        ds.features[train_idx], ds.labels[train_idx].astype(float), net,
-        SMALL_SWEEP.train, derive_seeds(2, 0, 0)[1],
+    (refit,) = fit_network(
+        [ds.features[train_idx]], [ds.labels[train_idx].astype(float)], [net],
+        SMALL_SWEEP.train, [derive_seeds(2, 0, 0)[1]],
     )
     for w1, w2 in zip(lam0.params.weights, refit.params.weights):
         assert np.array_equal(w1, w2)

@@ -36,8 +36,8 @@ def test_fit_is_deterministic():
     ds = generate_synthetic(n=120, p=4, bias_strength=1.0, seed=0)
     net = NetworkConfig(layer_sizes=[4, 3, 1], dropout_prob=0.2, seed=11)
     cfg = TrainConfig(epochs=5, batch_size=32)
-    r1 = fit_network(ds.features, ds.labels, net, cfg, loop_seed=77)
-    r2 = fit_network(ds.features, ds.labels, net, cfg, loop_seed=77)
+    (r1,) = fit_network([ds.features], [ds.labels], [net], cfg, loop_seed=[77])
+    (r2,) = fit_network([ds.features], [ds.labels], [net], cfg, loop_seed=[77])
     for w1, w2 in zip(r1.params.weights, r2.params.weights):
         assert np.array_equal(w1, w2)
     assert r1.epoch_objectives == r2.epoch_objectives
@@ -48,7 +48,7 @@ def test_lambda_zero_run_is_bitwise_plain_bce_descent():
     ds = generate_synthetic(n=150, p=5, bias_strength=2.0, seed=3)
     net = NetworkConfig(layer_sizes=[5, 4, 1], dropout_prob=0.2, seed=21)
     cfg = TrainConfig(epochs=4, batch_size=32, learning_rate=1e-3)
-    fitted = fit_network(ds.features, ds.labels, net, cfg, loop_seed=5)
+    (fitted,) = fit_network([ds.features], [ds.labels], [net], cfg, loop_seed=[5])
 
     # independent reference loop: raw BCE deltas, same rng consumption order
     params = init_network(net)
@@ -78,7 +78,7 @@ def test_lambda_positive_requires_group_data():
     ds = generate_synthetic(n=60, p=3, bias_strength=1.0, seed=2)
     net = NetworkConfig(layer_sizes=[3, 2, 1], dropout_prob=0.0, seed=0)
     with pytest.raises(ConfigError, match="sensitives and propensities"):
-        fit_network(ds.features, ds.labels, net, TrainConfig(epochs=1, batch_size=16), 0, lambda_=0.5)
+        fit_network([ds.features], [ds.labels], [net], TrainConfig(epochs=1, batch_size=16), [0], lambda_=[0.5])
 
 
 def test_single_group_batches_are_counted_and_survived():
@@ -91,8 +91,8 @@ def test_single_group_batches_are_counted_and_survived():
     e = np.clip(rng.uniform(0.2, 0.8, size=n), 0.01, 0.99)
     net = NetworkConfig(layer_sizes=[3, 3, 1], dropout_prob=0.0, seed=1)
     cfg = TrainConfig(epochs=6, batch_size=8)
-    result = fit_network(
-        x, y, net, cfg, loop_seed=13, lambda_=0.4, sensitives=a, propensities=e
+    (result,) = fit_network(
+        [x], [y], [net], cfg, loop_seed=[13], lambda_=[0.4], sensitives=[a], propensities=[e]
     )
     assert result.skipped_group_batches > 0
     u_min, u_max = result.unfairness_range
@@ -106,7 +106,7 @@ def test_ranges_and_lr_reporting():
     ds = generate_synthetic(n=90, p=3, bias_strength=1.0, seed=5)
     net = NetworkConfig(layer_sizes=[3, 2, 1], dropout_prob=0.0, seed=2)
     cfg = TrainConfig(epochs=3, batch_size=30)
-    result = fit_network(ds.features, ds.labels, net, cfg, loop_seed=1)
+    (result,) = fit_network([ds.features], [ds.labels], [net], cfg, loop_seed=[1])
     r_min, r_max = result.risk_range
     assert np.isfinite([r_min, r_max]).all() and r_min <= r_max
     assert result.unfairness_range == EMPTY_RANGE  # a lambda = 0 fit computes no penalty
@@ -181,25 +181,30 @@ def test_members_with_their_own_rows_and_bounds_are_bitwise_their_lone_fits():
     ]
     features, labels, sensitives, propensities = (list(c) for c in zip(*sets))
 
+    configs = stack_configs(STACK_SEEDS)
+    loop_seeds = [loop for _, loop in STACK_SEEDS]
+
     def fit_all(**wrong):
         per_member = dict(
-            features=features, labels=labels, bounds=bounds, sensitives=sensitives, propensities=propensities
+            features=features, labels=labels, net_config=configs, loop_seed=loop_seeds, lambda_=STACK_LAMBDAS,
+            bounds=bounds, sensitives=sensitives, propensities=propensities,
         )
         per_member.update(wrong)
-        return fit_network(
-            per_member.pop("features"), per_member.pop("labels"), stack_configs(STACK_SEEDS), STACK_TRAIN,
-            [loop for _, loop in STACK_SEEDS], lambda_=STACK_LAMBDAS, penalty_mode="all_layers", **per_member,
-        )
+        return fit_network(train_config=STACK_TRAIN, penalty_mode="all_layers", **per_member)
 
     for (xk, yk, ak, ek), b, lam, seeds, member in zip(sets, bounds, STACK_LAMBDAS, STACK_SEEDS, fit_all()):
-        alone = fit_network(
-            xk, yk, stack_configs([seeds])[0], STACK_TRAIN, seeds[1], lambda_=lam, bounds=b,
-            sensitives=ak, propensities=ek, penalty_mode="all_layers",
+        (alone,) = fit_network(
+            [xk], [yk], stack_configs([seeds]), STACK_TRAIN, [seeds[1]], lambda_=[lam], bounds=[b],
+            sensitives=[ak], propensities=[ek], penalty_mode="all_layers",
         )
         assert_same_fit(member, alone)
 
-    # a stack takes lists only: no shared array, no (K, n, ...) array, no shared bounds
+    # every per-member argument is a list: no bare value, no shared array, no
+    # (K, n, ...) array, no shared bounds
     for wrong in [
+        dict(net_config=configs[0]),
+        dict(loop_seed=loop_seeds[0]),
+        dict(lambda_=STACK_LAMBDAS[1]),
         dict(features=x[rows[0]]),
         dict(features=np.stack(features)),
         dict(labels=np.stack(labels)),
@@ -308,12 +313,9 @@ def test_non_finite_member_fails_alone(monkeypatch):
     assert_same_fit(with_poison[0], without[0])
     assert_same_fit(with_poison[2], without[1])
 
-    # a lone network's failure is raised, not returned
-    x, y, a, e = stack_problem()
-    with pytest.raises(TrainingError):
-        fit_network(
-            x, y, stack_configs(STACK_SEEDS)[1], STACK_TRAIN, 8, lambda_=0.4, sensitives=a, propensities=e
-        )
+    # a stack of one returns its failure like any other stack
+    (alone,) = fit_stack(STACK_LAMBDAS[1:2], STACK_SEEDS[1:2])
+    assert isinstance(alone, TrainingError) and "non-finite" in str(alone)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -343,7 +345,7 @@ def test_member_failing_in_a_later_epoch_keeps_its_slot(monkeypatch):
 
 def test_stack_arguments_must_line_up():
     x, y, a, e = stack_problem()
-    with pytest.raises(ConfigError, match="one loop seed"):
+    with pytest.raises(ConfigError, match="loop_seed"):
         fit_network(
             [x] * 3, [y] * 3, stack_configs(STACK_SEEDS), STACK_TRAIN, [1, 2], lambda_=STACK_LAMBDAS,
             sensitives=[a] * 3, propensities=[e] * 3,
@@ -359,12 +361,12 @@ def test_fit_rejects_bad_data_up_front():
     bad_x = x.copy()
     bad_x[3, 1] = np.nan
     with pytest.raises(InputError, match="finite"):
-        fit_network(bad_x, y, net, STACK_TRAIN, 0)
+        fit_network([bad_x], [y], [net], STACK_TRAIN, [0])
     bad_a = a.copy()
     bad_a[0] = 2
     with pytest.raises(InputError, match="0/1"):
-        fit_network(x, y, net, STACK_TRAIN, 0, lambda_=0.5, sensitives=bad_a, propensities=e)
+        fit_network([x], [y], [net], STACK_TRAIN, [0], lambda_=[0.5], sensitives=[bad_a], propensities=[e])
     bad_e = e.copy()
     bad_e[0] = 1.0
     with pytest.raises(InputError, match="inside"):
-        fit_network(x, y, net, STACK_TRAIN, 0, lambda_=0.5, sensitives=a, propensities=bad_e)
+        fit_network([x], [y], [net], STACK_TRAIN, [0], lambda_=[0.5], sensitives=[a], propensities=[bad_e])
