@@ -35,6 +35,11 @@ one split stage, _split_stage: the same splits, calibrated propensity models,
 seed streams, test scoring, failure records and pool dispatch.  Each sweep
 plugs in only its trainer of a group's splits; this module's is
 _train_scalarised_group.
+
+A group's payload holds its splits' index arrays, never rows: the split
+stage reads the dataset that _run_splits installs in the process running
+it.  Forked pool workers get it from their initializer, so they inherit the
+parent's rows copy-on-write instead of each unpickling a copy.
 """
 from __future__ import annotations
 
@@ -360,8 +365,24 @@ def _set_blas_threads(count: int) -> int | None:
 
 
 def _one_blas_thread():
-    """Pool initializer: one BLAS thread per worker, so that jobs workers use jobs CPUs."""
+    """One BLAS thread per worker, so that jobs workers use jobs CPUs."""
     _set_blas_threads(1)
+
+
+# The dataset _split_stage reads: set by _init_split_worker in a pool worker,
+# and by _run_splits around the splits it runs in this process.
+_dataset: Dataset | None = None
+
+
+def _init_split_worker(dataset: Dataset) -> None:
+    """Pool initializer: hold the dataset for _split_stage and pin one BLAS thread.
+
+    Under the fork context initargs are inherited, not pickled, so a worker
+    reads the parent's rows copy-on-write.
+    """
+    global _dataset
+    _dataset = dataset
+    _one_blas_thread()
 
 
 def _run_splits(
@@ -372,22 +393,28 @@ def _run_splits(
     ``worker`` is a module-level pool target calling _split_stage; ``extra``
     goes to its trainer.  A group holds at most as many splits as have their
     endpoints fit one stack (stack_size() // 2, at least one), and there is
-    at least one group per worker.  The groups run in a process pool of
-    forked workers when jobs > 1, in this process otherwise; either way with
-    one BLAS thread (numpy's bundled OpenBLAS, where it is found).
+    at least one group per worker.  A group's payload is (its splits'
+    (split_id, train_idx, test_idx), grid, config, master seed, extra):
+    index arrays, no rows.  The groups run in a process pool of forked
+    workers, each set up by _init_split_worker, when jobs > 1; in this
+    process otherwise, with the dataset installed and BLAS pinned for the
+    sweep and both undone after.  Either way with one BLAS thread (numpy's
+    bundled OpenBLAS, where it is found).
     """
+    global _dataset
     check_jobs(jobs)
     splits = make_splits(dataset.n_rows, plan, sensitives=dataset.sensitives, labels=dataset.labels)
     group_cap = max(1, stack_size(config.train.batch_size, config.layer_sizes(dataset.n_features)) // 2)
     payloads = [
-        ([(i, *splits[i]) for i in ids], dataset, grid, config, plan.master_seed, extra)
+        ([(i, *splits[i]) for i in ids], grid, config, plan.master_seed, extra)
         for ids in split_groups(len(splits), group_cap, jobs)
     ]
     if jobs > 1 and len(payloads) > 1:
         with ProcessPoolExecutor(
             max_workers=min(jobs, len(payloads)),
             mp_context=multiprocessing.get_context("fork"),
-            initializer=_one_blas_thread,
+            initializer=_init_split_worker,
+            initargs=(dataset,),
         ) as pool:
             results = list(pool.map(worker, payloads))
     else:
@@ -395,8 +422,10 @@ def _run_splits(
         # differently, and results must not depend on jobs.
         previous = _set_blas_threads(1)
         try:
+            _dataset = dataset
             results = [worker(p) for p in payloads]
         finally:
+            _dataset = None
             if previous is not None:
                 _set_blas_threads(previous)
     merged = SweepResult(candidates=[], failures=[])
@@ -482,8 +511,13 @@ def _split_stage(payload, train, stage: str) -> list[tuple]:
     scoring failed is recorded at ``stage``.  Returns, per split of the
     group, (split_id, candidates, failures, bounds, propensity model), the
     last two None when the split failed as a whole.
+
+    ``payload`` is (group, grid, config, master_seed, extra), with group a
+    list of (split_id, train_idx, test_idx): index arrays into the dataset
+    that _run_splits installed in this process.
     """
-    group, dataset, grid, config, master_seed, extra = payload
+    group, grid, config, master_seed, extra = payload
+    dataset = _dataset
     template = NetworkConfig(
         layer_sizes=config.layer_sizes(dataset.n_features), dropout_prob=config.dropout_prob
     )

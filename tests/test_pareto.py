@@ -1,12 +1,15 @@
 """Lambda grids, bounds discovery, sweep orchestration, culling, CSV IO."""
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from fairfront import adversarial, pareto
 from fairfront.adversarial import AdversaryConfig, run_adversarial_sweep
-from fairfront.data import SplitPlan, generate_synthetic
+from fairfront.data import Dataset, SplitPlan, generate_synthetic
 from fairfront.errors import ConfigError, InputError, TrainingError
 from fairfront.network import NetworkConfig
 from fairfront.pareto import (
@@ -363,6 +366,45 @@ def test_candidates_do_not_depend_on_the_worker_count(sweep):
             assert np.array_equal(w1, w2)
     assert pooled.bounds == serial.bounds
     assert set(pooled.propensity_models) == {0, 1}
+
+
+class UnpicklableDataset(Dataset):
+    def __reduce__(self):
+        raise TypeError("the dataset was pickled")
+
+
+@BOTH_SWEEPS
+def test_pool_workers_inherit_the_dataset_instead_of_unpickling_it(sweep):
+    ds = generate_synthetic(n=240, p=4, bias_strength=2.0, seed=9)
+    plan = SplitPlan(num_splits=2, train_fraction=0.5, master_seed=4)
+    grid = build_lambda_grid(3)
+    serial = sweep(ds, plan, grid, jobs=1)
+    pooled = sweep(UnpicklableDataset(**vars(ds)), plan, grid, jobs=2)
+    assert len(serial.candidates) == 2 * 3 and not pooled.failures
+    assert_same_sweep(pooled, serial, split_ids=(0, 1))
+    assert set(pooled.propensity_models) == set(serial.propensity_models) == {0, 1}
+    for split_id, model in serial.propensity_models.items():
+        other = pooled.propensity_models[split_id]
+        assert other.temperature == model.temperature
+        for w1, w2 in zip(model.params.weights + model.params.biases, other.params.weights + other.params.biases):
+            assert np.array_equal(w1, w2)
+
+
+def test_no_reference_to_the_dataset_outlives_the_sweep(monkeypatch):
+    def broken_fit(*args, **kwargs):
+        raise TypeError("a bug, not a failed job")
+
+    ds, plan, grid = sweep_setup()
+    run_sweep(ds, plan, grid, SMALL_SWEEP, jobs=1)
+    returned = weakref.ref(ds)
+    ds, plan, grid = sweep_setup()
+    monkeypatch.setattr(pareto, "fit_network", broken_fit)
+    with pytest.raises(TypeError, match="a bug"):
+        run_sweep(ds, plan, grid, SMALL_SWEEP, jobs=1)
+    raised = weakref.ref(ds)
+    del ds
+    gc.collect()
+    assert returned() is None and raised() is None
 
 
 @BOTH_SWEEPS
