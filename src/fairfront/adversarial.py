@@ -273,22 +273,23 @@ def _adv_split_worker(payload):
 
 
 def _train_adversarial_group(splits: list[TrainingSplit], grid: LambdaGrid, config: SweepConfig, adv_config):
-    """The adversarial sweep's trainer: train_adversarial once per split and lambda."""
-    return [(_train_adversarial_split(split, grid, config, adv_config), None) for split in splits]
+    """The adversarial sweep's trainer: train_adversarial once per split and lambda.
 
-
-def _train_adversarial_split(split: TrainingSplit, grid: LambdaGrid, config: SweepConfig, adv_config):
-    """One fit (or expected failure) per lambda of a split."""
-    rows = (split.features, split.labels, split.sensitives, split.template, config.train, adv_config)
-    fits: list[FitResult | Exception] = []
-    for lam, seeds in zip(grid.values, split.seeds):
-        try:
-            run = train_adversarial(*rows, lam, seeds)
-        except EXPECTED_FAILURES as exc:
-            fits.append(exc)
-            continue
-        # The protocol has no epoch objective and no learning-rate schedule.
-        fits.append(
-            FitResult(run.classifier_params, [float("nan")], final_learning_rate=config.train.learning_rate)
-        )
-    return fits
+    Returns, per split, one fit (or expected failure) per lambda and no bounds.
+    """
+    outcomes = []
+    for split in splits:
+        rows = (split.features, split.labels, split.sensitives, split.template, config.train, adv_config)
+        fits: list[FitResult | Exception] = []
+        for lam, seeds in zip(grid.values, split.seeds):
+            try:
+                run = train_adversarial(*rows, lam, seeds)
+            except EXPECTED_FAILURES as exc:
+                fits.append(exc)
+                continue
+            # The protocol has no epoch objective and no learning-rate schedule.
+            fits.append(
+                FitResult(run.classifier_params, [float("nan")], final_learning_rate=config.train.learning_rate)
+            )
+        outcomes.append((fits, None))
+    return outcomes

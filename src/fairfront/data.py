@@ -111,6 +111,9 @@ def load_csv(path, schema: ColumnSchema) -> RawTable:
         except StopIteration:
             raise IngestionError(f"{path}: file is empty")
         header = [h.strip() for h in header]
+        repeated = sorted({h for h in header if header.count(h) > 1})
+        if repeated:
+            raise IngestionError(f"{path}: header repeats columns: {repeated}")
         missing_in_file = [c for c in schema.columns if c not in header]
         if missing_in_file:
             raise IngestionError(f"{path}: schema columns absent from header: {missing_in_file}")

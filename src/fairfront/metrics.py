@@ -270,7 +270,7 @@ def conditional_mv_index(scores, groups, strata) -> float:
         )
     values = []
     skipped = []
-    for level in np.unique(u):
+    for level in np.unique(u).tolist():
         mask = u == level
         if np.unique(z[mask]).shape[0] < 2:
             skipped.append(level)

@@ -37,9 +37,10 @@ plugs in only its trainer of a group's splits; this module's is
 _train_scalarised_group.
 
 A group's payload holds its splits' index arrays, never rows: the split
-stage reads the dataset that _run_splits installs in the process running
-it.  Forked pool workers get it from their initializer, so they inherit the
-parent's rows copy-on-write instead of each unpickling a copy.
+stage reads the dataset that _run_splits installs for the sweep.  Forked
+pool workers inherit it with the rest of the module, so they read the
+parent's rows copy-on-write instead of each unpickling a copy.  Each group
+returns one SweepResult, and _run_splits merges them.
 """
 from __future__ import annotations
 
@@ -364,42 +365,27 @@ def _set_blas_threads(count: int) -> int | None:
     return previous
 
 
-def _one_blas_thread():
-    """One BLAS thread per worker, so that jobs workers use jobs CPUs."""
-    _set_blas_threads(1)
-
-
-# The dataset _split_stage reads: set by _init_split_worker in a pool worker,
-# and by _run_splits around the splits it runs in this process.
+# The dataset _split_stage reads, set by _run_splits for the sweep; forked
+# pool workers inherit it like any other module state.
 _dataset: Dataset | None = None
-
-
-def _init_split_worker(dataset: Dataset) -> None:
-    """Pool initializer: hold the dataset for _split_stage and pin one BLAS thread.
-
-    Under the fork context initargs are inherited, not pickled, so a worker
-    reads the parent's rows copy-on-write.
-    """
-    global _dataset
-    _dataset = dataset
-    _one_blas_thread()
 
 
 def _run_splits(
     worker, dataset: Dataset, plan: SplitPlan, grid: LambdaGrid, config: SweepConfig, jobs: int, extra
 ) -> SweepResult:
-    """Run a sweep's split worker on every split group and merge the results into a SweepResult.
+    """Run a sweep's split worker on every split group and merge the groups' SweepResults.
 
     ``worker`` is a module-level pool target calling _split_stage; ``extra``
     goes to its trainer.  A group holds at most as many splits as have their
     endpoints fit one stack (stack_size() // 2, at least one), and there is
     at least one group per worker.  A group's payload is (its splits'
     (split_id, train_idx, test_idx), grid, config, master seed, extra):
-    index arrays, no rows.  The groups run in a process pool of forked
-    workers, each set up by _init_split_worker, when jobs > 1; in this
-    process otherwise, with the dataset installed and BLAS pinned for the
-    sweep and both undone after.  Either way with one BLAS thread (numpy's
-    bundled OpenBLAS, where it is found).
+    index arrays, no rows.  The dataset is installed for the sweep and
+    cleared after it, and the groups run in a process pool of forked workers
+    when jobs > 1, in this process otherwise.  Either way with one BLAS
+    thread (numpy's bundled OpenBLAS, where it is found): a multi-threaded
+    BLAS may round differently, and results must not depend on jobs.  The
+    merged failures are ordered by (split_id, lambda_index).
     """
     global _dataset
     check_jobs(jobs)
@@ -409,33 +395,30 @@ def _run_splits(
         ([(i, *splits[i]) for i in ids], grid, config, plan.master_seed, extra)
         for ids in split_groups(len(splits), group_cap, jobs)
     ]
-    if jobs > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(
-            max_workers=min(jobs, len(payloads)),
-            mp_context=multiprocessing.get_context("fork"),
-            initializer=_init_split_worker,
-            initargs=(dataset,),
-        ) as pool:
-            results = list(pool.map(worker, payloads))
-    else:
-        # One BLAS thread here too: a multi-threaded BLAS may round
-        # differently, and results must not depend on jobs.
-        previous = _set_blas_threads(1)
-        try:
-            _dataset = dataset
+    previous = _set_blas_threads(1)
+    _dataset = dataset
+    try:
+        if jobs > 1 and len(payloads) > 1:
+            with ProcessPoolExecutor(
+                max_workers=min(jobs, len(payloads)),
+                mp_context=multiprocessing.get_context("fork"),
+                initializer=_set_blas_threads,
+                initargs=(1,),
+            ) as pool:
+                results = list(pool.map(worker, payloads))
+        else:
             results = [worker(p) for p in payloads]
-        finally:
-            _dataset = None
-            if previous is not None:
-                _set_blas_threads(previous)
+    finally:
+        _dataset = None
+        if previous is not None:
+            _set_blas_threads(previous)
     merged = SweepResult(candidates=[], failures=[])
-    for split_id, candidates, failures, bounds, prop_model in (r for group in results for r in group):
-        merged.candidates.extend(candidates)
-        merged.failures.extend(failures)
-        if bounds is not None:
-            merged.bounds[split_id] = bounds
-        if prop_model is not None:
-            merged.propensity_models[split_id] = prop_model
+    for res in results:
+        merged.candidates += res.candidates
+        merged.failures += res.failures
+        merged.bounds.update(res.bounds)
+        merged.propensity_models.update(res.propensity_models)
+    merged.failures.sort(key=lambda f: (f["split_id"], f["lambda_index"]))
     for failure in merged.failures:
         log.warning("sweep job failed: %s", failure)
     return merged
@@ -452,20 +435,22 @@ def _failure_record(split_id: int, lambda_index: int, lambda_: float, stage: str
     }
 
 
-def _fail_split(split_id: int, grid: LambdaGrid, stage: str, exc: Exception) -> tuple:
-    """Split-stage result of a split whose every lambda failed at ``stage``."""
-    failures = [_failure_record(split_id, k, lam, stage, exc) for k, lam in enumerate(grid.values)]
-    return split_id, [], failures, None, None
+def _fail_split(split_id: int, grid: LambdaGrid, stage: str, exc: Exception) -> list[dict]:
+    """The failure records of a split whose every lambda failed at ``stage``."""
+    return [_failure_record(split_id, k, lam, stage, exc) for k, lam in enumerate(grid.values)]
 
 
-def _fit_propensities(xs, a_s, config: SweepConfig, master_seed: int, split_ids) -> list:
-    """Fit and temperature-calibrate each split's propensity model on its training rows.
+def _fit_propensities(xs, a_s, x_tests, config: SweepConfig, master_seed: int, split_ids) -> list:
+    """Fit and calibrate each split's propensity model, and score its training and test rows.
 
-    A calibration holdout of config.calibration_fraction of the rows is carved
-    off first.  The holdout and the model's seed come from (master_seed,
-    split_id) on streams of their own, clear of the lambda jobs' seeds.  The
-    splits' raw fits train as one stack.  Returns one calibrated model, or
-    the expected failure that sank it, per split.
+    A calibration holdout of config.calibration_fraction of the training rows
+    is carved off first.  The holdout and the model's seed come from
+    (master_seed, split_id) on streams of their own, clear of the lambda
+    jobs' seeds.  The splits' raw fits train as one stack; each model is then
+    temperature-calibrated on its holdout and scores its split's training
+    rows ``xs`` and test rows ``x_tests``.  Returns, per split, (calibrated
+    model, training scores, test scores), or the expected failure that sank
+    any of these.
     """
     n = a_s[0].shape[0]
     n_cal = max(1, int(np.floor(config.calibration_fraction * n)))
@@ -486,35 +471,36 @@ def _fit_propensities(xs, a_s, config: SweepConfig, master_seed: int, split_ids)
         )
     except EXPECTED_FAILURES as exc:
         raw_models = [exc] * len(xs)
-    models = []
-    for raw, x, a, perm in zip(raw_models, xs, a_s, perms):
+    scored = []
+    for raw, x, a, perm, x_te in zip(raw_models, xs, a_s, perms, x_tests):
         try:
             if isinstance(raw, Exception):
                 raise raw
-            models.append(calibrate_temperature(raw, x[perm[:n_cal]], a[perm[:n_cal]]))
+            model = calibrate_temperature(raw, x[perm[:n_cal]], a[perm[:n_cal]])
+            scored.append((model, predict_propensity(model, x), predict_propensity(model, x_te)))
         except EXPECTED_FAILURES as exc:
-            models.append(exc)
-    return models
+            scored.append(exc)
+    return scored
 
 
-def _split_stage(payload, train, stage: str) -> list[tuple]:
+def _split_stage(payload, train, stage: str) -> SweepResult:
     """Everything a group of splits does but training, around a sweep's trainer ``train``.
 
-    Fits the splits' propensity models (one stack); a split whose model
-    failed has every lambda fail at stage "propensity".  Then
-    ``train(splits, grid, config, extra)`` gets the other splits' TrainingSplits
-    and returns, per split, either its fits (one FitResult or expected
-    failure per lambda) and standardisation bounds (or None), or the expected
-    failure that sank the split: every lambda of it fails at stage "bounds"
-    (only the scalarised endpoints fail this way).  Each fit is scored on the
-    split's test rows into a ParetoCandidate; a lambda whose training or
-    scoring failed is recorded at ``stage``.  Returns, per split of the
-    group, (split_id, candidates, failures, bounds, propensity model), the
-    last two None when the split failed as a whole.
+    Fits, calibrates and scores the splits' propensity models (one stack);
+    a split whose model failed has every lambda fail at stage "propensity".
+    Then ``train(splits, grid, config, extra)`` gets the other splits'
+    TrainingSplits and returns, per split, either its fits (one FitResult or
+    expected failure per lambda) and standardisation bounds (or None), or
+    the expected failure that sank the split: every lambda of it fails at
+    stage "bounds" (only the scalarised endpoints fail this way).  Each fit
+    is scored on the split's test rows into a ParetoCandidate; a lambda
+    whose training or scoring failed is recorded at ``stage``.  Returns the
+    group's SweepResult; a split that failed as a whole has no bounds and
+    no propensity model in it.
 
     ``payload`` is (group, grid, config, master_seed, extra), with group a
     list of (split_id, train_idx, test_idx): index arrays into the dataset
-    that _run_splits installed in this process.
+    that _run_splits installed for the sweep.
     """
     group, grid, config, master_seed, extra = payload
     dataset = _dataset
@@ -523,42 +509,39 @@ def _split_stage(payload, train, stage: str) -> list[tuple]:
     )
     xs = [dataset.features[train_idx] for _, train_idx, _ in group]
     a_s = [dataset.sensitives[train_idx] for _, train_idx, _ in group]
-    models = _fit_propensities(xs, a_s, config, master_seed, [split_id for split_id, *_ in group])
+    x_tests = [dataset.features[test_idx] for _, _, test_idx in group]
+    scored = _fit_propensities(xs, a_s, x_tests, config, master_seed, [split_id for split_id, *_ in group])
 
-    results: dict[int, tuple] = {}
-    trained = []  # (split_id, test rows, propensity model, test propensities) of each split that trains
+    result = SweepResult(candidates=[], failures=[])
+    trained = []  # (split_id, test rows and propensities, propensity model) of each split that trains
     splits: list[TrainingSplit] = []
-    for (split_id, train_idx, test_idx), x_tr, a_tr, model in zip(group, xs, a_s, models):
-        x_te = dataset.features[test_idx]
-        try:
-            if isinstance(model, Exception):
-                raise model
-            e_tr, e_te = predict_propensity(model, x_tr), predict_propensity(model, x_te)
-        except EXPECTED_FAILURES as exc:
-            results[split_id] = _fail_split(split_id, grid, "propensity", exc)
+    for (split_id, train_idx, test_idx), x_tr, a_tr, x_te, prop in zip(group, xs, a_s, x_tests, scored):
+        if isinstance(prop, Exception):
+            result.failures += _fail_split(split_id, grid, "propensity", prop)
             continue
-        test = (x_te, dataset.sensitives[test_idx], dataset.labels[test_idx])
-        trained.append((split_id, test, model, e_te))
+        model, e_tr, e_te = prop
+        trained.append((split_id, (x_te, dataset.sensitives[test_idx], dataset.labels[test_idx], e_te), model))
         seeds = [derive_seeds(master_seed, split_id, k) for k in range(len(grid))]
         y_tr = dataset.labels[train_idx].astype(np.float64)
         splits.append(TrainingSplit(x_tr, y_tr, a_tr, e_tr, template, seeds))
 
-    for (split_id, test, model, e_te), outcome in zip(trained, train(splits, grid, config, extra) if splits else []):
+    for (split_id, test, model), outcome in zip(trained, train(splits, grid, config, extra) if splits else []):
         if isinstance(outcome, Exception):
-            results[split_id] = _fail_split(split_id, grid, "bounds", outcome)
+            result.failures += _fail_split(split_id, grid, "bounds", outcome)
             continue
         fits, bounds = outcome
-        candidates: list[ParetoCandidate] = []
-        failures: list[dict] = []
+        if bounds is not None:
+            result.bounds[split_id] = bounds
+        result.propensity_models[split_id] = model
         for k, (lam, fit) in enumerate(zip(grid.values, fits)):
             try:
                 if isinstance(fit, Exception):
                     raise fit
-                metrics = evaluate_test_metrics(fit.params, template, *test, e_te)
+                metrics = evaluate_test_metrics(fit.params, template, *test)
             except EXPECTED_FAILURES as exc:
-                failures.append(_failure_record(split_id, k, lam, stage, exc))
+                result.failures.append(_failure_record(split_id, k, lam, stage, exc))
                 continue
-            candidates.append(
+            result.candidates.append(
                 ParetoCandidate(
                     split_id=split_id,
                     lambda_index=k,
@@ -571,8 +554,7 @@ def _split_stage(payload, train, stage: str) -> list[tuple]:
                     skipped_group_batches=fit.skipped_group_batches,
                 )
             )
-        results[split_id] = (split_id, candidates, failures, bounds, model)
-    return [results[split_id] for split_id, *_ in group]
+    return result
 
 
 def cull_nondominated(risks, unfairness) -> np.ndarray:

@@ -146,21 +146,18 @@ def fit_network(
     needs_penalty = bool(np.any(lams > 0.0))
     if needs_penalty and (sensitives is None or propensities is None):
         raise ConfigError("lambda > 0 requires sensitives and propensities")
-    # Each member's training set (x, y, a, e), each distinct one validated once.
+    # Each member's training set (x, y, a, e), validated.
     data = [_members("features", features, k), _members("labels", labels, k)]
     data += [
         _members(name, v, k) if needs_penalty else [None] * k
         for name, v in (("sensitives", sensitives), ("propensities", propensities))
     ]
-    checked: dict[tuple, tuple] = {}
     sets = []
-    for raw in zip(*data):
-        key = tuple(map(id, raw))
-        if key not in checked:
-            x, y = _validated_data(*raw[:2], net)
-            a, e = _validated_groups(*raw[2:], y.shape[0]) if needs_penalty else (None, None)
-            checked[key] = (x, y, a, e)
-        sets.append(checked[key])
+    for x, y, a, e in zip(*data):
+        x, y = _validated_data(x, y, net)
+        if needs_penalty:
+            a, e = _validated_groups(a, e, y.shape[0])
+        sets.append((x, y, a, e))
     n = sets[0][1].shape[0]
     if any(y.shape[0] != n for _, y, _, _ in sets):
         raise ConfigError("stacked training sets must have equal row counts")

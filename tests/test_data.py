@@ -76,6 +76,13 @@ def test_load_csv_header_must_match_schema(tmp_path):
         load_csv(write_csv(tmp_path / "d2.csv", extra), BASIC_SCHEMA)
 
 
+def test_load_csv_rejects_a_repeated_header_column(tmp_path):
+    schema = ColumnSchema(columns={"x": "numeric", "a": "sensitive", "y": "target"})
+    text = "x,x,a,y\n1,5,0,0\n2,6,1,1\n3,7,0,1\n4,8,1,0\n"
+    with pytest.raises(IngestionError, match=r"header repeats columns: \['x'\]"):
+        load_csv(write_csv(tmp_path / "d.csv", text), schema)
+
+
 def test_load_csv_numeric_parse_error_names_the_cell(tmp_path):
     bad = BASIC_CSV.replace("25,clerk", "abc,clerk")
     with pytest.raises(IngestionError, match=r"d\.csv:4"):

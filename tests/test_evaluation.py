@@ -54,8 +54,9 @@ def test_single_group_positive_stratum_warns_and_zeroes_eopp():
     if len(np.unique(a)) < 2:
         a[np.argmin(y)] = 1
     e = predict_propensity(linear_propensity(4), x)
-    with pytest.warns(UserWarning, match="mv_eopp"):
-        out = evaluate_test_metrics(params, config, x, a, y, e)
+    with pytest.warns(UserWarning, match=r"strata \[1\.0\] lack two group levels"):
+        with pytest.warns(UserWarning, match="mv_eopp"):
+            out = evaluate_test_metrics(params, config, x, a, y, e)
     assert out["mv_eopp"] == 0.0
     assert out["mv_dp"] > 0.0
 

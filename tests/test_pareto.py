@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import gc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -390,17 +391,19 @@ def test_pool_workers_inherit_the_dataset_instead_of_unpickling_it(sweep):
             assert np.array_equal(w1, w2)
 
 
-def test_no_reference_to_the_dataset_outlives_the_sweep(monkeypatch):
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_no_reference_to_the_dataset_outlives_the_sweep(jobs, monkeypatch):
     def broken_fit(*args, **kwargs):
         raise TypeError("a bug, not a failed job")
 
     ds, plan, grid = sweep_setup()
-    run_sweep(ds, plan, grid, SMALL_SWEEP, jobs=1)
+    plan = replace(plan, num_splits=jobs)  # one split per worker, so that jobs=2 runs a pool
+    run_sweep(ds, plan, grid, SMALL_SWEEP, jobs=jobs)
     returned = weakref.ref(ds)
-    ds, plan, grid = sweep_setup()
+    ds, _, _ = sweep_setup()
     monkeypatch.setattr(pareto, "fit_network", broken_fit)
     with pytest.raises(TypeError, match="a bug"):
-        run_sweep(ds, plan, grid, SMALL_SWEEP, jobs=1)
+        run_sweep(ds, plan, grid, SMALL_SWEEP, jobs=jobs)
     raised = weakref.ref(ds)
     del ds
     gc.collect()
@@ -486,6 +489,35 @@ def test_one_split_of_a_group_failing_its_propensity_fit_fails_alone(monkeypatch
     assert_same_sweep(res, ungrouped, split_ids=(0, 2))
 
 
+def test_failures_are_ordered_by_split_and_lambda_across_stages(monkeypatch):
+    ds, plan, grid = three_splits()
+    real_propensity, real_fit = pareto.train_propensity, pareto.fit_network
+    sunk_seed = derive_seeds(plan.master_seed, 0, 2)[1]
+
+    def third_member_diverges(features, sensitives, config, seed):
+        models = real_propensity(features, sensitives, config, seed)
+        models[2] = TrainingError("propensity diverged")
+        return models
+
+    def sink_split_0_lambda_2(features, labels, net_config, train_config, loop_seeds, **kw):
+        fits = real_fit(features, labels, net_config, train_config, loop_seeds, **kw)
+        return [TrainingError("interior diverged") if s == sunk_seed else f for s, f in zip(loop_seeds, fits)]
+
+    monkeypatch.setattr(pareto, "train_propensity", third_member_diverges)
+    monkeypatch.setattr(pareto, "fit_network", sink_split_0_lambda_2)
+    res = run_sweep(ds, plan, grid, SMALL_SWEEP, jobs=1)
+    sunk = {
+        "split_id": 0,
+        "lambda_index": 2,
+        "lambda": grid.values[2],
+        "stage": "train_or_eval",
+        "error": "TrainingError: interior diverged",
+    }
+    assert res.failures == [sunk] + every_lambda_failed(
+        grid, "propensity", "TrainingError: propensity diverged", split_id=2
+    )
+
+
 def keep_no_unfairness_range(fit):
     fit.unfairness_range = EMPTY_RANGE
     return fit
@@ -524,9 +556,9 @@ def test_sweeps_pin_blas_to_one_thread_and_restore_it(monkeypatch):
     counts = [4]
     fake = {"scipy_openblas_get_num_threads64_": lambda: counts[-1], "scipy_openblas_set_num_threads64_": counts.append}
     monkeypatch.setattr(pareto, "_openblas", fake.get)
-    pareto._one_blas_thread()  # the pool initializer
+    pareto._set_blas_threads(1)  # the pool initializer
     assert counts == [4, 1]
-    pareto._one_blas_thread()
+    pareto._set_blas_threads(1)
     assert counts == [4, 1]  # already one thread: nothing set
     counts[:] = [4]
     run_sweep(*sweep_setup(), SMALL_SWEEP, jobs=1)
@@ -540,8 +572,7 @@ def test_blas_pinning_does_nothing_when_the_symbol_lookup_fails(monkeypatch):
 
     monkeypatch.setattr(pareto.ctypes, "CDLL", NoSymbols)
     assert pareto._openblas("scipy_openblas_set_num_threads64_") is None
-    assert pareto._set_blas_threads(1) is None
-    pareto._one_blas_thread()  # nothing to call, nothing raised
+    assert pareto._set_blas_threads(1) is None  # nothing to call, nothing raised
 
 
 # ---------------------------------------------------------------------------
