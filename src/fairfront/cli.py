@@ -33,7 +33,7 @@ from .data import (
     write_dataset_csv,
 )
 from .errors import ConfigError, FairfrontError, IngestionError, InputError, ShapeError
-from .evaluation import evaluate_test_metrics
+from .evaluation import METRIC_NAMES, evaluate_test_metrics
 from .network import load_model, save_model
 from .pareto import (
     SweepConfig,
@@ -49,7 +49,7 @@ from .pareto import (
 from .propensity import PropensityConfig, PropensityModel, predict_propensity
 from .training import TrainConfig
 
-CULL_METRICS = ("u_ato", "mv_eo", "mv_eopp", "mv_dp")
+CULL_METRICS = METRIC_NAMES[1:]
 
 
 def _defaults(cls) -> dict:
@@ -244,7 +244,7 @@ def cmd_metrics(args) -> int:
         )
     e_hat = predict_propensity(propensity, dataset.features)
     metrics = evaluate_test_metrics(params, config, dataset.features, dataset.sensitives, dataset.labels, e_hat)
-    print(",".join(_fmt(metrics[k]) for k in ("r_test", "u_ato", "mv_eo", "mv_eopp", "mv_dp")))
+    print(",".join(_fmt(metrics[k]) for k in METRIC_NAMES))
     return 0
 
 

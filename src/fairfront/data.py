@@ -301,6 +301,8 @@ class SplitPlan:
             raise ConfigError(f"num_splits must be >= 1, got {self.num_splits}")
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigError(f"train_fraction must lie in (0, 1), got {self.train_fraction}")
+        if self.master_seed < 0:
+            raise ConfigError(f"master_seed must be a non-negative integer, got {self.master_seed}")
 
 
 MAX_SPLIT_ATTEMPTS = 100
@@ -411,6 +413,8 @@ def generate_synthetic(
     """
     if n < 2 or p < 2:
         raise ConfigError(f"need n >= 2 and p >= 2, got n={n}, p={p}")
+    if seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
     dir_rng = np.random.default_rng(np.random.SeedSequence([int(seed), 1]))
     w_a = dir_rng.standard_normal(p)
     w_a /= np.linalg.norm(w_a)

@@ -1,10 +1,10 @@
 """Group-disparity estimators: overlap-weighted mean contrasts and ECDF parity indices.
 
-All estimators are plug-in statistics over finite samples and return plain
-numbers: ato_estimate the contrast tau (a float, or one per outcome column),
-mv_index and conditional_mv_index the index as a float.  They operate on
-plain numpy arrays and know nothing about networks or training; the one
-function that inspects a forward trace only reads its preactivation list.
+All estimators are plug-in statistics over finite samples on plain numpy
+arrays: ato_estimate returns the contrast tau (a float, or one per outcome
+column), mv_index and conditional_mv_index the index as a float.
+ato_hidden_penalty is the one definition of the hidden-layer penalty, which
+network.backward_composite descends; it reads only a trace's preactivations.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DegenerateGroupError, InputError, ShapeError
+from .errors import ConfigError, DegenerateGroupError, InputError, ShapeError
 
 if TYPE_CHECKING:
     from .network import ForwardTrace
@@ -50,19 +50,21 @@ def _as_binary(x, name: str) -> np.ndarray:
 
 @dataclass
 class OverlapWeights:
-    """Per-row overlap weights and the group indicators they pair with.
+    """Per-row overlap weights, their group indicators and contrast coefficients.
 
     weights[i] is 1 - e_i for treated rows (a_i = 1) and e_i for control rows
     (a_i = 0), which up-weights rows whose propensity lies away from the
-    row's own group and damps rows with extreme scores.  For a stack of K
-    batches every array carries a leading axis of length K; group_sums holds
-    the (control, treated) weight totals and degenerate flags the batches
-    in which either total falls below WEIGHT_SUM_FLOOR.
+    row's own group and damps rows with extreme scores.  coefficients[i] is
+    w_i over its group's weight total, negated on control rows, so
+    coefficients @ o is the overlap-weighted contrast of o.  For a stack of K
+    batches every array carries a leading axis of length K; degenerate flags
+    the batches in which either total falls below WEIGHT_SUM_FLOOR, whose
+    coefficients are zero.
     """
 
     weights: np.ndarray
     sensitives: np.ndarray
-    group_sums: tuple[np.ndarray, np.ndarray]
+    coefficients: np.ndarray
     degenerate: np.ndarray
 
 
@@ -112,21 +114,11 @@ def overlap_weights(propensities, sensitives, *, validate: bool = True) -> Overl
         raise DegenerateGroupError(
             f"group {g} has overlap-weight sum {float(sums[g]):.3e} (< {WEIGHT_SUM_FLOOR:.0e})"
         )
-    return OverlapWeights(weights=w, sensitives=a, group_sums=sums, degenerate=degenerate)
-
-
-def contrast_coefficients(weights: OverlapWeights) -> np.ndarray:
-    """Row coefficients c with c @ o equal to the overlap-weighted contrast of o.
-
-    c_i is w_i / (treated weight total) on treated rows and -w_i / (control
-    weight total) on control rows, so c @ o matches ato_estimate(o) up to
-    rounding.  Degenerate batches of a stack get all-zero coefficients.
-    """
-    ok = ~weights.degenerate
-    control, treated = (np.where(ok, s, 1.0)[..., None] for s in weights.group_sums)
-    w = weights.weights
-    coeff = np.where(weights.sensitives == 1, w / treated, -w / control)
-    return np.where(ok[..., None], coeff, 0.0)
+    # A degenerate stack member divides by 1 instead of its tiny total, then gets zeros.
+    ok = ~degenerate
+    control_sum, treated_sum = (np.where(ok, s, 1.0)[..., None] for s in sums)
+    coeff = np.where(ok[..., None], np.where(treated, w / treated_sum, -w / control_sum), 0.0)
+    return OverlapWeights(weights=w, sensitives=a, coefficients=coeff, degenerate=degenerate)
 
 
 def ato_estimate(outcomes, weights: OverlapWeights) -> float | np.ndarray:
@@ -175,34 +167,33 @@ def ato_estimate(outcomes, weights: OverlapWeights) -> float | np.ndarray:
 
 def ato_hidden_penalty(
     trace: "ForwardTrace", weights: OverlapWeights, mode: str = PENALTY_PENULTIMATE
-) -> tuple[float, list[np.ndarray]]:
+) -> tuple[np.ndarray, list[np.ndarray]]:
     """Sum of absolute overlap-weighted contrasts over hidden preactivations.
 
-    In ``penultimate`` mode only the last hidden layer's preactivations are
-    penalised; in ``all_layers`` mode every hidden layer contributes.  A
-    single-layer network has no hidden layers, so its penalty is zero under
-    both modes.
+    Each unit's contrast is tau = weights.coefficients @ h over its
+    preactivations h.  In ``penultimate`` mode only the last hidden layer is
+    penalised; in ``all_layers`` mode every hidden layer contributes; another
+    mode raises ConfigError.  A single-layer network has no hidden layers, so
+    its penalty is zero.  A stack of K traces with (K, batch) weights gives
+    each member its own penalty, zero for a degenerate batch.  Training
+    descends this penalty (network.backward_composite).
 
     Returns
     -------
     (penalty, taus)
-        penalty is the scalar sum of |tau| over the penalised units; taus
-        holds one contrast vector per network layer (empty arrays for layers
-        that are not penalised) so callers can reuse them for gradients.
+        penalty, of shape () or (K,), is the sum of |tau| over the penalised
+        units; taus holds one contrast array per network layer (empty for
+        layers that are not penalised) so callers can reuse them for gradients.
     """
-    if mode not in PENALTY_MODES:
-        raise InputError(f"unknown penalty mode {mode!r}; expected one of {PENALTY_MODES}")
-    num_layers = len(trace.preactivations)
-    batch = trace.preactivations[0].shape[0] if num_layers else 0
-    if batch != weights.weights.shape[0]:
-        raise ShapeError(
-            f"trace batch size ({batch}) and weights ({weights.weights.shape[0]}) differ"
-        )
-    taus: list[np.ndarray] = [np.empty(0) for _ in range(num_layers)]
-    penalty = 0.0
-    for idx in penalised_layers(num_layers, mode):
-        taus[idx] = np.atleast_1d(ato_estimate(trace.preactivations[idx], weights))
-        penalty += float(np.abs(taus[idx]).sum())
+    rows = trace.preactivations[0].shape[:-1]
+    if rows != weights.weights.shape:
+        raise ShapeError(f"trace batch shape {rows} and weights shape {weights.weights.shape} differ")
+    taus: list[np.ndarray] = [np.empty(0) for _ in trace.preactivations]
+    penalty = np.zeros(rows[:-1])
+    coeff = weights.coefficients[..., None, :]
+    for l in penalised_layers(len(taus), mode):
+        taus[l] = (coeff @ trace.preactivations[l])[..., 0, :]
+        penalty = penalty + np.abs(taus[l]).sum(axis=-1)
     return penalty, taus
 
 
@@ -210,7 +201,9 @@ def penalised_layers(num_layers: int, mode: str) -> list[int]:
     """Indices of the layers whose preactivations the hidden penalty reads."""
     if mode == PENALTY_PENULTIMATE:
         return [num_layers - 2] if num_layers >= 2 else []
-    return list(range(num_layers - 1))
+    if mode == PENALTY_ALL_LAYERS:
+        return list(range(num_layers - 1))
+    raise ConfigError(f"unknown penalty mode {mode!r}; expected one of {PENALTY_MODES}")
 
 
 def mv_index(scores, groups) -> float:

@@ -27,13 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, InputError, NumericError, ShapeError
-from .metrics import (
-    PENALTY_MODES,
-    PENALTY_PENULTIMATE,
-    OverlapWeights,
-    contrast_coefficients,
-    penalised_layers,
-)
+from .metrics import PENALTY_PENULTIMATE, OverlapWeights, ato_hidden_penalty
 
 # Output probabilities are clamped to [CLAMP, 1 - CLAMP] before the loss.
 CLAMP = 1e-7
@@ -308,10 +302,11 @@ def backward_composite(
 ) -> BackwardResult:
     """Gradient of max{(1-lambda) * R~, lambda * U~} for one traced batch.
 
-    R~ and U~ are the batch risk and hidden-layer penalty standardised by
-    ``bounds`` (identity when None).  Exactly one branch of the max is active
-    per network, reported in risk_branch; its gradient is what backprop
-    propagates, reusing the trace's dropout masks.  Ties go to the risk
+    R~ and U~ are the batch risk and the hidden-layer penalty
+    (metrics.ato_hidden_penalty) standardised by ``bounds`` (identity when
+    None).  Exactly one branch of the max is active per network, reported in
+    risk_branch; its gradient is what backprop propagates, reusing the
+    trace's dropout masks.  Ties go to the risk
     branch, and lambda = 0 / lambda = 1 deterministically select risk /
     unfairness so the endpoints degenerate to pure BCE and pure penalty
     training.  When ``weights`` is None, or marks a stack member's batch as
@@ -323,8 +318,6 @@ def backward_composite(
     lam = np.asarray(lambda_, dtype=np.float64)
     if not np.all((lam >= 0.0) & (lam <= 1.0)):
         raise ConfigError(f"lambda must lie in [0, 1], got {lambda_}")
-    if penalty_mode not in PENALTY_MODES:
-        raise ConfigError(f"unknown penalty mode {penalty_mode!r}")
     if bounds is None:
         bounds = IDENTITY_BOUNDS
     y = np.asarray(labels, dtype=np.float64)
@@ -341,17 +334,11 @@ def backward_composite(
     else:
         penalised = penalised & ~weights.degenerate
     L = config.num_layers
-    taus: dict[int, np.ndarray] = {}
     unfairness = np.full(lam.shape, np.nan)
     objective = r_scaled
     risk_branch = ~penalised
     if penalised.any():
-        # tau = coeff @ h is the overlap-weighted contrast of each unit's preactivation.
-        coeff = contrast_coefficients(weights)
-        penalty = np.zeros(lam.shape)
-        for l in penalised_layers(L, penalty_mode):
-            taus[l] = (coeff[..., None, :] @ trace.preactivations[l])[..., 0, :]
-            penalty = penalty + np.abs(taus[l]).sum(axis=-1)
+        penalty, taus = ato_hidden_penalty(trace, weights, penalty_mode)
         unfairness = np.where(penalised, penalty, np.nan)
         u_tilde = bounds.standardise_unfairness(unfairness)
         u_scaled = lam * u_tilde
@@ -367,10 +354,12 @@ def backward_composite(
         scale = np.where(risk_branch, (1.0 - lam) / bounds.risk_span, 0.0)
         deltas[L - 1] = (np.where(unclamped(p), p - y, 0.0) / batch * scale[..., None])[..., None]
     if not risk_branch.all():
+        # d|tau|/dh is the contrast coefficient times the sign of tau.
         scale = np.where(risk_branch, 0.0, lam / bounds.unfairness_span)
-        scaled = (coeff * scale[..., None])[..., :, None]
-        for l, tau in taus.items():
-            deltas[l] = scaled * np.sign(tau)[..., None, :]
+        scaled = (weights.coefficients * scale[..., None])[..., :, None]
+        for l, tau in enumerate(taus):
+            if tau.size:
+                deltas[l] = scaled * np.sign(tau)[..., None, :]
 
     grads, _ = backprop(params, config, trace, deltas)
     return BackwardResult(grads, risk, unfairness, risk_branch, objective)

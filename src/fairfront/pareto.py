@@ -56,7 +56,7 @@ import numpy as np
 
 from .data import Dataset, SplitPlan, make_splits
 from .errors import ConfigError, FairfrontError, InputError, ShapeError, TrainingError
-from .evaluation import evaluate_test_metrics
+from .evaluation import METRIC_NAMES, evaluate_test_metrics
 from .metrics import PENALTY_MODES, PENALTY_PENULTIMATE
 from .network import NetworkConfig, NetworkParams, StandardisationBounds
 from .propensity import PropensityConfig, calibrate_temperature, predict_propensity, train_propensity
@@ -67,7 +67,7 @@ log = logging.getLogger(__name__)
 LAMBDA_INTERIOR_LOW = 1e-2
 LAMBDA_INTERIOR_HIGH = 0.9
 
-CSV_HEADER = ["split_id", "lambda", "r_test", "u_ato", "mv_eo", "mv_eopp", "mv_dp", "nondominated_ato"]
+CSV_HEADER = ["split_id", "lambda", *METRIC_NAMES, "nondominated_ato"]
 
 # A failed job of these kinds is recorded and the sweep goes on; any other
 # exception is a programming error and propagates.

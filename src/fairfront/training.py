@@ -62,7 +62,7 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.learning_rate <= 0.0:
+        if not self.learning_rate > 0.0:
             raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
         if not 0.0 < self.scheduler_factor <= 1.0:
             raise ConfigError(f"scheduler_factor must lie in (0, 1], got {self.scheduler_factor}")

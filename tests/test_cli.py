@@ -153,6 +153,30 @@ def test_bad_dropout_prob_exits_2_before_loading(workspace, tmp_path, capsys, mo
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "key, value, option",
+    [("learning_rate", float("nan"), []), ("master_seed", -1, []), ("master_seed", 5, ["--seed", "-3"])],
+    ids=["nan-learning_rate", "negative-master_seed", "negative-seed-option"],
+)
+def test_out_of_range_run_values_exit_2_before_loading(workspace, tmp_path, capsys, monkeypatch, key, value, option):
+    _, config_path = workspace
+    monkeypatch.setattr(cli, "_load_encoded_dataset", _no_load)
+    bad = tmp_path / "bad_value.json"
+    # json writes a NaN as NaN, which json.load accepts
+    bad.write_text(json.dumps({**json.loads(config_path.read_text()), key: value}))
+    assert main(["run", "--config", str(bad), "--out", str(tmp_path / "out"), *option]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and key in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_synth_negative_seed_exits_2(tmp_path, capsys):
+    assert main(["synth", "--out", str(tmp_path / "data"), "--seed", "-1"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and "seed" in err["message"]
+    assert not (tmp_path / "data").exists()
+
+
 def test_cull_renames_mask_column(workspace, capsys):
     root, _ = workspace
     rc = main(["cull", str(root / "out" / "candidates.csv"), "--metric", "mv_dp"])

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairfront.errors import DegenerateGroupError, InputError, ShapeError
+from fairfront.errors import ConfigError, DegenerateGroupError, InputError, ShapeError
 from fairfront.metrics import (
     PENALTY_ALL_LAYERS,
     PENALTY_PENULTIMATE,
@@ -18,7 +18,7 @@ from fairfront.metrics import (
     mv_index,
     overlap_weights,
 )
-from fairfront.network import MODE_EVAL, forward
+from fairfront.network import MODE_EVAL, ForwardTrace, forward
 
 from conftest import _random_batch, _random_config, _random_params
 from oracles import bf_ato, bf_ato_penalty, bf_conditional_mv, bf_mv
@@ -138,6 +138,60 @@ def test_single_affine_layer_has_zero_penalty():
     penalty, taus = ato_hidden_penalty(trace, overlap_weights(e, a), PENALTY_PENULTIMATE)
     assert penalty == 0.0
     assert all(t.size == 0 for t in taus)
+
+
+def _stacked_penalty_problem(rng, k):
+    """k members of one architecture, each with its own parameters and batch of one size."""
+    config = _random_config(rng)
+    while config.num_layers == 1:
+        config = _random_config(rng)
+    x, _, a, e = _random_batch(rng, config.layer_sizes[0])
+    members = []
+    for _ in range(k):
+        trace = forward(_random_params(config, rng), config, rng.normal(size=x.shape), MODE_EVAL)
+        members.append((trace, rng.permutation(a), rng.uniform(0.15, 0.85, size=e.shape)))
+    return members
+
+
+def _stack_traces(traces):
+    preacts = [np.stack(layer) for layer in zip(*(t.preactivations for t in traces))]
+    return ForwardTrace(np.stack([t.inputs for t in traces]), preacts, [], [])
+
+
+@pytest.mark.parametrize("mode", [PENALTY_PENULTIMATE, PENALTY_ALL_LAYERS])
+def test_stacked_penalty_equals_each_members_own_bitwise(mode):
+    rng = np.random.default_rng(32)
+    for _ in range(20):
+        members = _stacked_penalty_problem(rng, 3)
+        traces, a, e = zip(*members)
+        weights = overlap_weights(np.stack(e), np.stack(a), validate=False)
+        penalty, taus = ato_hidden_penalty(_stack_traces(traces), weights, mode)
+        assert penalty.shape == (3,)
+        for k, (trace, a_k, e_k) in enumerate(members):
+            alone, alone_taus = ato_hidden_penalty(trace, overlap_weights(e_k, a_k), mode)
+            assert penalty[k] == alone
+            for tau, tau_alone in zip(taus, alone_taus):
+                assert np.array_equal(tau[k] if tau.size else tau, tau_alone)
+
+
+def test_degenerate_stack_member_gets_zero_penalty():
+    rng = np.random.default_rng(33)
+    (trace, a, e), (degenerate_trace, _, e_d) = _stacked_penalty_problem(rng, 2)
+    only_treated = np.ones_like(a)
+    weights = overlap_weights(np.stack([e, e_d]), np.stack([a, only_treated]), validate=False)
+    assert weights.degenerate.tolist() == [False, True]
+    assert not weights.coefficients[1].any()
+    penalty, taus = ato_hidden_penalty(_stack_traces([trace, degenerate_trace]), weights, PENALTY_ALL_LAYERS)
+    assert penalty[1] == 0.0
+    assert penalty[0] == ato_hidden_penalty(trace, overlap_weights(e, a), PENALTY_ALL_LAYERS)[0]
+    assert all(not tau[1].any() for tau in taus if tau.size)
+
+
+def test_penalty_rejects_an_unknown_mode():
+    rng = np.random.default_rng(34)
+    ((trace, a, e),) = _stacked_penalty_problem(rng, 1)
+    with pytest.raises(ConfigError, match="nope"):
+        ato_hidden_penalty(trace, overlap_weights(e, a), "nope")
 
 
 def test_overlap_weights_rejects_bad_propensities():

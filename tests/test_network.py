@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fairfront.errors import ConfigError, InputError, NumericError, ShapeError
-from fairfront.metrics import PENALTY_ALL_LAYERS, PENALTY_PENULTIMATE, overlap_weights
+from fairfront.metrics import PENALTY_ALL_LAYERS, PENALTY_PENULTIMATE, ato_hidden_penalty, overlap_weights
 from fairfront.network import (
     CLAMP,
     IDENTITY_BOUNDS,
@@ -286,6 +286,29 @@ def test_backward_objective_matches_the_oracle_and_stacks_bitwise(mode):
         stacked = backward_composite(trace, params, fx["config"], stack(fx["labels"]), weights, lambdas,
                                      fx["bounds"], mode)
         assert stacked.objective.tolist() == alone
+
+
+@pytest.mark.parametrize("mode", [PENALTY_PENULTIMATE, PENALTY_ALL_LAYERS])
+def test_training_penalty_is_ato_hidden_penalty_bitwise(mode):
+    rng = np.random.default_rng(79)
+    lambdas = [0.3, 0.7, 1.0]
+    k = len(lambdas)
+
+    def stack(a):  # one copy per stack member
+        return np.stack([a] * k)
+
+    for _ in range(10):
+        fx = draw_gradient_fixture(rng, penalty_mode=mode)
+        args = (fx["params"], fx["config"], fx["labels"], fx["weights"])
+        penalty, _ = ato_hidden_penalty(fx["trace"], fx["weights"], mode)
+        for lam in lambdas:
+            assert backward_composite(fx["trace"], *args, lam, fx["bounds"], mode).unfairness == penalty
+        params = NetworkParams([stack(w) for w in fx["params"].weights], [stack(b) for b in fx["params"].biases])
+        trace = forward(params, fx["config"], stack(fx["x"]), MODE_TRAIN, masks=[stack(m) for m in fx["masks"]])
+        weights = overlap_weights(stack(fx["propensities"]), stack(fx["sensitives"]), validate=False)
+        stacked = backward_composite(trace, params, fx["config"], stack(fx["labels"]), weights, lambdas,
+                                     fx["bounds"], mode)
+        assert np.array_equal(stacked.unfairness, ato_hidden_penalty(trace, weights, mode)[0])
 
 
 def test_clamp_gate_is_closed_at_the_clamp_and_open_strictly_inside():
