@@ -135,7 +135,8 @@ def _adversary_gradient(adv_params: NetworkParams, adv_config: NetworkConfig, sc
     trace = forward(adv_params, adv_config, scores[:, None], MODE_EVAL, validate=False)
     q = trace.output
     deltas: list = [None] * adv_config.num_layers
-    deltas[-1] = ((q - sensitives) / scores.size)[:, None]
+    # As for the classifier, no gradient flows where the clamp holds q fixed.
+    deltas[-1] = (np.where(unclamped(q), q - sensitives, 0.0) / scores.size)[:, None]
     grads, d_scores = backprop(adv_params, adv_config, trace, deltas)
     return grads, d_scores[:, 0], q
 

@@ -2,9 +2,9 @@
 
 All estimators are plug-in statistics over finite samples on plain numpy
 arrays: ato_estimate returns the contrast tau (a float, or one per outcome
-column), mv_index and conditional_mv_index the index as a float.
-ato_hidden_penalty is the one definition of the hidden-layer penalty, which
-network.backward_composite descends; it reads only a trace's preactivations.
+column), mv_index and conditional_mv_index the index as a float.  The contrast
+is OverlapWeights.coefficients @ x, for outcomes in ato_estimate (u_ato) and
+for hidden preactivations in ato_hidden_penalty, which training descends.
 """
 from __future__ import annotations
 
@@ -42,28 +42,28 @@ def _as_binary(x, name: str) -> np.ndarray:
     arr = np.asarray(x)
     if arr.ndim != 1:
         raise ShapeError(f"{name} must be one-dimensional, got shape {arr.shape}")
-    arr = arr.astype(np.int64)
+    # Check before casting: a cast to int would read 0.9 as group 0.
     if not np.isin(arr, (0, 1)).all():
         raise InputError(f"{name} must contain only 0/1 values")
-    return arr
+    return arr.astype(np.int64)
 
 
 @dataclass
 class OverlapWeights:
-    """Per-row overlap weights, their group indicators and contrast coefficients.
+    """Per-row overlap weights and the contrast coefficients built from them.
 
     weights[i] is 1 - e_i for treated rows (a_i = 1) and e_i for control rows
     (a_i = 0), which up-weights rows whose propensity lies away from the
     row's own group and damps rows with extreme scores.  coefficients[i] is
     w_i over its group's weight total, negated on control rows, so
-    coefficients @ o is the overlap-weighted contrast of o.  For a stack of K
+    coefficients @ o is the overlap-weighted contrast of o, the only form in
+    which ato_estimate and ato_hidden_penalty compute it.  For a stack of K
     batches every array carries a leading axis of length K; degenerate flags
     the batches in which either total falls below WEIGHT_SUM_FLOOR, whose
     coefficients are zero.
     """
 
     weights: np.ndarray
-    sensitives: np.ndarray
     coefficients: np.ndarray
     degenerate: np.ndarray
 
@@ -118,20 +118,21 @@ def overlap_weights(propensities, sensitives, *, validate: bool = True) -> Overl
     ok = ~degenerate
     control_sum, treated_sum = (np.where(ok, s, 1.0)[..., None] for s in sums)
     coeff = np.where(ok[..., None], np.where(treated, w / treated_sum, -w / control_sum), 0.0)
-    return OverlapWeights(weights=w, sensitives=a, coefficients=coeff, degenerate=degenerate)
+    return OverlapWeights(weights=w, coefficients=coeff, degenerate=degenerate)
 
 
 def ato_estimate(outcomes, weights: OverlapWeights) -> float | np.ndarray:
     """Estimate the average treatment effect on the overlap population.
 
-    tau = sum_i a_i o_i w_i / sum_i a_i w_i - sum_i (1-a_i) o_i w_i / sum_i (1-a_i) w_i
+    tau = weights.coefficients @ outcomes, which is
+    sum_i a_i o_i w_i / sum_i a_i w_i - sum_i (1-a_i) o_i w_i / sum_i (1-a_i) w_i.
 
     Parameters
     ----------
     outcomes : array of shape (n,) or (n, d)
         Observed outcomes; columns are handled independently.
     weights : OverlapWeights
-        Weights aligned with the outcome rows.
+        Weights of one batch aligned with the outcome rows, else ShapeError.
 
     Returns
     -------
@@ -142,27 +143,12 @@ def ato_estimate(outcomes, weights: OverlapWeights) -> float | np.ndarray:
     o = np.asarray(outcomes, dtype=np.float64)
     if o.ndim not in (1, 2):
         raise ShapeError(f"outcomes must be 1- or 2-dimensional, got shape {o.shape}")
-    if o.shape[0] != weights.weights.shape[0]:
-        raise ShapeError(
-            f"outcomes ({o.shape[0]} rows) and weights ({weights.weights.shape[0]}) differ in length"
-        )
+    if weights.coefficients.shape != o.shape[:1]:
+        raise ShapeError(f"outcomes {o.shape} and weights {weights.coefficients.shape} do not align")
     if not np.all(np.isfinite(o)):
         raise InputError("outcomes contain non-finite entries")
-    a = weights.sensitives
-    w = weights.weights
-    means = []
-    for g in (1, 0):
-        mask = a == g
-        wg = w[mask]
-        total = float(wg.sum())
-        if total < WEIGHT_SUM_FLOOR:
-            raise DegenerateGroupError(f"group {g} weight sum below {WEIGHT_SUM_FLOOR:.0e}")
-        og = o[mask]
-        if o.ndim == 1:
-            means.append(float(np.dot(wg, og) / total))
-        else:
-            means.append(wg @ og / total)
-    return means[0] - means[1]
+    tau = weights.coefficients @ o
+    return float(tau) if o.ndim == 1 else tau
 
 
 def ato_hidden_penalty(

@@ -82,11 +82,6 @@ class NetworkParams:
         """Stack member k (an int), or the sub-stack selected by an index array."""
         return NetworkParams(weights=[w[k] for w in self.weights], biases=[b[k] for b in self.biases])
 
-    def validate_finite(self):
-        for l, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-                raise NumericError(f"layer {l} parameters contain non-finite entries")
-
 
 @dataclass
 class ForwardTrace:
@@ -447,24 +442,36 @@ def load_model(path) -> tuple[NetworkParams, NetworkConfig, float | None]:
     sizes = doc["layer_sizes"]
     if not isinstance(sizes, list) or any(isinstance(m, bool) or not isinstance(m, int) for m in sizes):
         raise InputError(f"model document {path}: layer_sizes must be a list of integers")
-    try:
-        dropout_prob = float(doc["dropout_prob"])
-        temperature = None if doc.get("temperature") is None else float(doc["temperature"])
-        params = NetworkParams(
-            weights=[np.asarray(w, dtype=np.float64) for w in doc["weights"]],
-            biases=[np.asarray(b, dtype=np.float64) for b in doc["biases"]],
-        )
-    except (TypeError, ValueError):
-        raise InputError(
-            f"model document {path}: dropout_prob, temperature, weights and biases must be numbers"
-            " in regular arrays"
-        ) from None
-    config = NetworkConfig(layer_sizes=sizes, dropout_prob=dropout_prob)
+    dropout_prob, temperature = doc["dropout_prob"], doc.get("temperature")
+    if not _is_number(dropout_prob) or not (temperature is None or _is_number(temperature)):
+        raise InputError(f"model document {path}: dropout_prob and temperature must be JSON numbers")
+    if not (isinstance(doc["weights"], list) and isinstance(doc["biases"], list)):
+        raise InputError(f"model document {path}: weights and biases must be lists of arrays")
+    params = NetworkParams(
+        weights=[_number_array(w, path) for w in doc["weights"]],
+        biases=[_number_array(b, path) for b in doc["biases"]],
+    )
+    temperature = None if temperature is None else float(temperature)
+    config = NetworkConfig(layer_sizes=sizes, dropout_prob=float(dropout_prob))
     if len(params.weights) != config.num_layers or len(params.biases) != config.num_layers:
         raise ConfigError(f"model document {path} has inconsistent layer counts")
     for l, (w, b) in enumerate(zip(params.weights, params.biases)):
         expect = (config.layer_sizes[l + 1], config.layer_sizes[l])
         if w.shape != expect or b.shape != (expect[0],):
             raise ConfigError(f"model document {path}: layer {l} shapes do not match layer_sizes")
-    params.validate_finite()
     return params, config, temperature
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _number_array(value, path) -> np.ndarray:
+    """A model document's array as float64; text, booleans, non-finite values and ragged rows raise InputError."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf" or not np.all(np.isfinite(arr)):
+        raise InputError(f"model document {path}: weights and biases must be regular arrays of finite numbers")
+    return arr.astype(np.float64)

@@ -16,7 +16,16 @@ from fairfront.adversarial import (
 )
 from fairfront.data import SplitPlan, generate_synthetic, minibatches
 from fairfront.errors import ConfigError, InputError, NumericError, ShapeError
-from fairfront.network import MODE_EVAL, MODE_TRAIN, NetworkConfig, backprop, forward, init_network
+from fairfront.network import (
+    MODE_EVAL,
+    MODE_TRAIN,
+    NetworkConfig,
+    NetworkParams,
+    backprop,
+    bce_loss,
+    forward,
+    init_network,
+)
 from fairfront.pareto import SweepConfig, build_lambda_grid
 from fairfront.propensity import PropensityConfig
 from fairfront.training import TrainConfig, derive_seeds
@@ -53,6 +62,20 @@ def test_classifier_gradient_matches_finite_differences():
             )
             assert value == pytest.approx(objective(fx["params"]), abs=1e-12)
             assert max_relative_error(grads, fd_gradient(objective, fx["params"])) < 1e-4
+
+
+def test_adversary_gradient_matches_finite_differences_at_the_clamp():
+    # A 1 -> 1 adversary with weight 40 maps scores 0.9 and 0.95 to sigmoid
+    # values the output clamp pins at 1 - CLAMP, where the loss no longer moves.
+    net = NetworkConfig(layer_sizes=[1, 1], dropout_prob=0.0)
+    params = NetworkParams([np.array([[40.0]])], [np.zeros(1)])
+    scores, a = np.array([0.9, 0.95]), np.zeros(2)
+    grads, d_scores, _ = adversarial._adversary_gradient(params, net, scores, a)
+    objective = lambda p: bce_loss(forward(p, net, scores[:, None], MODE_EVAL).output, a)
+    numeric = fd_gradient(objective, params)
+    assert numeric.weights[0][0, 0] == 0.0
+    assert max_relative_error(grads, numeric) == 0.0
+    assert np.array_equal(d_scores, np.zeros(2))
 
 
 def small_problem(seed=0, n=140):

@@ -369,6 +369,36 @@ def test_metrics_model_that_is_not_a_json_object_exits_2(workspace, tmp_path, ca
     assert err["error"] == "InputError" and str(broken) in err["message"]
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        _model_text(dropout_prob="0.2"),
+        _model_text(dropout_prob=True),
+        _model_text(temperature="2"),
+        _model_text(temperature=True),
+        _model_text(weights=[[["1", "2", "3", "4"]]]),
+        _model_text(weights=[[[True, False, True, False]]]),
+        _model_text(biases=[["0"]]),
+        _model_text(weights=5),
+        _model_text(weights=[[[float("nan"), 2, 3, 4]]]),
+        _model_text(biases=[[float("inf")]]),
+    ],
+    ids=["numeric-text-dropout_prob", "bool-dropout_prob", "numeric-text-temperature", "bool-temperature",
+         "numeric-text-weights", "bool-weights", "numeric-text-bias", "number-weights", "nan-weight",
+         "infinite-bias"],
+)
+def test_metrics_model_values_that_are_not_json_numbers_exit_2(workspace, tmp_path, capsys, text):
+    root, _ = workspace
+    broken = tmp_path / "not_numbers.json"
+    broken.write_text(text)
+    rc = main(["metrics", str(broken), str(root / "data" / "synthetic.csv"),
+               str(root / "data" / "synthetic.schema.json"),
+               str(root / "out" / "models" / "propensity_s000.json")])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "InputError" and str(broken) in err["message"]
+
+
 def test_integer_learning_rates_build_float_rates(workspace, tmp_path):
     _, config_path = workspace
     config = tmp_path / "integer_rates.json"

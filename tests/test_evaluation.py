@@ -6,6 +6,7 @@ import pytest
 
 from fairfront.errors import EvaluationError
 from fairfront.evaluation import METRIC_NAMES, evaluate_test_metrics
+from fairfront.metrics import overlap_weights
 from fairfront.network import MODE_EVAL, NetworkConfig, NetworkParams, bce_loss, forward, init_network
 from fairfront.propensity import PropensityModel, predict_propensity
 
@@ -46,6 +47,15 @@ def test_metric_dict_matches_independent_recomputation():
     # scores are eval-mode: dropout must not perturb evaluation
     again = evaluate_test_metrics(params, config, x, a, y, e)
     assert out == again
+
+
+def test_u_ato_is_the_coefficient_contrast_of_the_scores_bitwise():
+    for seed in range(4):
+        params, config, x, a, y = build_case(seed)
+        e = predict_propensity(linear_propensity(4, seed=seed), x)
+        scores = forward(params, config, x, MODE_EVAL).output
+        out = evaluate_test_metrics(params, config, x, a, y, e)
+        assert out["u_ato"] == abs(overlap_weights(e, a).coefficients @ scores)
 
 
 def test_single_group_positive_stratum_warns_and_zeroes_eopp():

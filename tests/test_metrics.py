@@ -74,6 +74,30 @@ def test_ato_vector_outcomes_are_columnwise():
         assert taus[j] == pytest.approx(bf_ato(o[:, j], a, e), abs=1e-10)
 
 
+def test_ato_estimate_is_the_coefficient_contrast_bitwise():
+    rng = np.random.default_rng(17)
+    for n in (2, 7, 40, 333):
+        a = rng.integers(0, 2, size=n)
+        a[0], a[1] = 0, 1
+        w = overlap_weights(rng.uniform(0.05, 0.95, size=n), a)
+        o = rng.normal(size=n)
+        tau = ato_estimate(o, w)
+        assert type(tau) is float and tau == w.coefficients @ o
+        matrix = rng.normal(size=(n, 4))
+        assert np.array_equal(ato_estimate(matrix, w), w.coefficients @ matrix)
+
+
+@pytest.mark.parametrize(
+    "outcome_shape", [(2,), (2, 3), (3,)], ids=["stack-length", "stack-length-matrix", "rows"]
+)
+def test_ato_estimate_rejects_stacked_weights(outcome_shape):
+    # K = 2 batches of n = 3 rows: neither K nor n outcome rows align with (K, n) weights.
+    a = np.array([[0, 1, 1], [1, 0, 0]])
+    stacked = overlap_weights(np.full((2, 3), 0.4), a, validate=False)
+    with pytest.raises(ShapeError):
+        ato_estimate(np.ones(outcome_shape), stacked)
+
+
 def test_mv_matches_brute_force_with_ties():
     rng = np.random.default_rng(55)
     for _ in range(60):
@@ -202,6 +226,12 @@ def test_overlap_weights_rejects_bad_propensities():
         overlap_weights(np.array([1.0, 0.5, 0.5, 0.5]), a)
     with pytest.raises(ShapeError):
         overlap_weights(np.array([0.5, 0.5]), a)
+
+
+def test_overlap_weights_rejects_sensitives_that_are_not_0_1():
+    # A cast to int before the check would read these as groups [0, 1, 0, 0].
+    with pytest.raises(InputError, match="0/1"):
+        overlap_weights(np.full(4, 0.5), np.array([0.9, 1.0, 0.0, 0.2]))
 
 
 def test_overlap_weights_requires_both_groups():
