@@ -20,7 +20,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import Dataset, SplitPlan, minibatches
-from .errors import ConfigError, InputError, NumericError, ShapeError
+from .errors import ConfigError, NumericError, ShapeError
+from .metrics import _as_binary
 from .network import (
     MODE_EVAL,
     MODE_TRAIN,
@@ -119,9 +120,10 @@ def classifier_objective_gradient(
     delta = np.where(gate, p - labels, 0.0) / labels.size
     objective = _bce(p, labels)
     if lambda_ > 0.0:
-        _, d_scores, q = _adversary_gradient(adv_params, adv_config, p, sensitives)
-        # dLoss_a/dh of the classifier output: through the adversary's
-        # input, then the classifier's clamped sigmoid.
+        _, d_first, q = _adversary_gradient(adv_params, adv_config, p, sensitives)
+        # dLoss_a/dh of the classifier output: through the adversary's first
+        # layer to its input, then the classifier's clamped sigmoid.
+        d_scores = (d_first @ adv_params.weights[0])[:, 0]
         delta = delta - lambda_ * np.where(gate, d_scores * p * (1.0 - p), 0.0)
         objective -= lambda_ * _bce(q, sensitives)
     deltas: list = [None] * clf_config.num_layers
@@ -131,14 +133,18 @@ def classifier_objective_gradient(
 
 
 def _adversary_gradient(adv_params: NetworkParams, adv_config: NetworkConfig, scores, sensitives):
-    """Gradients of the adversary's mean BCE on (scores, sensitives): (parameters, d/dscores, predictions)."""
+    """Gradients of the adversary's mean BCE on (scores, sensitives).
+
+    Returns (parameter gradients, d/dh of its first layer, predictions); the
+    first-layer delta times adv_params.weights[0] is d/dscores.
+    """
     trace = forward(adv_params, adv_config, scores[:, None], MODE_EVAL, validate=False)
     q = trace.output
     deltas: list = [None] * adv_config.num_layers
     # As for the classifier, no gradient flows where the clamp holds q fixed.
     deltas[-1] = (np.where(unclamped(q), q - sensitives, 0.0) / scores.size)[:, None]
-    grads, d_scores = backprop(adv_params, adv_config, trace, deltas)
-    return grads, d_scores[:, 0], q
+    grads, d_first = backprop(adv_params, adv_config, trace, deltas)
+    return grads, d_first, q
 
 
 class _Player:
@@ -185,12 +191,10 @@ def train_adversarial(
     if not 0.0 <= lambda_ <= 1.0:
         raise ConfigError(f"lambda must lie in [0, 1], got {lambda_}")
     x, y = _validated_data(features, labels, clf_template)
-    a = np.asarray(sensitives, dtype=np.float64)
+    a = _as_binary(sensitives, "sensitives")
     n = y.shape[0]
     if a.shape != (n,):
         raise ShapeError(f"sensitives {a.shape} must have {n} entries")
-    if not np.isin(a, (0.0, 1.0)).all():
-        raise InputError("sensitives must contain only 0/1 values")
     indices = np.arange(n)
 
     clf_cfg = replace(clf_template, seed=seeds[0])

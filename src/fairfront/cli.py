@@ -235,7 +235,10 @@ def cmd_metrics(args) -> int:
     p_params, p_config, temperature = load_model(args.propensity)
     if temperature is None:
         raise ConfigError(f"{args.propensity} lacks a temperature field; not a propensity model")
-    propensity = PropensityModel(params=p_params, config=p_config, temperature=temperature)
+    try:
+        propensity = PropensityModel(params=p_params, config=p_config, temperature=temperature)
+    except ConfigError as exc:
+        raise ConfigError(f"propensity model document {args.propensity}: {exc}") from None
     dataset = _load_encoded_dataset(args.dataset, args.schema)
     if dataset.n_features != config.layer_sizes[0]:
         raise ConfigError(

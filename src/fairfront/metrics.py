@@ -39,13 +39,14 @@ def _as_1d_float(x, name: str) -> np.ndarray:
 
 
 def _as_binary(x, name: str) -> np.ndarray:
+    """x as a 1-d int64 array of group indicators; the one 0/1 check of every entry point."""
     arr = np.asarray(x)
     if arr.ndim != 1:
         raise ShapeError(f"{name} must be one-dimensional, got shape {arr.shape}")
     # Check before casting: a cast to int would read 0.9 as group 0.
     if not np.isin(arr, (0, 1)).all():
         raise InputError(f"{name} must contain only 0/1 values")
-    return arr.astype(np.int64)
+    return arr.astype(np.int64, copy=False)
 
 
 @dataclass

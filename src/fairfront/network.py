@@ -135,6 +135,11 @@ def forward(
     takes one Generator per member, each drawing its member's masks.  Eval
     mode is a pure function of (params, inputs).  ``validate=False`` skips the
     input checks, for callers that validated the data once up front.
+
+    Every array the trace holds is new except ``inputs`` (the caller's array
+    when it is already float64) and frozen ``masks``.  The pass adds biases,
+    builds drawn masks and applies masks in place, but only on arrays it
+    created itself: params, inputs and frozen masks are never written.
     """
     x = np.asarray(inputs, dtype=np.float64)
     if validate:
@@ -164,7 +169,8 @@ def forward(
     drop: list[np.ndarray] = []
     v = x
     for l in range(L):
-        h = v @ params.weights[l].swapaxes(-1, -2) + params.biases[l][..., None, :]
+        h = _matmul(v, params.weights[l].swapaxes(-1, -2))
+        h += params.biases[l][..., None, :]
         preacts.append(h)
         if l < L - 1:
             v = np.maximum(h, 0.0)
@@ -174,15 +180,17 @@ def forward(
                     if m.shape != v.shape:
                         raise ShapeError(f"frozen mask {l} has shape {m.shape}, expected {v.shape}")
                 else:
-                    draws = np.empty(v.shape)
-                    blocks = draws.reshape(-1, *v.shape[-2:])
+                    # the mask overwrites its uniform draws: 1.0 where a draw is below keep, then / keep
+                    m = np.empty(v.shape)
+                    blocks = m.reshape(-1, *v.shape[-2:])
                     if len(rngs) != len(blocks):
                         raise InputError(f"{len(rngs)} dropout generators for a stack of {len(blocks)}")
                     for member_rng, block in zip(rngs, blocks):
                         member_rng.random(out=block)
-                    m = (draws < keep) / keep
+                    np.less(m, keep, out=m)
+                    m /= keep
                 drop.append(m)
-                v = v * m
+                v *= m
             acts.append(v)
         else:
             acts.append(clamped_sigmoid(h))
@@ -365,13 +373,21 @@ def backprop(
     config: NetworkConfig,
     trace: ForwardTrace,
     preact_deltas: list[np.ndarray | None],
-) -> tuple[NetworkParams, np.ndarray]:
-    """Propagate per-layer preactivation deltas down to parameter and input gradients.
+) -> tuple[NetworkParams, np.ndarray | None]:
+    """Propagate per-layer preactivation deltas down to the parameter gradients.
 
-    preact_deltas[l] is dJ/dh^(l) contributed directly at layer l (None for
-    no contribution); contributions flowing down from above are added through
-    the stored dropout masks (if the trace has any) and the ReLU gates.
-    Returns (gradients, dJ/dX).
+    preact_deltas[l] is dJ/dh^(l) contributed directly at layer l, of the
+    shape of trace.preactivations[l] (None for no contribution);
+    contributions flowing down from above are added through the stored
+    dropout masks (if the trace has any) and the ReLU gates.  A layer that
+    receives nothing from above and has no delta of its own gets exact zero
+    gradients and passes nothing down.
+
+    Returns (gradients, dJ/dh^(0)): the layer-0 preactivation delta, or None
+    when no delta reaches layer 0.  The input gradient dJ/dX is that delta
+    times params.weights[0]; no training step needs it, so it is left to the
+    caller that does.  The caller's deltas are read, never written, and may
+    come back as the returned delta.
     """
     L = config.num_layers
     if len(preact_deltas) != L:
@@ -380,20 +396,39 @@ def backprop(
     grad_b: list[np.ndarray | None] = [None] * L
     delta = None
     for l in range(L - 1, -1, -1):
+        own = preact_deltas[l]
         if delta is None:
-            d = np.zeros_like(trace.preactivations[l])
+            if own is None:
+                lead = trace.preactivations[l].shape[:-2]
+                grad_w[l] = np.zeros(lead + params.weights[l].shape[-2:])
+                grad_b[l] = np.zeros(lead + params.biases[l].shape[-1:])
+                continue
+            d = own
         else:
-            d = delta @ params.weights[l + 1]
+            d = _matmul(delta, params.weights[l + 1])
             if trace.dropout_masks:
                 d *= trace.dropout_masks[l]
             d *= trace.preactivations[l] > 0.0
-        if preact_deltas[l] is not None:
-            d = d + preact_deltas[l]
+            if own is not None:
+                d += own
         below = trace.inputs if l == 0 else trace.activations[l - 1]
-        grad_w[l] = d.swapaxes(-1, -2) @ below
+        grad_w[l] = _matmul(d.swapaxes(-1, -2), below)
         grad_b[l] = d.sum(axis=-2)
         delta = d
-    return NetworkParams(weights=grad_w, biases=grad_b), delta @ params.weights[0]
+    return NetworkParams(weights=grad_w, biases=grad_b), delta
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b, as a broadcast product when the inner dimension is 1.
+
+    With an inner dimension of 1 the product is an outer product: each entry
+    is one multiplication, which broadcasting rounds exactly as matmul does,
+    without matmul's per-call and per-member cost.  Only the sign of an exact
+    zero may differ.
+    """
+    if a.shape[-1] == 1 == b.shape[-2]:
+        return a * b
+    return a @ b
 
 
 def _flatten(params: NetworkParams) -> np.ndarray:

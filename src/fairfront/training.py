@@ -30,7 +30,7 @@ import numpy as np
 
 from .data import minibatches
 from .errors import ConfigError, InputError, ShapeError, TrainingError
-from .metrics import PENALTY_MODES, PENALTY_PENULTIMATE, overlap_weights
+from .metrics import PENALTY_MODES, PENALTY_PENULTIMATE, _as_binary, overlap_weights
 from .network import (
     MODE_TRAIN,
     NetworkConfig,
@@ -181,11 +181,11 @@ def fit_network(
     alive = np.ones(len(configs), dtype=bool)  # members that have not failed
     indices = np.arange(n)
 
-    # Each epoch's shuffled rows of every member, (K, n, ...), filled in place
-    # so that no epoch holds two copies of them.
-    x_epoch, y_epoch = np.empty((k, n, net.layer_sizes[0])), np.empty((k, n))
+    # Each epoch's shuffled rows of every member, (K, n, ...) per array,
+    # gathered straight into these buffers so that no epoch holds two copies.
+    epoch_rows = {"features": np.empty((k, n, net.layer_sizes[0])), "labels": np.empty((k, n))}
     if needs_penalty:
-        a_epoch, e_epoch = np.empty((k, n), dtype=sets[0][2].dtype), np.empty((k, n))
+        epoch_rows.update(sensitives=np.empty((k, n), dtype=sets[0][2].dtype), propensities=np.empty((k, n)))
 
     for epoch in range(train_config.epochs):
         # One shuffled pass per member: minibatches with a single batch of all
@@ -194,10 +194,8 @@ def fit_network(
         # [j * batch_size, (j + 1) * batch_size) of it, the partition
         # minibatches makes.
         for i, (rng, (x, y, a, e)) in enumerate(zip(rngs, sets)):
-            (mb,) = minibatches(indices, n, rng, features=x, sensitives=a, labels=y, propensities=e)
-            x_epoch[i], y_epoch[i] = mb.features, mb.labels
-            if needs_penalty:
-                a_epoch[i], e_epoch[i] = mb.sensitives, mb.propensities
+            member_rows = {name: rows[i] for name, rows in epoch_rows.items()}
+            minibatches(indices, n, rng, features=x, sensitives=a, labels=y, propensities=e, out=member_rows)
         starts = range(0, n, train_config.batch_size)
         shape = (len(configs), len(starts))
         risks, unfairness, objectives = np.empty(shape), np.empty(shape), np.empty(shape)
@@ -205,10 +203,15 @@ def fit_network(
             batch = slice(start, start + train_config.batch_size)
             weights = None
             if needs_penalty:
-                weights = overlap_weights(e_epoch[:, batch], a_epoch[:, batch], validate=False)
-            x, y = x_epoch[:, batch], y_epoch[:, batch]
+                weights = overlap_weights(
+                    epoch_rows["propensities"][:, batch], epoch_rows["sensitives"][:, batch], validate=False
+                )
+            x, y = epoch_rows["features"][:, batch], epoch_rows["labels"][:, batch]
             trace = forward(params, net, x, MODE_TRAIN, rng=rngs, validate=False)
             back = backward_composite(trace, params, net, y, weights, lams, bounds, penalty_mode)
+            # Free this step's activations before the next forward allocates its
+            # own, so that a step holds one trace, not two.
+            del trace
             adam_step(adam, flat, _flatten(back.gradients))
             risks[:, j], unfairness[:, j], objectives[:, j] = back.risk, back.unfairness, back.objective
 
@@ -275,12 +278,10 @@ def _validated_data(features, labels, net: NetworkConfig) -> tuple[np.ndarray, n
 
 
 def _validated_groups(sensitives, propensities, n: int) -> tuple[np.ndarray, np.ndarray]:
-    a = np.asarray(sensitives)
+    a = _as_binary(sensitives, "sensitives")
     e = np.asarray(propensities, dtype=np.float64)
     if a.shape != (n,) or e.shape != (n,):
         raise ShapeError(f"sensitives {a.shape} and propensities {e.shape} must have {n} entries")
-    if not np.isin(a, (0, 1)).all():
-        raise InputError("sensitives must contain only 0/1 values")
     if not np.all((e > 0.0) & (e < 1.0)):
         raise InputError("propensities must lie strictly inside (0, 1)")
     return a, e

@@ -250,6 +250,23 @@ def test_metrics_rejects_classifier_as_propensity(workspace, capsys):
     assert "temperature" in err["message"]
 
 
+@pytest.mark.parametrize("temperature", [float("nan"), 0.0, -1.5], ids=["nan", "zero", "negative"])
+def test_metrics_propensity_temperature_out_of_range_exits_2_naming_the_file(workspace, tmp_path, capsys,
+                                                                             temperature):
+    root, _ = workspace
+    models = root / "out" / "models"
+    doc = json.loads((models / "propensity_s000.json").read_text())
+    doc["temperature"] = temperature
+    scorer = tmp_path / "scorer.json"
+    scorer.write_text(json.dumps(doc))
+    rc = main(["metrics", str(models / "candidate_s000_l00.json"), str(root / "data" / "synthetic.csv"),
+               str(root / "data" / "synthetic.schema.json"), str(scorer)])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert err["message"].startswith(f"propensity model document {scorer}:") and "temperature" in err["message"]
+
+
 def test_config_validation_exit_codes(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert main(["run", "--config", str(missing)]) == 2

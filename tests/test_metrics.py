@@ -18,7 +18,9 @@ from fairfront.metrics import (
     mv_index,
     overlap_weights,
 )
-from fairfront.network import MODE_EVAL, ForwardTrace, forward
+from fairfront.adversarial import AdversaryConfig, train_adversarial
+from fairfront.network import MODE_EVAL, ForwardTrace, NetworkConfig, forward
+from fairfront.training import TrainConfig, fit_network
 
 from conftest import _random_batch, _random_config, _random_params
 from oracles import bf_ato, bf_ato_penalty, bf_conditional_mv, bf_mv
@@ -232,6 +234,23 @@ def test_overlap_weights_rejects_sensitives_that_are_not_0_1():
     # A cast to int before the check would read these as groups [0, 1, 0, 0].
     with pytest.raises(InputError, match="0/1"):
         overlap_weights(np.full(4, 0.5), np.array([0.9, 1.0, 0.0, 0.2]))
+
+
+def test_every_entry_point_rejects_a_fractional_sensitive_with_one_message():
+    x, y, e = np.zeros((3, 2)), np.array([0.0, 1.0, 0.0]), np.full(3, 0.5)
+    a = [0, 1, 0.5]
+    net, train = NetworkConfig(layer_sizes=[2, 1]), TrainConfig(epochs=1, batch_size=3)
+    calls = [
+        lambda: overlap_weights(e, a),
+        lambda: fit_network([x], [y], [net], train, [0], lambda_=[0.5], sensitives=[a], propensities=[e]),
+        lambda: train_adversarial(x, y, a, net, train, AdversaryConfig(), 0.5, (1, 2)),
+    ]
+    messages = set()
+    for call in calls:
+        with pytest.raises(InputError) as err:
+            call()
+        messages.add(str(err.value))
+    assert messages == {"sensitives must contain only 0/1 values"}
 
 
 def test_overlap_weights_requires_both_groups():

@@ -16,6 +16,7 @@ from fairfront.network import (
     NetworkConfig,
     NetworkParams,
     StandardisationBounds,
+    _matmul,
     backprop,
     backward_composite,
     bce_loss,
@@ -133,6 +134,94 @@ def test_gradients_without_masks_equal_those_under_all_ones_masks():
             assert np.array_equal(u, v)
         if dx_bare is not None:
             assert np.array_equal(dx_bare, dx_masked)
+
+
+def test_train_forward_writes_neither_params_nor_inputs_nor_frozen_masks():
+    # [1, 5, 4, 1] starts with an inner-dimension-1 product, as the adversary does
+    for sizes in ((4, 5, 3, 1), (1, 5, 4, 1)):
+        config, params = small_net(seed=3, dropout=0.4, sizes=sizes)
+        x = np.random.default_rng(5).normal(size=(7, sizes[0]))
+        before = [a.copy() for a in (x, *params.weights, *params.biases)]
+        drawn = forward(params, config, x, MODE_TRAIN, rng=np.random.default_rng(6))
+        masks = [m.copy() for m in drawn.dropout_masks]
+        frozen = forward(params, config, x, MODE_TRAIN, masks=masks)
+        for a, b in zip(before, (x, *params.weights, *params.biases)):
+            assert np.array_equal(a, b)
+        for m, m_drawn in zip(masks, drawn.dropout_masks):
+            assert np.array_equal(m, m_drawn)
+        assert np.array_equal(frozen.output, drawn.output)
+
+
+@pytest.mark.parametrize(
+    "a_shape, b_shape",
+    [((6, 1), (1, 4)), ((3, 6, 1), (3, 1, 4)), ((3, 6, 1), (1, 4)), ((6, 1), (3, 1, 4)), ((3, 6, 2), (3, 2, 4))],
+    ids=["unstacked", "stacked", "stacked-by-one", "one-by-stacked", "inner-2"],
+)
+def test_inner_dimension_one_product_equals_matmul(a_shape, b_shape):
+    rng = np.random.default_rng(11)
+    a, b = rng.normal(size=a_shape), rng.normal(size=b_shape)
+    a.flat[0] = 0.0  # exact zeros multiply exactly
+    product = _matmul(a, b)
+    assert product.shape == (a @ b).shape
+    assert np.array_equal(product, a @ b)
+
+
+def test_returned_delta_times_first_weights_is_the_input_gradient():
+    rng = np.random.default_rng(13)
+    config, params = small_net(seed=4, dropout=0.3, sizes=(3, 6, 4, 1))
+    x = rng.normal(size=(9, 3))
+    y = (rng.random(9) < 0.5).astype(float)
+    masks = forward(params, config, x, MODE_TRAIN, rng=np.random.default_rng(2)).dropout_masks
+
+    def loss(inputs):
+        return bce_loss(forward(params, config, inputs, MODE_TRAIN, masks=masks).output, y)
+
+    trace = forward(params, config, x, MODE_TRAIN, masks=masks)
+    p = trace.output
+    deltas = [None] * config.num_layers
+    deltas[-1] = (np.where(unclamped(p), p - y, 0.0) / y.size)[:, None]
+    _, d_first = backprop(params, config, trace, deltas)
+    assert d_first.shape == trace.preactivations[0].shape
+    numeric = np.zeros_like(x)
+    step = 1e-6
+    for idx in np.ndindex(*x.shape):
+        up, down = x.copy(), x.copy()
+        up[idx] += step
+        down[idx] -= step
+        numeric[idx] = (loss(up) - loss(down)) / (2 * step)
+    analytic = d_first @ params.weights[0]
+    assert np.max(np.abs(analytic - numeric)) <= 1e-6 * max(1.0, np.max(np.abs(numeric)))
+
+
+@pytest.mark.parametrize("stack", [None, 3])
+def test_a_layer_no_delta_reaches_gets_exact_zero_gradients(stack):
+    rng = np.random.default_rng(17)
+    config, params = small_net(seed=6, dropout=0.3, sizes=(4, 6, 5, 1))
+    x = rng.normal(size=(8, 4))
+    if stack is not None:
+        params = NetworkParams([np.stack([w] * stack) for w in params.weights],
+                               [np.stack([b] * stack) for b in params.biases])
+        x = np.stack([x + k for k in range(stack)])
+    masks = [(rng.random(x.shape[:-1] + (m,)) < 0.7) / 0.7 for m in config.layer_sizes[1:-1]]
+    trace = forward(params, config, x, MODE_TRAIN, masks=masks)
+    own = rng.normal(size=trace.preactivations[1].shape)
+    # only the penultimate layer has a delta of its own, as in a penalty-branch step
+    grads, d_first = backprop(params, config, trace, [None, own, None])
+    # the zero-propagating reference: an explicit zero delta at the output layer
+    zero_out = np.zeros_like(trace.preactivations[2])
+    reference, ref_first = backprop(params, config, trace, [None, own, zero_out])
+    for g, r in zip((*grads.weights, *grads.biases), (*reference.weights, *reference.biases)):
+        assert g.shape == r.shape
+    assert not grads.weights[2].any() and not grads.biases[2].any()
+    for l in (0, 1):
+        assert np.array_equal(grads.weights[l], reference.weights[l])
+        assert np.array_equal(grads.biases[l], reference.biases[l])
+    assert np.array_equal(d_first, ref_first)
+    # with no delta anywhere, every gradient is zero and nothing reaches layer 0
+    grads, d_first = backprop(params, config, trace, [None] * 3)
+    assert d_first is None
+    for g, r in zip((*grads.weights, *grads.biases), (*reference.weights, *reference.biases)):
+        assert g.shape == r.shape and not g.any()
 
 
 def test_forward_train_requires_noise_source():

@@ -1,6 +1,7 @@
 """The shared minibatch training engine."""
 from __future__ import annotations
 
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -154,6 +155,23 @@ def assert_same_fit(f1: FitResult, f2: FitResult):
     assert f1.unfairness_range == f2.unfairness_range
     assert f1.skipped_group_batches == f2.skipped_group_batches
     assert f1.final_learning_rate == f2.final_learning_rate
+
+
+def test_a_step_frees_its_trace_before_the_next_forward(monkeypatch):
+    # Two live traces double a step's working set; the previous one must be gone.
+    traces = []
+    real = training.forward
+
+    def spy(*args, **kwargs):
+        assert all(ref() is None for ref in traces)
+        trace = real(*args, **kwargs)
+        traces.extend(weakref.ref(a) for a in (trace, *trace.preactivations, *trace.dropout_masks))
+        return trace
+
+    monkeypatch.setattr(training, "forward", spy)
+    results = fit_stack(STACK_LAMBDAS, STACK_SEEDS)
+    assert all(isinstance(r, FitResult) for r in results)
+    assert len(traces) == STACK_TRAIN.epochs * 5 * (1 + 3 + 2)  # 130 rows in batches of 32
 
 
 @pytest.mark.parametrize("bounds", [None, StandardisationBounds(0.3, 0.8, 0.0, 0.4)])
