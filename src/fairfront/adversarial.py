@@ -5,7 +5,9 @@ adversary learns to predict the sensitive attribute from the classifier's
 score alone, and the classifier minimises Loss_y - lambda * Loss_a with the
 adversary's parameters frozen (the gradient flows through the score).
 Training alternates one full adversary epoch with one classifier minibatch
-step after a short pretraining phase for each player.
+step after a short pretraining phase for each player.  The classifier
+pretrains on the same objective, against the adversary as initialised, so
+only lambda = 0 pretrains it on plain BCE.
 
 run_adversarial_sweep runs the scalarised sweep's split stage
 (pareto._split_stage) with a trainer that calls train_adversarial once per
@@ -27,10 +29,10 @@ from .network import (
     MODE_TRAIN,
     NetworkConfig,
     NetworkParams,
-    _bce,
     _flatten,
     _unflatten,
     backprop,
+    bce_loss,
     forward,
     init_network,
     unclamped,
@@ -118,14 +120,14 @@ def classifier_objective_gradient(
     # where the clamp is open, p is the raw sigmoid and p * (1 - p) its slope
     gate = unclamped(p)
     delta = np.where(gate, p - labels, 0.0) / labels.size
-    objective = _bce(p, labels)
+    objective = bce_loss(p, labels)
     if lambda_ > 0.0:
         _, d_first, q = _adversary_gradient(adv_params, adv_config, p, sensitives)
         # dLoss_a/dh of the classifier output: through the adversary's first
         # layer to its input, then the classifier's clamped sigmoid.
         d_scores = (d_first @ adv_params.weights[0])[:, 0]
         delta = delta - lambda_ * np.where(gate, d_scores * p * (1.0 - p), 0.0)
-        objective -= lambda_ * _bce(q, sensitives)
+        objective -= lambda_ * bce_loss(q, sensitives)
     deltas: list = [None] * clf_config.num_layers
     deltas[-1] = delta[:, None]
     grads, _ = backprop(clf_params, clf_config, trace, deltas)
@@ -138,7 +140,7 @@ def _adversary_gradient(adv_params: NetworkParams, adv_config: NetworkConfig, sc
     Returns (parameter gradients, d/dh of its first layer, predictions); the
     first-layer delta times adv_params.weights[0] is d/dscores.
     """
-    trace = forward(adv_params, adv_config, scores[:, None], MODE_EVAL, validate=False)
+    trace = forward(adv_params, adv_config, scores[:, None], MODE_EVAL)
     q = trace.output
     deltas: list = [None] * adv_config.num_layers
     # As for the classifier, no gradient flows where the clamp holds q fixed.
@@ -176,10 +178,11 @@ def train_adversarial(
 ) -> AdversarialResult:
     """Run the full adversarial protocol for one lambda.
 
-    Phases: (1) pretrain the classifier on plain BCE; (2) pretrain the
-    adversary on the frozen classifier's eval-mode scores; (3) alternate
-    adv_config.rounds times between one full adversary epoch and one
-    classifier minibatch step on Loss_y - lambda * Loss_a.  Only the
+    Phases: (1) pretrain the classifier on Loss_y - lambda * Loss_a against
+    the frozen, freshly initialised adversary (plain BCE only at lambda = 0);
+    (2) pretrain the adversary on the frozen classifier's eval-mode scores;
+    (3) alternate adv_config.rounds times between one full adversary epoch
+    and one classifier minibatch step on Loss_y - lambda * Loss_a.  Only the
     classifier uses dropout, and only in its own update steps.  One RNG
     stream drives all shuffling and dropout, so the run is a pure function
     of (data, configs, lambda, seeds).
@@ -205,7 +208,7 @@ def train_adversarial(
     rng = np.random.default_rng(loop_seed)
 
     def classifier_step(rows: np.ndarray):
-        trace = forward(clf.params, clf_cfg, x[rows], MODE_TRAIN, rng=rng, validate=False)
+        trace = forward(clf.params, clf_cfg, x[rows], MODE_TRAIN, rng=rng)
         grads, _ = classifier_objective_gradient(
             clf.params, clf_cfg, adv.params, adv_cfg, trace, y[rows], a[rows], lambda_
         )
@@ -213,7 +216,7 @@ def train_adversarial(
 
     def adversary_epoch():
         # The classifier is frozen for the whole epoch: score every row once.
-        scores = forward(clf.params, clf_cfg, x, MODE_EVAL, validate=False).output
+        scores = forward(clf.params, clf_cfg, x, MODE_EVAL).output
         for mb in minibatches(indices, train_config.batch_size, rng):
             adv.step(_adversary_gradient(adv.params, adv_cfg, scores[mb.indices], a[mb.indices])[0])
 

@@ -240,11 +240,12 @@ def cmd_metrics(args) -> int:
     except ConfigError as exc:
         raise ConfigError(f"propensity model document {args.propensity}: {exc}") from None
     dataset = _load_encoded_dataset(args.dataset, args.schema)
-    if dataset.n_features != config.layer_sizes[0]:
-        raise ConfigError(
-            f"dataset encodes to {dataset.n_features} features but the model expects "
-            f"{config.layer_sizes[0]}"
-        )
+    for path, net in ((args.model, config), (args.propensity, p_config)):
+        if dataset.n_features != net.layer_sizes[0]:
+            raise ConfigError(
+                f"dataset encodes to {dataset.n_features} features but model document {path} expects "
+                f"{net.layer_sizes[0]}"
+            )
     e_hat = predict_propensity(propensity, dataset.features)
     metrics = evaluate_test_metrics(params, config, dataset.features, dataset.sensitives, dataset.labels, e_hat)
     print(",".join(_fmt(metrics[k]) for k in METRIC_NAMES))

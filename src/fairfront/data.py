@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, IngestionError, InputError, ShapeError
+from .metrics import _as_binary
 from .network import _sigmoid
 
 ROLE_NUMERIC = "numeric"
@@ -216,9 +217,7 @@ class Dataset:
         if not np.all(np.isfinite(self.features)):
             raise InputError("encoded features contain non-finite entries")
         for name, vec in (("sensitives", self.sensitives), ("labels", self.labels)):
-            if not np.isin(vec, (0, 1)).all():
-                raise InputError(f"{name} must be 0/1")
-            if np.unique(vec).shape[0] != 2:
+            if np.unique(_as_binary(vec, name)).shape[0] != 2:
                 raise InputError(f"{name} must contain both levels")
         if len(self.feature_names) != self.features.shape[1]:
             raise ShapeError("feature_names length does not match the feature count")

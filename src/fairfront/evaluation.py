@@ -6,8 +6,8 @@ import warnings
 import numpy as np
 
 from .errors import DegenerateGroupError, EvaluationError
-from .metrics import ato_estimate, conditional_mv_index, mv_index, overlap_weights
-from .network import MODE_EVAL, NetworkConfig, NetworkParams, bce_loss, forward
+from .metrics import _validated_groups, ato_estimate, conditional_mv_index, mv_index, overlap_weights
+from .network import MODE_EVAL, NetworkConfig, NetworkParams, _validated_features, bce_loss, forward
 
 METRIC_NAMES = ("r_test", "u_ato", "mv_eo", "mv_eopp", "mv_dp")
 
@@ -29,6 +29,7 @@ def evaluate_test_metrics(
     marginal MV index over groups; mv_eo the worst label-stratum MV index;
     mv_eopp the MV index within the y = 1 stratum.  A label stratum without both groups contributes zero with a
     warning rather than failing the evaluation.
+    The rows are checked before the network runs, by the feature and group checks.
     """
     a = np.asarray(sensitives)
     y = np.asarray(labels)
@@ -39,9 +40,11 @@ def evaluate_test_metrics(
     if np.unique(a).shape[0] < 2 or np.unique(y).shape[0] < 2:
         raise EvaluationError("test split must contain both sensitive groups and both labels")
 
-    scores = forward(params, config, features, MODE_EVAL).output
-    r_test = bce_loss(scores, y)
-    u_ato = float(abs(ato_estimate(scores, overlap_weights(propensities, a))))
+    x = _validated_features(features, config)
+    a, e = _validated_groups(a, propensities, x.shape[0])
+    scores = forward(params, config, x, MODE_EVAL).output
+    r_test = float(bce_loss(scores, y))
+    u_ato = float(abs(ato_estimate(scores, overlap_weights(e, a))))
     mv_dp = mv_index(scores, a)
 
     try:

@@ -69,18 +69,28 @@ class OverlapWeights:
     degenerate: np.ndarray
 
 
-def overlap_weights(propensities, sensitives, *, validate: bool = True) -> OverlapWeights:
+def _validated_groups(sensitives, propensities, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n 0/1 sensitives and n propensities inside (0, 1); the one group check of every entry point."""
+    a = _as_binary(sensitives, "sensitives")
+    e = np.asarray(propensities, dtype=np.float64)
+    if a.shape != (n,) or e.shape != (n,):
+        raise ShapeError(f"sensitives {a.shape} and propensities {e.shape} must have {n} entries")
+    if not np.all((e > 0.0) & (e < 1.0)):
+        raise InputError("propensities must lie strictly inside (0, 1)")
+    return a, e
+
+
+def overlap_weights(propensities, sensitives) -> OverlapWeights:
     """Build overlap weights w_i = a_i (1 - e_i) + (1 - a_i) e_i.
+
+    Nothing is checked: the entry points check their rows once (_validated_groups).
 
     Parameters
     ----------
-    propensities : array of shape (n,)
+    propensities : array of shape (n,) or (K, n)
         Estimated P(a=1 | x), strictly inside (0, 1).
-    sensitives : array of shape (n,)
+    sensitives : array of the same shape
         Binary group indicators.
-    validate : bool
-        Check shapes and values.  A caller that validated the whole data set
-        once may pass False, and may then also pass (K, n) stacks of batches.
 
     Returns
     -------
@@ -88,26 +98,13 @@ def overlap_weights(propensities, sensitives, *, validate: bool = True) -> Overl
 
     Raises
     ------
-    InputError
-        If a propensity lies outside the open interval (0, 1).
     DegenerateGroupError
-        If either group of a single batch is absent or its weight sum falls
-        below 1e-12.  A stack of batches reports such batches in
+        If either group of a single (n,) batch is absent or its weight sum
+        falls below 1e-12.  A stack of batches reports such batches in
         ``degenerate`` instead.
     """
-    if validate:
-        e = _as_1d_float(propensities, "propensities")
-        a = _as_binary(sensitives, "sensitives")
-        if e.shape[0] != a.shape[0]:
-            raise ShapeError(
-                f"propensities ({e.shape[0]}) and sensitives ({a.shape[0]}) differ in length"
-            )
-        if np.any(e <= 0.0) or np.any(e >= 1.0):
-            raise InputError("propensities must lie strictly inside (0, 1)")
-    else:
-        e, a = propensities, sensitives
-    treated = a == 1
-    w = np.where(treated, 1.0 - e, e)
+    treated = sensitives == 1
+    w = np.where(treated, 1.0 - propensities, propensities)
     sums = (np.where(treated, 0.0, w).sum(axis=-1), np.where(treated, w, 0.0).sum(axis=-1))
     degenerate = (sums[0] < WEIGHT_SUM_FLOOR) | (sums[1] < WEIGHT_SUM_FLOOR)
     if w.ndim == 1 and degenerate:

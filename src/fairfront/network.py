@@ -125,7 +125,6 @@ def forward(
     mode: str = MODE_EVAL,
     rng: np.random.Generator | list[np.random.Generator] | None = None,
     masks: list[np.ndarray] | None = None,
-    validate: bool = True,
 ) -> ForwardTrace:
     """Run the network (or a stack of networks) on a batch.
 
@@ -133,8 +132,9 @@ def forward(
     mask drawn from ``rng`` (or taken from ``masks`` when given, which lets a
     caller re-evaluate at perturbed parameters under frozen noise).  A stack
     takes one Generator per member, each drawing its member's masks.  Eval
-    mode is a pure function of (params, inputs).  ``validate=False`` skips the
-    input checks, for callers that validated the data once up front.
+    mode is a pure function of (params, inputs).  The rows are not checked
+    (the entry points check them once, with _validated_features); the mode,
+    the noise source and frozen masks are.
 
     Every array the trace holds is new except ``inputs`` (the caller's array
     when it is already float64) and frozen ``masks``.  The pass adds biases,
@@ -142,19 +142,6 @@ def forward(
     created itself: params, inputs and frozen masks are never written.
     """
     x = np.asarray(inputs, dtype=np.float64)
-    if validate:
-        if x.ndim != params.weights[0].ndim:
-            raise ShapeError(
-                f"inputs must be {params.weights[0].ndim}-d ([stack,] batch, features), got shape {x.shape}"
-            )
-        if x.shape[-1] != config.layer_sizes[0]:
-            raise ShapeError(
-                f"inputs have {x.shape[-1]} features but the network expects {config.layer_sizes[0]}"
-            )
-        if x.shape[-2] == 0:
-            raise InputError("empty batch")
-        if not np.all(np.isfinite(x)):
-            raise InputError("inputs contain non-finite entries")
     if mode not in (MODE_TRAIN, MODE_EVAL):
         raise InputError(f"unknown mode {mode!r}")
     dropout = mode == MODE_TRAIN and config.dropout_prob > 0.0
@@ -214,22 +201,26 @@ def unclamped(p: np.ndarray) -> np.ndarray:
     return (p > CLAMP) & (p < 1.0 - CLAMP)
 
 
-def bce_loss(scores, labels) -> float:
-    """Mean negated Bernoulli log-likelihood of ``labels`` under ``scores``."""
-    p = np.asarray(scores, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.float64)
-    if p.shape != y.shape or p.ndim != 1:
-        raise ShapeError(f"scores {p.shape} and labels {y.shape} must be equal-length vectors")
-    if p.size == 0:
-        raise InputError("empty batch")
-    if np.any(p <= 0.0) or np.any(p >= 1.0):
-        raise InputError("scores must lie strictly inside (0, 1)")
-    return float(_bce(p, y))
+def bce_loss(scores, labels) -> np.ndarray:
+    """Mean negated log-likelihood of ``labels`` under ``scores`` along the last axis, one per stack member.
+
+    Unchecked: the clamped output unit keeps scores strictly inside (0, 1).
+    """
+    return -np.mean(labels * np.log(scores) + (1.0 - labels) * np.log1p(-scores), axis=-1)
 
 
-def _bce(p: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # Unchecked mean BCE along the last axis, one value per stack member.
-    return -np.mean(y * np.log(p) + (1.0 - y) * np.log1p(-p), axis=-1)
+def _validated_features(features, config: NetworkConfig) -> np.ndarray:
+    """features as a float64 (rows, inputs) matrix; the one feature check of every entry point."""
+    x = np.asarray(features, dtype=np.float64)
+    if x.ndim != 2:
+        raise ShapeError(f"features must be 2-d (rows, features), got shape {x.shape}")
+    if x.shape[1] != config.layer_sizes[0]:
+        raise ShapeError(f"features have {x.shape[1]} columns but the network expects {config.layer_sizes[0]}")
+    if x.shape[0] == 0:
+        raise InputError("features have no rows")
+    if not np.all(np.isfinite(x)):
+        raise InputError("features contain non-finite entries")
+    return x
 
 
 @dataclass
@@ -329,7 +320,7 @@ def backward_composite(
         raise ShapeError(f"labels {y.shape} do not match the traced batch ({p.shape})")
     batch = y.shape[-1]
 
-    risk = _bce(p, y)
+    risk = bce_loss(p, y)
     r_scaled = (1.0 - lam) * bounds.standardise_risk(risk)
     penalised = lam > 0.0
     if weights is None:

@@ -1,8 +1,10 @@
 """Adam with bias correction and a reduce-on-plateau learning-rate schedule.
 
-Both act in place on flat parameter rows: a network's parameters are one
+Adam acts in place on flat parameter rows: a network's parameters are one
 (P,) row, a stack of K networks one (K, P) array (network._flatten), and the
-training loops read them through per-layer views that see every update.
+training loops read them through per-layer views that see every update.  The
+plateau scheduler keeps one member's state and returns that member's next
+rate, a scalar that the loop stores in AdamState.learning_rate.
 """
 from __future__ import annotations
 

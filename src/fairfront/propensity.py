@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InputError, TrainingError
-from .network import MODE_EVAL, NetworkConfig, NetworkParams, _bce, clamped_sigmoid, forward
+from .metrics import _as_binary
+from .network import MODE_EVAL, NetworkConfig, NetworkParams, _validated_features, bce_loss, clamped_sigmoid, forward
 from .training import TrainConfig, _members, derive_seeds, fit_network
 
 TEMPERATURE_BRACKET = (0.05, 20.0)
@@ -91,8 +92,8 @@ def train_propensity(
 
 
 def propensity_logits(model: PropensityModel, features: np.ndarray) -> np.ndarray:
-    """Pre-sigmoid outputs of the propensity network in eval mode."""
-    trace = forward(model.params, model.config, features, MODE_EVAL)
+    """Pre-sigmoid outputs of the propensity network in eval mode, after the one feature check."""
+    trace = forward(model.params, model.config, _validated_features(features, model.config), MODE_EVAL)
     return trace.preactivations[-1][:, 0]
 
 
@@ -112,13 +113,14 @@ def calibrate_temperature(
     T = 1 is always a feasible fallback, so the calibrated validation BCE can
     never exceed the uncalibrated one.
     """
-    a = np.asarray(val_sensitives, dtype=np.float64)
+    a = np.asarray(val_sensitives)
     if a.ndim != 1 or a.shape[0] != val_features.shape[0]:
         raise InputError("validation features and sensitives disagree on the row count")
+    a = _as_binary(a, "sensitives")
     logits = propensity_logits(model, val_features)
 
     def nll_at(log_t: float) -> float:
-        return float(_bce(clamped_sigmoid(logits / math.exp(log_t)), a))
+        return float(bce_loss(clamped_sigmoid(logits / math.exp(log_t)), a))
 
     lo, hi = (math.log(b) for b in TEMPERATURE_BRACKET)
     best_log_t = _golden_section(nll_at, lo, hi, TEMPERATURE_TOL)

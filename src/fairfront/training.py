@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import minibatches
-from .errors import ConfigError, InputError, ShapeError, TrainingError
-from .metrics import PENALTY_MODES, PENALTY_PENULTIMATE, _as_binary, overlap_weights
+from .errors import ConfigError, InputError, TrainingError
+from .metrics import PENALTY_MODES, PENALTY_PENULTIMATE, _validated_groups, overlap_weights
 from .network import (
     MODE_TRAIN,
     NetworkConfig,
@@ -38,6 +38,7 @@ from .network import (
     StandardisationBounds,
     _flatten,
     _unflatten,
+    _validated_features,
     backward_composite,
     forward,
     init_network,
@@ -203,11 +204,9 @@ def fit_network(
             batch = slice(start, start + train_config.batch_size)
             weights = None
             if needs_penalty:
-                weights = overlap_weights(
-                    epoch_rows["propensities"][:, batch], epoch_rows["sensitives"][:, batch], validate=False
-                )
+                weights = overlap_weights(epoch_rows["propensities"][:, batch], epoch_rows["sensitives"][:, batch])
             x, y = epoch_rows["features"][:, batch], epoch_rows["labels"][:, batch]
-            trace = forward(params, net, x, MODE_TRAIN, rng=rngs, validate=False)
+            trace = forward(params, net, x, MODE_TRAIN, rng=rngs)
             back = backward_composite(trace, params, net, y, weights, lams, bounds, penalty_mode)
             # Free this step's activations before the next forward allocates its
             # own, so that a step holds one trace, not two.
@@ -264,24 +263,10 @@ def _members(name: str, value, k: int) -> list:
 
 
 def _validated_data(features, labels, net: NetworkConfig) -> tuple[np.ndarray, np.ndarray]:
-    x = np.asarray(features, dtype=np.float64)
+    x = _validated_features(features, net)
     y = np.asarray(labels, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != net.layer_sizes[0]:
-        raise ShapeError(f"features of shape {x.shape} do not fit a network with {net.layer_sizes[0]} inputs")
     if y.shape != (x.shape[0],):
         raise ConfigError("features and labels disagree on the row count")
-    if x.shape[0] == 0:
-        raise InputError("no training rows")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise InputError("features and labels must be finite")
+    if not np.all(np.isfinite(y)):
+        raise InputError("labels contain non-finite entries")
     return x, y
-
-
-def _validated_groups(sensitives, propensities, n: int) -> tuple[np.ndarray, np.ndarray]:
-    a = _as_binary(sensitives, "sensitives")
-    e = np.asarray(propensities, dtype=np.float64)
-    if a.shape != (n,) or e.shape != (n,):
-        raise ShapeError(f"sensitives {a.shape} and propensities {e.shape} must have {n} entries")
-    if not np.all((e > 0.0) & (e < 1.0)):
-        raise InputError("propensities must lie strictly inside (0, 1)")
-    return a, e

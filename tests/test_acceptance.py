@@ -333,6 +333,7 @@ def test_criterion_6_end_to_end_trend(pipeline):
                     f"{wall:.0f}s (budget 300s)")
 
 
+@pytest.mark.slow
 def test_criterion_7_comparative_count(pipeline):
     start = time.perf_counter()
     ds = _dataset()

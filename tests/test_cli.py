@@ -267,6 +267,24 @@ def test_metrics_propensity_temperature_out_of_range_exits_2_naming_the_file(wor
     assert err["message"].startswith(f"propensity model document {scorer}:") and "temperature" in err["message"]
 
 
+@pytest.mark.parametrize("widened", ["classifier", "propensity"])
+def test_metrics_model_of_the_wrong_input_width_exits_2_naming_the_file(workspace, tmp_path, capsys, widened):
+    root, _ = workspace
+    models = root / "out" / "models"
+    paths = {"classifier": models / "candidate_s000_l00.json", "propensity": models / "propensity_s000.json"}
+    doc = json.loads(paths[widened].read_text())
+    doc["layer_sizes"][0] += 1  # the dataset encodes to 4 features; this model expects 5
+    doc["weights"][0] = [row + [0.0] for row in doc["weights"][0]]
+    paths[widened] = tmp_path / f"{widened}.json"
+    paths[widened].write_text(json.dumps(doc))
+    rc = main(["metrics", str(paths["classifier"]), str(root / "data" / "synthetic.csv"),
+               str(root / "data" / "synthetic.schema.json"), str(paths["propensity"])])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert err["message"] == f"dataset encodes to 4 features but model document {paths[widened]} expects 5"
+
+
 def test_config_validation_exit_codes(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert main(["run", "--config", str(missing)]) == 2

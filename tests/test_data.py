@@ -6,6 +6,7 @@ import pytest
 
 from fairfront.data import (
     ColumnSchema,
+    Dataset,
     SplitPlan,
     encode_and_standardise,
     generate_synthetic,
@@ -294,6 +295,35 @@ def test_synthetic_bias_strength_drives_base_rate_gap():
 def test_synthetic_rejects_tiny_problems():
     with pytest.raises(ConfigError):
         generate_synthetic(n=1, p=4, bias_strength=1.0)
+
+
+DATASET_FIELDS = {
+    "features": np.arange(8.0).reshape(4, 2),
+    "sensitives": np.array([0, 1, 0, 1]),
+    "labels": np.array([1, 0, 0, 1]),
+    "feature_names": ["x0", "x1"],
+}
+
+
+@pytest.mark.parametrize(
+    "changes, error, message",
+    [
+        ({"sensitives": np.array([0, 1, 0, 2])}, InputError, "sensitives must contain only 0/1 values"),
+        ({"labels": np.array([0.0, 1.0, 0.5, 1.0])}, InputError, "labels must contain only 0/1 values"),
+        ({"sensitives": np.zeros(4, dtype=int)}, InputError, "sensitives must contain both levels"),
+        ({"labels": np.ones(4, dtype=int)}, InputError, "labels must contain both levels"),
+        ({"features": np.array([[0.0, 1.0], [2.0, np.inf], [4.0, 5.0], [6.0, 7.0]])}, InputError, "non-finite"),
+        ({"labels": np.array([1, 0, 1])}, ShapeError, "row count"),
+        ({"features": np.zeros((1, 2)), "sensitives": np.array([1]), "labels": np.array([0])}, InputError,
+         "two rows"),
+    ],
+    ids=["non-0-1-sensitives", "fractional-labels", "one-sensitive-level", "one-label-level",
+         "non-finite-features", "short-labels", "one-row"],
+)
+def test_dataset_rejects_bad_rows(changes, error, message):
+    Dataset(**DATASET_FIELDS)
+    with pytest.raises(error, match=message):
+        Dataset(**{**DATASET_FIELDS, **changes})
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,107 @@
+"""Every public entry point checks the rows it receives before any network runs.
+
+forward, overlap_weights and bce_loss check nothing.  The entry points check
+their rows once, with the one feature check (network._validated_features) and,
+where they take groups, the one group check (metrics._validated_groups, built
+on metrics._as_binary).  So each kind of bad row raises one exception type
+with one message, whichever entry point receives it.
+"""
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from fairfront import adversarial, evaluation, propensity, training
+from fairfront.adversarial import AdversaryConfig, train_adversarial
+from fairfront.errors import InputError, ShapeError
+from fairfront.evaluation import evaluate_test_metrics
+from fairfront.network import NetworkConfig, init_network
+from fairfront.propensity import PropensityModel, calibrate_temperature, predict_propensity
+from fairfront.training import TrainConfig, fit_network
+
+NET = NetworkConfig(layer_sizes=[3, 4, 1], dropout_prob=0.0)
+TRAIN = TrainConfig(epochs=1, batch_size=4)
+MODEL = PropensityModel(init_network(NET), NET)
+
+# Each entry point as a call on (features, labels, sensitives, propensities),
+# with the row arguments it takes.
+ENTRY_POINTS = {
+    "fit_network": (
+        lambda x, y, a, e: fit_network([x], [y], [NET], TRAIN, [0], lambda_=[0.5], sensitives=[a], propensities=[e]),
+        {"features", "sensitives", "propensities"},
+    ),
+    "train_adversarial": (
+        lambda x, y, a, e: train_adversarial(x, y, a, NET, TRAIN, AdversaryConfig(rounds=1), 0.5, (0, 1)),
+        {"features", "sensitives"},
+    ),
+    "evaluate_test_metrics": (
+        lambda x, y, a, e: evaluate_test_metrics(init_network(NET), NET, x, a, y, e),
+        {"features", "sensitives", "propensities"},
+    ),
+    "predict_propensity": (lambda x, y, a, e: predict_propensity(MODEL, x), {"features"}),
+    "calibrate_temperature": (lambda x, y, a, e: calibrate_temperature(MODEL, x, a), {"features", "sensitives"}),
+}
+
+
+def _with(rows, i, value):
+    bad = rows.copy()
+    bad[i] = value
+    return bad
+
+
+# kind -> (the row argument it corrupts, the corruption, the one error and message)
+BAD_ROWS = {
+    "wrong-width": ("features", lambda x: x[:, :2], ShapeError, "features have 2 columns but the network expects 3"),
+    "1-d": ("features", lambda x: x[:, 0], ShapeError, "features must be 2-d (rows, features), got shape (8,)"),
+    "non-finite": ("features", lambda x: _with(x, (5, 1), np.nan), InputError, "features contain non-finite entries"),
+    "propensity-0": (
+        "propensities", lambda e: _with(e, 2, 0.0), InputError, "propensities must lie strictly inside (0, 1)"
+    ),
+    "propensity-1": (
+        "propensities", lambda e: _with(e, 2, 1.0), InputError, "propensities must lie strictly inside (0, 1)"
+    ),
+    "fractional-sensitive": (
+        "sensitives", lambda a: _with(a.astype(float), 3, 0.5), InputError, "sensitives must contain only 0/1 values"
+    ),
+}
+
+
+def _rows():
+    rng = np.random.default_rng(0)
+    return {
+        "features": rng.normal(size=(8, 3)),
+        "labels": np.array([0.0, 1.0] * 4),
+        "sensitives": np.array([0, 0, 1, 1] * 2),
+        "propensities": rng.uniform(0.2, 0.8, size=8),
+    }
+
+
+def _no_forward(*args, **kwargs):
+    raise AssertionError("a network ran before the rows were checked")
+
+
+@pytest.fixture
+def no_forward(monkeypatch):
+    for module in (training, adversarial, evaluation, propensity):
+        monkeypatch.setattr(module, "forward", _no_forward)
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_clean_rows_reach_the_network(entry, no_forward):
+    call, _ = ENTRY_POINTS[entry]
+    with pytest.raises(AssertionError, match="a network ran"):
+        call(*_rows().values())
+
+
+@pytest.mark.parametrize(
+    "entry, kind",
+    [(entry, kind) for entry, (_, takes) in ENTRY_POINTS.items() for kind, bad in BAD_ROWS.items() if bad[0] in takes],
+)
+def test_bad_rows_are_rejected_with_one_message_before_any_network_runs(entry, kind, no_forward):
+    call, _ = ENTRY_POINTS[entry]
+    name, corrupt, error, message = BAD_ROWS[kind]
+    rows = _rows()
+    rows[name] = corrupt(rows[name])
+    with pytest.raises(error) as err:
+        call(*rows.values())
+    assert str(err.value) == message

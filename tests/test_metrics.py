@@ -19,7 +19,8 @@ from fairfront.metrics import (
     overlap_weights,
 )
 from fairfront.adversarial import AdversaryConfig, train_adversarial
-from fairfront.network import MODE_EVAL, ForwardTrace, NetworkConfig, forward
+from fairfront.evaluation import evaluate_test_metrics
+from fairfront.network import MODE_EVAL, ForwardTrace, NetworkConfig, forward, init_network
 from fairfront.training import TrainConfig, fit_network
 
 from conftest import _random_batch, _random_config, _random_params
@@ -95,7 +96,7 @@ def test_ato_estimate_is_the_coefficient_contrast_bitwise():
 def test_ato_estimate_rejects_stacked_weights(outcome_shape):
     # K = 2 batches of n = 3 rows: neither K nor n outcome rows align with (K, n) weights.
     a = np.array([[0, 1, 1], [1, 0, 0]])
-    stacked = overlap_weights(np.full((2, 3), 0.4), a, validate=False)
+    stacked = overlap_weights(np.full((2, 3), 0.4), a)
     with pytest.raises(ShapeError):
         ato_estimate(np.ones(outcome_shape), stacked)
 
@@ -190,7 +191,7 @@ def test_stacked_penalty_equals_each_members_own_bitwise(mode):
     for _ in range(20):
         members = _stacked_penalty_problem(rng, 3)
         traces, a, e = zip(*members)
-        weights = overlap_weights(np.stack(e), np.stack(a), validate=False)
+        weights = overlap_weights(np.stack(e), np.stack(a))
         penalty, taus = ato_hidden_penalty(_stack_traces(traces), weights, mode)
         assert penalty.shape == (3,)
         for k, (trace, a_k, e_k) in enumerate(members):
@@ -204,7 +205,7 @@ def test_degenerate_stack_member_gets_zero_penalty():
     rng = np.random.default_rng(33)
     (trace, a, e), (degenerate_trace, _, e_d) = _stacked_penalty_problem(rng, 2)
     only_treated = np.ones_like(a)
-    weights = overlap_weights(np.stack([e, e_d]), np.stack([a, only_treated]), validate=False)
+    weights = overlap_weights(np.stack([e, e_d]), np.stack([a, only_treated]))
     assert weights.degenerate.tolist() == [False, True]
     assert not weights.coefficients[1].any()
     penalty, taus = ato_hidden_penalty(_stack_traces([trace, degenerate_trace]), weights, PENALTY_ALL_LAYERS)
@@ -220,20 +221,22 @@ def test_penalty_rejects_an_unknown_mode():
         ato_hidden_penalty(trace, overlap_weights(e, a), "nope")
 
 
-def test_overlap_weights_rejects_bad_propensities():
-    a = np.array([0, 1, 0, 1])
-    with pytest.raises(InputError):
-        overlap_weights(np.array([0.0, 0.5, 0.5, 0.5]), a)
-    with pytest.raises(InputError):
-        overlap_weights(np.array([1.0, 0.5, 0.5, 0.5]), a)
-    with pytest.raises(ShapeError):
-        overlap_weights(np.array([0.5, 0.5]), a)
+def test_group_check_rejects_bad_propensities():
+    # overlap_weights checks nothing; fit_network checks its groups once (metrics._validated_groups)
+    x, y, a = np.zeros((4, 2)), np.array([0.0, 1.0, 1.0, 0.0]), np.array([0, 1, 0, 1])
+    net, train = NetworkConfig(layer_sizes=[2, 1]), TrainConfig(epochs=1, batch_size=4)
+    cases = (([0.0, 0.5, 0.5, 0.5], InputError), ([1.0, 0.5, 0.5, 0.5], InputError), ([0.5, 0.5], ShapeError))
+    for e, error in cases:
+        with pytest.raises(error):
+            fit_network([x], [y], [net], train, [0], lambda_=[0.5], sensitives=[a], propensities=[np.array(e)])
 
 
-def test_overlap_weights_rejects_sensitives_that_are_not_0_1():
+def test_group_check_rejects_sensitives_that_are_not_0_1():
     # A cast to int before the check would read these as groups [0, 1, 0, 0].
+    net = NetworkConfig(layer_sizes=[2, 1])
+    a, y = np.array([0.9, 1.0, 0.0, 0.2]), np.array([0, 1, 1, 0])
     with pytest.raises(InputError, match="0/1"):
-        overlap_weights(np.full(4, 0.5), np.array([0.9, 1.0, 0.0, 0.2]))
+        evaluate_test_metrics(init_network(net), net, np.zeros((4, 2)), a, y, np.full(4, 0.5))
 
 
 def test_every_entry_point_rejects_a_fractional_sensitive_with_one_message():
@@ -241,7 +244,7 @@ def test_every_entry_point_rejects_a_fractional_sensitive_with_one_message():
     a = [0, 1, 0.5]
     net, train = NetworkConfig(layer_sizes=[2, 1]), TrainConfig(epochs=1, batch_size=3)
     calls = [
-        lambda: overlap_weights(e, a),
+        lambda: evaluate_test_metrics(init_network(net), net, x, np.array(a), y, e),
         lambda: fit_network([x], [y], [net], train, [0], lambda_=[0.5], sensitives=[a], propensities=[e]),
         lambda: train_adversarial(x, y, a, net, train, AdversaryConfig(), 0.5, (1, 2)),
     ]

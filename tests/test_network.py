@@ -26,6 +26,7 @@ from fairfront.network import (
     save_model,
     unclamped,
 )
+from fairfront.propensity import PropensityModel, predict_propensity
 
 from conftest import draw_gradient_fixture
 from oracles import composite_objective, fd_gradient, max_relative_error
@@ -231,16 +232,19 @@ def test_forward_train_requires_noise_source():
         forward(params, config, x, MODE_TRAIN)
 
 
-def test_forward_rejects_bad_inputs():
+def test_feature_check_rejects_bad_inputs():
+    # forward checks no rows; predict_propensity checks them once (network._validated_features)
     config, params = small_net()
-    with pytest.raises(ShapeError):
-        forward(params, config, np.zeros(4))
-    with pytest.raises(ShapeError):
-        forward(params, config, np.zeros((2, 5)))
-    with pytest.raises(InputError):
-        forward(params, config, np.full((2, 4), np.nan))
-    with pytest.raises(InputError):
-        forward(params, config, np.zeros((0, 4)))
+    model = PropensityModel(params, config)
+    cases = (
+        (np.zeros(4), ShapeError),
+        (np.zeros((2, 5)), ShapeError),
+        (np.full((2, 4), np.nan), InputError),
+        (np.zeros((0, 4)), InputError),
+    )
+    for rows, error in cases:
+        with pytest.raises(error):
+            predict_propensity(model, rows)
 
 
 def test_extreme_preactivations_stay_finite():
@@ -371,7 +375,7 @@ def test_backward_objective_matches_the_oracle_and_stacks_bitwise(mode):
         # the same batch as a stack of k members, one lambda each
         params = NetworkParams([stack(w) for w in fx["params"].weights], [stack(b) for b in fx["params"].biases])
         trace = forward(params, fx["config"], stack(fx["x"]), MODE_TRAIN, masks=[stack(m) for m in fx["masks"]])
-        weights = overlap_weights(stack(fx["propensities"]), stack(fx["sensitives"]), validate=False)
+        weights = overlap_weights(stack(fx["propensities"]), stack(fx["sensitives"]))
         stacked = backward_composite(trace, params, fx["config"], stack(fx["labels"]), weights, lambdas,
                                      fx["bounds"], mode)
         assert stacked.objective.tolist() == alone
@@ -394,7 +398,7 @@ def test_training_penalty_is_ato_hidden_penalty_bitwise(mode):
             assert backward_composite(fx["trace"], *args, lam, fx["bounds"], mode).unfairness == penalty
         params = NetworkParams([stack(w) for w in fx["params"].weights], [stack(b) for b in fx["params"].biases])
         trace = forward(params, fx["config"], stack(fx["x"]), MODE_TRAIN, masks=[stack(m) for m in fx["masks"]])
-        weights = overlap_weights(stack(fx["propensities"]), stack(fx["sensitives"]), validate=False)
+        weights = overlap_weights(stack(fx["propensities"]), stack(fx["sensitives"]))
         stacked = backward_composite(trace, params, fx["config"], stack(fx["labels"]), weights, lambdas,
                                      fx["bounds"], mode)
         assert np.array_equal(stacked.unfairness, ato_hidden_penalty(trace, weights, mode)[0])
