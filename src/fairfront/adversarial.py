@@ -35,6 +35,7 @@ from .network import (
     bce_loss,
     forward,
     init_network,
+    row_blocks,
     unclamped,
 )
 from .optim import AdamState, adam_step
@@ -215,8 +216,8 @@ def train_adversarial(
         clf.step(grads)
 
     def adversary_epoch():
-        # The classifier is frozen for the whole epoch: score every row once.
-        scores = forward(clf.params, clf_cfg, x, MODE_EVAL).output
+        # The classifier is frozen for the whole epoch: score every row once, block by block.
+        scores = np.concatenate([forward(clf.params, clf_cfg, x[rows], MODE_EVAL).output for rows in row_blocks(n)])
         for mb in minibatches(indices, train_config.batch_size, rng):
             adv.step(_adversary_gradient(adv.params, adv_cfg, scores[mb.indices], a[mb.indices])[0])
 

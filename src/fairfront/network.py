@@ -37,6 +37,13 @@ SPAN_FLOOR = 1e-12
 MODE_TRAIN = "train"
 MODE_EVAL = "eval"
 
+# Eval-mode scoring of a whole row set runs forward over blocks of this many
+# rows (row_blocks), so only one block's trace is live at a time.  A power of
+# two keeps the blocked output bitwise equal to one pass over every row: an
+# odd block size moves rows onto OpenBLAS's edge kernels, which round some
+# products differently (4097 changed 1-3 rows of 20,000 by up to 2.2e-16).
+SCORE_BLOCK_ROWS = 4096
+
 
 @dataclass
 class NetworkConfig:
@@ -182,6 +189,15 @@ def forward(
         else:
             acts.append(clamped_sigmoid(h))
     return ForwardTrace(inputs=x, preactivations=preacts, activations=acts, dropout_masks=drop)
+
+
+def row_blocks(n: int) -> list[slice]:
+    """Consecutive slices of SCORE_BLOCK_ROWS rows, the last possibly shorter, that cover n rows.
+
+    A scoring site concatenates forward's output column over these blocks
+    instead of keeping one trace of all n rows.
+    """
+    return [slice(start, min(start + SCORE_BLOCK_ROWS, n)) for start in range(0, n, SCORE_BLOCK_ROWS)]
 
 
 def _sigmoid(h: np.ndarray) -> np.ndarray:

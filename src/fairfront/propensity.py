@@ -15,7 +15,16 @@ import numpy as np
 
 from .errors import ConfigError, InputError, TrainingError
 from .metrics import _as_binary
-from .network import MODE_EVAL, NetworkConfig, NetworkParams, _validated_features, bce_loss, clamped_sigmoid, forward
+from .network import (
+    MODE_EVAL,
+    NetworkConfig,
+    NetworkParams,
+    _validated_features,
+    bce_loss,
+    clamped_sigmoid,
+    forward,
+    row_blocks,
+)
 from .training import TrainConfig, _members, derive_seeds, fit_network
 
 TEMPERATURE_BRACKET = (0.05, 20.0)
@@ -69,7 +78,8 @@ def train_propensity(
 
     features, sensitives and seed are lists of K, one entry per model, all
     of one row count (training.fit_network); any other form raises
-    ConfigError naming the argument.  Each model's initialisation and loop
+    ConfigError naming the argument.  Each sensitives vector must hold 0/1
+    values only (metrics._as_binary).  Each model's initialisation and loop
     seeds both derive from its seed (training.derive_seeds).  Returns one
     uncalibrated model (temperature 1), or the TrainingError of a diverged
     fit, per entry.
@@ -77,13 +87,14 @@ def train_propensity(
     k = len(seed) if isinstance(seed, list) else 1
     seeds = _members("seed", seed, k)
     xs, a_s = _members("features", features, k), _members("sensitives", sensitives, k)
-    layer_sizes = [xs[0].shape[1]] + [config.hidden_width] * config.hidden_layers + [1]
+    labels = [_as_binary(a, "sensitives").astype(np.float64) for a in a_s]
+    # fit_network checks the features; a matrix that is not 2-d fails there, whatever width this reads
+    layer_sizes = [np.shape(xs[0])[-1]] + [config.hidden_width] * config.hidden_layers + [1]
     inits, loops = zip(*(derive_seeds(s) for s in seeds))
     net_configs = [NetworkConfig(layer_sizes=layer_sizes, dropout_prob=config.dropout_prob, seed=i) for i in inits]
     train_config = TrainConfig(
         epochs=config.epochs, batch_size=config.batch_size, learning_rate=config.learning_rate
     )
-    labels = [np.asarray(a, dtype=np.float64) for a in a_s]
     fits = fit_network(xs, labels, net_configs, train_config, list(loops))
     return [
         fit if isinstance(fit, TrainingError) else PropensityModel(params=fit.params, config=net, temperature=1.0)
@@ -92,9 +103,18 @@ def train_propensity(
 
 
 def propensity_logits(model: PropensityModel, features: np.ndarray) -> np.ndarray:
-    """Pre-sigmoid outputs of the propensity network in eval mode, after the one feature check."""
-    trace = forward(model.params, model.config, _validated_features(features, model.config), MODE_EVAL)
-    return trace.preactivations[-1][:, 0]
+    """Pre-sigmoid outputs of the propensity network in eval mode, after the one feature check.
+
+    The rows run through the network in blocks (network.row_blocks), and
+    only each block's output preactivation is kept, so the pass holds one
+    block's trace at a time whatever the row count.  The logits equal those
+    of one pass over all rows bitwise.
+    """
+    params, net = model.params, model.config
+    x = _validated_features(features, net)
+    return np.concatenate(
+        [forward(params, net, x[rows], MODE_EVAL).preactivations[-1][:, 0] for rows in row_blocks(len(x))]
+    )
 
 
 def predict_propensity(model: PropensityModel, features: np.ndarray) -> np.ndarray:
@@ -113,10 +133,9 @@ def calibrate_temperature(
     T = 1 is always a feasible fallback, so the calibrated validation BCE can
     never exceed the uncalibrated one.
     """
-    a = np.asarray(val_sensitives)
-    if a.ndim != 1 or a.shape[0] != val_features.shape[0]:
+    a = _as_binary(val_sensitives, "sensitives")
+    if a.shape[0] != len(val_features):
         raise InputError("validation features and sensitives disagree on the row count")
-    a = _as_binary(a, "sensitives")
     logits = propensity_logits(model, val_features)
 
     def nll_at(log_t: float) -> float:

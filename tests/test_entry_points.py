@@ -4,9 +4,12 @@ forward, overlap_weights and bce_loss check nothing.  The entry points check
 their rows once, with the one feature check (network._validated_features) and,
 where they take groups, the one group check (metrics._validated_groups, built
 on metrics._as_binary).  So each kind of bad row raises one exception type
-with one message, whichever entry point receives it.
+with one message, whichever entry point receives it.  Features may come as
+any array-like, such as nested lists.
 """
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -16,12 +19,19 @@ from fairfront.adversarial import AdversaryConfig, train_adversarial
 from fairfront.errors import InputError, ShapeError
 from fairfront.evaluation import evaluate_test_metrics
 from fairfront.network import NetworkConfig, init_network
-from fairfront.propensity import PropensityModel, calibrate_temperature, predict_propensity
+from fairfront.propensity import (
+    PropensityConfig,
+    PropensityModel,
+    calibrate_temperature,
+    predict_propensity,
+    train_propensity,
+)
 from fairfront.training import TrainConfig, fit_network
 
 NET = NetworkConfig(layer_sizes=[3, 4, 1], dropout_prob=0.0)
 TRAIN = TrainConfig(epochs=1, batch_size=4)
 MODEL = PropensityModel(init_network(NET), NET)
+PROPENSITY = PropensityConfig(hidden_layers=1, hidden_width=4, epochs=1, batch_size=4)
 
 # Each entry point as a call on (features, labels, sensitives, propensities),
 # with the row arguments it takes.
@@ -40,7 +50,10 @@ ENTRY_POINTS = {
     ),
     "predict_propensity": (lambda x, y, a, e: predict_propensity(MODEL, x), {"features"}),
     "calibrate_temperature": (lambda x, y, a, e: calibrate_temperature(MODEL, x, a), {"features", "sensitives"}),
+    "train_propensity": (lambda x, y, a, e: train_propensity([x], [a], PROPENSITY, [0]), {"features", "sensitives"}),
 }
+# train_propensity sizes its network from the features, so no feature width is wrong there.
+SIZED_BY_FEATURES = {"train_propensity"}
 
 
 def _with(rows, i, value):
@@ -62,6 +75,9 @@ BAD_ROWS = {
     ),
     "fractional-sensitive": (
         "sensitives", lambda a: _with(a.astype(float), 3, 0.5), InputError, "sensitives must contain only 0/1 values"
+    ),
+    "2-d-sensitive": (
+        "sensitives", lambda a: a[:, None], ShapeError, "sensitives must be one-dimensional, got shape (8, 1)"
     ),
 }
 
@@ -95,7 +111,12 @@ def test_clean_rows_reach_the_network(entry, no_forward):
 
 @pytest.mark.parametrize(
     "entry, kind",
-    [(entry, kind) for entry, (_, takes) in ENTRY_POINTS.items() for kind, bad in BAD_ROWS.items() if bad[0] in takes],
+    [
+        (entry, kind)
+        for entry, (_, takes) in ENTRY_POINTS.items()
+        for kind, bad in BAD_ROWS.items()
+        if bad[0] in takes and not (kind == "wrong-width" and entry in SIZED_BY_FEATURES)
+    ],
 )
 def test_bad_rows_are_rejected_with_one_message_before_any_network_runs(entry, kind, no_forward):
     call, _ = ENTRY_POINTS[entry]
@@ -105,3 +126,21 @@ def test_bad_rows_are_rejected_with_one_message_before_any_network_runs(entry, k
     with pytest.raises(error) as err:
         call(*rows.values())
     assert str(err.value) == message
+
+
+def _plain(value):
+    """value with every dataclass turned into a dict, so np.testing.assert_equal can compare it."""
+    if dataclasses.is_dataclass(value):
+        return dataclasses.asdict(value)
+    if isinstance(value, list):
+        return [_plain(v) for v in value]
+    return value
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_features_as_nested_lists_give_what_the_array_gives(entry):
+    call, _ = ENTRY_POINTS[entry]
+    rows = _rows()
+    from_array = call(*rows.values())
+    rows["features"] = rows["features"].tolist()
+    np.testing.assert_equal(_plain(call(*rows.values())), _plain(from_array))
