@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import Dataset, SplitPlan, minibatches
-from .errors import ConfigError, NumericError, ShapeError
+from .errors import ConfigError, NumericError
 from .metrics import _as_binary
 from .network import (
     MODE_EVAL,
@@ -31,8 +31,10 @@ from .network import (
     NetworkParams,
     _flatten,
     _unflatten,
+    _validated_data,
     backprop,
     bce_loss,
+    bce_output_delta,
     forward,
     init_network,
     row_blocks,
@@ -55,7 +57,7 @@ from .pareto import (
 # module and fails to install its tracer without them.
 from .evaluation import evaluate_test_metrics  # noqa: F401
 from .propensity import calibrate_temperature, train_propensity  # noqa: F401
-from .training import FitResult, TrainConfig, _validated_data, derive_seeds
+from .training import FitResult, TrainConfig, derive_seeds
 
 log = logging.getLogger(__name__)
 
@@ -118,16 +120,15 @@ def classifier_objective_gradient(
     Nothing is validated here: train_adversarial checks its data on entry.
     """
     p = trace.output
-    # where the clamp is open, p is the raw sigmoid and p * (1 - p) its slope
-    gate = unclamped(p)
-    delta = np.where(gate, p - labels, 0.0) / labels.size
+    delta = bce_output_delta(p, labels)
     objective = bce_loss(p, labels)
     if lambda_ > 0.0:
         _, d_first, q = _adversary_gradient(adv_params, adv_config, p, sensitives)
         # dLoss_a/dh of the classifier output: through the adversary's first
-        # layer to its input, then the classifier's clamped sigmoid.
+        # layer to its input, then the classifier's clamped sigmoid, whose
+        # slope is p * (1 - p) where the clamp is open.
         d_scores = (d_first @ adv_params.weights[0])[:, 0]
-        delta = delta - lambda_ * np.where(gate, d_scores * p * (1.0 - p), 0.0)
+        delta = delta - lambda_ * np.where(unclamped(p), d_scores * p * (1.0 - p), 0.0)
         objective -= lambda_ * bce_loss(q, sensitives)
     deltas: list = [None] * clf_config.num_layers
     deltas[-1] = delta[:, None]
@@ -144,8 +145,7 @@ def _adversary_gradient(adv_params: NetworkParams, adv_config: NetworkConfig, sc
     trace = forward(adv_params, adv_config, scores[:, None], MODE_EVAL)
     q = trace.output
     deltas: list = [None] * adv_config.num_layers
-    # As for the classifier, no gradient flows where the clamp holds q fixed.
-    deltas[-1] = (np.where(unclamped(q), q - sensitives, 0.0) / scores.size)[:, None]
+    deltas[-1] = bce_output_delta(q, sensitives)[:, None]
     grads, d_first = backprop(adv_params, adv_config, trace, deltas)
     return grads, d_first, q
 
@@ -195,10 +195,8 @@ def train_adversarial(
     if not 0.0 <= lambda_ <= 1.0:
         raise ConfigError(f"lambda must lie in [0, 1], got {lambda_}")
     x, y = _validated_data(features, labels, clf_template)
-    a = _as_binary(sensitives, "sensitives")
     n = y.shape[0]
-    if a.shape != (n,):
-        raise ShapeError(f"sensitives {a.shape} must have {n} entries")
+    a = _as_binary(sensitives, "sensitives", n)
     indices = np.arange(n)
 
     clf_cfg = replace(clf_template, seed=seeds[0])

@@ -82,7 +82,7 @@ _JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"), s
 def load_run_config(path) -> dict:
     """Read the JSON config, fill defaults, and reject unknown keys."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             user = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")

@@ -56,7 +56,7 @@ class ColumnSchema:
     @classmethod
     def from_json(cls, path) -> "ColumnSchema":
         try:
-            with open(path, "r", encoding="utf-8") as fh:
+            with open(path, "r", encoding="utf-8-sig") as fh:
                 doc = json.load(fh)
         except FileNotFoundError:
             raise ConfigError(f"schema file not found: {path}")
@@ -102,7 +102,7 @@ def load_csv(path, schema: ColumnSchema) -> RawTable:
     target columns must carry exactly two distinct values after the drops.
     """
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
+        fh = open(path, "r", encoding="utf-8-sig", newline="")
     except FileNotFoundError:
         raise IngestionError(f"data file not found: {path}")
     with fh:
@@ -210,14 +210,12 @@ class Dataset:
         if self.features.ndim != 2:
             raise ShapeError(f"features must be 2-d, got shape {self.features.shape}")
         n = self.features.shape[0]
-        if self.sensitives.shape != (n,) or self.labels.shape != (n,):
-            raise ShapeError("features, sensitives and labels disagree on the row count")
         if n < 2:
             raise InputError("a dataset needs at least two rows")
         if not np.all(np.isfinite(self.features)):
             raise InputError("encoded features contain non-finite entries")
         for name, vec in (("sensitives", self.sensitives), ("labels", self.labels)):
-            if np.unique(_as_binary(vec, name)).shape[0] != 2:
+            if np.unique(_as_binary(vec, name, n)).shape[0] != 2:
                 raise InputError(f"{name} must contain both levels")
         if len(self.feature_names) != self.features.shape[1]:
             raise ShapeError("feature_names length does not match the feature count")

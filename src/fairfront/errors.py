@@ -31,7 +31,3 @@ class NumericError(FairfrontError, ArithmeticError):
 
 class TrainingError(FairfrontError, RuntimeError):
     """Training aborted; the message carries the diagnostic context."""
-
-
-class EvaluationError(FairfrontError, ValueError):
-    """A held-out evaluation cannot be carried out on the given rows."""

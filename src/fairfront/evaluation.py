@@ -5,9 +5,9 @@ import warnings
 
 import numpy as np
 
-from .errors import DegenerateGroupError, EvaluationError
+from .errors import DegenerateGroupError, InputError
 from .metrics import _validated_groups, ato_estimate, conditional_mv_index, mv_index, overlap_weights
-from .network import MODE_EVAL, NetworkConfig, NetworkParams, _validated_features, bce_loss, forward, row_blocks
+from .network import MODE_EVAL, NetworkConfig, NetworkParams, _validated_data, bce_loss, forward, row_blocks
 
 METRIC_NAMES = ("r_test", "u_ato", "mv_eo", "mv_eopp", "mv_dp")
 
@@ -31,24 +31,19 @@ def evaluate_test_metrics(
     both groups contributes zero with a warning rather than failing the
     evaluation.
 
-    The rows are checked before the network runs, by the feature and group
-    checks; features may be any array-like.  The network scores them in
-    blocks (network.row_blocks), keeping only each block's output column, so
-    scoring holds one block's trace at a time; the scores equal those of one
-    pass over all rows bitwise.
+    The rows are checked before the network runs, by the (features, labels)
+    and group checks every entry point shares; features may be any
+    array-like.  A split that lacks a group or a label raises InputError.
+    The network scores the rows in blocks (network.row_blocks), keeping only
+    each block's output column, so scoring holds one block's trace at a
+    time; the scores equal those of one pass over all rows bitwise.
     """
-    # an empty split is the evaluation's own failure, not the feature check's InputError
-    if np.shape(features)[:1] == (0,):
-        raise EvaluationError("empty test split")
-    x = _validated_features(features, config)
-    a = np.asarray(sensitives)
-    y = np.asarray(labels)
-    if not x.shape[0] == a.shape[0] == y.shape[0] == np.shape(propensities)[0]:
-        raise EvaluationError("features, sensitives, labels and propensities disagree on the row count")
-    if np.unique(a).shape[0] < 2 or np.unique(y).shape[0] < 2:
-        raise EvaluationError("test split must contain both sensitive groups and both labels")
+    x, y = _validated_data(features, labels, config)
+    a, e = _validated_groups(sensitives, propensities, x.shape[0])
+    for name, vec in (("sensitives", a), ("labels", y)):
+        if np.unique(vec).shape[0] < 2:
+            raise InputError(f"{name} must contain both levels")
 
-    a, e = _validated_groups(a, propensities, x.shape[0])
     scores = np.concatenate([forward(params, config, x[rows], MODE_EVAL).output for rows in row_blocks(len(x))])
     r_test = float(bce_loss(scores, y))
     u_ato = float(abs(ato_estimate(scores, overlap_weights(e, a))))

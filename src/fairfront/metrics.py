@@ -38,12 +38,20 @@ def _as_1d_float(x, name: str) -> np.ndarray:
     return arr
 
 
-def _as_binary(x, name: str) -> np.ndarray:
-    """x as a 1-d int64 array of group indicators; the one 0/1 check of every entry point."""
-    arr = np.asarray(x)
+def _as_vector(x, name: str, n: int, dtype=None) -> np.ndarray:
+    """x as a 1-d array of n entries; the one length check of every row argument but the features."""
+    arr = np.asarray(x, dtype=dtype)
     if arr.ndim != 1:
         raise ShapeError(f"{name} must be one-dimensional, got shape {arr.shape}")
-    # Check before casting: a cast to int would read 0.9 as group 0.
+    if arr.shape[0] != n:
+        raise ShapeError(f"{name} has {arr.shape[0]} entries, but the row count is {n}")
+    return arr
+
+
+def _as_binary(x, name: str, n: int) -> np.ndarray:
+    """x as n 0/1 values in a 1-d int64 array; the one check of every group or label vector."""
+    arr = _as_vector(x, name, n)
+    # Check before casting: a cast to int would read 0.9 as 0.
     if not np.isin(arr, (0, 1)).all():
         raise InputError(f"{name} must contain only 0/1 values")
     return arr.astype(np.int64, copy=False)
@@ -71,10 +79,8 @@ class OverlapWeights:
 
 def _validated_groups(sensitives, propensities, n: int) -> tuple[np.ndarray, np.ndarray]:
     """n 0/1 sensitives and n propensities inside (0, 1); the one group check of every entry point."""
-    a = _as_binary(sensitives, "sensitives")
-    e = np.asarray(propensities, dtype=np.float64)
-    if a.shape != (n,) or e.shape != (n,):
-        raise ShapeError(f"sensitives {a.shape} and propensities {e.shape} must have {n} entries")
+    a = _as_binary(sensitives, "sensitives", n)
+    e = _as_vector(propensities, "propensities", n, np.float64)
     if not np.all((e > 0.0) & (e < 1.0)):
         raise InputError("propensities must lie strictly inside (0, 1)")
     return a, e

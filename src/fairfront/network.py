@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, InputError, NumericError, ShapeError
-from .metrics import PENALTY_PENULTIMATE, OverlapWeights, ato_hidden_penalty
+from .metrics import PENALTY_PENULTIMATE, OverlapWeights, _as_binary, ato_hidden_penalty
 
 # Output probabilities are clamped to [CLAMP, 1 - CLAMP] before the loss.
 CLAMP = 1e-7
@@ -225,6 +225,11 @@ def bce_loss(scores, labels) -> np.ndarray:
     return -np.mean(labels * np.log(scores) + (1.0 - labels) * np.log1p(-scores), axis=-1)
 
 
+def bce_output_delta(scores: np.ndarray, labels) -> np.ndarray:
+    """d(bce_loss)/dh at the output preactivation: (p - y) / batch where the clamp is open, 0 where it holds p."""
+    return np.where(unclamped(scores), scores - labels, 0.0) / labels.shape[-1]
+
+
 def _validated_features(features, config: NetworkConfig) -> np.ndarray:
     """features as a float64 (rows, inputs) matrix; the one feature check of every entry point."""
     x = np.asarray(features, dtype=np.float64)
@@ -237,6 +242,12 @@ def _validated_features(features, config: NetworkConfig) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise InputError("features contain non-finite entries")
     return x
+
+
+def _validated_data(features, labels, config: NetworkConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The checked features and their n 0/1 labels as float64; the one (features, labels) check."""
+    x = _validated_features(features, config)
+    return x, _as_binary(labels, "labels", x.shape[0]).astype(np.float64)
 
 
 @dataclass
@@ -334,7 +345,6 @@ def backward_composite(
     p = trace.output
     if y.shape != p.shape:
         raise ShapeError(f"labels {y.shape} do not match the traced batch ({p.shape})")
-    batch = y.shape[-1]
 
     risk = bce_loss(p, y)
     r_scaled = (1.0 - lam) * bounds.standardise_risk(risk)
@@ -358,11 +368,11 @@ def backward_composite(
 
     deltas: list[np.ndarray | None] = [None] * L
     if risk_branch.any():
-        # Multiplying by scale after the division keeps the lambda = 0 /
-        # identity-bounds path bit-identical to plain BCE backprop (x * 1.0
-        # is exact); d/dh of mean BCE through the sigmoid is (p - y) / batch.
+        # Multiplying the BCE delta by scale afterwards keeps the lambda = 0
+        # / identity-bounds path bit-identical to plain BCE backprop (x * 1.0
+        # is exact).
         scale = np.where(risk_branch, (1.0 - lam) / bounds.risk_span, 0.0)
-        deltas[L - 1] = (np.where(unclamped(p), p - y, 0.0) / batch * scale[..., None])[..., None]
+        deltas[L - 1] = (bce_output_delta(p, y) * scale[..., None])[..., None]
     if not risk_branch.all():
         # d|tau|/dh is the contrast coefficient times the sign of tau.
         scale = np.where(risk_branch, 0.0, lam / bounds.unfairness_span)

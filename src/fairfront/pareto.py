@@ -383,9 +383,10 @@ def _run_splits(
     index arrays, no rows.  The dataset is installed for the sweep and
     cleared after it, and the groups run in a process pool of forked workers
     when jobs > 1, in this process otherwise.  Either way with one BLAS
-    thread (numpy's bundled OpenBLAS, where it is found): a multi-threaded
-    BLAS may round differently, and results must not depend on jobs.  The
-    merged failures are ordered by (split_id, lambda_index).
+    thread (numpy's bundled OpenBLAS, where it is found): this process is
+    pinned before the pool forks, and the workers inherit the pin.  A
+    multi-threaded BLAS may round differently, and results must not depend
+    on jobs.  The merged failures are ordered by (split_id, lambda_index).
     """
     global _dataset
     check_jobs(jobs)
@@ -402,8 +403,6 @@ def _run_splits(
             with ProcessPoolExecutor(
                 max_workers=min(jobs, len(payloads)),
                 mp_context=multiprocessing.get_context("fork"),
-                initializer=_set_blas_threads,
-                initargs=(1,),
             ) as pool:
                 results = list(pool.map(worker, payloads))
         else:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InputError, TrainingError
+from .errors import ConfigError, TrainingError
 from .metrics import _as_binary
 from .network import (
     MODE_EVAL,
@@ -78,16 +78,16 @@ def train_propensity(
 
     features, sensitives and seed are lists of K, one entry per model, all
     of one row count (training.fit_network); any other form raises
-    ConfigError naming the argument.  Each sensitives vector must hold 0/1
-    values only (metrics._as_binary).  Each model's initialisation and loop
-    seeds both derive from its seed (training.derive_seeds).  Returns one
-    uncalibrated model (temperature 1), or the TrainingError of a diverged
-    fit, per entry.
+    ConfigError naming the argument.  Each sensitives vector must hold one
+    0/1 value per row of its features (metrics._as_binary).  Each model's
+    initialisation and loop seeds both derive from its seed
+    (training.derive_seeds).  Returns one uncalibrated model (temperature
+    1), or the TrainingError of a diverged fit, per entry.
     """
     k = len(seed) if isinstance(seed, list) else 1
     seeds = _members("seed", seed, k)
     xs, a_s = _members("features", features, k), _members("sensitives", sensitives, k)
-    labels = [_as_binary(a, "sensitives").astype(np.float64) for a in a_s]
+    labels = [_as_binary(a, "sensitives", len(x)).astype(np.float64) for x, a in zip(xs, a_s)]
     # fit_network checks the features; a matrix that is not 2-d fails there, whatever width this reads
     layer_sizes = [np.shape(xs[0])[-1]] + [config.hidden_width] * config.hidden_layers + [1]
     inits, loops = zip(*(derive_seeds(s) for s in seeds))
@@ -133,9 +133,7 @@ def calibrate_temperature(
     T = 1 is always a feasible fallback, so the calibrated validation BCE can
     never exceed the uncalibrated one.
     """
-    a = _as_binary(val_sensitives, "sensitives")
-    if a.shape[0] != len(val_features):
-        raise InputError("validation features and sensitives disagree on the row count")
+    a = _as_binary(val_sensitives, "sensitives", len(val_features))
     logits = propensity_logits(model, val_features)
 
     def nll_at(log_t: float) -> float:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import minibatches
-from .errors import ConfigError, InputError, TrainingError
+from .errors import ConfigError, TrainingError
 from .metrics import PENALTY_MODES, PENALTY_PENULTIMATE, _validated_groups, overlap_weights
 from .network import (
     MODE_TRAIN,
@@ -38,7 +38,7 @@ from .network import (
     StandardisationBounds,
     _flatten,
     _unflatten,
-    _validated_features,
+    _validated_data,
     backward_composite,
     forward,
     init_network,
@@ -260,13 +260,3 @@ def _members(name: str, value, k: int) -> list:
         got = f"{len(value)} entries" if isinstance(value, list) else type(value).__name__
         raise ConfigError(f"a stack of {k} takes {name} as a list of {k}, one per network; got {got}")
     return value
-
-
-def _validated_data(features, labels, net: NetworkConfig) -> tuple[np.ndarray, np.ndarray]:
-    x = _validated_features(features, net)
-    y = np.asarray(labels, dtype=np.float64)
-    if y.shape != (x.shape[0],):
-        raise ConfigError("features and labels disagree on the row count")
-    if not np.all(np.isfinite(y)):
-        raise InputError("labels contain non-finite entries")
-    return x, y

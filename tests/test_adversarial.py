@@ -257,7 +257,7 @@ def _no_step(*args, **kwargs):
     [
         (lambda x, y, a: (np.where(np.arange(x.size).reshape(x.shape) == 5, np.nan, x), y, a), InputError),
         (lambda x, y, a: (x, y, np.where(np.arange(a.size) == 3, 2, a)), InputError),
-        (lambda x, y, a: (x, y[:-1], a), ConfigError),
+        (lambda x, y, a: (x, y[:-1], a), ShapeError),
         (lambda x, y, a: (x, y, a[:-1]), ShapeError),
         (lambda x, y, a: (x[:, :3], y, a), ShapeError),
     ],

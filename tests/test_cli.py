@@ -449,6 +449,14 @@ def test_integer_learning_rates_build_float_rates(workspace, tmp_path):
         assert type(rate) is float and rate == 1.0
 
 
+def test_a_byte_order_mark_on_the_run_config_is_read_past(tmp_path):
+    text = json.dumps({"dataset_csv": "d.csv", "schema_json": "d.schema.json", "propensity": {"epochs": 3}})
+    plain, marked = tmp_path / "plain.json", tmp_path / "marked.json"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text("\ufeff" + text, encoding="utf-8")
+    assert cli.load_run_config(marked) == cli.load_run_config(plain)
+
+
 @pytest.mark.parametrize(
     "schema",
     [{"columns": ["a"]}, {"columns": {"s": "sensitive", "y": "target"}, "missing_values": 5}],

@@ -1,6 +1,9 @@
 """CSV ingestion, encoding, splitting, batching, and the synthetic generator."""
 from __future__ import annotations
 
+import codecs
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -94,6 +97,18 @@ def test_load_csv_rejects_nonbinary_sensitive(tmp_path):
     bad = BASIC_CSV.replace("44,smith,f,no,u", "44,smith,x,no,u")
     with pytest.raises(IngestionError, match="exactly 2"):
         load_csv(write_csv(tmp_path / "d.csv", bad), BASIC_SCHEMA)
+
+
+def test_a_byte_order_mark_on_the_csv_and_schema_is_read_past(tmp_path):
+    # Excel writes UTF-8 files with a leading BOM, which must not stick to the first column name.
+    plain_schema, marked_schema = tmp_path / "plain.schema.json", tmp_path / "marked.schema.json"
+    BASIC_SCHEMA.to_json(plain_schema)
+    marked_schema.write_bytes(codecs.BOM_UTF8 + plain_schema.read_bytes())
+    plain = load_csv(write_csv(tmp_path / "plain.csv", BASIC_CSV), ColumnSchema.from_json(plain_schema))
+    marked_csv = tmp_path / "marked.csv"
+    marked_csv.write_bytes(codecs.BOM_UTF8 + BASIC_CSV.lstrip("\n").encode("utf-8"))
+    marked = load_csv(marked_csv, ColumnSchema.from_json(marked_schema))
+    np.testing.assert_equal(dataclasses.asdict(marked), dataclasses.asdict(plain))
 
 
 def test_schema_round_trip_and_validation(tmp_path):

@@ -1,11 +1,13 @@
 """Every public entry point checks the rows it receives before any network runs.
 
 forward, overlap_weights and bce_loss check nothing.  The entry points check
-their rows once, with the one feature check (network._validated_features) and,
-where they take groups, the one group check (metrics._validated_groups, built
-on metrics._as_binary).  So each kind of bad row raises one exception type
-with one message, whichever entry point receives it.  Features may come as
-any array-like, such as nested lists.
+their rows once, with the one feature check (network._validated_features, or
+network._validated_data with the labels) and, where they take groups, the one
+group check (metrics._validated_groups).  Labels and sensitives go through
+metrics._as_binary, which also checks their length against the row count.
+So each kind of bad row raises one exception type with one message,
+whichever entry point receives it.  Features may come as any array-like,
+such as nested lists.
 """
 from __future__ import annotations
 
@@ -38,15 +40,15 @@ PROPENSITY = PropensityConfig(hidden_layers=1, hidden_width=4, epochs=1, batch_s
 ENTRY_POINTS = {
     "fit_network": (
         lambda x, y, a, e: fit_network([x], [y], [NET], TRAIN, [0], lambda_=[0.5], sensitives=[a], propensities=[e]),
-        {"features", "sensitives", "propensities"},
+        {"features", "labels", "sensitives", "propensities"},
     ),
     "train_adversarial": (
         lambda x, y, a, e: train_adversarial(x, y, a, NET, TRAIN, AdversaryConfig(rounds=1), 0.5, (0, 1)),
-        {"features", "sensitives"},
+        {"features", "labels", "sensitives"},
     ),
     "evaluate_test_metrics": (
         lambda x, y, a, e: evaluate_test_metrics(init_network(NET), NET, x, a, y, e),
-        {"features", "sensitives", "propensities"},
+        {"features", "labels", "sensitives", "propensities"},
     ),
     "predict_propensity": (lambda x, y, a, e: predict_propensity(MODEL, x), {"features"}),
     "calibrate_temperature": (lambda x, y, a, e: calibrate_temperature(MODEL, x, a), {"features", "sensitives"}),
@@ -78,6 +80,15 @@ BAD_ROWS = {
     ),
     "2-d-sensitive": (
         "sensitives", lambda a: a[:, None], ShapeError, "sensitives must be one-dimensional, got shape (8, 1)"
+    ),
+    "fractional-label": ("labels", lambda y: _with(y, 3, 0.5), InputError, "labels must contain only 0/1 values"),
+    "2-d-label": ("labels", lambda y: y[:, None], ShapeError, "labels must be one-dimensional, got shape (8, 1)"),
+    "short-labels": ("labels", lambda y: y[:-1], ShapeError, "labels has 7 entries, but the row count is 8"),
+    "short-sensitives": (
+        "sensitives", lambda a: a[:-1], ShapeError, "sensitives has 7 entries, but the row count is 8"
+    ),
+    "short-propensities": (
+        "propensities", lambda e: e[:-1], ShapeError, "propensities has 7 entries, but the row count is 8"
     ),
 }
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from fairfront.errors import EvaluationError
+from fairfront.errors import InputError, ShapeError
 from fairfront.evaluation import METRIC_NAMES, evaluate_test_metrics
 from fairfront.metrics import overlap_weights
 from fairfront.network import MODE_EVAL, NetworkConfig, NetworkParams, bce_loss, forward, init_network
@@ -74,11 +74,11 @@ def test_single_group_positive_stratum_warns_and_zeroes_eopp():
 def test_validation_failures():
     params, config, x, a, y = build_case(7, n=20)
     e = predict_propensity(linear_propensity(4), x)
-    with pytest.raises(EvaluationError):
+    with pytest.raises(InputError, match="features have no rows"):
         evaluate_test_metrics(params, config, x[:0], a[:0], y[:0], e[:0])
-    with pytest.raises(EvaluationError):
+    with pytest.raises(ShapeError, match="sensitives has 19 entries, but the row count is 20"):
         evaluate_test_metrics(params, config, x, a[:-1], y, e)
-    with pytest.raises(EvaluationError):
+    with pytest.raises(ShapeError, match="propensities has 19 entries, but the row count is 20"):
         evaluate_test_metrics(params, config, x, a, y, e[:-1])
-    with pytest.raises(EvaluationError):
+    with pytest.raises(InputError, match="sensitives must contain both levels"):
         evaluate_test_metrics(params, config, x, np.zeros_like(a), y, e)

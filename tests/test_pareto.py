@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import gc
+import os
 import weakref
 from dataclasses import replace
 
@@ -18,6 +19,7 @@ from fairfront.pareto import (
     LAMBDA_INTERIOR_LOW,
     LambdaGrid,
     SweepConfig,
+    SweepResult,
     TrainingSplit,
     build_lambda_grid,
     chebyshev_toy_minimiser,
@@ -556,13 +558,34 @@ def test_sweeps_pin_blas_to_one_thread_and_restore_it(monkeypatch):
     counts = [4]
     fake = {"scipy_openblas_get_num_threads64_": lambda: counts[-1], "scipy_openblas_set_num_threads64_": counts.append}
     monkeypatch.setattr(pareto, "_openblas", fake.get)
-    pareto._set_blas_threads(1)  # the pool initializer
+    pareto._set_blas_threads(1)
     assert counts == [4, 1]
     pareto._set_blas_threads(1)
     assert counts == [4, 1]  # already one thread: nothing set
     counts[:] = [4]
     run_sweep(*sweep_setup(), SMALL_SWEEP, jobs=1)
     assert counts == [4, 1, 4]  # pinned while the splits ran in this process
+
+
+def test_forked_split_workers_inherit_the_one_blas_thread(monkeypatch, tmp_path):
+    previous = pareto._set_blas_threads(2)  # a parent on two threads, which the sweep pins to one
+    if previous is None:
+        pytest.skip("numpy's bundled OpenBLAS has no thread-count functions here")
+    get = pareto._openblas("scipy_openblas_get_num_threads64_")
+
+    def record_threads(payload, train, stage):
+        (tmp_path / str(os.getpid())).write_text(str(get()))
+        return SweepResult(candidates=[], failures=[])
+
+    monkeypatch.setattr(pareto, "_split_stage", record_threads)  # forked workers inherit the patch
+    try:
+        ds, _, grid = sweep_setup()
+        run_sweep(ds, SplitPlan(num_splits=2, train_fraction=0.5, master_seed=8), grid, SMALL_SWEEP, jobs=2)
+    finally:
+        pareto._set_blas_threads(previous)
+    threads = {int(f.name): f.read_text() for f in tmp_path.iterdir()}
+    assert threads and os.getpid() not in threads
+    assert set(threads.values()) == {"1"}
 
 
 def test_blas_pinning_does_nothing_when_the_symbol_lookup_fails(monkeypatch):
