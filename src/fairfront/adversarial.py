@@ -17,12 +17,12 @@ models, seed streams and test scoring.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .data import Dataset, SplitPlan, minibatches
-from .errors import ConfigError, NumericError
+from .errors import POSITIVE, ConfigError, NumericError, at_least, check_fields
 from .metrics import _as_binary
 from .network import (
     MODE_EVAL,
@@ -66,20 +66,14 @@ log = logging.getLogger(__name__)
 class AdversaryConfig:
     """Adversary architecture and the alternation budget."""
 
-    hidden_layers: int = 4
-    hidden_width: int = 32
-    pretrain_classifier_epochs: int = 2
-    pretrain_adversary_epochs: int = 5
-    rounds: int = 200
-    learning_rate: float = 1e-3
+    hidden_layers: int = field(default=4, metadata=at_least(1))
+    hidden_width: int = field(default=32, metadata=at_least(1))
+    pretrain_classifier_epochs: int = field(default=2, metadata=at_least(0))
+    pretrain_adversary_epochs: int = field(default=5, metadata=at_least(0))
+    rounds: int = field(default=200, metadata=at_least(0))
+    learning_rate: float = field(default=1e-3, metadata=POSITIVE)
 
-    def __post_init__(self):
-        if self.hidden_layers < 1 or self.hidden_width < 1:
-            raise ConfigError("the adversary needs at least one hidden layer and unit")
-        if min(self.pretrain_classifier_epochs, self.pretrain_adversary_epochs, self.rounds) < 0:
-            raise ConfigError("pretraining epochs and rounds must be non-negative")
-        if not self.learning_rate > 0.0:
-            raise ConfigError(f"the adversary learning_rate must be positive, got {self.learning_rate}")
+    __post_init__ = check_fields
 
     def network_config(self, seed: int) -> NetworkConfig:
         # Input width 1: the adversary sees only the classifier's score.

@@ -18,7 +18,6 @@ import functools
 import json
 import sys
 import time
-import typing
 from pathlib import Path
 
 import numpy as np
@@ -32,14 +31,13 @@ from .data import (
     load_csv,
     write_dataset_csv,
 )
-from .errors import ConfigError, FairfrontError, IngestionError, InputError, ShapeError
+from .errors import ConfigError, FairfrontError, IngestionError, InputError, ShapeError, at_least, check_value
 from .evaluation import METRIC_NAMES, evaluate_test_metrics
 from .network import load_model, save_model
 from .pareto import (
     SweepConfig,
     _fmt,
     build_lambda_grid,
-    check_jobs,
     cull_nondominated,
     read_candidates_csv,
     run_sweep,
@@ -73,11 +71,6 @@ CONFIG_DEFAULTS = {
     "propensity": {**_defaults(PropensityConfig), "batch_size": None},
     "adversary": _defaults(AdversaryConfig),
 }
-
-# The JSON values a config field of each type takes (a bool is none of them),
-# and how an error names them.
-_JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"), str: ((str,), "a string")}
-
 
 def load_run_config(path) -> dict:
     """Read the JSON config, fill defaults, and reject unknown keys."""
@@ -113,21 +106,15 @@ def load_run_config(path) -> dict:
 
 
 def _build(cls, section: dict, where: str = "", **given):
-    """cls from ``given`` and the section's values of its int, float and str fields.
+    """cls from ``given`` and the section's values of its other fields.
 
-    Each section value is checked against its field's type: an int field
-    takes an integer, a float field any number (converted to float), a str
-    field a string.
+    The class checks each value; its ConfigError gains the key's path.
     """
-    for name, kind in typing.get_type_hints(cls).items():
-        if kind not in _JSON_TYPES:
-            continue
-        value = section[name]
-        accepted, described = _JSON_TYPES[kind]
-        if isinstance(value, bool) or not isinstance(value, accepted):
-            raise ConfigError(f"config key {where}{name!r} must be {described}, got {value!r}")
-        given[name] = kind(value)
-    return cls(**given)
+    values = {f.name: section[f.name] for f in dataclasses.fields(cls) if f.name not in given}
+    try:
+        return cls(**given, **values)
+    except ConfigError as exc:
+        raise ConfigError(f"config key {where}{exc}") from None
 
 
 def _build_objects(resolved: dict):
@@ -194,7 +181,7 @@ def cmd_sweep(args) -> int:
         csv_name = "adversarial_candidates.csv"
     else:
         sweep, csv_name = run_sweep, "candidates.csv"
-    check_jobs(resolved["jobs"])
+    check_value("jobs", resolved["jobs"], **at_least(1))
     dataset = _load_encoded_dataset(resolved["dataset_csv"], resolved["schema_json"])
     result = sweep(dataset, plan, grid, sweep_config, jobs=resolved["jobs"])
     out_dir = Path(resolved["output_dir"])

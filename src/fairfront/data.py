@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, IngestionError, InputError, ShapeError
+from .errors import FRACTION, ConfigError, IngestionError, InputError, ShapeError, at_least, check_fields, check_value
 from .metrics import _as_binary
 from .network import _sigmoid
 
@@ -289,17 +289,11 @@ def encode_and_standardise(table: RawTable, train_indices) -> Dataset:
 class SplitPlan:
     """How to draw the repeated train/test splits."""
 
-    num_splits: int
-    train_fraction: float = 0.5
-    master_seed: int = 0
+    num_splits: int = field(metadata=at_least(1))
+    train_fraction: float = field(default=0.5, metadata=FRACTION)
+    master_seed: int = field(default=0, metadata=at_least(0))
 
-    def __post_init__(self):
-        if self.num_splits < 1:
-            raise ConfigError(f"num_splits must be >= 1, got {self.num_splits}")
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ConfigError(f"train_fraction must lie in (0, 1), got {self.train_fraction}")
-        if self.master_seed < 0:
-            raise ConfigError(f"master_seed must be a non-negative integer, got {self.master_seed}")
+    __post_init__ = check_fields
 
 
 MAX_SPLIT_ATTEMPTS = 100
@@ -432,17 +426,17 @@ def generate_synthetic(
     orthogonalised against w_a so that at bias_strength = 0 the label signal
     is independent of the attribute signal by construction.
     """
-    if n < 2 or p < 2:
-        raise ConfigError(f"need n >= 2 and p >= 2, got n={n}, p={p}")
-    if seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
-    dir_rng = np.random.default_rng(np.random.SeedSequence([int(seed), 1]))
+    n, p = check_value("n", n, **at_least(2)), check_value("p", p, **at_least(2))
+    seed = check_value("seed", seed, **at_least(0))
+    bias_strength = check_value("bias_strength", bias_strength, float)
+    confounding = check_value("confounding", confounding, float)
+    dir_rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
     w_a = dir_rng.standard_normal(p)
     w_a /= np.linalg.norm(w_a)
     w_raw = dir_rng.standard_normal(p)
     w_y = w_raw - np.dot(w_raw, w_a) * w_a
     w_y /= np.linalg.norm(w_y)
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0]))
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
     for _ in range(MAX_SPLIT_ATTEMPTS):
         x = rng.standard_normal((n, p))
         a = (rng.random(n) < _sigmoid(confounding * (x @ w_a))).astype(np.int64)

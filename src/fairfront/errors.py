@@ -1,4 +1,13 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the one check of a config field.
+
+A config class declares what each of its int, float and str fields accepts
+in the field's metadata (rule, at_least, POSITIVE, FRACTION, DROPOUT), and
+check_fields, run as the class's __post_init__, enforces it.
+"""
+import math
+from dataclasses import fields
+
+import numpy as np
 
 
 class FairfrontError(Exception):
@@ -31,3 +40,44 @@ class NumericError(FairfrontError, ArithmeticError):
 
 class TrainingError(FairfrontError, RuntimeError):
     """Training aborted; the message carries the diagnostic context."""
+
+
+# The values a field of each kind takes (a bool is none of them), and how an error names them.
+_KINDS = {
+    int: ((int, np.integer), "an integer"),
+    float: ((int, float, np.integer, np.floating), "a finite number"),
+    str: ((str,), "a string"),
+}
+
+
+def check_value(name: str, value, kind, test=None, wants: str = ""):
+    """value as kind, if it is one and passes test; else ConfigError naming it and saying what it wants."""
+    types, described = _KINDS[kind]
+    try:
+        ok = isinstance(value, types) and not isinstance(value, bool) and (kind is not float or math.isfinite(value))
+    except OverflowError:  # an integer past the float range
+        ok = False
+    if not (ok and (test is None or test(kind(value)))):
+        raise ConfigError(f"{name} must be {described}{' ' + wants if wants else ''}, got {value!r}")
+    return kind(value)
+
+
+def rule(kind, test=None, wants: str = "") -> dict:
+    """Field metadata for check_fields: the field holds a kind that passes test, as wants says."""
+    return {"kind": kind, "test": test, "wants": wants}
+
+
+def at_least(n: int) -> dict:
+    return rule(int, lambda v: v >= n, f">= {n}")
+
+
+POSITIVE = rule(float, lambda v: v > 0.0, "> 0")
+FRACTION = rule(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
+DROPOUT = rule(float, lambda v: 0.0 <= v < 1.0, "in [0, 1)")
+
+
+def check_fields(config) -> None:
+    """Check each field of a dataclass that declares a rule, and store it as its kind."""
+    for f in fields(config):
+        if "kind" in f.metadata:
+            setattr(config, f.name, check_value(f.name, getattr(config, f.name), **f.metadata))

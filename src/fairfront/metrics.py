@@ -217,12 +217,8 @@ def mv_index(scores, groups) -> float:
         probability and summed.
     """
     s = _as_1d_float(scores, "scores")
-    z = np.asarray(groups)
-    if z.ndim != 1:
-        raise ShapeError(f"groups must be one-dimensional, got shape {z.shape}")
-    if z.shape[0] != s.shape[0]:
-        raise ShapeError(f"scores ({s.shape[0]}) and groups ({z.shape[0]}) differ in length")
     n = s.shape[0]
+    z = _as_vector(groups, "groups", n)
     order = np.sort(s)
     # F(S_i) for all i at once: right-closed counts via searchsorted on the pooled sort.
     pooled_cdf = np.searchsorted(order, s, side="right") / n
@@ -245,12 +241,7 @@ def conditional_mv_index(scores, groups, strata) -> float:
     zero.  Raises DegenerateGroupError when every stratum is skipped.
     """
     s = _as_1d_float(scores, "scores")
-    z = np.asarray(groups)
-    u = np.asarray(strata)
-    if z.shape != s.shape or u.shape != s.shape:
-        raise ShapeError(
-            f"scores {s.shape}, groups {z.shape} and strata {u.shape} must share one length"
-        )
+    z, u = _as_vector(groups, "groups", s.shape[0]), _as_vector(strata, "strata", s.shape[0])
     values = []
     skipped = []
     for level in np.unique(u).tolist():

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, InputError, NumericError, ShapeError
+from .errors import DROPOUT, ConfigError, InputError, NumericError, ShapeError, at_least, check_fields, check_value
 from .metrics import PENALTY_PENULTIMATE, OverlapWeights, _as_binary, ato_hidden_penalty
 
 # Output probabilities are clamped to [CLAMP, 1 - CLAMP] before the loss.
@@ -54,19 +54,16 @@ class NetworkConfig:
     """
 
     layer_sizes: list[int]
-    dropout_prob: float = 0.2
-    seed: int = 0
+    dropout_prob: float = field(default=0.2, metadata=DROPOUT)
+    seed: int = field(default=0, metadata=at_least(0))
 
     def __post_init__(self):
+        check_fields(self)
         if len(self.layer_sizes) < 2:
             raise ConfigError("layer_sizes needs at least input and output entries")
-        if any(int(m) <= 0 for m in self.layer_sizes):
-            raise ConfigError(f"layer sizes must be positive, got {self.layer_sizes}")
+        self.layer_sizes = [check_value(f"layer_sizes[{i}]", m, **at_least(1)) for i, m in enumerate(self.layer_sizes)]
         if self.layer_sizes[-1] != 1:
             raise ConfigError("the output layer must have exactly one unit")
-        if not 0.0 <= self.dropout_prob < 1.0:
-            raise ConfigError(f"dropout_prob must lie in [0, 1), got {self.dropout_prob}")
-        self.layer_sizes = [int(m) for m in self.layer_sizes]
 
     @property
     def num_layers(self) -> int:
@@ -230,12 +227,15 @@ def bce_output_delta(scores: np.ndarray, labels) -> np.ndarray:
     return np.where(unclamped(scores), scores - labels, 0.0) / labels.shape[-1]
 
 
-def _validated_features(features, config: NetworkConfig) -> np.ndarray:
-    """features as a float64 (rows, inputs) matrix; the one feature check of every entry point."""
+def _validated_features(features, config: NetworkConfig | None = None) -> np.ndarray:
+    """features as a float64 (rows, inputs) matrix; the one feature check of every entry point.
+
+    Without a config any width passes.
+    """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2:
         raise ShapeError(f"features must be 2-d (rows, features), got shape {x.shape}")
-    if x.shape[1] != config.layer_sizes[0]:
+    if config is not None and x.shape[1] != config.layer_sizes[0]:
         raise ShapeError(f"features have {x.shape[1]} columns but the network expects {config.layer_sizes[0]}")
     if x.shape[0] == 0:
         raise InputError("features have no rows")
@@ -504,7 +504,7 @@ def load_model(path) -> tuple[NetworkParams, NetworkConfig, float | None]:
         biases=[_number_array(b, path) for b in doc["biases"]],
     )
     temperature = None if temperature is None else float(temperature)
-    config = NetworkConfig(layer_sizes=sizes, dropout_prob=float(dropout_prob))
+    config = NetworkConfig(layer_sizes=sizes, dropout_prob=dropout_prob)
     if len(params.weights) != config.num_layers or len(params.biases) != config.num_layers:
         raise ConfigError(f"model document {path} has inconsistent layer counts")
     for l, (w, b) in enumerate(zip(params.weights, params.biases)):

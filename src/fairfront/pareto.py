@@ -55,7 +55,19 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset, SplitPlan, make_splits
-from .errors import ConfigError, FairfrontError, InputError, ShapeError, TrainingError
+from .errors import (
+    DROPOUT,
+    FRACTION,
+    ConfigError,
+    FairfrontError,
+    InputError,
+    ShapeError,
+    TrainingError,
+    at_least,
+    check_fields,
+    check_value,
+    rule,
+)
 from .evaluation import METRIC_NAMES, evaluate_test_metrics
 from .metrics import PENALTY_MODES, PENALTY_PENULTIMATE
 from .network import NetworkConfig, NetworkParams, StandardisationBounds
@@ -97,7 +109,7 @@ class LambdaGrid:
             raise ConfigError("a lambda grid needs at least the two endpoints")
         if self.values[0] != 0.0 or self.values[-1] != 1.0:
             raise ConfigError(f"lambda grid must run from 0 to 1, got {self.values[:3]}...")
-        if any(b <= a for a, b in zip(self.values, self.values[1:])):
+        if not all(b > a for a, b in zip(self.values, self.values[1:])):
             raise ConfigError("lambda grid must be strictly ascending")
 
     def __len__(self) -> int:
@@ -106,9 +118,7 @@ class LambdaGrid:
 
 def build_lambda_grid(count: int) -> LambdaGrid:
     """{0, 1} plus count - 2 geometrically spaced values in [1e-2, 0.9]."""
-    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 2:
-        raise ConfigError(f"lambda_count must be an integer >= 2, got {count!r}")
-    interior = count - 2
+    interior = check_value("lambda_count", count, **at_least(2)) - 2
     if interior == 0:
         inner: list[float] = []
     elif interior == 1:
@@ -122,25 +132,17 @@ def build_lambda_grid(count: int) -> LambdaGrid:
 class SweepConfig:
     """Everything run_sweep needs besides the data, splits and grid."""
 
-    num_layers: int = 2
-    hidden_width: int = 8
-    dropout_prob: float = 0.2
-    penalty_mode: str = PENALTY_PENULTIMATE
+    num_layers: int = field(default=2, metadata=at_least(1))
+    hidden_width: int = field(default=8, metadata=at_least(1))
+    dropout_prob: float = field(default=0.2, metadata=DROPOUT)
+    penalty_mode: str = field(
+        default=PENALTY_PENULTIMATE, metadata=rule(str, PENALTY_MODES.__contains__, f"in {PENALTY_MODES}")
+    )
     train: TrainConfig = field(default_factory=TrainConfig)
     propensity: PropensityConfig = field(default_factory=PropensityConfig)
-    calibration_fraction: float = 0.2
+    calibration_fraction: float = field(default=0.2, metadata=FRACTION)
 
-    def __post_init__(self):
-        if self.num_layers < 1:
-            raise ConfigError(f"num_layers must be >= 1, got {self.num_layers}")
-        if self.hidden_width < 1:
-            raise ConfigError(f"hidden_width must be >= 1, got {self.hidden_width}")
-        if not 0.0 <= self.dropout_prob < 1.0:
-            raise ConfigError(f"dropout_prob must lie in [0, 1), got {self.dropout_prob}")
-        if self.penalty_mode not in PENALTY_MODES:
-            raise ConfigError(f"unknown penalty mode {self.penalty_mode!r}")
-        if not 0.0 < self.calibration_fraction < 1.0:
-            raise ConfigError("calibration_fraction must lie in (0, 1)")
+    __post_init__ = check_fields
 
     def layer_sizes(self, input_dim: int) -> list[int]:
         return [input_dim] + [self.hidden_width] * (self.num_layers - 1) + [1]
@@ -326,12 +328,6 @@ def _train_scalarised_group(splits: list[TrainingSplit], grid: LambdaGrid, confi
     ]
 
 
-def check_jobs(jobs) -> None:
-    """Raise ConfigError unless ``jobs`` is a positive integer."""
-    if isinstance(jobs, bool) or not isinstance(jobs, (int, np.integer)) or jobs < 1:
-        raise ConfigError(f"jobs must be a positive integer, got {jobs!r}")
-
-
 def split_groups(num_splits: int, group_cap: int, jobs: int) -> list[range]:
     """Cut split ids 0..num_splits-1 into near-equal contiguous groups.
 
@@ -389,7 +385,7 @@ def _run_splits(
     on jobs.  The merged failures are ordered by (split_id, lambda_index).
     """
     global _dataset
-    check_jobs(jobs)
+    check_value("jobs", jobs, **at_least(1))
     splits = make_splits(dataset.n_rows, plan, sensitives=dataset.sensitives, labels=dataset.labels)
     group_cap = max(1, stack_size(config.train.batch_size, config.layer_sizes(dataset.n_features)) // 2)
     payloads = [

@@ -9,11 +9,11 @@ Downstream consumers treat the calibrated scores as frozen data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, TrainingError
+from .errors import DROPOUT, POSITIVE, TrainingError, at_least, check_fields
 from .metrics import _as_binary
 from .network import (
     MODE_EVAL,
@@ -35,24 +35,14 @@ TEMPERATURE_TOL = 1e-4
 class PropensityConfig:
     """Architecture and budget for the propensity fit."""
 
-    hidden_layers: int = 3
-    hidden_width: int = 32
-    dropout_prob: float = 0.2
-    epochs: int = 100
-    batch_size: int = 128
-    learning_rate: float = 1e-3
+    hidden_layers: int = field(default=3, metadata=at_least(1))
+    hidden_width: int = field(default=32, metadata=at_least(1))
+    dropout_prob: float = field(default=0.2, metadata=DROPOUT)
+    epochs: int = field(default=100, metadata=at_least(1))
+    batch_size: int = field(default=128, metadata=at_least(1))
+    learning_rate: float = field(default=1e-3, metadata=POSITIVE)
 
-    def __post_init__(self):
-        if self.hidden_layers < 1 or self.hidden_width < 1:
-            raise ConfigError("propensity network needs at least one hidden layer and unit")
-        if not 0.0 <= self.dropout_prob < 1.0:
-            raise ConfigError(f"propensity dropout_prob must lie in [0, 1), got {self.dropout_prob}")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ConfigError(
-                f"propensity epochs and batch_size must be >= 1, got {self.epochs} and {self.batch_size}"
-            )
-        if not self.learning_rate > 0.0:
-            raise ConfigError(f"propensity learning_rate must be positive, got {self.learning_rate}")
+    __post_init__ = check_fields
 
 
 @dataclass
@@ -61,11 +51,9 @@ class PropensityModel:
 
     params: NetworkParams
     config: NetworkConfig
-    temperature: float = 1.0
+    temperature: float = field(default=1.0, metadata=POSITIVE)
 
-    def __post_init__(self):
-        if not (math.isfinite(self.temperature) and self.temperature > 0.0):
-            raise ConfigError(f"temperature must be positive and finite, got {self.temperature}")
+    __post_init__ = check_fields
 
 
 def train_propensity(
@@ -86,10 +74,11 @@ def train_propensity(
     """
     k = len(seed) if isinstance(seed, list) else 1
     seeds = _members("seed", seed, k)
-    xs, a_s = _members("features", features, k), _members("sensitives", sensitives, k)
+    # The network's width is read off the features, so they are checked, at any width, before the sensitives.
+    xs = [_validated_features(x) for x in _members("features", features, k)]
+    a_s = _members("sensitives", sensitives, k)
     labels = [_as_binary(a, "sensitives", len(x)).astype(np.float64) for x, a in zip(xs, a_s)]
-    # fit_network checks the features; a matrix that is not 2-d fails there, whatever width this reads
-    layer_sizes = [np.shape(xs[0])[-1]] + [config.hidden_width] * config.hidden_layers + [1]
+    layer_sizes = [xs[0].shape[1]] + [config.hidden_width] * config.hidden_layers + [1]
     inits, loops = zip(*(derive_seeds(s) for s in seeds))
     net_configs = [NetworkConfig(layer_sizes=layer_sizes, dropout_prob=config.dropout_prob, seed=i) for i in inits]
     train_config = TrainConfig(
@@ -133,8 +122,9 @@ def calibrate_temperature(
     T = 1 is always a feasible fallback, so the calibrated validation BCE can
     never exceed the uncalibrated one.
     """
-    a = _as_binary(val_sensitives, "sensitives", len(val_features))
-    logits = propensity_logits(model, val_features)
+    x = _validated_features(val_features, model.config)
+    a = _as_binary(val_sensitives, "sensitives", len(x))
+    logits = propensity_logits(model, x)
 
     def nll_at(log_t: float) -> float:
         return float(bce_loss(clamped_sigmoid(logits / math.exp(log_t)), a))

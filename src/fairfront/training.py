@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import minibatches
-from .errors import ConfigError, TrainingError
+from .errors import POSITIVE, ConfigError, TrainingError, at_least, check_fields, rule
 from .metrics import PENALTY_MODES, PENALTY_PENULTIMATE, _validated_groups, overlap_weights
 from .network import (
     MODE_TRAIN,
@@ -52,23 +52,13 @@ log = logging.getLogger(__name__)
 class TrainConfig:
     """Loop hyperparameters, orthogonal to the architecture."""
 
-    epochs: int = 500
-    batch_size: int = 128
-    learning_rate: float = 1e-3
-    scheduler_factor: float = 0.9
-    scheduler_patience: int = 10
+    epochs: int = field(default=500, metadata=at_least(1))
+    batch_size: int = field(default=128, metadata=at_least(1))
+    learning_rate: float = field(default=1e-3, metadata=POSITIVE)
+    scheduler_factor: float = field(default=0.9, metadata=rule(float, lambda v: 0.0 < v <= 1.0, "in (0, 1]"))
+    scheduler_patience: int = field(default=10, metadata=at_least(0))
 
-    def __post_init__(self):
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not self.learning_rate > 0.0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
-        if not 0.0 < self.scheduler_factor <= 1.0:
-            raise ConfigError(f"scheduler_factor must lie in (0, 1], got {self.scheduler_factor}")
-        if self.scheduler_patience < 0:
-            raise ConfigError(f"scheduler_patience must be >= 0, got {self.scheduler_patience}")
+    __post_init__ = check_fields
 
 
 # (min, max) of a series with no computed value

@@ -364,6 +364,25 @@ def test_config_values_of_the_wrong_type_exit_2_before_loading(workspace, tmp_pa
     assert err["error"] == "ConfigError" and key in err["message"]
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("propensity", {"epochs": 0}, "config key propensity.epochs must be an integer >= 1, got 0"),
+        ("adversary", {"rounds": "x"}, "config key adversary.rounds must be an integer >= 0, got 'x'"),
+        ("hidden_width", 8.5, "config key hidden_width must be an integer >= 1, got 8.5"),
+        ("calibration_fraction", 1, "config key calibration_fraction must be a finite number in (0, 1), got 1"),
+    ],
+    ids=["propensity-epochs", "adversary-rounds", "hidden_width", "calibration_fraction"],
+)
+def test_a_config_class_error_names_the_key_path(workspace, tmp_path, capsys, monkeypatch, key, value, message):
+    _, config_path = workspace
+    monkeypatch.setattr(cli, "_load_encoded_dataset", _no_load)
+    bad = tmp_path / "bad_key.json"
+    bad.write_text(json.dumps({**json.loads(config_path.read_text()), key: value}))
+    assert main(["run", "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
+    assert json.loads(capsys.readouterr().err) == {"error": "ConfigError", "message": message}
+
+
 def test_cull_non_numeric_cell_exits_2_naming_the_line(tmp_path, capsys):
     src = tmp_path / "in.csv"
     src.write_bytes(CULL_INPUT.replace("0.52,1e-05", "0.52,lots").encode())

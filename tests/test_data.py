@@ -307,9 +307,15 @@ def test_synthetic_bias_strength_drives_base_rate_gap():
     assert gap(3.0) > gap(0.0) + 0.2
 
 
-def test_synthetic_rejects_tiny_problems():
-    with pytest.raises(ConfigError):
-        generate_synthetic(n=1, p=4, bias_strength=1.0)
+@pytest.mark.parametrize(
+    "name, value",
+    [("n", 1), ("p", 1), ("n", 50.5), ("p", True), ("seed", -1), ("seed", 1.5),
+     ("bias_strength", float("nan")), ("confounding", float("inf")), ("bias_strength", "3")],
+)
+def test_synthetic_checks_its_arguments(name, value):
+    # a fractional seed would be truncated to another seed's data, a fractional n fail inside numpy
+    with pytest.raises(ConfigError, match=f"^{name} must be"):
+        generate_synthetic(**{"n": 50, "p": 4, "bias_strength": 1.0, name: value})
 
 
 DATASET_FIELDS = {

@@ -68,6 +68,7 @@ def _with(rows, i, value):
 BAD_ROWS = {
     "wrong-width": ("features", lambda x: x[:, :2], ShapeError, "features have 2 columns but the network expects 3"),
     "1-d": ("features", lambda x: x[:, 0], ShapeError, "features must be 2-d (rows, features), got shape (8,)"),
+    "0-d": ("features", lambda x: x[0, 0], ShapeError, "features must be 2-d (rows, features), got shape ()"),
     "non-finite": ("features", lambda x: _with(x, (5, 1), np.nan), InputError, "features contain non-finite entries"),
     "propensity-0": (
         "propensities", lambda e: _with(e, 2, 0.0), InputError, "propensities must lie strictly inside (0, 1)"

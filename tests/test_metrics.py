@@ -280,6 +280,27 @@ def test_conditional_mv_all_degenerate_raises():
             conditional_mv_index(scores, groups, strata)
 
 
+@pytest.mark.parametrize(
+    "scores, groups, strata, error, message",
+    [
+        ([0.1, 0.4, 0.8], [0, 1], [0, 0, 1], ShapeError, "groups has 2 entries, but the row count is 3"),
+        (
+            [0.1, 0.4, 0.8], [[0], [1], [0]], [0, 0, 1],
+            ShapeError, r"groups must be one-dimensional, got shape \(3, 1\)",
+        ),
+        ([0.1, 0.4, 0.8], [0, 1, 0], [0, 0], ShapeError, "strata has 2 entries, but the row count is 3"),
+        ([0.1, np.nan, 0.8], [0, 1, 0], [0, 0, 1], InputError, "scores contains non-finite entries"),
+    ],
+    ids=["short-groups", "2-d-groups", "short-strata", "non-finite-scores"],
+)
+def test_mv_indices_check_their_rows(scores, groups, strata, error, message):
+    with pytest.raises(error, match=message):
+        conditional_mv_index(scores, groups, strata)
+    if "strata" not in message:
+        with pytest.raises(error, match=message):
+            mv_index(scores, groups)
+
+
 # ---------------------------------------------------------------------------
 # structural properties
 

@@ -76,6 +76,8 @@ def test_grid_validation():
         LambdaGrid(values=[0.1, 0.5, 1.0])
     with pytest.raises(ConfigError):
         LambdaGrid(values=[0.0, 0.5, 0.4, 1.0])
+    with pytest.raises(ConfigError, match="strictly ascending"):
+        LambdaGrid(values=[0.0, float("nan"), 1.0])
 
 
 # ---------------------------------------------------------------------------
