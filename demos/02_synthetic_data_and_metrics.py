@@ -32,10 +32,11 @@ plan = SplitPlan(num_splits=1, train_fraction=0.5, master_seed=7)
 train_rows, test_rows = make_splits(ds.n_rows, plan, sensitives=ds.sensitives, labels=ds.labels)[0]
 
 # plain risk-only classifier, groups never enter the features
-net = NetworkConfig(layer_sizes=[ds.n_features, 8, 1], dropout_prob=0.2, seed=1)
-# fit_network trains a stack of networks from per-network lists; this is a stack of one
-(fit,) = fit_network([ds.features[train_rows]], [ds.labels[train_rows].astype(float)], [net],
-                     TrainConfig(epochs=80, batch_size=128), loop_seed=[2])
+net = NetworkConfig(layer_sizes=[ds.n_features, 8, 1], dropout_prob=0.2)
+# fit_network trains a stack of networks of one architecture from per-network
+# lists; this is a stack of one, with its (init seed, loop seed) pair
+(fit,) = fit_network([ds.features[train_rows]], [ds.labels[train_rows].astype(float)], net,
+                     TrainConfig(epochs=80, batch_size=128), [(1, 2)])
 print(f"trained {len(net.layer_sizes) - 1}-layer net, final train objective {fit.epoch_objectives[-1]:.4f}")
 
 # propensity on the train half, temperature fitted on a held-back slice

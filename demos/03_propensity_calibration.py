@@ -19,10 +19,11 @@ from fairfront import (
 rng = np.random.default_rng(5)
 
 # a passthrough "network" whose logit equals its single input feature,
-# handy for studying the calibrator with logits we fully control
+# handy for studying the calibrator with logits we fully control; a
+# NetworkConfig is the architecture alone, and an untrained model needs no seed
 passthrough = PropensityModel(
     params=NetworkParams([np.array([[1.0]])], [np.zeros(1)]),
-    config=NetworkConfig(layer_sizes=[1, 1], dropout_prob=0.0, seed=0),
+    config=NetworkConfig(layer_sizes=[1, 1], dropout_prob=0.0),
 )
 
 for t_true in (0.5, 2.0, 4.0):

@@ -17,7 +17,7 @@ models, seed streams and test scoring.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -57,7 +57,7 @@ from .pareto import (
 # module and fails to install its tracer without them.
 from .evaluation import evaluate_test_metrics  # noqa: F401
 from .propensity import calibrate_temperature, train_propensity  # noqa: F401
-from .training import FitResult, TrainConfig, derive_seeds
+from .training import FitResult, TrainConfig, _seed_pair, derive_seeds
 
 log = logging.getLogger(__name__)
 
@@ -75,13 +75,9 @@ class AdversaryConfig:
 
     __post_init__ = check_fields
 
-    def network_config(self, seed: int) -> NetworkConfig:
+    def network_config(self) -> NetworkConfig:
         # Input width 1: the adversary sees only the classifier's score.
-        return NetworkConfig(
-            layer_sizes=[1] + [self.hidden_width] * self.hidden_layers + [1],
-            dropout_prob=0.0,
-            seed=seed,
-        )
+        return NetworkConfig(layer_sizes=[1] + [self.hidden_width] * self.hidden_layers + [1], dropout_prob=0.0)
 
 
 @dataclass
@@ -151,8 +147,8 @@ class _Player:
     in-place adam_step over the whole row, which the views see.
     """
 
-    def __init__(self, config: NetworkConfig, learning_rate: float):
-        init = init_network(config)
+    def __init__(self, config: NetworkConfig, seed: int, learning_rate: float):
+        init = init_network(config, seed)
         self.flat = _flatten(init)
         self.params = _unflatten(self.flat, [a.shape for a in (*init.weights, *init.biases)])
         self.adam = AdamState(np.zeros_like(self.flat), np.zeros_like(self.flat), learning_rate=learning_rate)
@@ -165,7 +161,7 @@ def train_adversarial(
     features: np.ndarray,
     labels: np.ndarray,
     sensitives: np.ndarray,
-    clf_template: NetworkConfig,
+    clf_config: NetworkConfig,
     train_config: TrainConfig,
     adv_config: AdversaryConfig,
     lambda_: float,
@@ -180,7 +176,8 @@ def train_adversarial(
     and one classifier minibatch step on Loss_y - lambda * Loss_a.  Only the
     classifier uses dropout, and only in its own update steps.  One RNG
     stream drives all shuffling and dropout, so the run is a pure function
-    of (data, configs, lambda, seeds).
+    of (data, configs, lambda, seeds): the classifier's init seed, and the
+    key of the adversary's init and loop seeds (training.derive_seeds).
 
     The inputs are validated here, once; the loop itself runs unchecked and
     raises NumericError after the epoch or round that left either player
@@ -188,28 +185,28 @@ def train_adversarial(
     """
     if not 0.0 <= lambda_ <= 1.0:
         raise ConfigError(f"lambda must lie in [0, 1], got {lambda_}")
-    x, y = _validated_data(features, labels, clf_template)
+    clf_seed, adv_key = _seed_pair("seeds", seeds)
+    x, y = _validated_data(features, labels, clf_config)
     n = y.shape[0]
     a = _as_binary(sensitives, "sensitives", n)
     indices = np.arange(n)
 
-    clf_cfg = replace(clf_template, seed=seeds[0])
-    adv_init, loop_seed = derive_seeds(seeds[1])
-    adv_cfg = adv_config.network_config(adv_init)
-    clf = _Player(clf_cfg, train_config.learning_rate)
-    adv = _Player(adv_cfg, adv_config.learning_rate)
+    adv_cfg = adv_config.network_config()
+    adv_init, loop_seed = derive_seeds(adv_key)
+    clf = _Player(clf_config, clf_seed, train_config.learning_rate)
+    adv = _Player(adv_cfg, adv_init, adv_config.learning_rate)
     rng = np.random.default_rng(loop_seed)
 
     def classifier_step(rows: np.ndarray):
-        trace = forward(clf.params, clf_cfg, x[rows], MODE_TRAIN, rng=rng)
+        trace = forward(clf.params, clf_config, x[rows], MODE_TRAIN, rng=rng)
         grads, _ = classifier_objective_gradient(
-            clf.params, clf_cfg, adv.params, adv_cfg, trace, y[rows], a[rows], lambda_
+            clf.params, clf_config, adv.params, adv_cfg, trace, y[rows], a[rows], lambda_
         )
         clf.step(grads)
 
     def adversary_epoch():
         # The classifier is frozen for the whole epoch: score every row once, block by block.
-        scores = np.concatenate([forward(clf.params, clf_cfg, x[rows], MODE_EVAL).output for rows in row_blocks(n)])
+        scores = np.concatenate([forward(clf.params, clf_config, x[rows], MODE_EVAL).output for rows in row_blocks(n)])
         for mb in minibatches(indices, train_config.batch_size, rng):
             adv.step(_adversary_gradient(adv.params, adv_cfg, scores[mb.indices], a[mb.indices])[0])
 
@@ -235,7 +232,7 @@ def train_adversarial(
     log.debug("adversarial run (lambda=%g): %d rounds after pretraining", lambda_, adv_config.rounds)
     return AdversarialResult(
         classifier_params=clf.params,
-        classifier_config=clf_cfg,
+        classifier_config=clf_config,
         adversary_params=adv.params,
         adversary_config=adv_cfg,
     )

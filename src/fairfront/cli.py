@@ -127,7 +127,12 @@ def _build_objects(resolved: dict):
         train=_build(TrainConfig, resolved),
         propensity=_build(PropensityConfig, prop, "propensity."),
     )
-    plan, grid = _build(SplitPlan, resolved), build_lambda_grid(resolved["lambda_count"])
+    plan = _build(SplitPlan, resolved)
+    try:  # lambda_count and jobs, the keys of no config class
+        grid = build_lambda_grid(resolved["lambda_count"])
+        check_value("jobs", resolved["jobs"], **at_least(1))
+    except ConfigError as exc:
+        raise ConfigError(f"config key {exc}") from None
     return sweep_config, plan, grid, _build(AdversaryConfig, resolved["adversary"], "adversary.")
 
 
@@ -181,7 +186,6 @@ def cmd_sweep(args) -> int:
         csv_name = "adversarial_candidates.csv"
     else:
         sweep, csv_name = run_sweep, "candidates.csv"
-    check_value("jobs", resolved["jobs"], **at_least(1))
     dataset = _load_encoded_dataset(resolved["dataset_csv"], resolved["schema_json"])
     result = sweep(dataset, plan, grid, sweep_config, jobs=resolved["jobs"])
     out_dir = Path(resolved["output_dir"])
@@ -222,10 +226,7 @@ def cmd_metrics(args) -> int:
     p_params, p_config, temperature = load_model(args.propensity)
     if temperature is None:
         raise ConfigError(f"{args.propensity} lacks a temperature field; not a propensity model")
-    try:
-        propensity = PropensityModel(params=p_params, config=p_config, temperature=temperature)
-    except ConfigError as exc:
-        raise ConfigError(f"propensity model document {args.propensity}: {exc}") from None
+    propensity = PropensityModel(params=p_params, config=p_config, temperature=temperature)
     dataset = _load_encoded_dataset(args.dataset, args.schema)
     for path, net in ((args.model, config), (args.propensity, p_config)):
         if dataset.n_features != net.layer_sizes[0]:

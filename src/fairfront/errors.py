@@ -74,6 +74,7 @@ def at_least(n: int) -> dict:
 POSITIVE = rule(float, lambda v: v > 0.0, "> 0")
 FRACTION = rule(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
 DROPOUT = rule(float, lambda v: 0.0 <= v < 1.0, "in [0, 1)")
+SEED = at_least(0)  # what numpy seeds from; every entry point checks its seeds by this rule
 
 
 def check_fields(config) -> None:

@@ -26,7 +26,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DROPOUT, ConfigError, InputError, NumericError, ShapeError, at_least, check_fields, check_value
+from .errors import (
+    DROPOUT, POSITIVE, SEED, ConfigError, InputError, NumericError, ShapeError, at_least, check_fields, check_value
+)
 from .metrics import PENALTY_PENULTIMATE, OverlapWeights, _as_binary, ato_hidden_penalty
 
 # Output probabilities are clamped to [CLAMP, 1 - CLAMP] before the loss.
@@ -47,7 +49,7 @@ SCORE_BLOCK_ROWS = 4096
 
 @dataclass
 class NetworkConfig:
-    """Architecture description.
+    """Architecture description, and nothing else: a network's seeds are inputs of its fit.
 
     layer_sizes runs [input_dim, hidden..., 1]; the final entry must be 1.
     Activations are fixed: ReLU inside, sigmoid out.
@@ -55,12 +57,11 @@ class NetworkConfig:
 
     layer_sizes: list[int]
     dropout_prob: float = field(default=0.2, metadata=DROPOUT)
-    seed: int = field(default=0, metadata=at_least(0))
 
     def __post_init__(self):
         check_fields(self)
-        if len(self.layer_sizes) < 2:
-            raise ConfigError("layer_sizes needs at least input and output entries")
+        if not isinstance(self.layer_sizes, (list, tuple)) or len(self.layer_sizes) < 2:
+            raise ConfigError(f"layer_sizes must list the input and output sizes at least, got {self.layer_sizes!r}")
         self.layer_sizes = [check_value(f"layer_sizes[{i}]", m, **at_least(1)) for i, m in enumerate(self.layer_sizes)]
         if self.layer_sizes[-1] != 1:
             raise ConfigError("the output layer must have exactly one unit")
@@ -110,9 +111,9 @@ class ForwardTrace:
         return self.activations[-1][..., 0]
 
 
-def init_network(config: NetworkConfig) -> NetworkParams:
-    """Glorot-uniform weights, zero biases, deterministic in config.seed."""
-    rng = np.random.default_rng(config.seed)
+def init_network(config: NetworkConfig, seed: int) -> NetworkParams:
+    """Glorot-uniform weights, zero biases, deterministic in seed (an integer >= 0)."""
+    rng = np.random.default_rng(check_value("seed", seed, **SEED))
     weights = []
     biases = []
     for fan_in, fan_out in zip(config.layer_sizes[:-1], config.layer_sizes[1:]):
@@ -481,30 +482,30 @@ def save_model(path, params: NetworkParams, config: NetworkConfig, temperature: 
 
 def load_model(path) -> tuple[NetworkParams, NetworkConfig, float | None]:
     """Inverse of save_model. Returns (params, config, temperature-or-None)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"model document {path} is not valid JSON: {exc}") from None
+    except FileNotFoundError:
+        raise InputError(f"model document not found: {path}") from None
+    except json.JSONDecodeError as exc:
+        raise InputError(f"model document {path} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise InputError(f"model document {path} must hold a JSON object")
     for key in ("layer_sizes", "dropout_prob", "weights", "biases"):
         if key not in doc:
             raise ConfigError(f"model document {path} lacks field {key!r}")
-    sizes = doc["layer_sizes"]
-    if not isinstance(sizes, list) or any(isinstance(m, bool) or not isinstance(m, int) for m in sizes):
-        raise InputError(f"model document {path}: layer_sizes must be a list of integers")
-    dropout_prob, temperature = doc["dropout_prob"], doc.get("temperature")
-    if not _is_number(dropout_prob) or not (temperature is None or _is_number(temperature)):
-        raise InputError(f"model document {path}: dropout_prob and temperature must be JSON numbers")
     if not (isinstance(doc["weights"], list) and isinstance(doc["biases"], list)):
         raise InputError(f"model document {path}: weights and biases must be lists of arrays")
     params = NetworkParams(
         weights=[_number_array(w, path) for w in doc["weights"]],
         biases=[_number_array(b, path) for b in doc["biases"]],
     )
-    temperature = None if temperature is None else float(temperature)
-    config = NetworkConfig(layer_sizes=sizes, dropout_prob=dropout_prob)
+    try:  # the field values: NetworkConfig checks them, and the POSITIVE rule the temperature
+        config = NetworkConfig(layer_sizes=doc["layer_sizes"], dropout_prob=doc["dropout_prob"])
+        temperature = doc.get("temperature")
+        temperature = None if temperature is None else check_value("temperature", temperature, **POSITIVE)
+    except ConfigError as exc:
+        raise ConfigError(f"model document {path}: {exc}") from None
     if len(params.weights) != config.num_layers or len(params.biases) != config.num_layers:
         raise ConfigError(f"model document {path} has inconsistent layer counts")
     for l, (w, b) in enumerate(zip(params.weights, params.biases)):
@@ -512,10 +513,6 @@ def load_model(path) -> tuple[NetworkParams, NetworkConfig, float | None]:
         if w.shape != expect or b.shape != (expect[0],):
             raise ConfigError(f"model document {path}: layer {l} shapes do not match layer_sizes")
     return params, config, temperature
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _number_array(value, path) -> np.ndarray:

@@ -49,7 +49,7 @@ import ctypes
 import logging
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -163,7 +163,7 @@ class TrainingSplit:
     labels: np.ndarray  # float64
     sensitives: np.ndarray
     propensities: np.ndarray  # calibrated propensity scores of the rows
-    template: NetworkConfig  # the classifier architecture, seed unset
+    template: NetworkConfig  # the classifier architecture, shared by the sweep
     seeds: list[tuple[int, int]]  # (init seed, loop seed) of each lambda index
 
 
@@ -177,9 +177,10 @@ def _fit_stacks(members: list[tuple], train_config: TrainConfig, penalty_mode: s
 
     A member is (split, lambda, (init seed, loop seed), bounds): the network
     trains on the TrainingSplit's rows, with bounds None for the identity
-    standardisation.  This is where a group's splits become fit_network's
-    per-member lists.  Returns one entry per member: the fit, or the expected
-    failure that ended it (a stack that raises fails each of its networks).
+    standardisation.  The splits share one architecture, their template.
+    This is where a group's splits become fit_network's per-member lists.
+    Returns one entry per member: the fit, or the expected failure that
+    ended it (a stack that raises fails each of its networks).
     """
     size = stack_size(train_config.batch_size, members[0][0].template.layer_sizes) if members else 1
     fits: list[FitResult | Exception] = []
@@ -189,9 +190,9 @@ def _fit_stacks(members: list[tuple], train_config: TrainConfig, penalty_mode: s
             fits += fit_network(
                 [s.features for s in splits],
                 [s.labels for s in splits],
-                [replace(s.template, seed=init_seed) for s, (init_seed, _) in zip(splits, seeds)],
+                splits[0].template,
                 train_config,
-                [loop_seed for _, loop_seed in seeds],
+                list(seeds),
                 lambda_=list(lambdas),
                 bounds=None if bounds[0] is None else list(bounds),
                 sensitives=[s.sensitives for s in splits],

@@ -68,27 +68,24 @@ def train_propensity(
     of one row count (training.fit_network); any other form raises
     ConfigError naming the argument.  Each sensitives vector must hold one
     0/1 value per row of its features (metrics._as_binary).  Each model's
-    initialisation and loop seeds both derive from its seed
-    (training.derive_seeds).  Returns one uncalibrated model (temperature
-    1), or the TrainingError of a diverged fit, per entry.
+    initialisation and loop seeds both derive from its seed, an integer
+    >= 0 (training.derive_seeds).  The models share one NetworkConfig.
+    Returns one uncalibrated model (temperature 1), or the TrainingError of
+    a diverged fit, per entry.
     """
     k = len(seed) if isinstance(seed, list) else 1
-    seeds = _members("seed", seed, k)
+    seeds = [derive_seeds(s) for s in _members("seed", seed, k)]
     # The network's width is read off the features, so they are checked, at any width, before the sensitives.
     xs = [_validated_features(x) for x in _members("features", features, k)]
     a_s = _members("sensitives", sensitives, k)
     labels = [_as_binary(a, "sensitives", len(x)).astype(np.float64) for x, a in zip(xs, a_s)]
     layer_sizes = [xs[0].shape[1]] + [config.hidden_width] * config.hidden_layers + [1]
-    inits, loops = zip(*(derive_seeds(s) for s in seeds))
-    net_configs = [NetworkConfig(layer_sizes=layer_sizes, dropout_prob=config.dropout_prob, seed=i) for i in inits]
+    net = NetworkConfig(layer_sizes=layer_sizes, dropout_prob=config.dropout_prob)
     train_config = TrainConfig(
         epochs=config.epochs, batch_size=config.batch_size, learning_rate=config.learning_rate
     )
-    fits = fit_network(xs, labels, net_configs, train_config, list(loops))
-    return [
-        fit if isinstance(fit, TrainingError) else PropensityModel(params=fit.params, config=net, temperature=1.0)
-        for fit, net in zip(fits, net_configs)
-    ]
+    fits = fit_network(xs, labels, net, train_config, seeds)
+    return [fit if isinstance(fit, TrainingError) else PropensityModel(fit.params, net) for fit in fits]
 
 
 def propensity_logits(model: PropensityModel, features: np.ndarray) -> np.ndarray:

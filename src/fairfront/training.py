@@ -11,13 +11,13 @@ The engine trains K >= 1 networks as one stack: each step is one stacked
 forward, backward and Adam update for all K.  fit_network takes every
 per-member argument as a list with one entry per member and returns one
 result per member; one network is a stack of one, and its failure is
-returned like any member's.  Each member has its own config, lambda and
-training set, all of one row count (the splits of a sweep's split group, or
-one split's rows repeated), and its own standardisation bounds.  Each member
-also keeps its own loop generator (epoch shuffles and dropout draws),
-learning-rate schedule and finiteness guard, so a member's numbers equal
-those of the same network trained as a stack of one, and a diverging member
-fails alone.
+returned like any member's.  The members share one NetworkConfig; each has
+its own seeds, lambda and training set, all of one row count (the splits of
+a sweep's split group, or one split's rows repeated), and its own bounds.
+Each member also keeps its own loop generator (epoch shuffles and dropout
+draws), learning-rate schedule and finiteness guard, so a member's numbers
+equal those of the same network trained as a stack of one, and a diverging
+member fails alone.
 The stack keeps its shape for the whole fit: a failed member keeps its row
 as zeros, so the remaining steps stay finite, and is no longer read.
 """
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import minibatches
-from .errors import POSITIVE, ConfigError, TrainingError, at_least, check_fields, rule
+from .errors import POSITIVE, SEED, ConfigError, TrainingError, at_least, check_fields, check_value, rule
 from .metrics import PENALTY_MODES, PENALTY_PENULTIMATE, _validated_groups, overlap_weights
 from .network import (
     MODE_TRAIN,
@@ -83,17 +83,17 @@ class FitResult:
 
 
 def derive_seeds(*keys: int) -> tuple[int, int]:
-    """Two independent 64-bit streams keyed by an integer tuple."""
-    state = np.random.SeedSequence([int(k) for k in keys]).generate_state(4, dtype=np.uint64)
+    """Two independent 64-bit streams keyed by a tuple of seeds (integers >= 0)."""
+    state = np.random.SeedSequence([check_value("seed", k, **SEED) for k in keys]).generate_state(4, dtype=np.uint64)
     return int(state[0]), int(state[1])
 
 
 def fit_network(
     features: list[np.ndarray],
     labels: list[np.ndarray],
-    net_config: list[NetworkConfig],
+    net_config: NetworkConfig,
     train_config: TrainConfig,
-    loop_seed: list[int],
+    seeds: list[tuple[int, int]],
     *,
     lambda_: list[float] | None = None,
     bounds: list[StandardisationBounds] | None = None,
@@ -103,33 +103,33 @@ def fit_network(
 ) -> list[FitResult | TrainingError]:
     """Adam-train a stack of K fresh networks, member k on (features[k], labels[k]).
 
-    Every per-member argument is a list of K, one entry per network: the
-    configs (one architecture, one init seed each), loop seeds, lambdas
-    (None trains every member at lambda = 0), features and labels, and the
-    sensitives, propensities and bounds when given.  The members' row counts
-    must agree.  Any other form, a bare value included, raises ConfigError
-    naming the argument; one network is a stack of one.
+    The members share the architecture net_config.  Every per-member
+    argument is a list of K, one entry per network: the (init seed, loop
+    seed) pairs, lambdas (None trains every member at lambda = 0), features
+    and labels, and the sensitives, propensities and bounds when given.  The
+    members' row counts must agree.  Any other form, a bare value or a seed
+    that is not an integer >= 0 included, raises ConfigError naming the
+    argument; one network is a stack of one.
 
     The per-step objective is max{(1-lambda)*R~, lambda*U~}; with bounds=None
     the standardisation is the identity, so lambda = 0 yields plain BCE
     descent and lambda = 1 plain penalty descent.  The plateau scheduler is
     driven by the epoch mean of the step objectives backward_composite
-    returns.  Initialisation is deterministic in net_config.seed, shuffling
-    and dropout in loop_seed; a minibatch containing a single sensitive group
-    falls back to the risk branch (its unfairness comes back nan), is counted
-    in skipped_group_batches and is excluded from the unfairness range.
+    returns.  Initialisation is deterministic in the init seed, shuffling
+    and dropout in the loop seed; a minibatch containing a single sensitive
+    group falls back to the risk branch (its unfairness comes back nan), is
+    counted in skipped_group_batches and is excluded from the unfairness range.
 
     Returns K entries: a FitResult, or the TrainingError of a member whose
     objective or parameters went non-finite.
     """
-    k = len(net_config) if isinstance(net_config, list) else 1
-    configs, seeds = _members("net_config", net_config, k), _members("loop_seed", loop_seed, k)
+    k = len(seeds) if isinstance(seeds, list) else 1
+    pairs = [_seed_pair(f"seeds[{i}]", s) for i, s in enumerate(_members("seeds", seeds, k))]
     lams = np.zeros(k) if lambda_ is None else np.array(_members("lambda_", lambda_, k), dtype=np.float64)
-    if not configs:
+    if not pairs:
         raise ConfigError("a stack needs at least one network")
-    net = configs[0]
-    if any(c.layer_sizes != net.layer_sizes or c.dropout_prob != net.dropout_prob for c in configs):
-        raise ConfigError("stacked networks must share one architecture")
+    if not isinstance(net_config, NetworkConfig):
+        raise ConfigError(f"net_config must be one NetworkConfig, shared by the stack; got {net_config!r}")
     if not np.all((lams >= 0.0) & (lams <= 1.0)):
         raise ConfigError(f"lambda must lie in [0, 1], got {lambda_}")
     if penalty_mode not in PENALTY_MODES:
@@ -145,7 +145,7 @@ def fit_network(
     ]
     sets = []
     for x, y, a, e in zip(*data):
-        x, y = _validated_data(x, y, net)
+        x, y = _validated_data(x, y, net_config)
         if needs_penalty:
             a, e = _validated_groups(a, e, y.shape[0])
         sets.append((x, y, a, e))
@@ -157,24 +157,22 @@ def fit_network(
 
     # Adam steps all parameters of a member in place as one row of a (K, P)
     # array; forward and backward read them through per-layer views of it.
-    inits = [init_network(c) for c in configs]
+    inits = [init_network(net_config, init_seed) for init_seed, _ in pairs]
     flat = np.stack([_flatten(p) for p in inits])
     params = _unflatten(flat, [a.shape for a in (*inits[0].weights, *inits[0].biases)])
-    adam = AdamState(
-        np.zeros_like(flat), np.zeros_like(flat), learning_rate=np.full(len(configs), train_config.learning_rate)
-    )
+    adam = AdamState(np.zeros_like(flat), np.zeros_like(flat), learning_rate=np.full(k, train_config.learning_rate))
     scheds = [
         PlateauScheduler(factor=train_config.scheduler_factor, patience=train_config.scheduler_patience)
-        for _ in configs
+        for _ in range(k)
     ]
-    rngs = [np.random.default_rng(s) for s in seeds]
-    results: list[FitResult | TrainingError] = [FitResult(params=None) for _ in configs]
-    alive = np.ones(len(configs), dtype=bool)  # members that have not failed
+    rngs = [np.random.default_rng(loop_seed) for _, loop_seed in pairs]
+    results: list[FitResult | TrainingError] = [FitResult(params=None) for _ in range(k)]
+    alive = np.ones(k, dtype=bool)  # members that have not failed
     indices = np.arange(n)
 
     # Each epoch's shuffled rows of every member, (K, n, ...) per array,
     # gathered straight into these buffers so that no epoch holds two copies.
-    epoch_rows = {"features": np.empty((k, n, net.layer_sizes[0])), "labels": np.empty((k, n))}
+    epoch_rows = {"features": np.empty((k, n, net_config.layer_sizes[0])), "labels": np.empty((k, n))}
     if needs_penalty:
         epoch_rows.update(sensitives=np.empty((k, n), dtype=sets[0][2].dtype), propensities=np.empty((k, n)))
 
@@ -188,7 +186,7 @@ def fit_network(
             member_rows = {name: rows[i] for name, rows in epoch_rows.items()}
             minibatches(indices, n, rng, features=x, sensitives=a, labels=y, propensities=e, out=member_rows)
         starts = range(0, n, train_config.batch_size)
-        shape = (len(configs), len(starts))
+        shape = (k, len(starts))
         risks, unfairness, objectives = np.empty(shape), np.empty(shape), np.empty(shape)
         for j, start in enumerate(starts):
             batch = slice(start, start + train_config.batch_size)
@@ -196,8 +194,8 @@ def fit_network(
             if needs_penalty:
                 weights = overlap_weights(epoch_rows["propensities"][:, batch], epoch_rows["sensitives"][:, batch])
             x, y = epoch_rows["features"][:, batch], epoch_rows["labels"][:, batch]
-            trace = forward(params, net, x, MODE_TRAIN, rng=rngs)
-            back = backward_composite(trace, params, net, y, weights, lams, bounds, penalty_mode)
+            trace = forward(params, net_config, x, MODE_TRAIN, rng=rngs)
+            back = backward_composite(trace, params, net_config, y, weights, lams, bounds, penalty_mode)
             # Free this step's activations before the next forward allocates its
             # own, so that a step holds one trace, not two.
             del trace
@@ -242,6 +240,13 @@ def fit_network(
 def _widen(range_: tuple[float, float], series: np.ndarray) -> tuple[float, float]:
     # range_ widened to the non-nan entries of series (fmin and fmax skip nan)
     return float(np.fmin.reduce(series, initial=range_[0])), float(np.fmax.reduce(series, initial=range_[1]))
+
+
+def _seed_pair(name: str, pair) -> tuple[int, int]:
+    """An (init seed, loop seed) pair, each an integer >= 0; else ConfigError naming ``name``."""
+    if not isinstance(pair, (tuple, list)) or len(pair) != 2:
+        raise ConfigError(f"{name} must be an (init seed, loop seed) pair, got {pair!r}")
+    return check_value(f"{name}[0]", pair[0], **SEED), check_value(f"{name}[1]", pair[1], **SEED)
 
 
 def _members(name: str, value, k: int) -> list:

@@ -36,15 +36,11 @@ def _random_config(rng: np.random.Generator) -> NetworkConfig:
     input_dim = int(rng.integers(2, 7))
     hidden = [int(rng.integers(2, 9)) for _ in range(num_layers - 1)]
     dropout = float(rng.choice([0.0, 0.2, 0.5]))
-    return NetworkConfig(
-        layer_sizes=[input_dim] + hidden + [1],
-        dropout_prob=dropout,
-        seed=int(rng.integers(0, 2**31)),
-    )
+    return NetworkConfig(layer_sizes=[input_dim] + hidden + [1], dropout_prob=dropout)
 
 
 def _random_params(config: NetworkConfig, rng: np.random.Generator) -> NetworkParams:
-    params = init_network(config)
+    params = init_network(config, int(rng.integers(0, 2**31)))
     scale = float(rng.uniform(0.8, 2.0))
     weights = [w * scale for w in params.weights]
     biases = [rng.normal(0.0, 0.3, size=b.shape) for b in params.biases]

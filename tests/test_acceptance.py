@@ -71,8 +71,8 @@ def _verdict(num: int, ok: bool, detail: str):
 def _adversary_clear_of_kinks(rng, scores):
     config = AdversaryConfig(hidden_layers=2, hidden_width=6)
     while True:
-        net = config.network_config(int(rng.integers(2**31)))
-        params = init_network(net)
+        net = config.network_config()
+        params = init_network(net, int(rng.integers(2**31)))
         trace = forward(params, net, scores[:, None], MODE_EVAL)
         if all(np.min(np.abs(h)) > 1e-3 for h in trace.preactivations[:-1]):
             return params, net
@@ -233,7 +233,7 @@ def test_criterion_4_nonconvex_recovery():
 
 
 def _passthrough_model() -> PropensityModel:
-    config = NetworkConfig(layer_sizes=[1, 1], dropout_prob=0.0, seed=0)
+    config = NetworkConfig(layer_sizes=[1, 1], dropout_prob=0.0)
     return PropensityModel(params=NetworkParams([np.array([[1.0]])], [np.zeros(1)]), config=config)
 
 

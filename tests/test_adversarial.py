@@ -38,8 +38,8 @@ def adversary_with_margins(rng, scores, hidden_layers=2, width=6):
     """Init adversaries until the given scores sit clear of its ReLU kinks."""
     config = AdversaryConfig(hidden_layers=hidden_layers, hidden_width=width)
     while True:
-        net = config.network_config(int(rng.integers(2**31)))
-        params = init_network(net)
+        net = config.network_config()
+        params = init_network(net, int(rng.integers(2**31)))
         trace = forward(params, net, scores[:, None], MODE_EVAL)
         if all(np.min(np.abs(h)) > 1e-3 for h in trace.preactivations[:-1]):
             return params, net
@@ -94,7 +94,7 @@ def test_classifier_steps_never_touch_the_adversary():
     result = train_adversarial(
         ds.features, ds.labels.astype(float), ds.sensitives, clf, train, adv_cfg, 0.8, (3, 4)
     )
-    fresh = init_network(result.adversary_config)
+    fresh = init_network(result.adversary_config, derive_seeds(4)[0])
     for w1, w2 in zip(result.adversary_params.weights, fresh.weights):
         assert np.array_equal(w1, w2)  # adversary still at initialisation
 
@@ -108,7 +108,7 @@ def test_adversary_pretraining_never_touches_the_classifier():
     result = train_adversarial(
         ds.features, ds.labels.astype(float), ds.sensitives, clf, train, adv_cfg, 0.8, (3, 4)
     )
-    fresh = init_network(result.classifier_config)
+    fresh = init_network(result.classifier_config, 3)
     for w1, w2 in zip(result.classifier_params.weights, fresh.weights):
         assert np.array_equal(w1, w2)
 
@@ -187,16 +187,13 @@ def test_adversarial_sweep_rows_and_objective_fields():
     assert 0 in res.propensity_models
 
 
-def reference_adversarial(x, y, a, clf_template, train, adv_config, lambda_, seeds):
+def reference_adversarial(x, y, a, clf_cfg, train, adv_config, lambda_, seeds):
     """The alternation written plainly: per-layer parameter arrays, each with
     its own Adam state, and the classifier re-scored on every adversary
     minibatch.  Returns the final (classifier, adversary) parameters."""
-    clf_cfg = NetworkConfig(
-        layer_sizes=list(clf_template.layer_sizes), dropout_prob=clf_template.dropout_prob, seed=seeds[0]
-    )
     adv_init, loop_seed = derive_seeds(seeds[1])
-    adv_cfg = adv_config.network_config(adv_init)
-    clf, adv = init_network(clf_cfg), init_network(adv_cfg)
+    adv_cfg = adv_config.network_config()
+    clf, adv = init_network(clf_cfg, seeds[0]), init_network(adv_cfg, adv_init)
     clf_adam = LayerAdam(clf, train.learning_rate)
     adv_adam = LayerAdam(adv, adv_config.learning_rate)
     rng = np.random.default_rng(loop_seed)
@@ -245,7 +242,8 @@ def test_training_matches_the_plain_reference_loop(lam):
         for g, w in zip((*got.weights, *got.biases), (*want.weights, *want.biases)):
             assert g.shape == w.shape
             assert np.max(np.abs(g - w)) <= 1e-12
-    assert not np.array_equal(result.classifier_params.weights[0], init_network(result.classifier_config).weights[0])
+    fresh = init_network(result.classifier_config, 11)
+    assert not np.array_equal(result.classifier_params.weights[0], fresh.weights[0])
 
 
 def _no_step(*args, **kwargs):

@@ -264,7 +264,7 @@ def test_metrics_propensity_temperature_out_of_range_exits_2_naming_the_file(wor
     assert rc == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigError"
-    assert err["message"].startswith(f"propensity model document {scorer}:") and "temperature" in err["message"]
+    assert err["message"].startswith(f"model document {scorer}: temperature must be ")
 
 
 @pytest.mark.parametrize("widened", ["classifier", "propensity"])
@@ -371,8 +371,10 @@ def test_config_values_of_the_wrong_type_exit_2_before_loading(workspace, tmp_pa
         ("adversary", {"rounds": "x"}, "config key adversary.rounds must be an integer >= 0, got 'x'"),
         ("hidden_width", 8.5, "config key hidden_width must be an integer >= 1, got 8.5"),
         ("calibration_fraction", 1, "config key calibration_fraction must be a finite number in (0, 1), got 1"),
+        ("jobs", 0, "config key jobs must be an integer >= 1, got 0"),
+        ("lambda_count", 1, "config key lambda_count must be an integer >= 2, got 1"),
     ],
-    ids=["propensity-epochs", "adversary-rounds", "hidden_width", "calibration_fraction"],
+    ids=["propensity-epochs", "adversary-rounds", "hidden_width", "calibration_fraction", "jobs", "lambda_count"],
 )
 def test_a_config_class_error_names_the_key_path(workspace, tmp_path, capsys, monkeypatch, key, value, message):
     _, config_path = workspace
@@ -396,22 +398,8 @@ def _model_text(**fields):
                        **fields})
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        '{"layer_sizes": [4, 8, 1],',
-        "5",
-        _model_text(weights=[[["a", 1]]]),
-        _model_text(weights=[[[1, 2, 3, 4], [1]]]),
-        _model_text(biases=[["x"]]),
-        _model_text(layer_sizes="ab"),
-        _model_text(layer_sizes=[4.5, 1]),
-        _model_text(dropout_prob="high"),
-    ],
-    ids=["truncated", "number", "text-weight", "ragged-weights", "text-bias", "text-layer_sizes",
-         "fractional-layer_sizes", "text-dropout_prob"],
-)
-def test_metrics_model_that_is_not_a_json_object_exits_2(workspace, tmp_path, capsys, text):
+def _metrics_with_classifier(workspace, tmp_path, capsys, text) -> tuple[dict, Path]:
+    """Run `metrics` on a classifier document of this text; returns the error and the path, after exit 2."""
     root, _ = workspace
     broken = tmp_path / "broken.json"
     broken.write_text(text)
@@ -419,38 +407,83 @@ def test_metrics_model_that_is_not_a_json_object_exits_2(workspace, tmp_path, ca
                str(root / "data" / "synthetic.schema.json"),
                str(root / "out" / "models" / "propensity_s000.json")])
     assert rc == 2
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "InputError" and str(broken) in err["message"]
+    return json.loads(capsys.readouterr().err), broken
+
+
+def _assert_names_the_fault(err, path, field):
+    """A fault of the document's structure (field None) is an InputError naming the file; a field
+    value's fault is the ConfigError of the field's own check, naming the file and the field."""
+    if field is None:
+        assert err["error"] == "InputError" and str(path) in err["message"]
+    else:
+        assert err["error"] == "ConfigError" and err["message"].startswith(f"model document {path}: {field} ")
 
 
 @pytest.mark.parametrize(
-    "text",
+    "text, field",
     [
-        _model_text(dropout_prob="0.2"),
-        _model_text(dropout_prob=True),
-        _model_text(temperature="2"),
-        _model_text(temperature=True),
-        _model_text(weights=[[["1", "2", "3", "4"]]]),
-        _model_text(weights=[[[True, False, True, False]]]),
-        _model_text(biases=[["0"]]),
-        _model_text(weights=5),
-        _model_text(weights=[[[float("nan"), 2, 3, 4]]]),
-        _model_text(biases=[[float("inf")]]),
+        ('{"layer_sizes": [4, 8, 1],', None),
+        ("5", None),
+        (_model_text(weights=[[["a", 1]]]), None),
+        (_model_text(weights=[[[1, 2, 3, 4], [1]]]), None),
+        (_model_text(biases=[["x"]]), None),
+        (_model_text(layer_sizes="ab"), "layer_sizes"),
+        (_model_text(layer_sizes=[4.5, 1]), "layer_sizes[0]"),
+        (_model_text(dropout_prob="high"), "dropout_prob"),
+    ],
+    ids=["truncated", "number", "text-weight", "ragged-weights", "text-bias", "text-layer_sizes",
+         "fractional-layer_sizes", "text-dropout_prob"],
+)
+def test_metrics_model_that_is_not_a_json_object_exits_2(workspace, tmp_path, capsys, text, field):
+    _assert_names_the_fault(*_metrics_with_classifier(workspace, tmp_path, capsys, text), field)
+
+
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        (_model_text(dropout_prob="0.2"), "dropout_prob"),
+        (_model_text(dropout_prob=True), "dropout_prob"),
+        (_model_text(temperature="2"), "temperature"),
+        (_model_text(temperature=True), "temperature"),
+        (_model_text(weights=[[["1", "2", "3", "4"]]]), None),
+        (_model_text(weights=[[[True, False, True, False]]]), None),
+        (_model_text(biases=[["0"]]), None),
+        (_model_text(weights=5), None),
+        (_model_text(weights=[[[float("nan"), 2, 3, 4]]]), None),
+        (_model_text(biases=[[float("inf")]]), None),
     ],
     ids=["numeric-text-dropout_prob", "bool-dropout_prob", "numeric-text-temperature", "bool-temperature",
          "numeric-text-weights", "bool-weights", "numeric-text-bias", "number-weights", "nan-weight",
          "infinite-bias"],
 )
-def test_metrics_model_values_that_are_not_json_numbers_exit_2(workspace, tmp_path, capsys, text):
+def test_metrics_model_values_that_are_not_json_numbers_exit_2(workspace, tmp_path, capsys, text, field):
+    _assert_names_the_fault(*_metrics_with_classifier(workspace, tmp_path, capsys, text), field)
+
+
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        (_model_text(layer_sizes=[4, 0, 1]), "layer_sizes[1]"),
+        (_model_text(dropout_prob=1.5), "dropout_prob"),
+        (_model_text(temperature=0), "temperature"),
+    ],
+    ids=["zero-width-layer", "dropout_prob-above-1", "zero-temperature"],
+)
+def test_metrics_model_field_out_of_range_exits_2_naming_the_file_and_the_field(
+    workspace, tmp_path, capsys, text, field
+):
+    _assert_names_the_fault(*_metrics_with_classifier(workspace, tmp_path, capsys, text), field)
+
+
+def test_metrics_missing_model_exits_2_naming_the_path(workspace, tmp_path, capsys):
     root, _ = workspace
-    broken = tmp_path / "not_numbers.json"
-    broken.write_text(text)
-    rc = main(["metrics", str(broken), str(root / "data" / "synthetic.csv"),
-               str(root / "data" / "synthetic.schema.json"),
-               str(root / "out" / "models" / "propensity_s000.json")])
-    assert rc == 2
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "InputError" and str(broken) in err["message"]
+    missing = tmp_path / "absent_model.json"
+    assert main(["metrics", str(missing), str(root / "data" / "synthetic.csv"),
+                 str(root / "data" / "synthetic.schema.json"),
+                 str(root / "out" / "models" / "propensity_s000.json")]) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "InputError", "message": f"model document not found: {missing}"
+    }
 
 
 def test_integer_learning_rates_build_float_rates(workspace, tmp_path):

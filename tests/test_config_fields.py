@@ -30,7 +30,7 @@ REQUIRED = {
     SweepConfig: {},
     SplitPlan: {"num_splits": 1},
     NetworkConfig: {"layer_sizes": [2, 1]},
-    PropensityModel: {"params": init_network(NET), "config": NET},
+    PropensityModel: {"params": init_network(NET, 0), "config": NET},
 }
 # (class, field) -> a value of the field's kind outside its range
 OUT_OF_RANGE = {
@@ -60,7 +60,6 @@ OUT_OF_RANGE = {
     (SplitPlan, "train_fraction"): 0.0,
     (SplitPlan, "master_seed"): -1,
     (NetworkConfig, "dropout_prob"): 1.0,
-    (NetworkConfig, "seed"): -1,
     (PropensityModel, "temperature"): 0.0,
 }
 # Values no field of the kind accepts, besides the out-of-range one.
@@ -130,11 +129,21 @@ def test_accepted_values_are_stored_as_the_fields_kind():
     assert type(config.epochs) is int and config.epochs == 3
     assert type(config.learning_rate) is float and config.learning_rate == 1.0
     assert type(config.scheduler_factor) is float and config.scheduler_factor == 0.5
-    net = NetworkConfig(layer_sizes=[np.int64(3), 4, 1], dropout_prob=0, seed=np.uint64(2**63))
+    net = NetworkConfig(layer_sizes=[np.int64(3), 4, 1], dropout_prob=0)
     assert [type(m) for m in net.layer_sizes] == [int, int, int]
-    assert type(net.dropout_prob) is float and net.seed == 2**63
+    assert type(net.dropout_prob) is float
 
 
 def test_replace_checks_the_new_value():
-    with pytest.raises(ConfigError, match="^seed must be an integer >= 0, got -1"):
-        dataclasses.replace(NET, seed=-1)
+    with pytest.raises(ConfigError, match=r"^dropout_prob must be a finite number in \[0, 1\), got 1.5"):
+        dataclasses.replace(NET, dropout_prob=1.5)
+
+
+def test_a_network_config_is_the_architecture_alone():
+    assert [f.name for f in dataclasses.fields(NetworkConfig)] == ["layer_sizes", "dropout_prob"]
+
+
+@pytest.mark.parametrize("sizes", [5, None, "21", {2: 1}], ids=["int", "None", "text", "dict"])
+def test_layer_sizes_that_are_not_a_list_raise_config_error(sizes):
+    with pytest.raises(ConfigError, match=r"^layer_sizes must list the input and output sizes at least, got "):
+        NetworkConfig(layer_sizes=sizes)

@@ -1,4 +1,4 @@
-"""Every public entry point checks the rows it receives before any network runs.
+"""Every public entry point checks the rows and the seeds it receives before any network runs.
 
 forward, overlap_weights and bce_loss check nothing.  The entry points check
 their rows once, with the one feature check (network._validated_features, or
@@ -7,7 +7,8 @@ group check (metrics._validated_groups).  Labels and sensitives go through
 metrics._as_binary, which also checks their length against the row count.
 So each kind of bad row raises one exception type with one message,
 whichever entry point receives it.  Features may come as any array-like,
-such as nested lists.
+such as nested lists.  A seed is an integer >= 0 (errors.SEED), and each entry
+point that takes one raises ConfigError naming any other value.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ import pytest
 
 from fairfront import adversarial, evaluation, propensity, training
 from fairfront.adversarial import AdversaryConfig, train_adversarial
-from fairfront.errors import InputError, ShapeError
+from fairfront.errors import ConfigError, InputError, ShapeError
 from fairfront.evaluation import evaluate_test_metrics
 from fairfront.network import NetworkConfig, init_network
 from fairfront.propensity import (
@@ -28,18 +29,18 @@ from fairfront.propensity import (
     predict_propensity,
     train_propensity,
 )
-from fairfront.training import TrainConfig, fit_network
+from fairfront.training import TrainConfig, derive_seeds, fit_network
 
 NET = NetworkConfig(layer_sizes=[3, 4, 1], dropout_prob=0.0)
 TRAIN = TrainConfig(epochs=1, batch_size=4)
-MODEL = PropensityModel(init_network(NET), NET)
+MODEL = PropensityModel(init_network(NET, 0), NET)
 PROPENSITY = PropensityConfig(hidden_layers=1, hidden_width=4, epochs=1, batch_size=4)
 
 # Each entry point as a call on (features, labels, sensitives, propensities),
 # with the row arguments it takes.
 ENTRY_POINTS = {
     "fit_network": (
-        lambda x, y, a, e: fit_network([x], [y], [NET], TRAIN, [0], lambda_=[0.5], sensitives=[a], propensities=[e]),
+        lambda x, y, a, e: fit_network([x], [y], NET, TRAIN, [(0, 0)], lambda_=[0.5], sensitives=[a], propensities=[e]),
         {"features", "labels", "sensitives", "propensities"},
     ),
     "train_adversarial": (
@@ -47,7 +48,7 @@ ENTRY_POINTS = {
         {"features", "labels", "sensitives"},
     ),
     "evaluate_test_metrics": (
-        lambda x, y, a, e: evaluate_test_metrics(init_network(NET), NET, x, a, y, e),
+        lambda x, y, a, e: evaluate_test_metrics(init_network(NET, 0), NET, x, a, y, e),
         {"features", "labels", "sensitives", "propensities"},
     ),
     "predict_propensity": (lambda x, y, a, e: predict_propensity(MODEL, x), {"features"}),
@@ -156,3 +157,47 @@ def test_features_as_nested_lists_give_what_the_array_gives(entry):
     from_array = call(*rows.values())
     rows["features"] = rows["features"].tolist()
     np.testing.assert_equal(_plain(call(*rows.values())), _plain(from_array))
+
+
+# Each entry point that takes seeds, as a call with one seed replaced, and the name its error gives that seed.
+SEED_ENTRY_POINTS = {
+    "fit_network-init": (lambda s, x, y, a: fit_network([x], [y], NET, TRAIN, [(s, 0)]), "seeds[0][0]"),
+    "fit_network-loop": (lambda s, x, y, a: fit_network([x], [y], NET, TRAIN, [(0, 0), (0, s)]), "seeds[1][1]"),
+    "train_propensity": (lambda s, x, y, a: train_propensity([x], [a], PROPENSITY, [s]), "seed"),
+    "train_adversarial-classifier": (
+        lambda s, x, y, a: train_adversarial(x, y, a, NET, TRAIN, AdversaryConfig(rounds=1), 0.5, (s, 1)),
+        "seeds[0]",
+    ),
+    "train_adversarial-adversary": (
+        lambda s, x, y, a: train_adversarial(x, y, a, NET, TRAIN, AdversaryConfig(rounds=1), 0.5, (0, s)),
+        "seeds[1]",
+    ),
+    "derive_seeds": (lambda s, x, y, a: derive_seeds(4, s), "seed"),
+    "init_network": (lambda s, x, y, a: init_network(NET, s), "seed"),
+}
+BAD_SEEDS = {"bool": True, "fractional": 1.5, "negative": -1, "text": "3", "none": None}
+
+
+@pytest.mark.parametrize("entry", SEED_ENTRY_POINTS)
+@pytest.mark.parametrize("kind", BAD_SEEDS)
+def test_a_bad_seed_raises_config_error_naming_it_before_any_network_runs(entry, kind, no_forward):
+    call, name = SEED_ENTRY_POINTS[entry]
+    rows = _rows()
+    with pytest.raises(ConfigError) as err:
+        call(BAD_SEEDS[kind], rows["features"], rows["labels"], rows["sensitives"])
+    assert str(err.value) == f"{name} must be an integer >= 0, got {BAD_SEEDS[kind]!r}"
+
+
+@pytest.mark.parametrize("pair", [5, (1,), (1, 2, 3), None], ids=repr)
+def test_a_seed_pair_of_another_form_is_rejected(pair, no_forward):
+    rows = _rows()
+    with pytest.raises(ConfigError, match=r"^seeds\[0\] must be an \(init seed, loop seed\) pair, got "):
+        fit_network([rows["features"]], [rows["labels"]], NET, TRAIN, [pair])
+    with pytest.raises(ConfigError, match=r"^seeds must be an \(init seed, loop seed\) pair, got "):
+        train_adversarial(*list(rows.values())[:3], NET, TRAIN, AdversaryConfig(rounds=1), 0.5, pair)
+
+
+def test_numpy_integer_seeds_seed_as_their_values():
+    big = np.uint64(2**63)
+    assert derive_seeds(np.int64(4), big) == derive_seeds(4, 2**63)
+    np.testing.assert_equal(_plain(init_network(NET, big)), _plain(init_network(NET, 2**63)))

@@ -15,7 +15,7 @@ from oracles import bf_ato, bf_conditional_mv, bf_mv
 
 def linear_propensity(p, seed=0) -> PropensityModel:
     rng = np.random.default_rng(seed)
-    config = NetworkConfig(layer_sizes=[p, 1], dropout_prob=0.0, seed=0)
+    config = NetworkConfig(layer_sizes=[p, 1], dropout_prob=0.0)
     params = NetworkParams([rng.normal(0.0, 0.4, size=(1, p))], [np.zeros(1)])
     return PropensityModel(params=params, config=config)
 
@@ -26,8 +26,8 @@ def build_case(seed=0, n=80, p=4):
     a = rng.integers(0, 2, size=n)
     y = rng.integers(0, 2, size=n)
     a[:2], y[:2] = [0, 1], [0, 1]  # both levels guaranteed
-    config = NetworkConfig(layer_sizes=[p, 5, 1], dropout_prob=0.2, seed=seed)
-    params = init_network(config)
+    config = NetworkConfig(layer_sizes=[p, 5, 1], dropout_prob=0.2)
+    params = init_network(config, seed)
     return params, config, x, a.astype(np.int64), y.astype(np.float64)
 
 

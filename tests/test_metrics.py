@@ -228,7 +228,7 @@ def test_group_check_rejects_bad_propensities():
     cases = (([0.0, 0.5, 0.5, 0.5], InputError), ([1.0, 0.5, 0.5, 0.5], InputError), ([0.5, 0.5], ShapeError))
     for e, error in cases:
         with pytest.raises(error):
-            fit_network([x], [y], [net], train, [0], lambda_=[0.5], sensitives=[a], propensities=[np.array(e)])
+            fit_network([x], [y], net, train, [(0, 0)], lambda_=[0.5], sensitives=[a], propensities=[np.array(e)])
 
 
 def test_group_check_rejects_sensitives_that_are_not_0_1():
@@ -236,7 +236,7 @@ def test_group_check_rejects_sensitives_that_are_not_0_1():
     net = NetworkConfig(layer_sizes=[2, 1])
     a, y = np.array([0.9, 1.0, 0.0, 0.2]), np.array([0, 1, 1, 0])
     with pytest.raises(InputError, match="0/1"):
-        evaluate_test_metrics(init_network(net), net, np.zeros((4, 2)), a, y, np.full(4, 0.5))
+        evaluate_test_metrics(init_network(net, 0), net, np.zeros((4, 2)), a, y, np.full(4, 0.5))
 
 
 def test_every_entry_point_rejects_a_fractional_sensitive_with_one_message():
@@ -244,8 +244,8 @@ def test_every_entry_point_rejects_a_fractional_sensitive_with_one_message():
     a = [0, 1, 0.5]
     net, train = NetworkConfig(layer_sizes=[2, 1]), TrainConfig(epochs=1, batch_size=3)
     calls = [
-        lambda: evaluate_test_metrics(init_network(net), net, x, np.array(a), y, e),
-        lambda: fit_network([x], [y], [net], train, [0], lambda_=[0.5], sensitives=[a], propensities=[e]),
+        lambda: evaluate_test_metrics(init_network(net, 0), net, x, np.array(a), y, e),
+        lambda: fit_network([x], [y], net, train, [(0, 0)], lambda_=[0.5], sensitives=[a], propensities=[e]),
         lambda: train_adversarial(x, y, a, net, train, AdversaryConfig(), 0.5, (1, 2)),
     ]
     messages = set()

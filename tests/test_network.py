@@ -33,8 +33,8 @@ from oracles import composite_objective, fd_gradient, max_relative_error
 
 
 def small_net(seed=0, dropout=0.0, sizes=(4, 5, 3, 1)):
-    config = NetworkConfig(layer_sizes=list(sizes), dropout_prob=dropout, seed=seed)
-    return config, init_network(config)
+    config = NetworkConfig(layer_sizes=list(sizes), dropout_prob=dropout)
+    return config, init_network(config, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +248,7 @@ def test_feature_check_rejects_bad_inputs():
 
 
 def test_extreme_preactivations_stay_finite():
-    config = NetworkConfig(layer_sizes=[1, 1], dropout_prob=0.0, seed=0)
+    config = NetworkConfig(layer_sizes=[1, 1], dropout_prob=0.0)
     params = NetworkParams([np.array([[1000.0]])], [np.array([0.0])])
     for sign in (1.0, -1.0):
         trace = forward(params, config, np.array([[sign]]))
@@ -429,6 +429,38 @@ def test_save_load_round_trip_is_bit_exact(tmp_path):
     assert loaded_config.layer_sizes == config.layer_sizes
     assert loaded_config.dropout_prob == config.dropout_prob
     assert temperature == 1.25
+    for a, b in zip(params.weights + params.biases, loaded_params.weights + loaded_params.biases):
+        assert np.array_equal(a, b)
+
+
+def _classifier_model():
+    config, params = small_net(seed=5, dropout=0.2)
+    return params, config, None
+
+
+def _trained_propensity_model():
+    from fairfront.data import generate_synthetic
+    from fairfront.propensity import PropensityConfig, calibrate_temperature, train_propensity
+
+    ds = generate_synthetic(n=120, p=3, bias_strength=1.0, seed=4)
+    config = PropensityConfig(hidden_layers=1, hidden_width=4, epochs=2, batch_size=32)
+    (raw,) = train_propensity([ds.features[:80]], [ds.sensitives[:80]], config, [16920295385781661272])
+    model = calibrate_temperature(raw, ds.features[80:], ds.sensitives[80:])
+    assert model.temperature != 1.0
+    return model.params, model.config, model.temperature
+
+
+@pytest.mark.parametrize(
+    "build",
+    [_classifier_model, _trained_propensity_model],
+    ids=["classifier", "propensity"],
+)
+def test_a_saved_model_loads_back_to_an_equal_config_and_temperature(tmp_path, build):
+    params, config, temperature = build()
+    path = tmp_path / "model.json"
+    save_model(path, params, config, temperature=temperature)
+    loaded_params, loaded_config, loaded_temperature = load_model(path)
+    assert loaded_config == config and loaded_temperature == temperature
     for a, b in zip(params.weights + params.biases, loaded_params.weights + loaded_params.biases):
         assert np.array_equal(a, b)
 

@@ -205,17 +205,13 @@ def test_run_sweep_reuses_endpoint_models():
     # the lambda = 0 candidate must be the very model that set the risk bounds:
     # retraining it from the same seeds reproduces its parameters exactly
     from fairfront.training import fit_network
-    net = NetworkConfig(
-        layer_sizes=SMALL_SWEEP.layer_sizes(ds.n_features),
-        dropout_prob=SMALL_SWEEP.dropout_prob,
-        seed=derive_seeds(2, 0, 0)[0],
-    )
+    net = NetworkConfig(layer_sizes=SMALL_SWEEP.layer_sizes(ds.n_features), dropout_prob=SMALL_SWEEP.dropout_prob)
     train_idx = None  # reconstruct the split exactly as the sweep did
     from fairfront.data import make_splits
     train_idx, _ = make_splits(ds.n_rows, plan, sensitives=ds.sensitives, labels=ds.labels)[0]
     (refit,) = fit_network(
-        [ds.features[train_idx]], [ds.labels[train_idx].astype(float)], [net],
-        SMALL_SWEEP.train, [derive_seeds(2, 0, 0)[1]],
+        [ds.features[train_idx]], [ds.labels[train_idx].astype(float)], net,
+        SMALL_SWEEP.train, [derive_seeds(2, 0, 0)],
     )
     for w1, w2 in zip(lam0.params.weights, refit.params.weights):
         assert np.array_equal(w1, w2)
@@ -262,10 +258,10 @@ def test_a_failed_lambda_is_recorded_and_the_sweep_goes_on(monkeypatch, one_per_
     doomed = grid.values[2]
     real_fit = pareto.fit_network
 
-    def fit_failing_for_one_lambda(features, labels, net_config, train_config, loop_seed, *, lambda_, **kw):
+    def fit_failing_for_one_lambda(features, labels, net_config, train_config, seeds, *, lambda_, **kw):
         if one_per_stack and list(lambda_) == [doomed]:
             raise TrainingError("diverged")
-        fits = real_fit(features, labels, net_config, train_config, loop_seed, lambda_=lambda_, **kw)
+        fits = real_fit(features, labels, net_config, train_config, seeds, lambda_=lambda_, **kw)
         return [TrainingError("diverged") if lam == doomed else fit for lam, fit in zip(lambda_, fits)]
 
     if one_per_stack:
@@ -328,7 +324,7 @@ def test_a_propensity_failure_fails_every_lambda_of_the_split(sweep, monkeypatch
 def test_an_endpoint_stack_failure_fails_every_lambda_at_bounds(monkeypatch):
     stacks = []
 
-    def failing_fit(features, labels, net_config, train_config, loop_seed, *, lambda_, **kw):
+    def failing_fit(features, labels, net_config, train_config, seeds, *, lambda_, **kw):
         stacks.append(list(lambda_))
         raise TrainingError("endpoint stack diverged")
 
@@ -496,16 +492,16 @@ def test_one_split_of_a_group_failing_its_propensity_fit_fails_alone(monkeypatch
 def test_failures_are_ordered_by_split_and_lambda_across_stages(monkeypatch):
     ds, plan, grid = three_splits()
     real_propensity, real_fit = pareto.train_propensity, pareto.fit_network
-    sunk_seed = derive_seeds(plan.master_seed, 0, 2)[1]
+    sunk_seeds = derive_seeds(plan.master_seed, 0, 2)
 
     def third_member_diverges(features, sensitives, config, seed):
         models = real_propensity(features, sensitives, config, seed)
         models[2] = TrainingError("propensity diverged")
         return models
 
-    def sink_split_0_lambda_2(features, labels, net_config, train_config, loop_seeds, **kw):
-        fits = real_fit(features, labels, net_config, train_config, loop_seeds, **kw)
-        return [TrainingError("interior diverged") if s == sunk_seed else f for s, f in zip(loop_seeds, fits)]
+    def sink_split_0_lambda_2(features, labels, net_config, train_config, seeds, **kw):
+        fits = real_fit(features, labels, net_config, train_config, seeds, **kw)
+        return [TrainingError("interior diverged") if s == sunk_seeds else f for s, f in zip(seeds, fits)]
 
     monkeypatch.setattr(pareto, "train_propensity", third_member_diverges)
     monkeypatch.setattr(pareto, "fit_network", sink_split_0_lambda_2)
@@ -537,20 +533,20 @@ def keep_no_unfairness_range(fit):
 )
 def test_one_split_of_a_group_failing_its_bounds_fails_alone(sink, error, monkeypatch, ungrouped):
     ds, plan, grid = three_splits()
-    loop_seed = {k: derive_seeds(plan.master_seed, 1, k)[1] for k in range(len(grid))}
+    split_seeds = {k: derive_seeds(plan.master_seed, 1, k) for k in range(len(grid))}
     real = pareto.fit_network
     stacks = []
 
-    def sink_split_1_lambda_1(features, labels, net_config, train_config, loop_seeds, *, lambda_, **kw):
-        stacks.append(list(loop_seeds))
-        fits = real(features, labels, net_config, train_config, loop_seeds, lambda_=lambda_, **kw)
-        return [sink(fit) if seed == loop_seed[len(grid) - 1] else fit for seed, fit in zip(loop_seeds, fits)]
+    def sink_split_1_lambda_1(features, labels, net_config, train_config, seeds, *, lambda_, **kw):
+        stacks.append(list(seeds))
+        fits = real(features, labels, net_config, train_config, seeds, lambda_=lambda_, **kw)
+        return [sink(fit) if pair == split_seeds[len(grid) - 1] else fit for pair, fit in zip(seeds, fits)]
 
     monkeypatch.setattr(pareto, "fit_network", sink_split_1_lambda_1)
     res = run_sweep(ds, plan, grid, SMALL_SWEEP, jobs=1)
     endpoints, *interior = stacks
     assert len(endpoints) == 6 and interior  # one endpoint stack for the group, then the interior
-    assert not {loop_seed[k] for k in range(1, len(grid) - 1)} & {s for stack in interior for s in stack}
+    assert not {split_seeds[k] for k in range(1, len(grid) - 1)} & {s for stack in interior for s in stack}
     assert res.failures == every_lambda_failed(grid, "bounds", error, split_id=1)
     assert 1 not in res.bounds
     assert_same_sweep(res, ungrouped, split_ids=(0, 2))

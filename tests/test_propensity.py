@@ -22,7 +22,7 @@ from oracles import bf_temperature_grid
 
 def logit_passthrough_model(scale=1.0) -> PropensityModel:
     """A 1-feature linear "network" whose logit equals scale * x."""
-    config = NetworkConfig(layer_sizes=[1, 1], dropout_prob=0.0, seed=0)
+    config = NetworkConfig(layer_sizes=[1, 1], dropout_prob=0.0)
     params = NetworkParams([np.array([[scale]])], [np.zeros(1)])
     return PropensityModel(params=params, config=config)
 

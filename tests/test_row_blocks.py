@@ -40,8 +40,8 @@ def _rows(n, p=30, seed=0):
 def _propensity_model(p=30, seed=1) -> PropensityModel:
     """An untrained propensity network of the default architecture."""
     config = PropensityConfig()
-    net = NetworkConfig([p] + [config.hidden_width] * config.hidden_layers + [1], config.dropout_prob, seed)
-    return PropensityModel(init_network(net), net, temperature=1.7)
+    net = NetworkConfig([p] + [config.hidden_width] * config.hidden_layers + [1], config.dropout_prob)
+    return PropensityModel(init_network(net, seed), net, temperature=1.7)
 
 
 def _counting_forward(monkeypatch, module) -> list[int]:
@@ -71,8 +71,8 @@ def test_blocked_scoring_equals_one_pass_bitwise(monkeypatch):
     n = 5 * SCORE_BLOCK_ROWS // 2
     x, a, y, e = _rows(n)
     model = _propensity_model()
-    clf_net = NetworkConfig([30, 64, 1], dropout_prob=0.2, seed=3)
-    clf = init_network(clf_net)
+    clf_net = NetworkConfig([30, 64, 1], dropout_prob=0.2)
+    clf = init_network(clf_net, 3)
     prop_rows = _counting_forward(monkeypatch, propensity)
     eval_rows = _counting_forward(monkeypatch, evaluation)
     blocked_e = predict_propensity(model, x)
@@ -98,7 +98,7 @@ def test_blocked_scoring_equals_one_pass_bitwise(monkeypatch):
         (lambda x, a, y, e: predict_propensity(_propensity_model(), x), 10.0),
         (
             lambda x, a, y, e: evaluate_test_metrics(
-                init_network(NetworkConfig([30, 64, 1], seed=3)), NetworkConfig([30, 64, 1], seed=3), x, a, y, e
+                init_network(NetworkConfig([30, 64, 1]), 3), NetworkConfig([30, 64, 1]), x, a, y, e
             ),
             8.0,
         ),

@@ -35,10 +35,10 @@ def test_derive_seeds_depends_on_every_key():
 
 def test_fit_is_deterministic():
     ds = generate_synthetic(n=120, p=4, bias_strength=1.0, seed=0)
-    net = NetworkConfig(layer_sizes=[4, 3, 1], dropout_prob=0.2, seed=11)
+    net = NetworkConfig(layer_sizes=[4, 3, 1], dropout_prob=0.2)
     cfg = TrainConfig(epochs=5, batch_size=32)
-    (r1,) = fit_network([ds.features], [ds.labels], [net], cfg, loop_seed=[77])
-    (r2,) = fit_network([ds.features], [ds.labels], [net], cfg, loop_seed=[77])
+    (r1,) = fit_network([ds.features], [ds.labels], net, cfg, seeds=[(11, 77)])
+    (r2,) = fit_network([ds.features], [ds.labels], net, cfg, seeds=[(11, 77)])
     for w1, w2 in zip(r1.params.weights, r2.params.weights):
         assert np.array_equal(w1, w2)
     assert r1.epoch_objectives == r2.epoch_objectives
@@ -47,12 +47,12 @@ def test_fit_is_deterministic():
 def test_lambda_zero_run_is_bitwise_plain_bce_descent():
     """The bounds-discovery risk run must literally be unpenalised training."""
     ds = generate_synthetic(n=150, p=5, bias_strength=2.0, seed=3)
-    net = NetworkConfig(layer_sizes=[5, 4, 1], dropout_prob=0.2, seed=21)
+    net = NetworkConfig(layer_sizes=[5, 4, 1], dropout_prob=0.2)
     cfg = TrainConfig(epochs=4, batch_size=32, learning_rate=1e-3)
-    (fitted,) = fit_network([ds.features], [ds.labels], [net], cfg, loop_seed=[5])
+    (fitted,) = fit_network([ds.features], [ds.labels], net, cfg, seeds=[(21, 5)])
 
     # independent reference loop: raw BCE deltas, same rng consumption order
-    params = init_network(net)
+    params = init_network(net, 21)
     adam = LayerAdam(params, cfg.learning_rate)
     sched = PlateauScheduler(factor=cfg.scheduler_factor, patience=cfg.scheduler_patience)
     rng = np.random.default_rng(5)
@@ -77,9 +77,9 @@ def test_lambda_zero_run_is_bitwise_plain_bce_descent():
 
 def test_lambda_positive_requires_group_data():
     ds = generate_synthetic(n=60, p=3, bias_strength=1.0, seed=2)
-    net = NetworkConfig(layer_sizes=[3, 2, 1], dropout_prob=0.0, seed=0)
+    net = NetworkConfig(layer_sizes=[3, 2, 1], dropout_prob=0.0)
     with pytest.raises(ConfigError, match="sensitives and propensities"):
-        fit_network([ds.features], [ds.labels], [net], TrainConfig(epochs=1, batch_size=16), [0], lambda_=[0.5])
+        fit_network([ds.features], [ds.labels], net, TrainConfig(epochs=1, batch_size=16), [(0, 0)], lambda_=[0.5])
 
 
 def test_single_group_batches_are_counted_and_survived():
@@ -90,11 +90,9 @@ def test_single_group_batches_are_counted_and_survived():
     a = np.zeros(n, dtype=int)
     a[:4] = 1  # rare group: many batches of 8 will miss it
     e = np.clip(rng.uniform(0.2, 0.8, size=n), 0.01, 0.99)
-    net = NetworkConfig(layer_sizes=[3, 3, 1], dropout_prob=0.0, seed=1)
+    net = NetworkConfig(layer_sizes=[3, 3, 1], dropout_prob=0.0)
     cfg = TrainConfig(epochs=6, batch_size=8)
-    (result,) = fit_network(
-        [x], [y], [net], cfg, loop_seed=[13], lambda_=[0.4], sensitives=[a], propensities=[e]
-    )
+    (result,) = fit_network([x], [y], net, cfg, seeds=[(1, 13)], lambda_=[0.4], sensitives=[a], propensities=[e])
     assert result.skipped_group_batches > 0
     u_min, u_max = result.unfairness_range
     r_min, r_max = result.risk_range
@@ -105,9 +103,9 @@ def test_single_group_batches_are_counted_and_survived():
 
 def test_ranges_and_lr_reporting():
     ds = generate_synthetic(n=90, p=3, bias_strength=1.0, seed=5)
-    net = NetworkConfig(layer_sizes=[3, 2, 1], dropout_prob=0.0, seed=2)
+    net = NetworkConfig(layer_sizes=[3, 2, 1], dropout_prob=0.0)
     cfg = TrainConfig(epochs=3, batch_size=30)
-    (result,) = fit_network([ds.features], [ds.labels], [net], cfg, loop_seed=[1])
+    (result,) = fit_network([ds.features], [ds.labels], net, cfg, seeds=[(2, 1)])
     r_min, r_max = result.risk_range
     assert np.isfinite([r_min, r_max]).all() and r_min <= r_max
     assert result.unfairness_range == EMPTY_RANGE  # a lambda = 0 fit computes no penalty
@@ -130,10 +128,7 @@ STACK_TRAIN = TrainConfig(
 )
 STACK_LAMBDAS = [0.0, 0.4, 1.0]
 STACK_SEEDS = [(31, 7), (32, 8), (33, 9)]
-
-
-def stack_configs(seeds):
-    return [NetworkConfig(layer_sizes=[4, 5, 3, 1], dropout_prob=0.2, seed=s) for s, _ in seeds]
+STACK_NET = NetworkConfig(layer_sizes=[4, 5, 3, 1], dropout_prob=0.2)
 
 
 def fit_stack(lambdas, seeds, train=STACK_TRAIN, bounds=None):
@@ -141,7 +136,7 @@ def fit_stack(lambdas, seeds, train=STACK_TRAIN, bounds=None):
     x, y, a, e = stack_problem()
     k = len(seeds)
     return fit_network(
-        [x] * k, [y] * k, stack_configs(seeds), train, [loop for _, loop in seeds], lambda_=lambdas,
+        [x] * k, [y] * k, STACK_NET, train, list(seeds), lambda_=lambdas,
         bounds=None if bounds is None else [bounds] * k, sensitives=[a] * k, propensities=[e] * k,
         penalty_mode="all_layers",
     )
@@ -199,12 +194,9 @@ def test_members_with_their_own_rows_and_bounds_are_bitwise_their_lone_fits():
     ]
     features, labels, sensitives, propensities = (list(c) for c in zip(*sets))
 
-    configs = stack_configs(STACK_SEEDS)
-    loop_seeds = [loop for _, loop in STACK_SEEDS]
-
     def fit_all(**wrong):
         per_member = dict(
-            features=features, labels=labels, net_config=configs, loop_seed=loop_seeds, lambda_=STACK_LAMBDAS,
+            features=features, labels=labels, net_config=STACK_NET, seeds=STACK_SEEDS, lambda_=STACK_LAMBDAS,
             bounds=bounds, sensitives=sensitives, propensities=propensities,
         )
         per_member.update(wrong)
@@ -212,16 +204,16 @@ def test_members_with_their_own_rows_and_bounds_are_bitwise_their_lone_fits():
 
     for (xk, yk, ak, ek), b, lam, seeds, member in zip(sets, bounds, STACK_LAMBDAS, STACK_SEEDS, fit_all()):
         (alone,) = fit_network(
-            [xk], [yk], stack_configs([seeds]), STACK_TRAIN, [seeds[1]], lambda_=[lam], bounds=[b],
+            [xk], [yk], STACK_NET, STACK_TRAIN, [seeds], lambda_=[lam], bounds=[b],
             sensitives=[ak], propensities=[ek], penalty_mode="all_layers",
         )
         assert_same_fit(member, alone)
 
     # every per-member argument is a list: no bare value, no shared array, no
-    # (K, n, ...) array, no shared bounds
+    # (K, n, ...) array, no shared bounds; the architecture is one config
     for wrong in [
-        dict(net_config=configs[0]),
-        dict(loop_seed=loop_seeds[0]),
+        dict(net_config=[STACK_NET] * 3),
+        dict(seeds=STACK_SEEDS[0]),
         dict(lambda_=STACK_LAMBDAS[1]),
         dict(features=x[rows[0]]),
         dict(features=np.stack(features)),
@@ -237,20 +229,20 @@ def test_members_with_their_own_rows_and_bounds_are_bitwise_their_lone_fits():
 
 def test_per_member_training_sets_must_line_up():
     x, y, a, e = stack_problem()
-    configs = stack_configs(STACK_SEEDS[:2])
+    seeds = STACK_SEEDS[:2]
     with pytest.raises(ConfigError, match="equal row counts"):
-        fit_network([x, x[:-1]], [y, y[:-1]], configs, STACK_TRAIN, [1, 2], lambda_=[0.0, 0.0])
+        fit_network([x, x[:-1]], [y, y[:-1]], STACK_NET, STACK_TRAIN, seeds, lambda_=[0.0, 0.0])
     with pytest.raises(ConfigError, match="features"):
-        fit_network([x], [y], configs, STACK_TRAIN, [1, 2], lambda_=[0.0, 0.0])
+        fit_network([x], [y], STACK_NET, STACK_TRAIN, seeds, lambda_=[0.0, 0.0])
     with pytest.raises(ConfigError, match="bounds"):
         fit_network(
-            [x, x], [y, y], configs, STACK_TRAIN, [1, 2], lambda_=[0.5, 0.5], sensitives=[a, a],
+            [x, x], [y, y], STACK_NET, STACK_TRAIN, seeds, lambda_=[0.5, 0.5], sensitives=[a, a],
             propensities=[e, e], bounds=[StandardisationBounds(0.3, 0.8, 0.0, 0.4)],
         )
     bad_x = x.copy()
     bad_x[3, 1] = np.nan
     with pytest.raises(InputError, match="finite"):
-        fit_network([x, bad_x], [y, y], configs, STACK_TRAIN, [1, 2], lambda_=[0.0, 0.0])
+        fit_network([x, bad_x], [y, y], STACK_NET, STACK_TRAIN, seeds, lambda_=[0.0, 0.0])
 
 
 def test_stacked_fit_matches_a_per_model_reference_loop():
@@ -262,15 +254,15 @@ def test_stacked_fit_matches_a_per_model_reference_loop():
     bounds = StandardisationBounds(0.55, 0.75, 0.0, 0.3)
     lambdas = [0.1, 0.5, 1.0]
     seeds = [(41, 1), (42, 2), (43, 3)]
-    nets = [NetworkConfig(layer_sizes=[4, 6, 1], dropout_prob=0.2, seed=s) for s, _ in seeds]
+    net = NetworkConfig(layer_sizes=[4, 6, 1], dropout_prob=0.2)
     stacked = fit_network(
-        [x] * 3, [y] * 3, nets, cfg, [loop for _, loop in seeds], lambda_=lambdas, bounds=[bounds] * 3,
+        [x] * 3, [y] * 3, net, cfg, seeds, lambda_=lambdas, bounds=[bounds] * 3,
         sensitives=[a] * 3, propensities=[e] * 3,
     )
 
     branches = set()
-    for lam, net, (_, loop_seed), fit in zip(lambdas, nets, seeds, stacked):
-        params = init_network(net)
+    for lam, (init_seed, loop_seed), fit in zip(lambdas, seeds, stacked):
+        params = init_network(net, init_seed)
         adam = LayerAdam(params, cfg.learning_rate)
         sched = PlateauScheduler(factor=cfg.scheduler_factor, patience=cfg.scheduler_patience)
         rng = np.random.default_rng(loop_seed)
@@ -317,9 +309,9 @@ def test_non_finite_member_fails_alone(monkeypatch):
     poisoned_seed = STACK_SEEDS[1][0]
     lone_init = training.init_network
 
-    def init_network_with_poison(config):
-        params = lone_init(config)
-        if config.seed == poisoned_seed:
+    def init_network_with_poison(config, seed):
+        params = lone_init(config, seed)
+        if seed == poisoned_seed:
             params.weights[0][0, 0] = np.inf
         return params
 
@@ -363,28 +355,25 @@ def test_member_failing_in_a_later_epoch_keeps_its_slot(monkeypatch):
 
 def test_stack_arguments_must_line_up():
     x, y, a, e = stack_problem()
-    with pytest.raises(ConfigError, match="loop_seed"):
+    with pytest.raises(ConfigError, match="lambda_"):
         fit_network(
-            [x] * 3, [y] * 3, stack_configs(STACK_SEEDS), STACK_TRAIN, [1, 2], lambda_=STACK_LAMBDAS,
+            [x] * 3, [y] * 3, STACK_NET, STACK_TRAIN, STACK_SEEDS, lambda_=STACK_LAMBDAS[:2],
             sensitives=[a] * 3, propensities=[e] * 3,
         )
-    mixed = stack_configs(STACK_SEEDS[:1]) + [NetworkConfig(layer_sizes=[4, 2, 1], seed=0)]
-    with pytest.raises(ConfigError, match="architecture"):
-        fit_network([x, x], [y, y], mixed, STACK_TRAIN, [1, 2], lambda_=[0.0, 0.0])
 
 
 def test_fit_rejects_bad_data_up_front():
     x, y, a, e = stack_problem()
-    net = stack_configs(STACK_SEEDS)[0]
+    net = STACK_NET
     bad_x = x.copy()
     bad_x[3, 1] = np.nan
     with pytest.raises(InputError, match="finite"):
-        fit_network([bad_x], [y], [net], STACK_TRAIN, [0])
+        fit_network([bad_x], [y], net, STACK_TRAIN, [(0, 0)])
     bad_a = a.copy()
     bad_a[0] = 2
     with pytest.raises(InputError, match="0/1"):
-        fit_network([x], [y], [net], STACK_TRAIN, [0], lambda_=[0.5], sensitives=[bad_a], propensities=[e])
+        fit_network([x], [y], net, STACK_TRAIN, [(0, 0)], lambda_=[0.5], sensitives=[bad_a], propensities=[e])
     bad_e = e.copy()
     bad_e[0] = 1.0
     with pytest.raises(InputError, match="inside"):
-        fit_network([x], [y], [net], STACK_TRAIN, [0], lambda_=[0.5], sensitives=[a], propensities=[bad_e])
+        fit_network([x], [y], net, STACK_TRAIN, [(0, 0)], lambda_=[0.5], sensitives=[a], propensities=[bad_e])
