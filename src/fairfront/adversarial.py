@@ -274,10 +274,12 @@ def _train_adversarial_group(splits: list[TrainingSplit], grid: LambdaGrid, conf
     """The adversarial sweep's trainer: train_adversarial once per split and lambda.
 
     Returns, per split, one fit (or expected failure) per lambda and no bounds.
+    The split's training rows are gathered once, for all its lambdas.
     """
     outcomes = []
     for split in splits:
-        rows = (split.features, split.labels, split.sensitives, split.template, config.train, adv_config)
+        x = split.features[split.train_idx]
+        rows = (x, split.labels, split.sensitives, split.template, config.train, adv_config)
         fits: list[FitResult | Exception] = []
         for lam, seeds in zip(grid.values, split.seeds):
             try:

@@ -31,7 +31,7 @@ from .data import (
     load_csv,
     write_dataset_csv,
 )
-from .errors import ConfigError, FairfrontError, IngestionError, InputError, ShapeError, at_least, check_value
+from .errors import SEED, ConfigError, FairfrontError, IngestionError, InputError, ShapeError, at_least, check_value
 from .evaluation import METRIC_NAMES, evaluate_test_metrics
 from .network import load_model, save_model
 from .pareto import (
@@ -199,12 +199,13 @@ def cmd_sweep(args) -> int:
 
 
 def _apply_overrides(resolved: dict, args):
-    if getattr(args, "out", None):
+    """Write the command-line options over the config; each value is checked here, so its error names the option."""
+    if args.out:
         resolved["output_dir"] = args.out
-    if getattr(args, "jobs", None) is not None:
-        resolved["jobs"] = args.jobs
-    if getattr(args, "seed", None) is not None:
-        resolved["master_seed"] = args.seed
+    if args.jobs is not None:
+        resolved["jobs"] = check_value("--jobs", args.jobs, **at_least(1))
+    if args.seed is not None:
+        resolved["master_seed"] = check_value("--seed", args.seed, **SEED)
 
 
 def cmd_cull(args) -> int:
@@ -313,3 +314,7 @@ def _report_error(exc: Exception):
 
 def entrypoint():
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

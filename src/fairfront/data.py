@@ -361,7 +361,6 @@ def minibatches(
     sensitives=None,
     labels=None,
     propensities=None,
-    out: dict[str, np.ndarray] | None = None,
 ) -> list[MiniBatch]:
     """Shuffle the index set and partition it into batches.
 
@@ -369,13 +368,6 @@ def minibatches(
     together they cover the index set exactly once.  ``seed`` may be an int
     or an existing numpy Generator (which is consumed in place, letting a
     training loop thread one stream through shuffling and dropout).
-
-    ``out`` maps array keywords to buffers of shape (len(train_indices), ...)
-    and the array's dtype.  Each such array's shuffled rows are gathered into
-    its buffer in one pass, and the batches carry slices of the buffer in
-    place of fresh arrays: the same rows, the same fields and the same draws
-    from ``seed``.  Rows gathered that way must be indexed from 0, so a
-    negative or too-large index raises InputError.
     """
     idx = np.asarray(train_indices, dtype=np.int64)
     if idx.ndim != 1 or idx.size == 0:
@@ -383,34 +375,12 @@ def minibatches(
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     arrays = {"features": features, "sensitives": sensitives, "labels": labels, "propensities": propensities}
-    out = {} if out is None else out
-    for name, buf in out.items():
-        if arrays.get(name) is None:
-            raise ConfigError(f"out has a buffer for {name!r} but no such array was given")
-        arr = arrays[name] = np.asarray(arrays[name])
-        if buf.shape != (idx.size, *arr.shape[1:]) or buf.dtype != arr.dtype:
-            raise ShapeError(
-                f"out buffer for {name!r} is {buf.dtype} {buf.shape}, "
-                f"expected {arr.dtype} {(idx.size, *arr.shape[1:])}"
-            )
-    if out:
-        held = min(arrays[name].shape[0] for name in out)
-        if idx.min() < 0 or idx.max() >= held:
-            raise InputError(f"train_indices must lie in [0, {held}) to gather rows into out")
     rng = np.random.default_rng(seed)
     order = idx[rng.permutation(idx.size)]
-    for name, buf in out.items():
-        # The bounds were checked above; mode="raise" would gather into a
-        # temporary and then copy it into buf.
-        np.take(arrays[name], order, axis=0, out=buf, mode="clip")
     batches = []
     for start in range(0, order.size, batch_size):
-        part = slice(start, start + batch_size)
-        rows = order[part]
-        fields = {
-            name: None if arr is None else out[name][part] if name in out else arr[rows]
-            for name, arr in arrays.items()
-        }
+        rows = order[start : start + batch_size]
+        fields = {name: None if arr is None else arr[rows] for name, arr in arrays.items()}
         batches.append(MiniBatch(indices=rows, **fields))
     return batches
 

@@ -245,6 +245,36 @@ def _validated_features(features, config: NetworkConfig | None = None) -> np.nda
     return x
 
 
+def _validated_matrices(features: list, config: NetworkConfig | None = None) -> list:
+    """A stack's list of feature matrices, each distinct matrix (by identity) checked once by _validated_features.
+
+    Entries that are one object come back as one array.
+    """
+    checked: dict[int, np.ndarray] = {}
+    for x in features:
+        if id(x) not in checked:
+            checked[id(x)] = _validated_features(x, config)
+    return [checked[id(x)] for x in features]
+
+
+def _validated_rows(rows, n: int) -> np.ndarray:
+    """rows as a 1-d int64 array of indices into n feature rows; the one check of a feature_rows entry.
+
+    The listed rows are the member's row count, which its labels and other
+    per-row vectors are then checked against.
+    """
+    r = np.asarray(rows)
+    if r.ndim != 1:
+        raise ShapeError(f"feature_rows must be one-dimensional, got shape {r.shape}")
+    if r.dtype.kind not in "iu":
+        raise InputError(f"feature_rows must hold integer row indices, got dtype {r.dtype}")
+    if r.size == 0:
+        raise InputError("feature_rows lists no rows")
+    if r.min() < 0 or r.max() >= n:
+        raise InputError(f"feature_rows must lie in [0, {n}), the rows of its features")
+    return r.astype(np.int64, copy=False)
+
+
 def _validated_data(features, labels, config: NetworkConfig) -> tuple[np.ndarray, np.ndarray]:
     """The checked features and their n 0/1 labels as float64; the one (features, labels) check."""
     x = _validated_features(features, config)

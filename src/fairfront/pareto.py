@@ -157,9 +157,15 @@ class BoundsResult:
 
 @dataclass
 class TrainingSplit:
-    """A split's training rows and per-lambda seeds, as a sweep's trainer gets them."""
+    """A split's training rows and per-lambda seeds, as a sweep's trainer gets them.
+
+    The training rows are features[train_idx]; the split holds the matrix
+    (the dataset's, in a sweep) and the indices, not a copy of the rows.
+    The per-row vectors hold one entry per listed row.
+    """
 
     features: np.ndarray
+    train_idx: np.ndarray
     labels: np.ndarray  # float64
     sensitives: np.ndarray
     propensities: np.ndarray  # calibrated propensity scores of the rows
@@ -176,7 +182,8 @@ def _fit_stacks(members: list[tuple], train_config: TrainConfig, penalty_mode: s
     """Train one network per member, stack_size() at a time.
 
     A member is (split, lambda, (init seed, loop seed), bounds): the network
-    trains on the TrainingSplit's rows, with bounds None for the identity
+    trains on the TrainingSplit's rows, read from its feature matrix by
+    fit_network's feature_rows, with bounds None for the identity
     standardisation.  The splits share one architecture, their template.
     This is where a group's splits become fit_network's per-member lists.
     Returns one entry per member: the fit, or the expected failure that
@@ -198,6 +205,7 @@ def _fit_stacks(members: list[tuple], train_config: TrainConfig, penalty_mode: s
                 sensitives=[s.sensitives for s in splits],
                 propensities=[s.propensities for s in splits],
                 penalty_mode=penalty_mode,
+                feature_rows=[s.train_idx for s in splits],
             )
         except EXPECTED_FAILURES as exc:
             fits += [exc] * len(splits)
@@ -303,8 +311,14 @@ def run_sweep(
     randomness derives from (plan.master_seed, split_id, lambda_index), so
     results depend neither on the degree of parallelism nor on the stack
     size or grouping.  jobs, the number of worker processes, must be a
-    positive integer.
+    positive integer.  The penalty reads a hidden layer, so a config with
+    num_layers 1 raises ConfigError before any split runs.
     """
+    if config.num_layers < 2:
+        raise ConfigError(
+            f"num_layers must be >= 2 in the scalarised sweep, whose penalty reads a hidden layer; "
+            f"got {config.num_layers}"
+        )
     return _run_splits(_split_worker, dataset, plan, grid, config, jobs, None)
 
 
@@ -362,6 +376,24 @@ def _set_blas_threads(count: int) -> int | None:
     return previous
 
 
+# glibc's malloc thresholds (mallopt(3)) as they settle once a process has
+# freed a block of 32 MB, the most its dynamic threshold adjusts to: blocks
+# under 32 MB come from the heap, which keeps up to 64 MB free at its top.  A
+# training step allocates and frees arrays of up to a few MB (its trace); at
+# the initial 128 kB thresholds each is mapped, or the heap trimmed, and its
+# pages faulted in again at every step.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+MALLOC_THRESHOLDS = {_M_MMAP_THRESHOLD: 32 * 2**20, _M_TRIM_THRESHOLD: 64 * 2**20}
+
+
+def _settle_malloc() -> None:
+    """Set the C allocator's thresholds to MALLOC_THRESHOLDS; nothing where the C library has no mallopt."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        for param, value in MALLOC_THRESHOLDS.items():
+            mallopt(param, value)
+
+
 # The dataset _split_stage reads, set by _run_splits for the sweep; forked
 # pool workers inherit it like any other module state.
 _dataset: Dataset | None = None
@@ -383,7 +415,10 @@ def _run_splits(
     thread (numpy's bundled OpenBLAS, where it is found): this process is
     pinned before the pool forks, and the workers inherit the pin.  A
     multi-threaded BLAS may round differently, and results must not depend
-    on jobs.  The merged failures are ordered by (split_id, lambda_index).
+    on jobs.  The C allocator's thresholds are settled the same way
+    (_settle_malloc) and stay so after the sweep: glibc has no way back to
+    its dynamic thresholds.  The merged failures are ordered by
+    (split_id, lambda_index).
     """
     global _dataset
     check_value("jobs", jobs, **at_least(1))
@@ -394,6 +429,7 @@ def _run_splits(
         for ids in split_groups(len(splits), group_cap, jobs)
     ]
     previous = _set_blas_threads(1)
+    _settle_malloc()
     _dataset = dataset
     try:
         if jobs > 1 and len(payloads) > 1:
@@ -436,44 +472,50 @@ def _fail_split(split_id: int, grid: LambdaGrid, stage: str, exc: Exception) -> 
     return [_failure_record(split_id, k, lam, stage, exc) for k, lam in enumerate(grid.values)]
 
 
-def _fit_propensities(xs, a_s, x_tests, config: SweepConfig, master_seed: int, split_ids) -> list:
+def _fit_propensities(features, group, a_s, config: SweepConfig, master_seed: int) -> list:
     """Fit and calibrate each split's propensity model, and score its training and test rows.
 
-    A calibration holdout of config.calibration_fraction of the training rows
-    is carved off first.  The holdout and the model's seed come from
-    (master_seed, split_id) on streams of their own, clear of the lambda
-    jobs' seeds.  The splits' raw fits train as one stack; each model is then
-    temperature-calibrated on its holdout and scores its split's training
-    rows ``xs`` and test rows ``x_tests``.  Returns, per split, (calibrated
-    model, training scores, test scores), or the expected failure that sank
-    any of these.
+    ``group`` lists each split's (split_id, train_idx, test_idx), indices
+    into ``features``; a_s holds the sensitives of each split's training
+    rows.  A calibration holdout of config.calibration_fraction of the
+    training rows is carved off first.  The holdout and the model's seed
+    come from (master_seed, split_id) on streams of their own, clear of the
+    lambda jobs' seeds.  The splits' raw fits train as one stack on their
+    rows of ``features``; each model is then temperature-calibrated on its
+    holdout and scores its split's training and test rows.  Each of these
+    row sets is gathered only for the call that reads it.  Returns, per
+    split, (calibrated model, training scores, test scores), or the
+    expected failure that sank any of these.
     """
     n = a_s[0].shape[0]
     n_cal = max(1, int(np.floor(config.calibration_fraction * n)))
     prop_seeds = [
         int(np.random.SeedSequence([master_seed, split_id, _PROPENSITY_STREAM]).generate_state(1)[0])
-        for split_id in split_ids
+        for split_id, _, _ in group
     ]
     perms = [
         np.random.default_rng(np.random.SeedSequence([master_seed, split_id, _CALIBRATION_STREAM])).permutation(n)
-        for split_id in split_ids
+        for split_id, _, _ in group
     ]
     try:
         raw_models = train_propensity(
-            [x[perm[n_cal:]] for x, perm in zip(xs, perms)],
+            [features] * len(group),
             [a[perm[n_cal:]] for a, perm in zip(a_s, perms)],
             config.propensity,
             prop_seeds,
+            feature_rows=[train_idx[perm[n_cal:]] for (_, train_idx, _), perm in zip(group, perms)],
         )
     except EXPECTED_FAILURES as exc:
-        raw_models = [exc] * len(xs)
+        raw_models = [exc] * len(group)
     scored = []
-    for raw, x, a, perm, x_te in zip(raw_models, xs, a_s, perms, x_tests):
+    for raw, (_, train_idx, test_idx), a, perm in zip(raw_models, group, a_s, perms):
         try:
             if isinstance(raw, Exception):
                 raise raw
-            model = calibrate_temperature(raw, x[perm[:n_cal]], a[perm[:n_cal]])
-            scored.append((model, predict_propensity(model, x), predict_propensity(model, x_te)))
+            model = calibrate_temperature(raw, features[train_idx[perm[:n_cal]]], a[perm[:n_cal]])
+            scored.append(
+                (model, predict_propensity(model, features[train_idx]), predict_propensity(model, features[test_idx]))
+            )
         except EXPECTED_FAILURES as exc:
             scored.append(exc)
     return scored
@@ -496,32 +538,35 @@ def _split_stage(payload, train, stage: str) -> SweepResult:
 
     ``payload`` is (group, grid, config, master_seed, extra), with group a
     list of (split_id, train_idx, test_idx): index arrays into the dataset
-    that _run_splits installed for the sweep.
+    that _run_splits installed for the sweep.  The stage reads the
+    dataset's feature rows by those indices and holds no copy of a split's
+    rows: a TrainingSplit carries the dataset's matrix and train_idx, and a
+    split's test rows are gathered once, after training, to score its
+    candidates.
     """
     group, grid, config, master_seed, extra = payload
     dataset = _dataset
     template = NetworkConfig(
         layer_sizes=config.layer_sizes(dataset.n_features), dropout_prob=config.dropout_prob
     )
-    xs = [dataset.features[train_idx] for _, train_idx, _ in group]
     a_s = [dataset.sensitives[train_idx] for _, train_idx, _ in group]
-    x_tests = [dataset.features[test_idx] for _, _, test_idx in group]
-    scored = _fit_propensities(xs, a_s, x_tests, config, master_seed, [split_id for split_id, *_ in group])
+    scored = _fit_propensities(dataset.features, group, a_s, config, master_seed)
 
     result = SweepResult(candidates=[], failures=[])
-    trained = []  # (split_id, test rows and propensities, propensity model) of each split that trains
+    trained = []  # (split_id, test_idx, test propensities, propensity model) of each split that trains
     splits: list[TrainingSplit] = []
-    for (split_id, train_idx, test_idx), x_tr, a_tr, x_te, prop in zip(group, xs, a_s, x_tests, scored):
+    for (split_id, train_idx, test_idx), a_tr, prop in zip(group, a_s, scored):
         if isinstance(prop, Exception):
             result.failures += _fail_split(split_id, grid, "propensity", prop)
             continue
         model, e_tr, e_te = prop
-        trained.append((split_id, (x_te, dataset.sensitives[test_idx], dataset.labels[test_idx], e_te), model))
+        trained.append((split_id, test_idx, e_te, model))
         seeds = [derive_seeds(master_seed, split_id, k) for k in range(len(grid))]
         y_tr = dataset.labels[train_idx].astype(np.float64)
-        splits.append(TrainingSplit(x_tr, y_tr, a_tr, e_tr, template, seeds))
+        splits.append(TrainingSplit(dataset.features, train_idx, y_tr, a_tr, e_tr, template, seeds))
 
-    for (split_id, test, model), outcome in zip(trained, train(splits, grid, config, extra) if splits else []):
+    outcomes = train(splits, grid, config, extra) if splits else []
+    for (split_id, test_idx, e_te, model), outcome in zip(trained, outcomes):
         if isinstance(outcome, Exception):
             result.failures += _fail_split(split_id, grid, "bounds", outcome)
             continue
@@ -529,6 +574,7 @@ def _split_stage(payload, train, stage: str) -> SweepResult:
         if bounds is not None:
             result.bounds[split_id] = bounds
         result.propensity_models[split_id] = model
+        test = (dataset.features[test_idx], dataset.sensitives[test_idx], dataset.labels[test_idx], e_te)
         for k, (lam, fit) in enumerate(zip(grid.values, fits)):
             try:
                 if isinstance(fit, Exception):
@@ -550,6 +596,7 @@ def _split_stage(payload, train, stage: str) -> SweepResult:
                     skipped_group_batches=fit.skipped_group_batches,
                 )
             )
+        del test  # before the next split gathers its own
     return result
 
 

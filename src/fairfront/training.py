@@ -14,6 +14,9 @@ result per member; one network is a stack of one, and its failure is
 returned like any member's.  The members share one NetworkConfig; each has
 its own seeds, lambda and training set, all of one row count (the splits of
 a sweep's split group, or one split's rows repeated), and its own bounds.
+A training set may list its rows of a feature matrix that other members
+share (feature_rows): the loop gathers one step's rows of every member at
+a time and never copies a member's training rows whole.
 Each member also keeps its own loop generator (epoch shuffles and dropout
 draws), learning-rate schedule and finiteness guard, so a member's numbers
 equal those of the same network trained as a stack of one, and a diverging
@@ -30,7 +33,7 @@ import numpy as np
 
 from .data import minibatches
 from .errors import POSITIVE, SEED, ConfigError, TrainingError, at_least, check_fields, check_value, rule
-from .metrics import PENALTY_MODES, PENALTY_PENULTIMATE, _validated_groups, overlap_weights
+from .metrics import PENALTY_MODES, PENALTY_PENULTIMATE, _as_binary, _validated_groups, overlap_weights
 from .network import (
     MODE_TRAIN,
     NetworkConfig,
@@ -38,7 +41,8 @@ from .network import (
     StandardisationBounds,
     _flatten,
     _unflatten,
-    _validated_data,
+    _validated_matrices,
+    _validated_rows,
     backward_composite,
     forward,
     init_network,
@@ -100,16 +104,22 @@ def fit_network(
     sensitives: list[np.ndarray] | None = None,
     propensities: list[np.ndarray] | None = None,
     penalty_mode: str = PENALTY_PENULTIMATE,
+    feature_rows: list[np.ndarray] | None = None,
 ) -> list[FitResult | TrainingError]:
     """Adam-train a stack of K fresh networks, member k on (features[k], labels[k]).
 
     The members share the architecture net_config.  Every per-member
     argument is a list of K, one entry per network: the (init seed, loop
     seed) pairs, lambdas (None trains every member at lambda = 0), features
-    and labels, and the sensitives, propensities and bounds when given.  The
-    members' row counts must agree.  Any other form, a bare value or a seed
-    that is not an integer >= 0 included, raises ConfigError naming the
-    argument; one network is a stack of one.
+    and labels, and the sensitives, propensities, bounds and feature_rows
+    when given.  Members may share one feature matrix.  With feature_rows,
+    member k trains on the rows features[k][feature_rows[k]], in that order:
+    each entry is a 1-d integer array of indices into its member's features,
+    and labels[k], sensitives[k] and propensities[k] hold one entry per
+    listed row.  Without it every row is listed.  The members' row counts
+    must agree.  Any other form, a bare value or a seed that is not an
+    integer >= 0 included, raises ConfigError naming the argument; one
+    network is a stack of one.
 
     The per-step objective is max{(1-lambda)*R~, lambda*U~}; with bounds=None
     the standardisation is the identity, so lambda = 0 yields plain BCE
@@ -137,20 +147,25 @@ def fit_network(
     needs_penalty = bool(np.any(lams > 0.0))
     if needs_penalty and (sensitives is None or propensities is None):
         raise ConfigError("lambda > 0 requires sensitives and propensities")
-    # Each member's training set (x, y, a, e), validated.
-    data = [_members("features", features, k), _members("labels", labels, k)]
-    data += [
-        _members(name, v, k) if needs_penalty else [None] * k
-        for name, v in (("sensitives", sensitives), ("propensities", propensities))
+    # A member's rows are indices into its feature matrix, offset by where
+    # that matrix starts in the stack's distinct matrices joined end to end.
+    xs = _validated_matrices(_members("features", features, k), net_config)
+    row_lists = [None] * k if feature_rows is None else _members("feature_rows", feature_rows, k)
+    distinct = list({id(x): x for x in xs}.values())
+    first_row = dict(zip(map(id, distinct), np.cumsum([0] + [len(x) for x in distinct[:-1]])))
+    member_rows = [
+        first_row[id(x)] + (np.arange(len(x)) if r is None else _validated_rows(r, len(x)))
+        for x, r in zip(xs, row_lists)
     ]
-    sets = []
-    for x, y, a, e in zip(*data):
-        x, y = _validated_data(x, y, net_config)
-        if needs_penalty:
-            a, e = _validated_groups(a, e, y.shape[0])
-        sets.append((x, y, a, e))
-    n = sets[0][1].shape[0]
-    if any(y.shape[0] != n for _, y, _, _ in sets):
+    # Each member's per-row vectors, one entry per listed row, validated.
+    ys = _members("labels", labels, k)
+    columns = {"labels": [_as_binary(y, "labels", len(r)).astype(np.float64) for y, r in zip(ys, member_rows)]}
+    if needs_penalty:
+        a_s, e_s = _members("sensitives", sensitives, k), _members("propensities", propensities, k)
+        groups = [_validated_groups(a, e, len(r)) for a, e, r in zip(a_s, e_s, member_rows)]
+        columns.update(sensitives=[a for a, _ in groups], propensities=[e for _, e in groups])
+    n = len(member_rows[0])
+    if any(len(r) != n for r in member_rows):
         raise ConfigError("stacked training sets must have equal row counts")
     if bounds is not None:
         bounds = StandardisationBounds.stack(_members("bounds", bounds, k))
@@ -170,32 +185,51 @@ def fit_network(
     alive = np.ones(k, dtype=bool)  # members that have not failed
     indices = np.arange(n)
 
-    # Each epoch's shuffled rows of every member, (K, n, ...) per array,
-    # gathered straight into these buffers so that no epoch holds two copies.
-    epoch_rows = {"features": np.empty((k, n, net_config.layer_sizes[0])), "labels": np.empty((k, n))}
-    if needs_penalty:
-        epoch_rows.update(sensitives=np.empty((k, n), dtype=sets[0][2].dtype), propensities=np.empty((k, n)))
+    # The stack's rows: the joined feature matrix (the one matrix itself when
+    # the members share it) and each per-row vector as (K, n), so that a
+    # step gathers each array for all K members in one np.take, into a
+    # buffer of one step's rows allocated once per fit.  A shorter last
+    # batch gathers into the front of the buffers, a contiguous view.
+    source = distinct[0] if len(distinct) == 1 else np.concatenate(distinct)
+    member_rows = np.stack(member_rows)
+    columns = {name: np.stack(vectors) for name, vectors in columns.items()}
+    batch_size = min(train_config.batch_size, n)
+    width = net_config.layer_sizes[0]
+    x_buf = np.empty(k * batch_size * width)
+    buffers = {name: np.empty(k * batch_size, dtype=c.dtype) for name, c in columns.items()}
+    # Each member's epoch order as positions in the flattened (K, n) vectors, and the joined rows they hold.
+    order = np.empty((k, n), dtype=np.int64)
+    order_rows = np.empty((k, n), dtype=np.int64)
+    member_base = (np.arange(k) * n)[:, None]
 
     for epoch in range(train_config.epochs):
         # One shuffled pass per member: minibatches with a single batch of all
         # n rows draws the member's epoch permutation exactly as
         # minibatches(indices, batch_size, rng) does.  Step j takes rows
         # [j * batch_size, (j + 1) * batch_size) of it, the partition
-        # minibatches makes.
-        for i, (rng, (x, y, a, e)) in enumerate(zip(rngs, sets)):
-            member_rows = {name: rows[i] for name, rows in epoch_rows.items()}
-            minibatches(indices, n, rng, features=x, sensitives=a, labels=y, propensities=e, out=member_rows)
-        starts = range(0, n, train_config.batch_size)
+        # minibatches makes.  Every index was checked on entry, so the
+        # gathers may clip: mode="raise" would gather into a temporary.
+        for i, rng in enumerate(rngs):
+            (shuffled,) = minibatches(indices, n, rng)
+            order[i] = shuffled.indices
+        order += member_base
+        np.take(member_rows, order, out=order_rows, mode="clip")
+        starts = range(0, n, batch_size)
         shape = (k, len(starts))
         risks, unfairness, objectives = np.empty(shape), np.empty(shape), np.empty(shape)
         for j, start in enumerate(starts):
-            batch = slice(start, start + train_config.batch_size)
+            m = min(batch_size, n - start)
+            batch = slice(start, start + m)
+            x = x_buf[: k * m * width].reshape(k, m, width)
+            np.take(source, order_rows[:, batch], axis=0, out=x, mode="clip")
+            rows = {name: buf[: k * m].reshape(k, m) for name, buf in buffers.items()}
+            for name, buf in rows.items():
+                np.take(columns[name], order[:, batch], out=buf, mode="clip")
             weights = None
             if needs_penalty:
-                weights = overlap_weights(epoch_rows["propensities"][:, batch], epoch_rows["sensitives"][:, batch])
-            x, y = epoch_rows["features"][:, batch], epoch_rows["labels"][:, batch]
+                weights = overlap_weights(rows["propensities"], rows["sensitives"])
             trace = forward(params, net_config, x, MODE_TRAIN, rng=rngs)
-            back = backward_composite(trace, params, net_config, y, weights, lams, bounds, penalty_mode)
+            back = backward_composite(trace, params, net_config, rows["labels"], weights, lams, bounds, penalty_mode)
             # Free this step's activations before the next forward allocates its
             # own, so that a step holds one trace, not two.
             del trace

@@ -3,6 +3,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -154,11 +157,17 @@ def test_bad_dropout_prob_exits_2_before_loading(workspace, tmp_path, capsys, mo
 
 
 @pytest.mark.parametrize(
-    "key, value, option",
-    [("learning_rate", float("nan"), []), ("master_seed", -1, []), ("master_seed", 5, ["--seed", "-3"])],
+    "key, value, option, named",
+    [
+        ("learning_rate", float("nan"), [], "learning_rate"),
+        ("master_seed", -1, [], "master_seed"),
+        ("master_seed", 5, ["--seed", "-3"], "--seed"),
+    ],
     ids=["nan-learning_rate", "negative-master_seed", "negative-seed-option"],
 )
-def test_out_of_range_run_values_exit_2_before_loading(workspace, tmp_path, capsys, monkeypatch, key, value, option):
+def test_out_of_range_run_values_exit_2_before_loading(
+    workspace, tmp_path, capsys, monkeypatch, key, value, option, named
+):
     _, config_path = workspace
     monkeypatch.setattr(cli, "_load_encoded_dataset", _no_load)
     bad = tmp_path / "bad_value.json"
@@ -166,7 +175,45 @@ def test_out_of_range_run_values_exit_2_before_loading(workspace, tmp_path, caps
     bad.write_text(json.dumps({**json.loads(config_path.read_text()), key: value}))
     assert main(["run", "--config", str(bad), "--out", str(tmp_path / "out"), *option]) == 2
     err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "ConfigError" and key in err["message"]
+    assert err["error"] == "ConfigError" and named in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "adversarial"])
+@pytest.mark.parametrize("option, value, wants", [("--jobs", "0", ">= 1"), ("--seed", "-3", ">= 0")])
+def test_a_bad_option_value_is_named_by_its_option(
+    workspace, tmp_path, capsys, monkeypatch, command, option, value, wants
+):
+    _, config_path = workspace
+    monkeypatch.setattr(cli, "_load_encoded_dataset", _no_load)
+    assert main([command, "--config", str(config_path), "--out", str(tmp_path / "out"), option, value]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ConfigError", "message": f"{option} must be an integer {wants}, got {value}"}
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("module", ["fairfront", "fairfront.cli"])
+def test_python_m_runs_the_command_line(tmp_path, module):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", module, *args], capture_output=True, text=True, env=env)
+
+    shown = run("--help")
+    assert shown.returncode == 0 and shown.stdout.startswith("usage: fairfront")
+    missing = run("run", "--config", str(tmp_path / "missing.json"))
+    assert missing.returncode == 2
+    assert json.loads(missing.stderr)["message"] == f"config file not found: {tmp_path / 'missing.json'}"
+
+
+def test_run_without_a_hidden_layer_exits_2_naming_num_layers(workspace, tmp_path, capsys):
+    _, config_path = workspace
+    bad = tmp_path / "no_hidden_layer.json"
+    bad.write_text(json.dumps({**json.loads(config_path.read_text()), "num_layers": 1}))
+    assert main(["run", "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and err["message"].startswith("num_layers must be >= 2")
     assert not (tmp_path / "out").exists()
 
 

@@ -244,44 +244,6 @@ def test_minibatches_partition_and_determinism():
     assert any(not np.array_equal(a.indices, b.indices) for a, b in zip(batches, different))
 
 
-def test_minibatches_gather_into_out_like_fresh_arrays():
-    rng = np.random.default_rng(4)
-    idx = rng.permutation(30)[:23]  # a subset, in no order
-    arrays = {
-        "features": rng.normal(size=(30, 3)),
-        "sensitives": rng.integers(0, 2, size=30),
-        "labels": rng.random(30),
-        "propensities": rng.random(30),
-    }
-    fresh_rng, out_rng = np.random.default_rng(8), np.random.default_rng(8)
-    fresh = minibatches(idx, 5, fresh_rng, **arrays)
-    out = {name: np.empty((idx.size, *a.shape[1:]), dtype=a.dtype) for name, a in arrays.items()}
-    del out["labels"]  # an array without a buffer is gathered as before
-    gathered = minibatches(idx, 5, out_rng, **arrays, out=out)
-    assert fresh_rng.bit_generator.state == out_rng.bit_generator.state
-    assert len(gathered) == len(fresh) == 5
-    for a, b in zip(fresh, gathered):
-        assert np.array_equal(a.indices, b.indices)
-        for name in arrays:
-            u, v = getattr(a, name), getattr(b, name)
-            assert u.dtype == v.dtype and u.shape == v.shape and np.array_equal(u, v)
-            assert np.shares_memory(v, out[name]) if name in out else not np.shares_memory(v, arrays[name])
-    assert np.array_equal(out["features"], arrays["features"][np.concatenate([b.indices for b in fresh])])
-
-
-def test_minibatches_out_checks_buffers_and_indices():
-    feats = np.zeros((10, 2))
-    with pytest.raises(ShapeError):
-        minibatches(np.arange(10), 4, 0, features=feats, out={"features": np.empty((9, 2))})
-    with pytest.raises(ShapeError):
-        minibatches(np.arange(10), 4, 0, features=feats, out={"features": np.empty((10, 2), dtype=np.float32)})
-    with pytest.raises(ConfigError):
-        minibatches(np.arange(10), 4, 0, features=feats, out={"labels": np.empty(10)})
-    for bad in ([0, 1, -1], [0, 1, 10]):
-        with pytest.raises(InputError, match="lie in"):
-            minibatches(np.array(bad), 2, 0, features=feats, out={"features": np.empty((3, 2))})
-
-
 # ---------------------------------------------------------------------------
 # synthetic generator
 

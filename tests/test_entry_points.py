@@ -5,6 +5,8 @@ their rows once, with the one feature check (network._validated_features, or
 network._validated_data with the labels) and, where they take groups, the one
 group check (metrics._validated_groups).  Labels and sensitives go through
 metrics._as_binary, which also checks their length against the row count.
+An entry point that takes feature_rows checks them with the one row-list
+check (network._validated_rows), and the listed rows set the row count.
 So each kind of bad row raises one exception type with one message,
 whichever entry point receives it.  Features may come as any array-like,
 such as nested lists.  A seed is an integer >= 0 (errors.SEED), and each entry
@@ -36,25 +38,34 @@ TRAIN = TrainConfig(epochs=1, batch_size=4)
 MODEL = PropensityModel(init_network(NET, 0), NET)
 PROPENSITY = PropensityConfig(hidden_layers=1, hidden_width=4, epochs=1, batch_size=4)
 
-# Each entry point as a call on (features, labels, sensitives, propensities),
-# with the row arguments it takes.
+# Each entry point as a call on (features, labels, sensitives, propensities,
+# feature_rows), with the row arguments it takes.  The entry points that
+# take feature_rows train on the listed rows of the features, and their
+# labels and sensitives hold one entry per listed row.
 ENTRY_POINTS = {
     "fit_network": (
-        lambda x, y, a, e: fit_network([x], [y], NET, TRAIN, [(0, 0)], lambda_=[0.5], sensitives=[a], propensities=[e]),
-        {"features", "labels", "sensitives", "propensities"},
+        lambda x, y, a, e, r: fit_network(
+            [x], [y], NET, TRAIN, [(0, 0)], lambda_=[0.5], sensitives=[a], propensities=[e], feature_rows=[r]
+        ),
+        {"features", "labels", "sensitives", "propensities", "feature_rows"},
     ),
     "train_adversarial": (
-        lambda x, y, a, e: train_adversarial(x, y, a, NET, TRAIN, AdversaryConfig(rounds=1), 0.5, (0, 1)),
+        lambda x, y, a, e, r: train_adversarial(x, y, a, NET, TRAIN, AdversaryConfig(rounds=1), 0.5, (0, 1)),
         {"features", "labels", "sensitives"},
     ),
     "evaluate_test_metrics": (
-        lambda x, y, a, e: evaluate_test_metrics(init_network(NET, 0), NET, x, a, y, e),
+        lambda x, y, a, e, r: evaluate_test_metrics(init_network(NET, 0), NET, x, a, y, e),
         {"features", "labels", "sensitives", "propensities"},
     ),
-    "predict_propensity": (lambda x, y, a, e: predict_propensity(MODEL, x), {"features"}),
-    "calibrate_temperature": (lambda x, y, a, e: calibrate_temperature(MODEL, x, a), {"features", "sensitives"}),
-    "train_propensity": (lambda x, y, a, e: train_propensity([x], [a], PROPENSITY, [0]), {"features", "sensitives"}),
+    "predict_propensity": (lambda x, y, a, e, r: predict_propensity(MODEL, x), {"features"}),
+    "calibrate_temperature": (lambda x, y, a, e, r: calibrate_temperature(MODEL, x, a), {"features", "sensitives"}),
+    "train_propensity": (
+        lambda x, y, a, e, r: train_propensity([x], [a], PROPENSITY, [0], feature_rows=[r]),
+        {"features", "sensitives", "feature_rows"},
+    ),
 }
+# The argument that holds an entry point's labels, where it is not "labels".
+LABELS = {"train_propensity": "sensitives"}
 # train_propensity sizes its network from the features, so no feature width is wrong there.
 SIZED_BY_FEATURES = {"train_propensity"}
 
@@ -65,6 +76,7 @@ def _with(rows, i, value):
     return bad
 
 
+OUT_OF_RANGE = "feature_rows must lie in [0, 8), the rows of its features"
 # kind -> (the row argument it corrupts, the corruption, the one error and message)
 BAD_ROWS = {
     "wrong-width": ("features", lambda x: x[:, :2], ShapeError, "features have 2 columns but the network expects 3"),
@@ -92,6 +104,20 @@ BAD_ROWS = {
     "short-propensities": (
         "propensities", lambda e: e[:-1], ShapeError, "propensities has 7 entries, but the row count is 8"
     ),
+    "row-out-of-range": ("feature_rows", lambda r: _with(r, 4, 8), InputError, OUT_OF_RANGE),
+    "negative-row": ("feature_rows", lambda r: _with(r, 4, -1), InputError, OUT_OF_RANGE),
+    "bool-rows": (
+        "feature_rows", lambda r: r % 2 == 0, InputError, "feature_rows must hold integer row indices, got dtype bool"
+    ),
+    "float-rows": (
+        "feature_rows", lambda r: r.astype(float), InputError,
+        "feature_rows must hold integer row indices, got dtype float64",
+    ),
+    "2-d-rows": (
+        "feature_rows", lambda r: r[:, None], ShapeError, "feature_rows must be one-dimensional, got shape (8, 1)"
+    ),
+    # The listed rows set the row count, which the labels are checked against.
+    "short-rows": ("feature_rows", lambda r: r[:-1], ShapeError, "{labels} has 8 entries, but the row count is 7"),
 }
 
 
@@ -102,6 +128,7 @@ def _rows():
         "labels": np.array([0.0, 1.0] * 4),
         "sensitives": np.array([0, 0, 1, 1] * 2),
         "propensities": rng.uniform(0.2, 0.8, size=8),
+        "feature_rows": np.array([5, 0, 7, 2, 2, 6, 1, 3]),  # in no order, and row 2 twice
     }
 
 
@@ -138,7 +165,7 @@ def test_bad_rows_are_rejected_with_one_message_before_any_network_runs(entry, k
     rows[name] = corrupt(rows[name])
     with pytest.raises(error) as err:
         call(*rows.values())
-    assert str(err.value) == message
+    assert str(err.value) == message.format(labels=LABELS.get(entry, "labels"))
 
 
 def _plain(value):

@@ -1,6 +1,7 @@
 """The shared minibatch training engine."""
 from __future__ import annotations
 
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -183,9 +184,10 @@ def test_stack_members_are_bitwise_their_lone_fits(bounds):
 
 
 def test_members_with_their_own_rows_and_bounds_are_bitwise_their_lone_fits():
-    # three training sets of one row count, as the splits of a sweep have them
+    # three training sets of one row count, as the splits of a sweep have them;
+    # 130 rows make a last batch of 2
     x, y, a, e = stack_problem(n=390)
-    rows = [np.arange(0, 390, 3), np.arange(1, 390, 3), np.arange(2, 390, 3)]
+    rows = [np.arange(0, 390, 3), np.arange(1, 390, 3)[::-1], np.random.default_rng(5).permutation(390)[:130]]
     sets = [(x[r], y[r], a[r], e[r]) for r in rows]
     bounds = [
         StandardisationBounds(0.3, 0.8, 0.0, 0.4),
@@ -202,12 +204,24 @@ def test_members_with_their_own_rows_and_bounds_are_bitwise_their_lone_fits():
         per_member.update(wrong)
         return fit_network(train_config=STACK_TRAIN, penalty_mode="all_layers", **per_member)
 
-    for (xk, yk, ak, ek), b, lam, seeds, member in zip(sets, bounds, STACK_LAMBDAS, STACK_SEEDS, fit_all()):
-        (alone,) = fit_network(
+    lone_fits = [
+        fit_network(
             [xk], [yk], STACK_NET, STACK_TRAIN, [seeds], lambda_=[lam], bounds=[b],
             sensitives=[ak], propensities=[ek], penalty_mode="all_layers",
-        )
-        assert_same_fit(member, alone)
+        )[0]
+        for (xk, yk, ak, ek), b, lam, seeds in zip(sets, bounds, STACK_LAMBDAS, STACK_SEEDS)
+    ]
+    # Each member trains on its gathered copy, on its rows of one shared
+    # matrix, or on its rows of one of two matrices (the second holds x's
+    # rows reversed, so 389 - r lists the rows r of x).
+    x_reversed = x[::-1].copy()
+    for stacked in [
+        fit_all(),
+        fit_all(features=[x] * 3, feature_rows=rows),
+        fit_all(features=[x, x_reversed, x], feature_rows=[rows[0], 389 - rows[1], rows[2]]),
+    ]:
+        for member, alone in zip(stacked, lone_fits):
+            assert_same_fit(member, alone)
 
     # every per-member argument is a list: no bare value, no shared array, no
     # (K, n, ...) array, no shared bounds; the architecture is one config
@@ -221,10 +235,28 @@ def test_members_with_their_own_rows_and_bounds_are_bitwise_their_lone_fits():
         dict(sensitives=a[rows[0]]),
         dict(propensities=np.stack(propensities)),
         dict(bounds=bounds[0]),
+        dict(feature_rows=rows[0]),
+        dict(feature_rows=rows[:2]),
     ]:
         (name,) = wrong
         with pytest.raises(ConfigError, match=name):
             fit_all(**wrong)
+
+
+def test_a_fit_holds_one_step_of_rows_not_an_epoch():
+    # An epoch's rows of 20,000 x 30 features are 4.8 MB; one step's 250 rows are 60 kB.
+    rng = np.random.default_rng(0)
+    x, y = rng.standard_normal((20_000, 30)), (rng.random(20_000) < 0.5).astype(float)
+    net = NetworkConfig(layer_sizes=[30, 8, 1], dropout_prob=0.2)
+    tracemalloc.start()
+    try:
+        (fit,) = fit_network([x], [y], net, TrainConfig(epochs=1, batch_size=250), [(0, 1)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(fit, FitResult)
+    # 1.2 MB measured (the feature check's mask and the row-count vectors); 5.6 MB with an epoch buffer
+    assert peak < 3_000_000
 
 
 def test_per_member_training_sets_must_line_up():
