@@ -9,10 +9,18 @@ step after a short pretraining phase for each player.  The classifier
 pretrains on the same objective, against the adversary as initialised, so
 only lambda = 0 pretrains it on plain BCE.
 
+train_adversarial trains a stack of K lambdas on one training set in
+lockstep, as training.fit_network trains the scalarised lambdas: each
+adversary step, classifier step and epoch scoring pass is one stacked call
+for all K, and each member keeps its own seeds and random stream, so its
+numbers are bitwise those of its lambda trained alone.  A member whose
+parameters go non-finite fails alone.
+
 run_adversarial_sweep runs the scalarised sweep's split stage
 (pareto._split_stage) with a trainer that calls train_adversarial once per
-lambda, so the two sweeps compare on the same splits, calibrated propensity
-models, seed streams and test scoring.
+stack of a split's lambdas, cut by pareto.stack_size(), so the two sweeps
+compare on the same splits, calibrated propensity models, seed streams and
+test scoring.
 """
 from __future__ import annotations
 
@@ -22,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset, SplitPlan, minibatches
-from .errors import POSITIVE, ConfigError, NumericError, at_least, check_fields
+from .errors import POSITIVE, NumericError, at_least, check_fields
 from .metrics import _as_binary
 from .network import (
     MODE_EVAL,
@@ -49,6 +57,7 @@ from .pareto import (
     TrainingSplit,
     _run_splits,
     _split_stage,
+    stack_size,
 )
 
 # The split stage (pareto._split_stage) fits the propensity model and scores
@@ -57,7 +66,7 @@ from .pareto import (
 # module and fails to install its tracer without them.
 from .evaluation import evaluate_test_metrics  # noqa: F401
 from .propensity import calibrate_temperature, train_propensity  # noqa: F401
-from .training import FitResult, TrainConfig, _seed_pair, derive_seeds
+from .training import FitResult, TrainConfig, _settle_malloc, _stack_members, derive_seeds
 
 log = logging.getLogger(__name__)
 
@@ -98,63 +107,83 @@ def classifier_objective_gradient(
     trace,
     labels: np.ndarray,
     sensitives: np.ndarray,
-    lambda_: float,
-) -> tuple[NetworkParams, float]:
+    lambda_,
+) -> tuple[NetworkParams, np.ndarray]:
     """Gradient of Loss_y - lambda * Loss_a w.r.t. the classifier.
 
     The adversary is frozen, but the fairness term's gradient still flows
     through the classifier scores it reads.  ``trace`` must be a forward
     pass of ``clf_params`` on the batch being scored; passing it in leaves
     the dropout regime (and any frozen masks) under the caller's control.
-    Returns the parameter gradients and the objective value on that trace.
-    Nothing is validated here: train_adversarial checks its data on entry.
+    A stack of K classifiers and K adversaries takes (K, m) labels and
+    sensitives and a (K,) lambda; one network takes (m,) rows and one lambda.
+    A member at lambda = 0 gets the plain BCE gradient: its adversary term is
+    not subtracted but left out, so its numbers never read its adversary.
+    Returns the parameter gradients and the objective value on that trace,
+    of lambda's shape.  Nothing is validated here: train_adversarial checks
+    its data on entry.
     """
+    lam = np.asarray(lambda_, dtype=np.float64)
     p = trace.output
     delta = bce_output_delta(p, labels)
     objective = bce_loss(p, labels)
-    if lambda_ > 0.0:
+    penalised = lam > 0.0
+    if penalised.any():
         _, d_first, q = _adversary_gradient(adv_params, adv_config, p, sensitives)
         # dLoss_a/dh of the classifier output: through the adversary's first
         # layer to its input, then the classifier's clamped sigmoid, whose
         # slope is p * (1 - p) where the clamp is open.
-        d_scores = (d_first @ adv_params.weights[0])[:, 0]
-        delta = delta - lambda_ * np.where(unclamped(p), d_scores * p * (1.0 - p), 0.0)
-        objective -= lambda_ * bce_loss(q, sensitives)
+        d_scores = (d_first @ adv_params.weights[0])[..., 0]
+        slope = np.where(unclamped(p), d_scores * p * (1.0 - p), 0.0)
+        delta = np.where(penalised[..., None], delta - lam[..., None] * slope, delta)
+        objective = np.where(penalised, objective - lam * bce_loss(q, sensitives), objective)
     deltas: list = [None] * clf_config.num_layers
-    deltas[-1] = delta[:, None]
+    deltas[-1] = delta[..., None]
     grads, _ = backprop(clf_params, clf_config, trace, deltas)
-    return grads, float(objective)
+    return grads, objective
 
 
 def _adversary_gradient(adv_params: NetworkParams, adv_config: NetworkConfig, scores, sensitives):
-    """Gradients of the adversary's mean BCE on (scores, sensitives).
+    """Gradients of the adversary's mean BCE on (scores, sensitives), one adversary or a stack.
 
     Returns (parameter gradients, d/dh of its first layer, predictions); the
     first-layer delta times adv_params.weights[0] is d/dscores.
     """
-    trace = forward(adv_params, adv_config, scores[:, None], MODE_EVAL)
+    trace = forward(adv_params, adv_config, scores[..., None], MODE_EVAL)
     q = trace.output
     deltas: list = [None] * adv_config.num_layers
-    deltas[-1] = bce_output_delta(q, sensitives)[:, None]
+    deltas[-1] = bce_output_delta(q, sensitives)[..., None]
     grads, d_first = backprop(adv_params, adv_config, trace, deltas)
     return grads, d_first, q
 
 
-class _Player:
-    """One network Adam-trained on a flat parameter row.
+class _Players:
+    """A stack of K networks of one architecture, Adam-trained on a (K, P) parameter array.
 
     ``params`` holds per-layer views of ``flat``; each update is a single
-    in-place adam_step over the whole row, which the views see.
+    in-place adam_step over the whole stack, which the views see.  Every
+    member steps at one learning rate.
     """
 
-    def __init__(self, config: NetworkConfig, seed: int, learning_rate: float):
-        init = init_network(config, seed)
-        self.flat = _flatten(init)
-        self.params = _unflatten(self.flat, [a.shape for a in (*init.weights, *init.biases)])
-        self.adam = AdamState(np.zeros_like(self.flat), np.zeros_like(self.flat), learning_rate=learning_rate)
+    def __init__(self, config: NetworkConfig, seeds: list[int], learning_rate: float):
+        inits = [init_network(config, seed) for seed in seeds]
+        self.flat = np.stack([_flatten(p) for p in inits])
+        self.params = _unflatten(self.flat, [a.shape for a in (*inits[0].weights, *inits[0].biases)])
+        self.adam = AdamState(
+            np.zeros_like(self.flat), np.zeros_like(self.flat), learning_rate=np.full(len(seeds), learning_rate)
+        )
 
     def step(self, grads: NetworkParams):
         adam_step(self.adam, self.flat, _flatten(grads))
+
+    def finite(self) -> np.ndarray:
+        """Per member, whether all its parameters are finite."""
+        return np.isfinite(self.flat).all(axis=1)
+
+    def zero(self, members: np.ndarray):
+        """Zero the parameters and Adam moments of the selected members."""
+        for rows in (self.flat, self.adam.first_moment, self.adam.second_moment):
+            rows[members] = 0.0
 
 
 def train_adversarial(
@@ -164,78 +193,110 @@ def train_adversarial(
     clf_config: NetworkConfig,
     train_config: TrainConfig,
     adv_config: AdversaryConfig,
-    lambda_: float,
-    seeds: tuple[int, int],
-) -> AdversarialResult:
-    """Run the full adversarial protocol for one lambda.
+    lambda_: list[float],
+    seeds: list[tuple[int, int]],
+) -> list[AdversarialResult | NumericError]:
+    """Run the full adversarial protocol for a stack of K lambdas on one training set.
 
     Phases: (1) pretrain the classifier on Loss_y - lambda * Loss_a against
     the frozen, freshly initialised adversary (plain BCE only at lambda = 0);
     (2) pretrain the adversary on the frozen classifier's eval-mode scores;
     (3) alternate adv_config.rounds times between one full adversary epoch
     and one classifier minibatch step on Loss_y - lambda * Loss_a.  Only the
-    classifier uses dropout, and only in its own update steps.  One RNG
-    stream drives all shuffling and dropout, so the run is a pure function
-    of (data, configs, lambda, seeds): the classifier's init seed, and the
-    key of the adversary's init and loop seeds (training.derive_seeds).
+    classifier uses dropout, and only in its own update steps.
 
-    The inputs are validated here, once; the loop itself runs unchecked and
-    raises NumericError after the epoch or round that left either player
-    with non-finite parameters.
+    lambda_ and seeds are lists of K, one entry per member, as fit_network
+    takes them (a bare value raises ConfigError naming the argument; one
+    lambda is a stack of one): lambdas in [0, 1], and pairs of the
+    classifier's init seed and the key of the adversary's init and loop
+    seeds (training.derive_seeds).  The members train in lockstep, each
+    step one stacked call for all K, and each member draws its shuffles and
+    dropout from its own loop generator, in the order its lone run draws
+    them, so a member's numbers are bitwise those of its lambda trained as
+    a stack of one: a pure function of (data, configs, lambda, seeds).
+
+    The inputs are validated here, once; the loop itself runs unchecked.
+    Returns K entries: an AdversarialResult, or the NumericError of a member
+    that the epoch or round it failed in left with non-finite parameters in
+    either player.  A failed member keeps its rows in both stacks, zeroed so
+    that the remaining steps stay finite, and is no longer read.
     """
-    if not 0.0 <= lambda_ <= 1.0:
-        raise ConfigError(f"lambda must lie in [0, 1], got {lambda_}")
-    clf_seed, adv_key = _seed_pair("seeds", seeds)
+    pairs, lams = _stack_members(seeds, lambda_)
     x, y = _validated_data(features, labels, clf_config)
     n = y.shape[0]
     a = _as_binary(sensitives, "sensitives", n)
     indices = np.arange(n)
 
+    _settle_malloc()
     adv_cfg = adv_config.network_config()
-    adv_init, loop_seed = derive_seeds(adv_key)
-    clf = _Player(clf_config, clf_seed, train_config.learning_rate)
-    adv = _Player(adv_cfg, adv_init, adv_config.learning_rate)
-    rng = np.random.default_rng(loop_seed)
+    adv_seeds = [derive_seeds(adv_key) for _, adv_key in pairs]
+    clf = _Players(clf_config, [clf_seed for clf_seed, _ in pairs], train_config.learning_rate)
+    adv = _Players(adv_cfg, [adv_init for adv_init, _ in adv_seeds], adv_config.learning_rate)
+    rngs = [np.random.default_rng(loop_seed) for _, loop_seed in adv_seeds]
+    results: list[AdversarialResult | NumericError | None] = [None] * len(pairs)
+    alive = np.ones(len(pairs), dtype=bool)  # members that have not failed
+
+    def epoch_batches() -> list[np.ndarray]:
+        # Each member's shuffled pass, drawn from its own generator: batch j
+        # of every member, as one (K, m) array of row indices per step.
+        passes = [minibatches(indices, train_config.batch_size, rng) for rng in rngs]
+        return [np.stack([mb.indices for mb in step]) for step in zip(*passes)]
 
     def classifier_step(rows: np.ndarray):
-        trace = forward(clf.params, clf_config, x[rows], MODE_TRAIN, rng=rng)
+        # rows: (K, m), each member's batch of row indices
+        trace = forward(clf.params, clf_config, x[rows], MODE_TRAIN, rng=rngs)
         grads, _ = classifier_objective_gradient(
-            clf.params, clf_config, adv.params, adv_cfg, trace, y[rows], a[rows], lambda_
+            clf.params, clf_config, adv.params, adv_cfg, trace, y[rows], a[rows], lams
         )
         clf.step(grads)
 
     def adversary_epoch():
-        # The classifier is frozen for the whole epoch: score every row once, block by block.
-        scores = np.concatenate([forward(clf.params, clf_config, x[rows], MODE_EVAL).output for rows in row_blocks(n)])
-        for mb in minibatches(indices, train_config.batch_size, rng):
-            adv.step(_adversary_gradient(adv.params, adv_cfg, scores[mb.indices], a[mb.indices])[0])
+        # The classifiers are frozen for the whole epoch: score every row once, block by block.
+        scores = np.concatenate(
+            [forward(clf.params, clf_config, x[rows], MODE_EVAL).output for rows in row_blocks(n)], axis=-1
+        )
+        for rows in epoch_batches():
+            batch_scores = np.take_along_axis(scores, rows, axis=-1)
+            adv.step(_adversary_gradient(adv.params, adv_cfg, batch_scores, a[rows])[0])
 
-    def check_finite(phase: str):
-        if not (np.isfinite(clf.flat).all() and np.isfinite(adv.flat).all()):
-            raise NumericError(f"{phase} left non-finite parameters (lambda={lambda_})")
+    def survivors(phase: str) -> bool:
+        # Fail the members this phase left non-finite; whether any member trains on.
+        failed = alive & ~(clf.finite() & adv.finite())
+        for i in np.flatnonzero(failed):
+            results[i] = NumericError(f"{phase} left non-finite parameters (lambda={lams[i]})")
+        if failed.any():
+            alive[failed] = False
+            clf.zero(failed)
+            adv.zero(failed)
+        return bool(alive.any())
 
     for epoch in range(adv_config.pretrain_classifier_epochs):
-        for mb in minibatches(indices, train_config.batch_size, rng):
-            classifier_step(mb.indices)
-        check_finite(f"classifier pretraining epoch {epoch}")
+        for rows in epoch_batches():
+            classifier_step(rows)
+        if not survivors(f"classifier pretraining epoch {epoch}"):
+            return results
     for epoch in range(adv_config.pretrain_adversary_epochs):
         adversary_epoch()
-        check_finite(f"adversary pretraining epoch {epoch}")
+        if not survivors(f"adversary pretraining epoch {epoch}"):
+            return results
 
     # Alternation proper: one adversary epoch and one classifier step per round.
-    batches = _cycled_batches(indices, train_config.batch_size, rng)
+    cycles = [_cycled_batches(indices, train_config.batch_size, rng) for rng in rngs]
     for round_ in range(adv_config.rounds):
         adversary_epoch()
-        classifier_step(next(batches))
-        check_finite(f"round {round_}")
+        classifier_step(np.stack([next(batches) for batches in cycles]))
+        if not survivors(f"round {round_}"):
+            return results
 
-    log.debug("adversarial run (lambda=%g): %d rounds after pretraining", lambda_, adv_config.rounds)
-    return AdversarialResult(
-        classifier_params=clf.params,
-        classifier_config=clf_config,
-        adversary_params=adv.params,
-        adversary_config=adv_cfg,
-    )
+    log.debug("adversarial stack (lambdas %s): %d rounds after pretraining", lams, adv_config.rounds)
+    for i in np.flatnonzero(alive):
+        results[i] = AdversarialResult(
+            classifier_params=clf.params.member(i),
+            classifier_config=clf_config,
+            adversary_params=adv.params.member(i),
+            adversary_config=adv_cfg,
+        )
+    return results
 
 
 def _cycled_batches(indices: np.ndarray, batch_size: int, rng: np.random.Generator):
@@ -271,25 +332,33 @@ def _adv_split_worker(payload):
 
 
 def _train_adversarial_group(splits: list[TrainingSplit], grid: LambdaGrid, config: SweepConfig, adv_config):
-    """The adversarial sweep's trainer: train_adversarial once per split and lambda.
+    """The adversarial sweep's trainer: train_adversarial once per split and stack of lambdas.
 
-    Returns, per split, one fit (or expected failure) per lambda and no bounds.
-    The split's training rows are gathered once, for all its lambdas.
+    A split's lambdas train in stacks of stack_size() members, the rule the
+    scalarised sweep's stacks follow, sized by the widest layer of either
+    player.  Returns, per split, one fit (or expected failure) per lambda
+    and no bounds.  The split's training rows are gathered once, for all
+    its lambdas.
     """
+    adv_sizes = adv_config.network_config().layer_sizes
     outcomes = []
     for split in splits:
         x = split.features[split.train_idx]
         rows = (x, split.labels, split.sensitives, split.template, config.train, adv_config)
+        size = stack_size(config.train.batch_size, split.template.layer_sizes + adv_sizes)
         fits: list[FitResult | Exception] = []
-        for lam, seeds in zip(grid.values, split.seeds):
+        for start in range(0, len(grid), size):
+            stack = slice(start, start + size)
             try:
-                run = train_adversarial(*rows, lam, seeds)
+                runs = train_adversarial(*rows, list(grid.values[stack]), list(split.seeds[stack]))
             except EXPECTED_FAILURES as exc:
-                fits.append(exc)
+                fits += [exc] * len(split.seeds[stack])
                 continue
             # The protocol has no epoch objective and no learning-rate schedule.
-            fits.append(
-                FitResult(run.classifier_params, [float("nan")], final_learning_rate=config.train.learning_rate)
-            )
+            fits += [
+                run if isinstance(run, Exception)
+                else FitResult(run.classifier_params, [float("nan")], final_learning_rate=config.train.learning_rate)
+                for run in runs
+            ]
         outcomes.append((fits, None))
     return outcomes

@@ -87,11 +87,13 @@ EXPECTED_FAILURES = (FairfrontError, ArithmeticError)
 
 # Stacking pays while a step's arrays are small enough for numpy's per-call
 # overhead to dominate.  A stack holds STACK_CAP // (batch_size x widest layer)
-# networks, at least one.  Measured per network step on 2 CPUs, BLAS pinned to
-# one thread (README.md has the table): stacks of 5-12 at 250 x 10 took
-# 0.41-0.46 of the separate time, 4 at 250 x 30 0.71, 2 at 500 x 32 0.94,
-# and 2 at 1000 x 32 or 5 at 2000 x 64 took longer than separate fits.
-STACK_CAP = 30_000
+# networks, at least one.  Measured per network step with the C allocator's
+# thresholds settled (training._settle_malloc), on 2 CPUs with BLAS pinned to
+# one thread, best of 3 in each of two runs (README.md has the table): stacks
+# of 5-24 at 250 x 10 took 0.30-0.39 of the separate time, 7 at 250 x 32
+# 0.36-0.44 and 3 at 500 x 32 0.75-0.86; 2 at 1000 x 32 or 2000 x 32 read
+# 0.71-0.98, and 2 or 5 at 2000 x 64 took longer than separate fits.
+STACK_CAP = 60_000
 
 # Stream tags keeping per-split auxiliary seeds clear of the lambda-job ids.
 _PROPENSITY_STREAM = 2**33
@@ -376,24 +378,6 @@ def _set_blas_threads(count: int) -> int | None:
     return previous
 
 
-# glibc's malloc thresholds (mallopt(3)) as they settle once a process has
-# freed a block of 32 MB, the most its dynamic threshold adjusts to: blocks
-# under 32 MB come from the heap, which keeps up to 64 MB free at its top.  A
-# training step allocates and frees arrays of up to a few MB (its trace); at
-# the initial 128 kB thresholds each is mapped, or the heap trimmed, and its
-# pages faulted in again at every step.
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-MALLOC_THRESHOLDS = {_M_MMAP_THRESHOLD: 32 * 2**20, _M_TRIM_THRESHOLD: 64 * 2**20}
-
-
-def _settle_malloc() -> None:
-    """Set the C allocator's thresholds to MALLOC_THRESHOLDS; nothing where the C library has no mallopt."""
-    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
-    if mallopt is not None:
-        for param, value in MALLOC_THRESHOLDS.items():
-            mallopt(param, value)
-
-
 # The dataset _split_stage reads, set by _run_splits for the sweep; forked
 # pool workers inherit it like any other module state.
 _dataset: Dataset | None = None
@@ -415,10 +399,7 @@ def _run_splits(
     thread (numpy's bundled OpenBLAS, where it is found): this process is
     pinned before the pool forks, and the workers inherit the pin.  A
     multi-threaded BLAS may round differently, and results must not depend
-    on jobs.  The C allocator's thresholds are settled the same way
-    (_settle_malloc) and stay so after the sweep: glibc has no way back to
-    its dynamic thresholds.  The merged failures are ordered by
-    (split_id, lambda_index).
+    on jobs.  The merged failures are ordered by (split_id, lambda_index).
     """
     global _dataset
     check_value("jobs", jobs, **at_least(1))
@@ -429,7 +410,6 @@ def _run_splits(
         for ids in split_groups(len(splits), group_cap, jobs)
     ]
     previous = _set_blas_threads(1)
-    _settle_malloc()
     _dataset = dataset
     try:
         if jobs > 1 and len(payloads) > 1:

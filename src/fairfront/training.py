@@ -26,6 +26,8 @@ as zeros, so the remaining steps stay finite, and is no longer read.
 """
 from __future__ import annotations
 
+import ctypes
+import functools
 import logging
 from dataclasses import dataclass, field
 
@@ -133,15 +135,10 @@ def fit_network(
     Returns K entries: a FitResult, or the TrainingError of a member whose
     objective or parameters went non-finite.
     """
-    k = len(seeds) if isinstance(seeds, list) else 1
-    pairs = [_seed_pair(f"seeds[{i}]", s) for i, s in enumerate(_members("seeds", seeds, k))]
-    lams = np.zeros(k) if lambda_ is None else np.array(_members("lambda_", lambda_, k), dtype=np.float64)
-    if not pairs:
-        raise ConfigError("a stack needs at least one network")
+    pairs, lams = _stack_members(seeds, lambda_)
+    k = len(pairs)
     if not isinstance(net_config, NetworkConfig):
         raise ConfigError(f"net_config must be one NetworkConfig, shared by the stack; got {net_config!r}")
-    if not np.all((lams >= 0.0) & (lams <= 1.0)):
-        raise ConfigError(f"lambda must lie in [0, 1], got {lambda_}")
     if penalty_mode not in PENALTY_MODES:
         raise ConfigError(f"unknown penalty mode {penalty_mode!r}")
     needs_penalty = bool(np.any(lams > 0.0))
@@ -170,6 +167,7 @@ def fit_network(
     if bounds is not None:
         bounds = StandardisationBounds.stack(_members("bounds", bounds, k))
 
+    _settle_malloc()
     # Adam steps all parameters of a member in place as one row of a (K, P)
     # array; forward and backward read them through per-layer views of it.
     inits = [init_network(net_config, init_seed) for init_seed, _ in pairs]
@@ -283,9 +281,58 @@ def _seed_pair(name: str, pair) -> tuple[int, int]:
     return check_value(f"{name}[0]", pair[0], **SEED), check_value(f"{name}[1]", pair[1], **SEED)
 
 
+def _stack_members(seeds, lambda_) -> tuple[list[tuple[int, int]], np.ndarray]:
+    """A stack's (init seed, loop seed) pairs and its lambdas in [0, 1], as a (K,) array.
+
+    Both arguments are lists of K, one entry per network (_members); lambda_
+    None puts every member at lambda = 0.  Any other form raises ConfigError.
+    """
+    k = len(seeds) if isinstance(seeds, list) else 1
+    pairs = [_seed_pair(f"seeds[{i}]", s) for i, s in enumerate(_members("seeds", seeds, k))]
+    lams = np.zeros(k) if lambda_ is None else np.array(_members("lambda_", lambda_, k), dtype=np.float64)
+    if not pairs:
+        raise ConfigError("a stack needs at least one network")
+    if not np.all((lams >= 0.0) & (lams <= 1.0)):
+        raise ConfigError(f"lambda must lie in [0, 1], got {lambda_}")
+    return pairs, lams
+
+
 def _members(name: str, value, k: int) -> list:
     """A stack's argument ``name``, which must be a list of K, one entry per member."""
     if not isinstance(value, list) or len(value) != k:
         got = f"{len(value)} entries" if isinstance(value, list) else type(value).__name__
         raise ConfigError(f"a stack of {k} takes {name} as a list of {k}, one per network; got {got}")
     return value
+
+
+# glibc's malloc thresholds (mallopt(3)) as they settle once a process has
+# freed a block of 32 MB, the most its dynamic threshold adjusts to: blocks
+# under 32 MB come from the heap, which keeps up to 64 MB free at its top.  A
+# training step allocates and frees arrays of up to a few MB (its trace); at
+# the initial 128 kB thresholds each is mapped, or the heap trimmed, and its
+# pages faulted in again at every step.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+MALLOC_THRESHOLDS = {_M_MMAP_THRESHOLD: 32 * 2**20, _M_TRIM_THRESHOLD: 64 * 2**20}
+
+
+@functools.cache
+def _mallopt():
+    # the C library's int mallopt(int param, int value), or None where it has none
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    return mallopt
+
+
+def _settle_malloc() -> None:
+    """Set the C allocator's thresholds to MALLOC_THRESHOLDS; nothing where the C library has no mallopt.
+
+    Every trainer calls it before its first step, so each process that trains
+    (a sweep's forked workers included) steps at the settled thresholds.  It
+    changes no number, and the setting stays: glibc has no way back to its
+    dynamic thresholds.
+    """
+    mallopt = _mallopt()
+    if mallopt is not None:
+        for param, value in MALLOC_THRESHOLDS.items():
+            mallopt(param, value)

@@ -8,8 +8,16 @@ margin, and the tests run the comparison on what it returns.
 """
 from __future__ import annotations
 
+import ctypes
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import fairfront
 
 from fairfront.metrics import (
     PENALTY_PENULTIMATE,
@@ -128,6 +136,37 @@ def draw_gradient_fixture(rng: np.random.Generator, *, penalty_mode: str = PENAL
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+# ---------------------------------------------------------------------------
+# allocator checks
+
+needs_mallopt = pytest.mark.skipif(
+    getattr(ctypes.CDLL(None), "mallopt", None) is None, reason="the C library has no mallopt"
+)
+
+
+def minor_faults_of_a_second_call(setup: str, call: str) -> int:
+    """Minor page faults of the second of two runs of ``call`` after ``setup``, in a fresh interpreter.
+
+    A fresh interpreter starts at glibc's initial malloc thresholds, so the
+    count shows whether ``call`` settles them before it steps.
+    """
+    script = "\n".join(
+        [
+            "import resource",
+            setup,
+            call,
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt",
+            call,
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)",
+        ]
+    )
+    src = str(Path(fairfront.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    return int(run.stdout)
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,7 @@ ENTRY_POINTS = {
         {"features", "labels", "sensitives", "propensities", "feature_rows"},
     ),
     "train_adversarial": (
-        lambda x, y, a, e, r: train_adversarial(x, y, a, NET, TRAIN, AdversaryConfig(rounds=1), 0.5, (0, 1)),
+        lambda x, y, a, e, r: train_adversarial(x, y, a, NET, TRAIN, AdversaryConfig(rounds=1), [0.5], [(0, 1)]),
         {"features", "labels", "sensitives"},
     ),
     "evaluate_test_metrics": (
@@ -192,12 +192,14 @@ SEED_ENTRY_POINTS = {
     "fit_network-loop": (lambda s, x, y, a: fit_network([x], [y], NET, TRAIN, [(0, 0), (0, s)]), "seeds[1][1]"),
     "train_propensity": (lambda s, x, y, a: train_propensity([x], [a], PROPENSITY, [s]), "seed"),
     "train_adversarial-classifier": (
-        lambda s, x, y, a: train_adversarial(x, y, a, NET, TRAIN, AdversaryConfig(rounds=1), 0.5, (s, 1)),
-        "seeds[0]",
+        lambda s, x, y, a: train_adversarial(x, y, a, NET, TRAIN, AdversaryConfig(rounds=1), [0.5], [(s, 1)]),
+        "seeds[0][0]",
     ),
     "train_adversarial-adversary": (
-        lambda s, x, y, a: train_adversarial(x, y, a, NET, TRAIN, AdversaryConfig(rounds=1), 0.5, (0, s)),
-        "seeds[1]",
+        lambda s, x, y, a: train_adversarial(
+            x, y, a, NET, TRAIN, AdversaryConfig(rounds=1), [0.5, 0.5], [(0, 1), (0, s)]
+        ),
+        "seeds[1][1]",
     ),
     "derive_seeds": (lambda s, x, y, a: derive_seeds(4, s), "seed"),
     "init_network": (lambda s, x, y, a: init_network(NET, s), "seed"),
@@ -220,8 +222,8 @@ def test_a_seed_pair_of_another_form_is_rejected(pair, no_forward):
     rows = _rows()
     with pytest.raises(ConfigError, match=r"^seeds\[0\] must be an \(init seed, loop seed\) pair, got "):
         fit_network([rows["features"]], [rows["labels"]], NET, TRAIN, [pair])
-    with pytest.raises(ConfigError, match=r"^seeds must be an \(init seed, loop seed\) pair, got "):
-        train_adversarial(*list(rows.values())[:3], NET, TRAIN, AdversaryConfig(rounds=1), 0.5, pair)
+    with pytest.raises(ConfigError, match=r"^seeds\[0\] must be an \(init seed, loop seed\) pair, got "):
+        train_adversarial(*list(rows.values())[:3], NET, TRAIN, AdversaryConfig(rounds=1), [0.5], [pair])
 
 
 def test_numpy_integer_seeds_seed_as_their_values():

@@ -246,7 +246,7 @@ def test_every_entry_point_rejects_a_fractional_sensitive_with_one_message():
     calls = [
         lambda: evaluate_test_metrics(init_network(net, 0), net, x, np.array(a), y, e),
         lambda: fit_network([x], [y], net, train, [(0, 0)], lambda_=[0.5], sensitives=[a], propensities=[e]),
-        lambda: train_adversarial(x, y, a, net, train, AdversaryConfig(), 0.5, (1, 2)),
+        lambda: train_adversarial(x, y, a, net, train, AdversaryConfig(), [0.5], [(1, 2)]),
     ]
     messages = set()
     for call in calls:

@@ -1,15 +1,11 @@
 """Lambda grids, bounds discovery, sweep orchestration, culling, CSV IO."""
 from __future__ import annotations
 
-import ctypes
 import gc
 import os
-import subprocess
-import sys
 import tracemalloc
 import weakref
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,6 +36,7 @@ from fairfront.pareto import (
 from fairfront.propensity import PropensityConfig
 from fairfront.training import EMPTY_RANGE, TrainConfig, derive_seeds
 
+from conftest import minor_faults_of_a_second_call, needs_mallopt
 from oracles import bf_nondominated
 
 
@@ -253,8 +250,7 @@ def test_no_copy_of_a_splits_rows_is_live_while_a_network_trains(monkeypatch):
     assert max(largest) < fewest_rows_bytes
 
 
-FAULTS_OF_A_SWEEP = """
-import resource
+SWEEP_SETUP = """
 from fairfront.data import SplitPlan, generate_synthetic
 from fairfront.pareto import SweepConfig, build_lambda_grid, run_sweep
 from fairfront.propensity import PropensityConfig
@@ -263,23 +259,15 @@ from fairfront.training import TrainConfig
 ds = generate_synthetic(n=4000, p=10, bias_strength=3.0, seed=0)
 config = SweepConfig(train=TrainConfig(epochs=5, batch_size=250), propensity=PropensityConfig(epochs=2, batch_size=250))
 args = ds, SplitPlan(num_splits=3, master_seed=0), build_lambda_grid(7), config
-run_sweep(*args)
-before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-run_sweep(*args)
-print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
 
-@pytest.mark.skipif(getattr(ctypes.CDLL(None), "mallopt", None) is None, reason="the C library has no mallopt")
+@needs_mallopt
 def test_a_sweep_reuses_its_step_arrays_from_the_heap():
     # In a fresh interpreter, 12 stacked networks at batch 250 allocate arrays
     # of 192 kB each step; at glibc's initial thresholds a second sweep took
     # about 14,700 minor page faults, with the thresholds settled about 70.
-    src = str(Path(pareto.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    run = subprocess.run([sys.executable, "-c", FAULTS_OF_A_SWEEP], capture_output=True, text=True, env=env)
-    assert run.returncode == 0, run.stderr
-    assert int(run.stdout) < 2_000
+    assert minor_faults_of_a_second_call(SWEEP_SETUP, "run_sweep(*args)") < 2_000
 
 
 def test_run_sweep_reuses_endpoint_models():
@@ -305,6 +293,8 @@ def test_run_sweep_reuses_endpoint_models():
 
 def test_stack_size_rule():
     assert stack_size(250, [10, 8, 1]) >= 5  # the paper-scale sweep stacks its lambdas
+    adversary = AdversaryConfig().network_config().layer_sizes
+    assert stack_size(250, [10, 8, 1] + adversary) == 7  # criterion 7's 7 adversarial lambdas train as one stack
     assert stack_size(2000, [30, 64, 1]) == 1  # wide nets with big batches train alone
     assert stack_size(1, [1, 1]) == pareto.STACK_CAP
 
