@@ -33,16 +33,17 @@ train_rows, test_rows = make_splits(ds.n_rows, plan, sensitives=ds.sensitives, l
 
 # plain risk-only classifier, groups never enter the features
 net = NetworkConfig(layer_sizes=[ds.n_features, 8, 1], dropout_prob=0.2)
-# fit_network trains a stack of networks of one architecture from per-network
-# lists; this is a stack of one, with its (init seed, loop seed) pair
-(fit,) = fit_network([ds.features[train_rows]], [ds.labels[train_rows].astype(float)], net,
+# fit_network trains a stack of networks of one architecture on one feature
+# matrix, with per-network lists of the rest; this is a stack of one, with
+# its (init seed, loop seed) pair
+(fit,) = fit_network(ds.features[train_rows], [ds.labels[train_rows].astype(float)], net,
                      TrainConfig(epochs=80, batch_size=128), [(1, 2)])
 print(f"trained {len(net.layer_sizes) - 1}-layer net, final train objective {fit.epoch_objectives[-1]:.4f}")
 
 # propensity on the train half, temperature fitted on a held-back slice
 n_cal = len(train_rows) // 5
 fit_rows, cal_rows = train_rows[:-n_cal], train_rows[-n_cal:]
-(prop,) = train_propensity([ds.features[fit_rows]], [ds.sensitives[fit_rows].astype(float)],
+(prop,) = train_propensity(ds.features[fit_rows], [ds.sensitives[fit_rows].astype(float)],
                            PropensityConfig(hidden_layers=2, hidden_width=16, epochs=60, batch_size=128),
                            seed=[3])
 prop = calibrate_temperature(prop, ds.features[cal_rows], ds.sensitives[cal_rows].astype(float))

@@ -26,7 +26,7 @@ from fairfront import (
 ds = generate_synthetic(n=1200, p=6, bias_strength=3.0, confounding=2.0, seed=4)
 plan = SplitPlan(num_splits=2, train_fraction=0.5, master_seed=0)
 cfg = SweepConfig(
-    num_layers=2, hidden_width=6, dropout_prob=0.2, penalty_mode="penultimate",
+    num_layers=2, hidden_width=6, dropout_prob=0.2,
     train=TrainConfig(epochs=40, batch_size=128),
     propensity=PropensityConfig(hidden_layers=2, hidden_width=16, epochs=40, batch_size=128),
 )

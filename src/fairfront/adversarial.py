@@ -18,7 +18,7 @@ parameters go non-finite fails alone.
 
 run_adversarial_sweep runs the scalarised sweep's split stage
 (pareto._split_stage) with a trainer that calls train_adversarial once per
-stack of a split's lambdas, cut by pareto.stack_size(), so the two sweeps
+stack of a split's lambdas, cut by pareto._train_in_stacks, so the two sweeps
 compare on the same splits, calibrated propensity models, seed streams and
 test scoring.
 """
@@ -38,27 +38,16 @@ from .network import (
     NetworkConfig,
     NetworkParams,
     _flatten,
-    _unflatten,
     _validated_data,
     backprop,
     bce_loss,
     bce_output_delta,
     forward,
-    init_network,
     row_blocks,
     unclamped,
 )
-from .optim import AdamState, adam_step
-from .pareto import (
-    EXPECTED_FAILURES,
-    LambdaGrid,
-    SweepConfig,
-    SweepResult,
-    TrainingSplit,
-    _run_splits,
-    _split_stage,
-    stack_size,
-)
+from .optim import adam_step
+from .pareto import LambdaGrid, SweepConfig, SweepResult, TrainingSplit, _run_splits, _split_stage, _train_in_stacks
 
 # The split stage (pareto._split_stage) fits the propensity model and scores
 # the candidates for both sweeps, so this module calls none of these names.
@@ -66,7 +55,7 @@ from .pareto import (
 # module and fails to install its tracer without them.
 from .evaluation import evaluate_test_metrics  # noqa: F401
 from .propensity import calibrate_temperature, train_propensity  # noqa: F401
-from .training import FitResult, TrainConfig, _settle_malloc, _stack_members, derive_seeds
+from .training import FitResult, TrainConfig, _ParameterStack, _settle_malloc, _stack_members, derive_seeds
 
 log = logging.getLogger(__name__)
 
@@ -157,35 +146,6 @@ def _adversary_gradient(adv_params: NetworkParams, adv_config: NetworkConfig, sc
     return grads, d_first, q
 
 
-class _Players:
-    """A stack of K networks of one architecture, Adam-trained on a (K, P) parameter array.
-
-    ``params`` holds per-layer views of ``flat``; each update is a single
-    in-place adam_step over the whole stack, which the views see.  Every
-    member steps at one learning rate.
-    """
-
-    def __init__(self, config: NetworkConfig, seeds: list[int], learning_rate: float):
-        inits = [init_network(config, seed) for seed in seeds]
-        self.flat = np.stack([_flatten(p) for p in inits])
-        self.params = _unflatten(self.flat, [a.shape for a in (*inits[0].weights, *inits[0].biases)])
-        self.adam = AdamState(
-            np.zeros_like(self.flat), np.zeros_like(self.flat), learning_rate=np.full(len(seeds), learning_rate)
-        )
-
-    def step(self, grads: NetworkParams):
-        adam_step(self.adam, self.flat, _flatten(grads))
-
-    def finite(self) -> np.ndarray:
-        """Per member, whether all its parameters are finite."""
-        return np.isfinite(self.flat).all(axis=1)
-
-    def zero(self, members: np.ndarray):
-        """Zero the parameters and Adam moments of the selected members."""
-        for rows in (self.flat, self.adam.first_moment, self.adam.second_moment):
-            rows[members] = 0.0
-
-
 def train_adversarial(
     features: np.ndarray,
     labels: np.ndarray,
@@ -230,8 +190,8 @@ def train_adversarial(
     _settle_malloc()
     adv_cfg = adv_config.network_config()
     adv_seeds = [derive_seeds(adv_key) for _, adv_key in pairs]
-    clf = _Players(clf_config, [clf_seed for clf_seed, _ in pairs], train_config.learning_rate)
-    adv = _Players(adv_cfg, [adv_init for adv_init, _ in adv_seeds], adv_config.learning_rate)
+    clf = _ParameterStack(clf_config, [clf_seed for clf_seed, _ in pairs], train_config.learning_rate)
+    adv = _ParameterStack(adv_cfg, [adv_init for adv_init, _ in adv_seeds], adv_config.learning_rate)
     rngs = [np.random.default_rng(loop_seed) for _, loop_seed in adv_seeds]
     results: list[AdversarialResult | NumericError | None] = [None] * len(pairs)
     alive = np.ones(len(pairs), dtype=bool)  # members that have not failed
@@ -248,7 +208,7 @@ def train_adversarial(
         grads, _ = classifier_objective_gradient(
             clf.params, clf_config, adv.params, adv_cfg, trace, y[rows], a[rows], lams
         )
-        clf.step(grads)
+        adam_step(clf.adam, clf.flat, _flatten(grads))
 
     def adversary_epoch():
         # The classifiers are frozen for the whole epoch: score every row once, block by block.
@@ -257,7 +217,8 @@ def train_adversarial(
         )
         for rows in epoch_batches():
             batch_scores = np.take_along_axis(scores, rows, axis=-1)
-            adv.step(_adversary_gradient(adv.params, adv_cfg, batch_scores, a[rows])[0])
+            grads = _adversary_gradient(adv.params, adv_cfg, batch_scores, a[rows])[0]
+            adam_step(adv.adam, adv.flat, _flatten(grads))
 
     def survivors(phase: str) -> bool:
         # Fail the members this phase left non-finite; whether any member trains on.
@@ -335,30 +296,27 @@ def _train_adversarial_group(splits: list[TrainingSplit], grid: LambdaGrid, conf
     """The adversarial sweep's trainer: train_adversarial once per split and stack of lambdas.
 
     A split's lambdas train in stacks of stack_size() members, the rule the
-    scalarised sweep's stacks follow, sized by the widest layer of either
-    player.  Returns, per split, one fit (or expected failure) per lambda
-    and no bounds.  The split's training rows are gathered once, for all
-    its lambdas.
+    scalarised sweep's stacks follow (pareto._train_in_stacks), sized by
+    the widest layer of either player.  Returns, per split, one fit (or
+    expected failure) per lambda and no bounds.  The split's training rows
+    are gathered once, for all its lambdas.
     """
     adv_sizes = adv_config.network_config().layer_sizes
     outcomes = []
     for split in splits:
         x = split.features[split.train_idx]
         rows = (x, split.labels, split.sensitives, split.template, config.train, adv_config)
-        size = stack_size(config.train.batch_size, split.template.layer_sizes + adv_sizes)
-        fits: list[FitResult | Exception] = []
-        for start in range(0, len(grid), size):
-            stack = slice(start, start + size)
-            try:
-                runs = train_adversarial(*rows, list(grid.values[stack]), list(split.seeds[stack]))
-            except EXPECTED_FAILURES as exc:
-                fits += [exc] * len(split.seeds[stack])
-                continue
-            # The protocol has no epoch objective and no learning-rate schedule.
-            fits += [
-                run if isinstance(run, Exception)
-                else FitResult(run.classifier_params, [float("nan")], final_learning_rate=config.train.learning_rate)
-                for run in runs
-            ]
+        runs = _train_in_stacks(
+            lambda stack: train_adversarial(*rows, list(grid.values[stack]), list(split.seeds[stack])),
+            len(grid),
+            config.train.batch_size,
+            split.template.layer_sizes + adv_sizes,
+        )
+        # The protocol has no epoch objective and no learning-rate schedule.
+        fits = [
+            run if isinstance(run, Exception)
+            else FitResult(run.classifier_params, [float("nan")], final_learning_rate=config.train.learning_rate)
+            for run in runs
+        ]
         outcomes.append((fits, None))
     return outcomes

@@ -1,6 +1,6 @@
 """Exception hierarchy shared across the package, and the one check of a config field.
 
-A config class declares what each of its int, float and str fields accepts
+A config class declares what each of its int and float fields accepts
 in the field's metadata (rule, at_least, POSITIVE, FRACTION, DROPOUT), and
 check_fields, run as the class's __post_init__, enforces it.
 """
@@ -46,7 +46,6 @@ class TrainingError(FairfrontError, RuntimeError):
 _KINDS = {
     int: ((int, np.integer), "an integer"),
     float: ((int, float, np.integer, np.floating), "a finite number"),
-    str: ((str,), "a string"),
 }
 
 

@@ -14,17 +14,13 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateGroupError, InputError, ShapeError
+from .errors import DegenerateGroupError, InputError, ShapeError
 
 if TYPE_CHECKING:
     from .network import ForwardTrace
 
 # Group-sum guard: weighted group totals below this are treated as degenerate.
 WEIGHT_SUM_FLOOR = 1e-12
-
-PENALTY_PENULTIMATE = "penultimate"
-PENALTY_ALL_LAYERS = "all_layers"
-PENALTY_MODES = (PENALTY_PENULTIMATE, PENALTY_ALL_LAYERS)
 
 
 def _as_1d_float(x, name: str) -> np.ndarray:
@@ -155,45 +151,29 @@ def ato_estimate(outcomes, weights: OverlapWeights) -> float | np.ndarray:
     return float(tau) if o.ndim == 1 else tau
 
 
-def ato_hidden_penalty(
-    trace: "ForwardTrace", weights: OverlapWeights, mode: str = PENALTY_PENULTIMATE
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Sum of absolute overlap-weighted contrasts over hidden preactivations.
+def ato_hidden_penalty(trace: "ForwardTrace", weights: OverlapWeights) -> tuple[np.ndarray, np.ndarray | None]:
+    """Sum of absolute overlap-weighted contrasts over the last hidden layer's preactivations.
 
     Each unit's contrast is tau = weights.coefficients @ h over its
-    preactivations h.  In ``penultimate`` mode only the last hidden layer is
-    penalised; in ``all_layers`` mode every hidden layer contributes; another
-    mode raises ConfigError.  A single-layer network has no hidden layers, so
-    its penalty is zero.  A stack of K traces with (K, batch) weights gives
-    each member its own penalty, zero for a degenerate batch.  Training
-    descends this penalty (network.backward_composite).
+    preactivations h.  A single-layer network has no hidden layer, so its
+    penalty is zero.  A stack of K traces with (K, batch) weights gives each
+    member its own penalty, zero for a degenerate batch.  Training descends
+    this penalty (network.backward_composite).
 
     Returns
     -------
-    (penalty, taus)
-        penalty, of shape () or (K,), is the sum of |tau| over the penalised
-        units; taus holds one contrast array per network layer (empty for
-        layers that are not penalised) so callers can reuse them for gradients.
+    (penalty, tau)
+        penalty, of shape () or (K,), is the sum of |tau| over the layer's
+        units; tau holds their contrasts, (units,) or (K, units), so callers
+        can reuse them for gradients, and is None without a hidden layer.
     """
     rows = trace.preactivations[0].shape[:-1]
     if rows != weights.weights.shape:
         raise ShapeError(f"trace batch shape {rows} and weights shape {weights.weights.shape} differ")
-    taus: list[np.ndarray] = [np.empty(0) for _ in trace.preactivations]
-    penalty = np.zeros(rows[:-1])
-    coeff = weights.coefficients[..., None, :]
-    for l in penalised_layers(len(taus), mode):
-        taus[l] = (coeff @ trace.preactivations[l])[..., 0, :]
-        penalty = penalty + np.abs(taus[l]).sum(axis=-1)
-    return penalty, taus
-
-
-def penalised_layers(num_layers: int, mode: str) -> list[int]:
-    """Indices of the layers whose preactivations the hidden penalty reads."""
-    if mode == PENALTY_PENULTIMATE:
-        return [num_layers - 2] if num_layers >= 2 else []
-    if mode == PENALTY_ALL_LAYERS:
-        return list(range(num_layers - 1))
-    raise ConfigError(f"unknown penalty mode {mode!r}; expected one of {PENALTY_MODES}")
+    if len(trace.preactivations) < 2:
+        return np.zeros(rows[:-1]), None
+    tau = (weights.coefficients[..., None, :] @ trace.preactivations[-2])[..., 0, :]
+    return np.abs(tau).sum(axis=-1), tau
 
 
 def mv_index(scores, groups) -> float:

@@ -2,8 +2,8 @@
 
 Hidden layers are ReLU with inverted dropout; the output layer is a single
 sigmoid unit clamped away from {0, 1} (clamped_sigmoid).  The backward pass
-differentiates a Chebyshev composite of standardised risk and a hidden-layer
-contrast penalty, of which plain binary cross-entropy is the lambda = 0
+differentiates a Chebyshev composite of standardised risk and a contrast
+penalty on the last hidden layer, of which plain binary cross-entropy is the lambda = 0
 special case, and returns its value: the composite is defined here only.
 
 forward, backward_composite and backprop also accept a stack of K networks of
@@ -29,7 +29,7 @@ import numpy as np
 from .errors import (
     DROPOUT, POSITIVE, SEED, ConfigError, InputError, NumericError, ShapeError, at_least, check_fields, check_value
 )
-from .metrics import PENALTY_PENULTIMATE, OverlapWeights, _as_binary, ato_hidden_penalty
+from .metrics import OverlapWeights, _as_binary, ato_hidden_penalty
 
 # Output probabilities are clamped to [CLAMP, 1 - CLAMP] before the loss.
 CLAMP = 1e-7
@@ -245,18 +245,6 @@ def _validated_features(features, config: NetworkConfig | None = None) -> np.nda
     return x
 
 
-def _validated_matrices(features: list, config: NetworkConfig | None = None) -> list:
-    """A stack's list of feature matrices, each distinct matrix (by identity) checked once by _validated_features.
-
-    Entries that are one object come back as one array.
-    """
-    checked: dict[int, np.ndarray] = {}
-    for x in features:
-        if id(x) not in checked:
-            checked[id(x)] = _validated_features(x, config)
-    return [checked[id(x)] for x in features]
-
-
 def _validated_rows(rows, n: int) -> np.ndarray:
     """rows as a 1-d int64 array of indices into n feature rows; the one check of a feature_rows entry.
 
@@ -350,11 +338,10 @@ def backward_composite(
     weights: OverlapWeights | None,
     lambda_,
     bounds: StandardisationBounds | None = None,
-    penalty_mode: str = PENALTY_PENULTIMATE,
 ) -> BackwardResult:
     """Gradient of max{(1-lambda) * R~, lambda * U~} for one traced batch.
 
-    R~ and U~ are the batch risk and the hidden-layer penalty
+    R~ and U~ are the batch risk and the last hidden layer's penalty
     (metrics.ato_hidden_penalty) standardised by ``bounds`` (identity when
     None).  Exactly one branch of the max is active per network, reported in
     risk_branch; its gradient is what backprop propagates, reusing the
@@ -389,7 +376,7 @@ def backward_composite(
     objective = r_scaled
     risk_branch = ~penalised
     if penalised.any():
-        penalty, taus = ato_hidden_penalty(trace, weights, penalty_mode)
+        penalty, tau = ato_hidden_penalty(trace, weights)
         unfairness = np.where(penalised, penalty, np.nan)
         u_tilde = bounds.standardise_unfairness(unfairness)
         u_scaled = lam * u_tilde
@@ -404,13 +391,10 @@ def backward_composite(
         # is exact).
         scale = np.where(risk_branch, (1.0 - lam) / bounds.risk_span, 0.0)
         deltas[L - 1] = (bce_output_delta(p, y) * scale[..., None])[..., None]
-    if not risk_branch.all():
+    if not risk_branch.all() and tau is not None:
         # d|tau|/dh is the contrast coefficient times the sign of tau.
         scale = np.where(risk_branch, 0.0, lam / bounds.unfairness_span)
-        scaled = (weights.coefficients * scale[..., None])[..., :, None]
-        for l, tau in enumerate(taus):
-            if tau.size:
-                deltas[l] = scaled * np.sign(tau)[..., None, :]
+        deltas[L - 2] = (weights.coefficients * scale[..., None])[..., :, None] * np.sign(tau)[..., None, :]
 
     grads, _ = backprop(params, config, trace, deltas)
     return BackwardResult(grads, risk, unfairness, risk_branch, objective)

@@ -13,8 +13,8 @@ least one group per worker.  A group trains in phases, each phase's
 networks stacked across its splits (see training.fit_network, which takes
 one training set and one set of bounds per stack member):
 
-1. the propensity models, one stack, each then temperature-calibrated on
-   its split's holdout;
+1. the propensity models, in stacks of at most stack_size() networks, each
+   then temperature-calibrated on its split's holdout;
 2. the endpoints (lambda = 0 and lambda = 1 of every split), which set each
    split's bounds;
 3. the interior lambdas of the splits whose endpoints succeeded, in stacks
@@ -25,10 +25,12 @@ one training set and one set of bounds per stack member):
 Phases 2 and 3 are discover_bounds and train_scalarised, which take the
 group's TrainingSplits (with their bounds, for the interior) and hand
 _fit_stacks one (split, lambda, seed pair, bounds) entry per network;
-_fit_stacks alone turns those into fit_network's per-member lists.  A
-stacked network's numbers equal those of the same network trained alone,
-so results depend neither on the stack size nor on the grouping, and a
-split whose propensity fit or endpoints fail fails alone.
+_fit_stacks alone turns those into fit_network's per-member lists, beside
+the splits' one feature matrix.  Every phase of either sweep cuts its
+networks into stacks with _train_in_stacks.  A stacked network's numbers
+equal those of the same network trained alone, so results depend neither
+on the stack size nor on the grouping, and a split whose propensity fit or
+endpoints fail fails alone.
 
 This sweep and the adversarial one (adversarial.run_adversarial_sweep) run
 one split stage, _split_stage: the same splits, calibrated propensity models,
@@ -66,10 +68,8 @@ from .errors import (
     at_least,
     check_fields,
     check_value,
-    rule,
 )
 from .evaluation import METRIC_NAMES, evaluate_test_metrics
-from .metrics import PENALTY_MODES, PENALTY_PENULTIMATE
 from .network import NetworkConfig, NetworkParams, StandardisationBounds
 from .propensity import PropensityConfig, calibrate_temperature, predict_propensity, train_propensity
 from .training import FitResult, TrainConfig, derive_seeds, fit_network
@@ -137,9 +137,6 @@ class SweepConfig:
     num_layers: int = field(default=2, metadata=at_least(1))
     hidden_width: int = field(default=8, metadata=at_least(1))
     dropout_prob: float = field(default=0.2, metadata=DROPOUT)
-    penalty_mode: str = field(
-        default=PENALTY_PENULTIMATE, metadata=rule(str, PENALTY_MODES.__contains__, f"in {PENALTY_MODES}")
-    )
     train: TrainConfig = field(default_factory=TrainConfig)
     propensity: PropensityConfig = field(default_factory=PropensityConfig)
     calibration_fraction: float = field(default=0.2, metadata=FRACTION)
@@ -163,7 +160,8 @@ class TrainingSplit:
 
     The training rows are features[train_idx]; the split holds the matrix
     (the dataset's, in a sweep) and the indices, not a copy of the rows.
-    The per-row vectors hold one entry per listed row.
+    The splits that train together share the matrix.  The per-row vectors
+    hold one entry per listed row.
     """
 
     features: np.ndarray
@@ -180,43 +178,61 @@ def stack_size(batch_size: int, layer_sizes: list[int]) -> int:
     return max(1, STACK_CAP // (batch_size * max(layer_sizes)))
 
 
-def _fit_stacks(members: list[tuple], train_config: TrainConfig, penalty_mode: str) -> list[FitResult | Exception]:
+def _train_in_stacks(train, count: int, batch_size: int, layer_sizes: list[int]) -> list:
+    """Train count networks of one shape, stack_size() at a time.
+
+    train(stack) trains the networks that the slice ``stack`` selects as one
+    stack and returns one entry per network.  Returns one entry per network:
+    train's, or the expected failure of a stack that raised, for each of
+    its networks.
+    """
+    size = stack_size(batch_size, layer_sizes)
+    results = []
+    for start in range(0, count, size):
+        stack = slice(start, min(start + size, count))
+        try:
+            results += train(stack)
+        except EXPECTED_FAILURES as exc:
+            results += [exc] * (stack.stop - start)
+    return results
+
+
+def _fit_stacks(members: list[tuple], train_config: TrainConfig) -> list[FitResult | Exception]:
     """Train one network per member, stack_size() at a time.
 
     A member is (split, lambda, (init seed, loop seed), bounds): the network
-    trains on the TrainingSplit's rows, read from its feature matrix by
-    fit_network's feature_rows, with bounds None for the identity
+    trains on the TrainingSplit's rows, read from the splits' one feature
+    matrix by fit_network's feature_rows, with bounds None for the identity
     standardisation.  The splits share one architecture, their template.
     This is where a group's splits become fit_network's per-member lists.
     Returns one entry per member: the fit, or the expected failure that
     ended it (a stack that raises fails each of its networks).
     """
-    size = stack_size(train_config.batch_size, members[0][0].template.layer_sizes) if members else 1
-    fits: list[FitResult | Exception] = []
-    for i in range(0, len(members), size):
-        splits, lambdas, seeds, bounds = zip(*members[i : i + size])
-        try:
-            fits += fit_network(
-                [s.features for s in splits],
-                [s.labels for s in splits],
-                splits[0].template,
-                train_config,
-                list(seeds),
-                lambda_=list(lambdas),
-                bounds=None if bounds[0] is None else list(bounds),
-                sensitives=[s.sensitives for s in splits],
-                propensities=[s.propensities for s in splits],
-                penalty_mode=penalty_mode,
-                feature_rows=[s.train_idx for s in splits],
-            )
-        except EXPECTED_FAILURES as exc:
-            fits += [exc] * len(splits)
-    return fits
+    if not members:
+        return []
+    splits, lambdas, seeds, bounds = (list(column) for column in zip(*members))
+    features, template = splits[0].features, splits[0].template
+    if any(s.features is not features for s in splits):
+        raise ConfigError("the splits that train together must share one feature matrix")
+
+    def fit(stack):
+        return fit_network(
+            features,
+            [s.labels for s in splits[stack]],
+            template,
+            train_config,
+            seeds[stack],
+            lambda_=lambdas[stack],
+            bounds=None if bounds[0] is None else bounds[stack],
+            sensitives=[s.sensitives for s in splits[stack]],
+            propensities=[s.propensities for s in splits[stack]],
+            feature_rows=[s.train_idx for s in splits[stack]],
+        )
+
+    return _train_in_stacks(fit, len(members), train_config.batch_size, template.layer_sizes)
 
 
-def discover_bounds(
-    splits: list[TrainingSplit], train_config: TrainConfig, penalty_mode: str
-) -> list[BoundsResult | Exception]:
+def discover_bounds(splits: list[TrainingSplit], train_config: TrainConfig) -> list[BoundsResult | Exception]:
     """Run each split's two endpoint trainings and collect its standardisation ranges.
 
     The lambda = 0 run (seeds split.seeds[0]) is plain BCE training; every
@@ -230,7 +246,6 @@ def discover_bounds(
     fits = _fit_stacks(
         [(s, lam, seeds, None) for s in splits for lam, seeds in ((0.0, s.seeds[0]), (1.0, s.seeds[-1]))],
         train_config,
-        penalty_mode,
     )
     return [_endpoint_bounds(*fits[i : i + 2]) for i in range(0, len(fits), 2)]
 
@@ -254,7 +269,6 @@ def train_scalarised(
     bounded: list[tuple[TrainingSplit, StandardisationBounds]],
     lambdas: list[float],
     train_config: TrainConfig,
-    penalty_mode: str,
 ) -> list[FitResult | Exception]:
     """Train the interior-lambda classifiers of each split against its frozen bounds.
 
@@ -270,7 +284,6 @@ def train_scalarised(
     return _fit_stacks(
         [(s, lam, seeds, bounds) for s, bounds in bounded for lam, seeds in zip(lambdas, s.seeds[1:])],
         train_config,
-        penalty_mode,
     )
 
 
@@ -334,10 +347,10 @@ def _train_scalarised_group(splits: list[TrainingSplit], grid: LambdaGrid, confi
     A split whose endpoints failed gets that failure, and none of its
     interior lambdas trains.
     """
-    found = discover_bounds(splits, config.train, config.penalty_mode)
+    found = discover_bounds(splits, config.train)
     interior = grid.values[1:-1]
     bounded = [(split, res.bounds) for split, res in zip(splits, found) if not isinstance(res, Exception)]
-    fits = iter(train_scalarised(bounded, interior, config.train, config.penalty_mode))
+    fits = iter(train_scalarised(bounded, interior, config.train))
     return [
         res if isinstance(res, Exception)
         else ([res.risk_fit, *(next(fits) for _ in interior), res.unfairness_fit], res.bounds)
@@ -460,8 +473,9 @@ def _fit_propensities(features, group, a_s, config: SweepConfig, master_seed: in
     rows.  A calibration holdout of config.calibration_fraction of the
     training rows is carved off first.  The holdout and the model's seed
     come from (master_seed, split_id) on streams of their own, clear of the
-    lambda jobs' seeds.  The splits' raw fits train as one stack on their
-    rows of ``features``; each model is then temperature-calibrated on its
+    lambda jobs' seeds.  The splits' raw fits train on their rows of
+    ``features`` in stacks of stack_size() networks, sized by the propensity
+    batch and layers; each model is then temperature-calibrated on its
     holdout and scores its split's training and test rows.  Each of these
     row sets is gathered only for the call that reads it.  Returns, per
     split, (calibrated model, training scores, test scores), or the
@@ -477,16 +491,15 @@ def _fit_propensities(features, group, a_s, config: SweepConfig, master_seed: in
         np.random.default_rng(np.random.SeedSequence([master_seed, split_id, _CALIBRATION_STREAM])).permutation(n)
         for split_id, _, _ in group
     ]
-    try:
-        raw_models = train_propensity(
-            [features] * len(group),
-            [a[perm[n_cal:]] for a, perm in zip(a_s, perms)],
-            config.propensity,
-            prop_seeds,
-            feature_rows=[train_idx[perm[n_cal:]] for (_, train_idx, _), perm in zip(group, perms)],
-        )
-    except EXPECTED_FAILURES as exc:
-        raw_models = [exc] * len(group)
+    fit_sensitives = [a[perm[n_cal:]] for a, perm in zip(a_s, perms)]
+    fit_rows = [train_idx[perm[n_cal:]] for (_, train_idx, _), perm in zip(group, perms)]
+    prop = config.propensity
+    raw_models = _train_in_stacks(
+        lambda s: train_propensity(features, fit_sensitives[s], prop, prop_seeds[s], feature_rows=fit_rows[s]),
+        len(group),
+        prop.batch_size,
+        prop.layer_sizes(features.shape[1]),
+    )
     scored = []
     for raw, (_, train_idx, test_idx), a, perm in zip(raw_models, group, a_s, perms):
         try:
@@ -504,7 +517,7 @@ def _fit_propensities(features, group, a_s, config: SweepConfig, master_seed: in
 def _split_stage(payload, train, stage: str) -> SweepResult:
     """Everything a group of splits does but training, around a sweep's trainer ``train``.
 
-    Fits, calibrates and scores the splits' propensity models (one stack);
+    Fits, calibrates and scores the splits' propensity models (stacked);
     a split whose model failed has every lambda fail at stage "propensity".
     Then ``train(splits, grid, config, extra)`` gets the other splits'
     TrainingSplits and returns, per split, either its fits (one FitResult or

@@ -20,7 +20,6 @@ from .network import (
     NetworkConfig,
     NetworkParams,
     _validated_features,
-    _validated_matrices,
     _validated_rows,
     bce_loss,
     clamped_sigmoid,
@@ -46,6 +45,9 @@ class PropensityConfig:
 
     __post_init__ = check_fields
 
+    def layer_sizes(self, input_dim: int) -> list[int]:
+        return [input_dim] + [self.hidden_width] * self.hidden_layers + [1]
+
 
 @dataclass
 class PropensityModel:
@@ -59,7 +61,7 @@ class PropensityModel:
 
 
 def train_propensity(
-    features: list[np.ndarray],
+    features: np.ndarray,
     sensitives: list[np.ndarray],
     config: PropensityConfig,
     seed: list[int],
@@ -68,12 +70,13 @@ def train_propensity(
 ) -> list[PropensityModel | TrainingError]:
     """Fit K propensity networks as one stack by plain BCE on the sensitive attribute.
 
-    features, sensitives and seed are lists of K, one entry per model, all
-    of one row count (training.fit_network); any other form raises
-    ConfigError naming the argument.  feature_rows, when given, lists each
-    model's rows of its features, as fit_network takes it.  Each sensitives
-    vector must hold one 0/1 value per listed row, or per row of its
-    features without feature_rows (metrics._as_binary).  Each model's
+    The models share the one 2-d feature matrix ``features``, as
+    training.fit_network takes it; sensitives and seed are lists of K, one
+    entry per model, and any other form raises ConfigError naming the
+    argument.  feature_rows, when given, lists each model's rows of the
+    features, all of one row count, as fit_network takes it.  Each
+    sensitives vector must hold one 0/1 value per listed row, or per row of
+    the features without feature_rows (metrics._as_binary).  Each model's
     initialisation and loop seeds both derive from its seed, an integer
     >= 0 (training.derive_seeds).  The models share one NetworkConfig.
     Returns one uncalibrated model (temperature 1), or the TrainingError of
@@ -82,17 +85,16 @@ def train_propensity(
     k = len(seed) if isinstance(seed, list) else 1
     seeds = [derive_seeds(s) for s in _members("seed", seed, k)]
     # The network's width is read off the features, so they are checked, at any width, before the sensitives.
-    xs = _validated_matrices(_members("features", features, k))
+    x = _validated_features(features)
     rows = [None] * k if feature_rows is None else _members("feature_rows", feature_rows, k)
-    counts = [len(x) if r is None else len(_validated_rows(r, len(x))) for x, r in zip(xs, rows)]
+    counts = [len(x) if r is None else len(_validated_rows(r, len(x))) for r in rows]
     a_s = _members("sensitives", sensitives, k)
     labels = [_as_binary(a, "sensitives", n).astype(np.float64) for a, n in zip(a_s, counts)]
-    layer_sizes = [xs[0].shape[1]] + [config.hidden_width] * config.hidden_layers + [1]
-    net = NetworkConfig(layer_sizes=layer_sizes, dropout_prob=config.dropout_prob)
+    net = NetworkConfig(layer_sizes=config.layer_sizes(x.shape[1]), dropout_prob=config.dropout_prob)
     train_config = TrainConfig(
         epochs=config.epochs, batch_size=config.batch_size, learning_rate=config.learning_rate
     )
-    fits = fit_network(xs, labels, net, train_config, seeds, feature_rows=feature_rows)
+    fits = fit_network(x, labels, net, train_config, seeds, feature_rows=feature_rows)
     return [fit if isinstance(fit, TrainingError) else PropensityModel(fit.params, net) for fit in fits]
 
 

@@ -8,21 +8,22 @@ recording the risk/unfairness ranges.  The objective and its single-group
 fallback are network.backward_composite's; the loop reads what it returns.
 
 The engine trains K >= 1 networks as one stack: each step is one stacked
-forward, backward and Adam update for all K.  fit_network takes every
-per-member argument as a list with one entry per member and returns one
-result per member; one network is a stack of one, and its failure is
-returned like any member's.  The members share one NetworkConfig; each has
-its own seeds, lambda and training set, all of one row count (the splits of
-a sweep's split group, or one split's rows repeated), and its own bounds.
-A training set may list its rows of a feature matrix that other members
-share (feature_rows): the loop gathers one step's rows of every member at
-a time and never copies a member's training rows whole.
-Each member also keeps its own loop generator (epoch shuffles and dropout
-draws), learning-rate schedule and finiteness guard, so a member's numbers
-equal those of the same network trained as a stack of one, and a diverging
-member fails alone.
+forward, backward and Adam update for all K.  fit_network takes one feature
+matrix, shared by the stack, and every per-member argument as a list with
+one entry per member, and returns one result per member; one network is a
+stack of one, and its failure is returned like any member's.  The members
+share one NetworkConfig; each has its own seeds, lambda, bounds and
+training set: its rows of the matrix (feature_rows), all of one row count,
+such as the splits of a sweep's split group.  The loop gathers one step's
+rows of every member at a time and never copies a member's training rows
+whole.  Each member also keeps its own loop generator (epoch shuffles and
+dropout draws), learning-rate schedule and finiteness guard, so a member's
+numbers equal those of the same network trained as a stack of one, and a
+diverging member fails alone.
 The stack keeps its shape for the whole fit: a failed member keeps its row
 as zeros, so the remaining steps stay finite, and is no longer read.
+_ParameterStack holds such a stack's parameters and Adam state, for this
+loop and for both players of the adversarial baseline.
 """
 from __future__ import annotations
 
@@ -35,7 +36,7 @@ import numpy as np
 
 from .data import minibatches
 from .errors import POSITIVE, SEED, ConfigError, TrainingError, at_least, check_fields, check_value, rule
-from .metrics import PENALTY_MODES, PENALTY_PENULTIMATE, _as_binary, _validated_groups, overlap_weights
+from .metrics import _as_binary, _validated_groups, overlap_weights
 from .network import (
     MODE_TRAIN,
     NetworkConfig,
@@ -43,7 +44,7 @@ from .network import (
     StandardisationBounds,
     _flatten,
     _unflatten,
-    _validated_matrices,
+    _validated_features,
     _validated_rows,
     backward_composite,
     forward,
@@ -94,8 +95,36 @@ def derive_seeds(*keys: int) -> tuple[int, int]:
     return int(state[0]), int(state[1])
 
 
+class _ParameterStack:
+    """K networks of one architecture as one (K, P) parameter array, with their Adam state.
+
+    ``params`` holds per-layer views of ``flat``, so that one in-place
+    adam_step(stack.adam, stack.flat, _flatten(grads)) updates every member,
+    and the views see it.  Member k starts from init_network(config,
+    seeds[k]); every member steps at learning_rate until its entry of
+    adam.learning_rate is changed.
+    """
+
+    def __init__(self, config: NetworkConfig, seeds: list[int], learning_rate: float):
+        inits = [init_network(config, seed) for seed in seeds]
+        self.flat = np.stack([_flatten(p) for p in inits])
+        self.params = _unflatten(self.flat, [a.shape for a in (*inits[0].weights, *inits[0].biases)])
+        self.adam = AdamState(
+            np.zeros_like(self.flat), np.zeros_like(self.flat), learning_rate=np.full(len(seeds), learning_rate)
+        )
+
+    def finite(self) -> np.ndarray:
+        """Per member, whether all its parameters are finite."""
+        return np.isfinite(self.flat).all(axis=1)
+
+    def zero(self, members: np.ndarray):
+        """Zero the parameters and Adam moments of the selected members."""
+        for rows in (self.flat, self.adam.first_moment, self.adam.second_moment):
+            rows[members] = 0.0
+
+
 def fit_network(
-    features: list[np.ndarray],
+    features: np.ndarray,
     labels: list[np.ndarray],
     net_config: NetworkConfig,
     train_config: TrainConfig,
@@ -105,23 +134,25 @@ def fit_network(
     bounds: list[StandardisationBounds] | None = None,
     sensitives: list[np.ndarray] | None = None,
     propensities: list[np.ndarray] | None = None,
-    penalty_mode: str = PENALTY_PENULTIMATE,
     feature_rows: list[np.ndarray] | None = None,
 ) -> list[FitResult | TrainingError]:
-    """Adam-train a stack of K fresh networks, member k on (features[k], labels[k]).
+    """Adam-train a stack of K fresh networks, member k on its rows of features and labels[k].
 
-    The members share the architecture net_config.  Every per-member
-    argument is a list of K, one entry per network: the (init seed, loop
-    seed) pairs, lambdas (None trains every member at lambda = 0), features
-    and labels, and the sensitives, propensities, bounds and feature_rows
-    when given.  Members may share one feature matrix.  With feature_rows,
-    member k trains on the rows features[k][feature_rows[k]], in that order:
-    each entry is a 1-d integer array of indices into its member's features,
-    and labels[k], sensitives[k] and propensities[k] hold one entry per
-    listed row.  Without it every row is listed.  The members' row counts
-    must agree.  Any other form, a bare value or a seed that is not an
-    integer >= 0 included, raises ConfigError naming the argument; one
-    network is a stack of one.
+    The members share the architecture net_config and the one 2-d feature
+    matrix ``features``; anything else there raises ShapeError.  Every
+    per-member argument is a list of K, one entry per network: the (init
+    seed, loop seed) pairs, lambdas (None trains every member at
+    lambda = 0) and labels, and the sensitives, propensities, bounds and
+    feature_rows when given.  With feature_rows, member k trains on the
+    rows features[feature_rows[k]], in that order: each entry is a 1-d
+    integer array of row indices, and labels[k], sensitives[k] and
+    propensities[k] hold one entry per listed row.  Without it every member
+    trains on every row.  The members' row counts must agree.  Any other
+    form, a bare value or a seed that is not an integer >= 0 included,
+    raises ConfigError naming the argument; one network is a stack of one.
+    A lambda > 0 penalises the last hidden layer, so once the arguments
+    pass, a stack with one and a network without (num_layers 1) raises
+    ConfigError.
 
     The per-step objective is max{(1-lambda)*R~, lambda*U~}; with bounds=None
     the standardisation is the identity, so lambda = 0 yields plain BCE
@@ -139,21 +170,12 @@ def fit_network(
     k = len(pairs)
     if not isinstance(net_config, NetworkConfig):
         raise ConfigError(f"net_config must be one NetworkConfig, shared by the stack; got {net_config!r}")
-    if penalty_mode not in PENALTY_MODES:
-        raise ConfigError(f"unknown penalty mode {penalty_mode!r}")
     needs_penalty = bool(np.any(lams > 0.0))
     if needs_penalty and (sensitives is None or propensities is None):
         raise ConfigError("lambda > 0 requires sensitives and propensities")
-    # A member's rows are indices into its feature matrix, offset by where
-    # that matrix starts in the stack's distinct matrices joined end to end.
-    xs = _validated_matrices(_members("features", features, k), net_config)
+    x = _validated_features(features, net_config)
     row_lists = [None] * k if feature_rows is None else _members("feature_rows", feature_rows, k)
-    distinct = list({id(x): x for x in xs}.values())
-    first_row = dict(zip(map(id, distinct), np.cumsum([0] + [len(x) for x in distinct[:-1]])))
-    member_rows = [
-        first_row[id(x)] + (np.arange(len(x)) if r is None else _validated_rows(r, len(x)))
-        for x, r in zip(xs, row_lists)
-    ]
+    member_rows = [np.arange(len(x)) if r is None else _validated_rows(r, len(x)) for r in row_lists]
     # Each member's per-row vectors, one entry per listed row, validated.
     ys = _members("labels", labels, k)
     columns = {"labels": [_as_binary(y, "labels", len(r)).astype(np.float64) for y, r in zip(ys, member_rows)]}
@@ -166,14 +188,12 @@ def fit_network(
         raise ConfigError("stacked training sets must have equal row counts")
     if bounds is not None:
         bounds = StandardisationBounds.stack(_members("bounds", bounds, k))
+    if needs_penalty and net_config.num_layers < 2:
+        raise ConfigError(f"lambda > 0 penalises a hidden layer, and layer_sizes {net_config.layer_sizes} has none")
 
     _settle_malloc()
-    # Adam steps all parameters of a member in place as one row of a (K, P)
-    # array; forward and backward read them through per-layer views of it.
-    inits = [init_network(net_config, init_seed) for init_seed, _ in pairs]
-    flat = np.stack([_flatten(p) for p in inits])
-    params = _unflatten(flat, [a.shape for a in (*inits[0].weights, *inits[0].biases)])
-    adam = AdamState(np.zeros_like(flat), np.zeros_like(flat), learning_rate=np.full(k, train_config.learning_rate))
+    stack = _ParameterStack(net_config, [init_seed for init_seed, _ in pairs], train_config.learning_rate)
+    params, adam = stack.params, stack.adam
     scheds = [
         PlateauScheduler(factor=train_config.scheduler_factor, patience=train_config.scheduler_patience)
         for _ in range(k)
@@ -183,19 +203,17 @@ def fit_network(
     alive = np.ones(k, dtype=bool)  # members that have not failed
     indices = np.arange(n)
 
-    # The stack's rows: the joined feature matrix (the one matrix itself when
-    # the members share it) and each per-row vector as (K, n), so that a
-    # step gathers each array for all K members in one np.take, into a
-    # buffer of one step's rows allocated once per fit.  A shorter last
-    # batch gathers into the front of the buffers, a contiguous view.
-    source = distinct[0] if len(distinct) == 1 else np.concatenate(distinct)
+    # The stack's rows: the feature matrix and each per-row vector as (K, n),
+    # so that a step gathers each array for all K members in one np.take,
+    # into a buffer of one step's rows allocated once per fit.  A shorter
+    # last batch gathers into the front of the buffers, a contiguous view.
     member_rows = np.stack(member_rows)
     columns = {name: np.stack(vectors) for name, vectors in columns.items()}
     batch_size = min(train_config.batch_size, n)
     width = net_config.layer_sizes[0]
     x_buf = np.empty(k * batch_size * width)
     buffers = {name: np.empty(k * batch_size, dtype=c.dtype) for name, c in columns.items()}
-    # Each member's epoch order as positions in the flattened (K, n) vectors, and the joined rows they hold.
+    # Each member's epoch order as positions in the flattened (K, n) vectors, and the feature rows they hold.
     order = np.empty((k, n), dtype=np.int64)
     order_rows = np.empty((k, n), dtype=np.int64)
     member_base = (np.arange(k) * n)[:, None]
@@ -218,20 +236,20 @@ def fit_network(
         for j, start in enumerate(starts):
             m = min(batch_size, n - start)
             batch = slice(start, start + m)
-            x = x_buf[: k * m * width].reshape(k, m, width)
-            np.take(source, order_rows[:, batch], axis=0, out=x, mode="clip")
+            xb = x_buf[: k * m * width].reshape(k, m, width)
+            np.take(x, order_rows[:, batch], axis=0, out=xb, mode="clip")
             rows = {name: buf[: k * m].reshape(k, m) for name, buf in buffers.items()}
             for name, buf in rows.items():
                 np.take(columns[name], order[:, batch], out=buf, mode="clip")
             weights = None
             if needs_penalty:
                 weights = overlap_weights(rows["propensities"], rows["sensitives"])
-            trace = forward(params, net_config, x, MODE_TRAIN, rng=rngs)
-            back = backward_composite(trace, params, net_config, rows["labels"], weights, lams, bounds, penalty_mode)
+            trace = forward(params, net_config, xb, MODE_TRAIN, rng=rngs)
+            back = backward_composite(trace, params, net_config, rows["labels"], weights, lams, bounds)
             # Free this step's activations before the next forward allocates its
             # own, so that a step holds one trace, not two.
             del trace
-            adam_step(adam, flat, _flatten(back.gradients))
+            adam_step(adam, stack.flat, _flatten(back.gradients))
             risks[:, j], unfairness[:, j], objectives[:, j] = back.risk, back.unfairness, back.objective
 
         # lambda > 0 steps that came back without an unfairness fell back to the risk branch
@@ -239,7 +257,7 @@ def fit_network(
         if skipped.any():
             log.debug("epoch %d: %d single-group batch(es) took the risk branch", epoch, skipped.sum())
         epoch_means = objectives.mean(axis=1)
-        failed = alive & ~(np.isfinite(epoch_means) & np.isfinite(flat).all(axis=1))
+        failed = alive & ~(np.isfinite(epoch_means) & stack.finite())
         for i in np.flatnonzero(alive):
             mean, lr = float(epoch_means[i]), float(adam.learning_rate[i])
             if failed[i]:
@@ -260,8 +278,7 @@ def fit_network(
             alive &= ~failed
             if not alive.any():
                 break
-            for rows in (flat, adam.first_moment, adam.second_moment):
-                rows[failed] = 0.0
+            stack.zero(failed)
 
     for i in np.flatnonzero(alive):
         results[i].params = params.member(i)

@@ -19,11 +19,7 @@ import pytest
 
 import fairfront
 
-from fairfront.metrics import (
-    PENALTY_PENULTIMATE,
-    ato_hidden_penalty,
-    overlap_weights,
-)
+from fairfront.metrics import ato_hidden_penalty, overlap_weights
 from fairfront.network import (
     CLAMP,
     MODE_TRAIN,
@@ -39,8 +35,9 @@ KINK_MARGIN = 1e-3
 INTERIOR_LAMBDAS = (0.3, 0.7)
 
 
-def _random_config(rng: np.random.Generator) -> NetworkConfig:
-    num_layers = int(rng.integers(1, 4))  # 1..3 affine maps
+def _random_config(rng: np.random.Generator, affine_maps: int | None = None) -> NetworkConfig:
+    """A random small net of 1..3 affine maps, or of affine_maps when given."""
+    num_layers = int(rng.integers(1, 4)) if affine_maps is None else affine_maps
     input_dim = int(rng.integers(2, 7))
     hidden = [int(rng.integers(2, 9)) for _ in range(num_layers - 1)]
     dropout = float(rng.choice([0.0, 0.2, 0.5]))
@@ -66,7 +63,7 @@ def _random_batch(rng: np.random.Generator, input_dim: int):
     return x, labels, sensitives, propensities
 
 
-def _margins_ok(trace, weights, penalty_mode) -> bool:
+def _margins_ok(trace, weights) -> bool:
     for h in trace.preactivations[:-1]:
         if np.min(np.abs(h)) <= KINK_MARGIN:
             return False
@@ -74,33 +71,29 @@ def _margins_ok(trace, weights, penalty_mode) -> bool:
     p = 1.0 / (1.0 + np.exp(-raw))
     if np.any(p <= 2 * CLAMP) or np.any(p >= 1.0 - 2 * CLAMP):
         return False
-    if len(trace.preactivations) >= 2:
-        _, taus = ato_hidden_penalty(trace, weights, penalty_mode)
-        for tau in taus:
-            if tau.size and np.min(np.abs(tau)) <= KINK_MARGIN:
-                return False
-    return True
+    _, tau = ato_hidden_penalty(trace, weights)
+    return tau is None or np.min(np.abs(tau)) > KINK_MARGIN
 
 
-def _branch_margins_ok(trace, labels, weights, bounds, penalty_mode) -> bool:
+def _branch_margins_ok(trace, labels, weights, bounds) -> bool:
     r_std = bounds.standardise_risk(bce_loss(trace.output, labels))
-    penalty, _ = ato_hidden_penalty(trace, weights, penalty_mode)
+    penalty, _ = ato_hidden_penalty(trace, weights)
     u_std = bounds.standardise_unfairness(penalty)
     return all(
         abs((1.0 - lam) * r_std - lam * u_std) > KINK_MARGIN for lam in INTERIOR_LAMBDAS
     )
 
 
-def draw_gradient_fixture(rng: np.random.Generator, *, penalty_mode: str = PENALTY_PENULTIMATE, max_attempts: int = 500) -> dict:
+def draw_gradient_fixture(rng: np.random.Generator, *, affine_maps: int | None = None, max_attempts: int = 500) -> dict:
     """Sample one kink-free gradient-check problem.
 
     Returns the network, a frozen-mask training trace, the batch, overlap
     weights, and randomised standardisation bounds.  Raises after
     max_attempts rejections, which at these margins signals a bug rather
-    than bad luck.
+    than bad luck.  affine_maps fixes the depth; by default it is drawn.
     """
     for _ in range(max_attempts):
-        config = _random_config(rng)
+        config = _random_config(rng, affine_maps)
         params = _random_params(config, rng)
         x, labels, sensitives, propensities = _random_batch(rng, config.layer_sizes[0])
         weights = overlap_weights(propensities, sensitives)
@@ -113,9 +106,9 @@ def draw_gradient_fixture(rng: np.random.Generator, *, penalty_mode: str = PENAL
             unfairness_max=u_lo + float(rng.uniform(0.5, 2.0)),
         )
         trace = forward(params, config, x, MODE_TRAIN, rng=rng)
-        if not _margins_ok(trace, weights, penalty_mode):
+        if not _margins_ok(trace, weights):
             continue
-        if not _branch_margins_ok(trace, labels, weights, bounds, penalty_mode):
+        if not _branch_margins_ok(trace, labels, weights, bounds):
             continue
         return {
             "config": config,
@@ -128,7 +121,6 @@ def draw_gradient_fixture(rng: np.random.Generator, *, penalty_mode: str = PENAL
             "bounds": bounds,
             "trace": trace,
             "masks": trace.dropout_masks,
-            "penalty_mode": penalty_mode,
         }
     raise AssertionError("could not sample a kink-free gradient fixture")
 

@@ -13,7 +13,6 @@ import math
 
 import numpy as np
 
-from fairfront.metrics import PENALTY_ALL_LAYERS, PENALTY_PENULTIMATE
 from fairfront.network import (
     MODE_TRAIN,
     NetworkParams,
@@ -48,22 +47,14 @@ def bf_ato(outcomes, sensitives, propensities) -> float:
     return num1 / den1 - num0 / den0
 
 
-def bf_ato_penalty(trace, sensitives, propensities, mode) -> float:
-    """Sum of |tau| over the hidden pre-activation units the mode selects."""
-    L = len(trace.preactivations)
-    if L < 2:
+def bf_ato_penalty(trace, sensitives, propensities) -> float:
+    """Sum of |tau| over the units of the last hidden layer's pre-activations; 0 without one."""
+    if len(trace.preactivations) < 2:
         return 0.0
-    if mode == PENALTY_PENULTIMATE:
-        layer_ids = [L - 2]
-    elif mode == PENALTY_ALL_LAYERS:
-        layer_ids = list(range(L - 1))
-    else:
-        raise ValueError(mode)
+    h = trace.preactivations[-2]
     total = 0.0
-    for l in layer_ids:
-        h = trace.preactivations[l]
-        for j in range(h.shape[1]):
-            total += abs(bf_ato(h[:, j], sensitives, propensities))
+    for j in range(h.shape[1]):
+        total += abs(bf_ato(h[:, j], sensitives, propensities))
     return total
 
 
@@ -169,13 +160,13 @@ def max_relative_error(analytic: NetworkParams, numeric: NetworkParams, floor: f
 # objective definitions the gradients are checked against
 
 
-def composite_objective(params, config, x, y, sensitives, propensities, lambda_, bounds, masks, mode):
+def composite_objective(params, config, x, y, sensitives, propensities, lambda_, bounds, masks):
     """Scalarised objective exactly as the trainer's branch rules define it."""
     trace = forward(params, config, x, MODE_TRAIN, masks=masks)
     r_std = bounds.standardise_risk(bce_loss(trace.output, y))
     if lambda_ == 0.0:
         return (1.0 - lambda_) * r_std
-    u_std = bounds.standardise_unfairness(bf_ato_penalty(trace, sensitives, propensities, mode))
+    u_std = bounds.standardise_unfairness(bf_ato_penalty(trace, sensitives, propensities))
     if lambda_ == 1.0:
         return u_std
     return max((1.0 - lambda_) * r_std, lambda_ * u_std)

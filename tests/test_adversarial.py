@@ -207,7 +207,7 @@ def test_adversarial_sweep_rows_and_objective_fields():
     ds = generate_synthetic(n=220, p=4, bias_strength=2.0, seed=15)
     plan = SplitPlan(num_splits=1, train_fraction=0.5, master_seed=6)
     cfg = SweepConfig(
-        num_layers=2, hidden_width=4, dropout_prob=0.2, penalty_mode="penultimate",
+        num_layers=2, hidden_width=4, dropout_prob=0.2,
         train=TrainConfig(epochs=5, batch_size=64),
         propensity=PropensityConfig(hidden_layers=1, hidden_width=6, epochs=10, batch_size=64),
     )

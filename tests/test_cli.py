@@ -381,7 +381,6 @@ def test_no_subcommand_is_usage_error(capsys):
         ("epochs", 2.5),
         ("epochs", "12"),
         ("epochs", True),
-        ("penalty_mode", 3),
         ("lambda_count", 4.5),
         ("output_dir", 5),
         ("schema_json", ["a.json"]),
@@ -394,7 +393,6 @@ def test_no_subcommand_is_usage_error(capsys):
         "fractional-epochs",
         "numeric-text-epochs",
         "bool-epochs",
-        "number-penalty_mode",
         "fractional-lambda_count",
         "number-output_dir",
         "list-schema_json",
@@ -430,6 +428,17 @@ def test_a_config_class_error_names_the_key_path(workspace, tmp_path, capsys, mo
     bad.write_text(json.dumps({**json.loads(config_path.read_text()), key: value}))
     assert main(["run", "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
     assert json.loads(capsys.readouterr().err) == {"error": "ConfigError", "message": message}
+
+
+def test_a_config_naming_penalty_mode_exits_2_as_an_unknown_key(workspace, tmp_path, capsys, monkeypatch):
+    # the penalty always reads the last hidden layer, so no key chooses it
+    _, config_path = workspace
+    monkeypatch.setattr(cli, "_load_encoded_dataset", _no_load)
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps({**json.loads(config_path.read_text()), "penalty_mode": "penultimate"}))
+    assert main(["run", "--config", str(old), "--out", str(tmp_path / "out")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ConfigError", "message": "unknown config key 'penalty_mode'"}
 
 
 def test_cull_non_numeric_cell_exits_2_naming_the_line(tmp_path, capsys):

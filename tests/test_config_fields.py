@@ -1,6 +1,6 @@
 """Each config class declares what its fields accept, and construction checks it.
 
-Every int, float and str field carries a rule in its metadata
+Every int and float field carries a rule in its metadata
 (errors.rule), and errors.check_fields, the classes' __post_init__, is the
 one code that enforces it: for a library caller as for the CLI.  A bad
 value raises ConfigError at construction, naming the field, instead of
@@ -54,7 +54,6 @@ OUT_OF_RANGE = {
     (SweepConfig, "num_layers"): 0,
     (SweepConfig, "hidden_width"): 0,
     (SweepConfig, "dropout_prob"): -0.1,
-    (SweepConfig, "penalty_mode"): "nope",
     (SweepConfig, "calibration_fraction"): 1.0,
     (SplitPlan, "num_splits"): 0,
     (SplitPlan, "train_fraction"): 0.0,
@@ -66,7 +65,6 @@ OUT_OF_RANGE = {
 WRONG_KIND = {
     "int": [True, 2.5, "3", None],
     "float": [False, float("nan"), float("inf"), -np.inf, 10**400, "0.1", None],
-    "str": [True, 3, None],
 }
 
 
@@ -89,7 +87,7 @@ def test_a_bad_field_value_raises_at_construction_naming_the_field(cls, name, va
 
 
 @pytest.mark.parametrize("cls", REQUIRED, ids=lambda cls: cls.__name__)
-def test_every_int_float_and_str_field_declares_its_rule(cls):
+def test_every_int_and_float_field_declares_its_rule(cls):
     typed = [f for f in dataclasses.fields(cls) if f.type in WRONG_KIND]
     assert typed
     for f in typed:
@@ -107,15 +105,11 @@ def test_every_int_float_and_str_field_declares_its_rule(cls):
         (lambda: TrainConfig(learning_rate=float("inf")), "learning_rate must be a finite number > 0, got inf"),
         (lambda: PropensityConfig(hidden_layers=0), "hidden_layers must be an integer >= 1, got 0"),
         (lambda: TrainConfig(scheduler_factor=0.0), "scheduler_factor must be a finite number in (0, 1], got 0.0"),
-        (
-            lambda: SweepConfig(penalty_mode="nope"),
-            "penalty_mode must be a string in ('penultimate', 'all_layers'), got 'nope'",
-        ),
         (lambda: NetworkConfig(layer_sizes=[3, 8.5, 1]), "layer_sizes[1] must be an integer >= 1, got 8.5"),
         (lambda: NetworkConfig(layer_sizes=[3, True, 1]), "layer_sizes[1] must be an integer >= 1, got True"),
     ],
     ids=["fractional-epochs", "fractional-num_splits", "fractional-hidden_width", "infinite-learning_rate",
-         "no-hidden-layer", "zero-scheduler_factor", "unknown-penalty_mode", "fractional-layer-size",
+         "no-hidden-layer", "zero-scheduler_factor", "fractional-layer-size",
          "bool-layer-size"],
 )
 def test_the_message_says_what_the_field_wants(build, message):

@@ -45,7 +45,7 @@ PROPENSITY = PropensityConfig(hidden_layers=1, hidden_width=4, epochs=1, batch_s
 ENTRY_POINTS = {
     "fit_network": (
         lambda x, y, a, e, r: fit_network(
-            [x], [y], NET, TRAIN, [(0, 0)], lambda_=[0.5], sensitives=[a], propensities=[e], feature_rows=[r]
+            x, [y], NET, TRAIN, [(0, 0)], lambda_=[0.5], sensitives=[a], propensities=[e], feature_rows=[r]
         ),
         {"features", "labels", "sensitives", "propensities", "feature_rows"},
     ),
@@ -60,7 +60,7 @@ ENTRY_POINTS = {
     "predict_propensity": (lambda x, y, a, e, r: predict_propensity(MODEL, x), {"features"}),
     "calibrate_temperature": (lambda x, y, a, e, r: calibrate_temperature(MODEL, x, a), {"features", "sensitives"}),
     "train_propensity": (
-        lambda x, y, a, e, r: train_propensity([x], [a], PROPENSITY, [0], feature_rows=[r]),
+        lambda x, y, a, e, r: train_propensity(x, [a], PROPENSITY, [0], feature_rows=[r]),
         {"features", "sensitives", "feature_rows"},
     ),
 }
@@ -188,9 +188,9 @@ def test_features_as_nested_lists_give_what_the_array_gives(entry):
 
 # Each entry point that takes seeds, as a call with one seed replaced, and the name its error gives that seed.
 SEED_ENTRY_POINTS = {
-    "fit_network-init": (lambda s, x, y, a: fit_network([x], [y], NET, TRAIN, [(s, 0)]), "seeds[0][0]"),
-    "fit_network-loop": (lambda s, x, y, a: fit_network([x], [y], NET, TRAIN, [(0, 0), (0, s)]), "seeds[1][1]"),
-    "train_propensity": (lambda s, x, y, a: train_propensity([x], [a], PROPENSITY, [s]), "seed"),
+    "fit_network-init": (lambda s, x, y, a: fit_network(x, [y], NET, TRAIN, [(s, 0)]), "seeds[0][0]"),
+    "fit_network-loop": (lambda s, x, y, a: fit_network(x, [y], NET, TRAIN, [(0, 0), (0, s)]), "seeds[1][1]"),
+    "train_propensity": (lambda s, x, y, a: train_propensity(x, [a], PROPENSITY, [s]), "seed"),
     "train_adversarial-classifier": (
         lambda s, x, y, a: train_adversarial(x, y, a, NET, TRAIN, AdversaryConfig(rounds=1), [0.5], [(s, 1)]),
         "seeds[0][0]",
@@ -221,7 +221,7 @@ def test_a_bad_seed_raises_config_error_naming_it_before_any_network_runs(entry,
 def test_a_seed_pair_of_another_form_is_rejected(pair, no_forward):
     rows = _rows()
     with pytest.raises(ConfigError, match=r"^seeds\[0\] must be an \(init seed, loop seed\) pair, got "):
-        fit_network([rows["features"]], [rows["labels"]], NET, TRAIN, [pair])
+        fit_network(rows["features"], [rows["labels"]], NET, TRAIN, [pair])
     with pytest.raises(ConfigError, match=r"^seeds\[0\] must be an \(init seed, loop seed\) pair, got "):
         train_adversarial(*list(rows.values())[:3], NET, TRAIN, AdversaryConfig(rounds=1), [0.5], [pair])
 

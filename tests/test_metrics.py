@@ -8,10 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairfront.errors import ConfigError, DegenerateGroupError, InputError, ShapeError
+from fairfront.errors import DegenerateGroupError, InputError, ShapeError
 from fairfront.metrics import (
-    PENALTY_ALL_LAYERS,
-    PENALTY_PENULTIMATE,
     ato_estimate,
     ato_hidden_penalty,
     conditional_mv_index,
@@ -135,19 +133,18 @@ def test_conditional_mv_matches_brute_force():
     assert checked > 30
 
 
-def test_penalty_matches_brute_force_both_modes():
+def test_penalty_matches_brute_force():
     rng = np.random.default_rng(31)
-    for mode in (PENALTY_PENULTIMATE, PENALTY_ALL_LAYERS):
-        for _ in range(30):
-            config = _random_config(rng)
-            params = _random_params(config, rng)
-            x, _, a, e = _random_batch(rng, config.layer_sizes[0])
-            trace = forward(params, config, x, MODE_EVAL)
-            w = overlap_weights(e, a)
-            penalty, taus = ato_hidden_penalty(trace, w, mode)
-            assert penalty == pytest.approx(bf_ato_penalty(trace, a, e, mode), abs=1e-10)
-            # the reported taus must reproduce the penalty
-            assert penalty == pytest.approx(sum(np.abs(t).sum() for t in taus), abs=1e-12)
+    for _ in range(30):
+        config = _random_config(rng)
+        params = _random_params(config, rng)
+        x, _, a, e = _random_batch(rng, config.layer_sizes[0])
+        trace = forward(params, config, x, MODE_EVAL)
+        w = overlap_weights(e, a)
+        penalty, tau = ato_hidden_penalty(trace, w)
+        assert penalty == pytest.approx(bf_ato_penalty(trace, a, e), abs=1e-10)
+        # the reported contrasts must reproduce the penalty
+        assert penalty == pytest.approx(0.0 if tau is None else np.abs(tau).sum(), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -162,16 +159,16 @@ def test_single_affine_layer_has_zero_penalty():
     params = _random_params(config, rng)
     x, _, a, e = _random_batch(rng, config.layer_sizes[0])
     trace = forward(params, config, x, MODE_EVAL)
-    penalty, taus = ato_hidden_penalty(trace, overlap_weights(e, a), PENALTY_PENULTIMATE)
+    penalty, tau = ato_hidden_penalty(trace, overlap_weights(e, a))
     assert penalty == 0.0
-    assert all(t.size == 0 for t in taus)
+    assert tau is None
 
 
-def _stacked_penalty_problem(rng, k):
+def _stacked_penalty_problem(rng, k, affine_maps=None):
     """k members of one architecture, each with its own parameters and batch of one size."""
-    config = _random_config(rng)
+    config = _random_config(rng, affine_maps)
     while config.num_layers == 1:
-        config = _random_config(rng)
+        config = _random_config(rng, affine_maps)
     x, _, a, e = _random_batch(rng, config.layer_sizes[0])
     members = []
     for _ in range(k):
@@ -185,20 +182,19 @@ def _stack_traces(traces):
     return ForwardTrace(np.stack([t.inputs for t in traces]), preacts, [], [])
 
 
-@pytest.mark.parametrize("mode", [PENALTY_PENULTIMATE, PENALTY_ALL_LAYERS])
-def test_stacked_penalty_equals_each_members_own_bitwise(mode):
+@pytest.mark.parametrize("affine_maps", [2, 3], ids=["one_hidden", "two_hidden"])
+def test_stacked_penalty_equals_each_members_own_bitwise(affine_maps):
     rng = np.random.default_rng(32)
     for _ in range(20):
-        members = _stacked_penalty_problem(rng, 3)
+        members = _stacked_penalty_problem(rng, 3, affine_maps)
         traces, a, e = zip(*members)
         weights = overlap_weights(np.stack(e), np.stack(a))
-        penalty, taus = ato_hidden_penalty(_stack_traces(traces), weights, mode)
+        penalty, tau = ato_hidden_penalty(_stack_traces(traces), weights)
         assert penalty.shape == (3,)
         for k, (trace, a_k, e_k) in enumerate(members):
-            alone, alone_taus = ato_hidden_penalty(trace, overlap_weights(e_k, a_k), mode)
+            alone, tau_alone = ato_hidden_penalty(trace, overlap_weights(e_k, a_k))
             assert penalty[k] == alone
-            for tau, tau_alone in zip(taus, alone_taus):
-                assert np.array_equal(tau[k] if tau.size else tau, tau_alone)
+            assert np.array_equal(tau[k], tau_alone)
 
 
 def test_degenerate_stack_member_gets_zero_penalty():
@@ -208,17 +204,10 @@ def test_degenerate_stack_member_gets_zero_penalty():
     weights = overlap_weights(np.stack([e, e_d]), np.stack([a, only_treated]))
     assert weights.degenerate.tolist() == [False, True]
     assert not weights.coefficients[1].any()
-    penalty, taus = ato_hidden_penalty(_stack_traces([trace, degenerate_trace]), weights, PENALTY_ALL_LAYERS)
+    penalty, tau = ato_hidden_penalty(_stack_traces([trace, degenerate_trace]), weights)
     assert penalty[1] == 0.0
-    assert penalty[0] == ato_hidden_penalty(trace, overlap_weights(e, a), PENALTY_ALL_LAYERS)[0]
-    assert all(not tau[1].any() for tau in taus if tau.size)
-
-
-def test_penalty_rejects_an_unknown_mode():
-    rng = np.random.default_rng(34)
-    ((trace, a, e),) = _stacked_penalty_problem(rng, 1)
-    with pytest.raises(ConfigError, match="nope"):
-        ato_hidden_penalty(trace, overlap_weights(e, a), "nope")
+    assert penalty[0] == ato_hidden_penalty(trace, overlap_weights(e, a))[0]
+    assert not tau[1].any()
 
 
 def test_group_check_rejects_bad_propensities():
@@ -228,7 +217,7 @@ def test_group_check_rejects_bad_propensities():
     cases = (([0.0, 0.5, 0.5, 0.5], InputError), ([1.0, 0.5, 0.5, 0.5], InputError), ([0.5, 0.5], ShapeError))
     for e, error in cases:
         with pytest.raises(error):
-            fit_network([x], [y], net, train, [(0, 0)], lambda_=[0.5], sensitives=[a], propensities=[np.array(e)])
+            fit_network(x, [y], net, train, [(0, 0)], lambda_=[0.5], sensitives=[a], propensities=[np.array(e)])
 
 
 def test_group_check_rejects_sensitives_that_are_not_0_1():
@@ -245,7 +234,7 @@ def test_every_entry_point_rejects_a_fractional_sensitive_with_one_message():
     net, train = NetworkConfig(layer_sizes=[2, 1]), TrainConfig(epochs=1, batch_size=3)
     calls = [
         lambda: evaluate_test_metrics(init_network(net, 0), net, x, np.array(a), y, e),
-        lambda: fit_network([x], [y], net, train, [(0, 0)], lambda_=[0.5], sensitives=[a], propensities=[e]),
+        lambda: fit_network(x, [y], net, train, [(0, 0)], lambda_=[0.5], sensitives=[a], propensities=[e]),
         lambda: train_adversarial(x, y, a, net, train, AdversaryConfig(), [0.5], [(1, 2)]),
     ]
     messages = set()

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fairfront.errors import ConfigError, InputError, NumericError, ShapeError
-from fairfront.metrics import PENALTY_ALL_LAYERS, PENALTY_PENULTIMATE, ato_hidden_penalty, overlap_weights
+from fairfront.metrics import ato_hidden_penalty, overlap_weights
 from fairfront.network import (
     CLAMP,
     IDENTITY_BOUNDS,
@@ -30,6 +30,11 @@ from fairfront.propensity import PropensityModel, predict_propensity
 
 from conftest import draw_gradient_fixture
 from oracles import composite_objective, fd_gradient, max_relative_error
+
+
+# every depth the gradient checks draw: the penalty-free single affine map, a
+# penalty on the one hidden layer, and a penalty delta sent on through a lower one
+DEPTHS = pytest.mark.parametrize("affine_maps", [1, 2, 3], ids=["no_hidden", "one_hidden", "two_hidden"])
 
 
 def small_net(seed=0, dropout=0.0, sizes=(4, 5, 3, 1)):
@@ -125,9 +130,8 @@ def test_gradients_without_masks_equal_those_under_all_ones_masks():
     deltas = [rng.normal(size=h.shape) for h in bare.preactivations]
     pairs = [backprop(params, config, t, deltas) for t in (bare, masked)]
     pairs += [
-        (backward_composite(t, params, config, y, weights, lam, penalty_mode=mode).gradients, None)
+        (backward_composite(t, params, config, y, weights, lam).gradients, None)
         for lam in (0.0, 0.4, 1.0)
-        for mode in (PENALTY_PENULTIMATE, PENALTY_ALL_LAYERS)
         for t in (bare, masked)
     ]
     for (g_bare, dx_bare), (g_masked, dx_masked) in zip(pairs[::2], pairs[1::2]):
@@ -318,7 +322,7 @@ def test_lambda_zero_identity_bounds_is_plain_bce_gradient():
         assert np.array_equal(g1, g2)  # bitwise, not approximately
 
 
-def test_backward_rejects_bad_lambda_and_mode():
+def test_backward_rejects_bad_lambda():
     rng = np.random.default_rng(4)
     config, params = small_net()
     x, y, a, e = _two_group_batch(rng, 4)
@@ -326,32 +330,30 @@ def test_backward_rejects_bad_lambda_and_mode():
     w = overlap_weights(e, a)
     with pytest.raises(ConfigError):
         backward_composite(trace, params, config, y, w, 1.5)
-    with pytest.raises(ConfigError):
-        backward_composite(trace, params, config, y, w, 0.5, penalty_mode="nope")
 
 
-@pytest.mark.parametrize("mode", [PENALTY_PENULTIMATE, PENALTY_ALL_LAYERS])
-def test_composite_gradient_matches_finite_differences(mode):
+@DEPTHS
+def test_composite_gradient_matches_finite_differences(affine_maps):
     rng = np.random.default_rng(77)
     for _ in range(4):
-        fx = draw_gradient_fixture(rng, penalty_mode=mode)
+        fx = draw_gradient_fixture(rng, affine_maps=affine_maps)
         for lam in (0.0, 0.3, 0.7, 1.0):
             result = backward_composite(
                 fx["trace"], fx["params"], fx["config"], fx["labels"],
-                fx["weights"], lam, fx["bounds"], penalty_mode=mode,
+                fx["weights"], lam, fx["bounds"],
             )
             numeric = fd_gradient(
                 lambda p: composite_objective(
                     p, fx["config"], fx["x"], fx["labels"], fx["sensitives"],
-                    fx["propensities"], lam, fx["bounds"], fx["masks"], mode,
+                    fx["propensities"], lam, fx["bounds"], fx["masks"],
                 ),
                 fx["params"],
             )
             assert max_relative_error(result.gradients, numeric) < 1e-4
 
 
-@pytest.mark.parametrize("mode", [PENALTY_PENULTIMATE, PENALTY_ALL_LAYERS])
-def test_backward_objective_matches_the_oracle_and_stacks_bitwise(mode):
+@DEPTHS
+def test_backward_objective_matches_the_oracle_and_stacks_bitwise(affine_maps):
     rng = np.random.default_rng(78)
     lambdas = [0.0, 0.3, 0.7, 1.0]
     k = len(lambdas)
@@ -360,29 +362,28 @@ def test_backward_objective_matches_the_oracle_and_stacks_bitwise(mode):
         return np.stack([a] * k)
 
     for _ in range(3):
-        fx = draw_gradient_fixture(rng, penalty_mode=mode)
+        fx = draw_gradient_fixture(rng, affine_maps=affine_maps)
         args = (fx["params"], fx["config"], fx["labels"], fx["weights"])
-        alone = [backward_composite(fx["trace"], *args, lam, fx["bounds"], mode).objective for lam in lambdas]
+        alone = [backward_composite(fx["trace"], *args, lam, fx["bounds"]).objective for lam in lambdas]
         for lam, value in zip(lambdas, alone):
             expected = composite_objective(
                 fx["params"], fx["config"], fx["x"], fx["labels"], fx["sensitives"],
-                fx["propensities"], lam, fx["bounds"], fx["masks"], mode,
+                fx["propensities"], lam, fx["bounds"], fx["masks"],
             )
             assert abs(value - expected) <= 1e-12
         # without weights (the single-group fallback) the objective is the risk term alone
-        fallback = backward_composite(fx["trace"], *args[:3], None, 0.7, fx["bounds"], mode)
+        fallback = backward_composite(fx["trace"], *args[:3], None, 0.7, fx["bounds"])
         assert fallback.objective == (1.0 - 0.7) * fx["bounds"].standardise_risk(fallback.risk)
         # the same batch as a stack of k members, one lambda each
         params = NetworkParams([stack(w) for w in fx["params"].weights], [stack(b) for b in fx["params"].biases])
         trace = forward(params, fx["config"], stack(fx["x"]), MODE_TRAIN, masks=[stack(m) for m in fx["masks"]])
         weights = overlap_weights(stack(fx["propensities"]), stack(fx["sensitives"]))
-        stacked = backward_composite(trace, params, fx["config"], stack(fx["labels"]), weights, lambdas,
-                                     fx["bounds"], mode)
+        stacked = backward_composite(trace, params, fx["config"], stack(fx["labels"]), weights, lambdas, fx["bounds"])
         assert stacked.objective.tolist() == alone
 
 
-@pytest.mark.parametrize("mode", [PENALTY_PENULTIMATE, PENALTY_ALL_LAYERS])
-def test_training_penalty_is_ato_hidden_penalty_bitwise(mode):
+@DEPTHS
+def test_training_penalty_is_ato_hidden_penalty_bitwise(affine_maps):
     rng = np.random.default_rng(79)
     lambdas = [0.3, 0.7, 1.0]
     k = len(lambdas)
@@ -391,17 +392,16 @@ def test_training_penalty_is_ato_hidden_penalty_bitwise(mode):
         return np.stack([a] * k)
 
     for _ in range(10):
-        fx = draw_gradient_fixture(rng, penalty_mode=mode)
+        fx = draw_gradient_fixture(rng, affine_maps=affine_maps)
         args = (fx["params"], fx["config"], fx["labels"], fx["weights"])
-        penalty, _ = ato_hidden_penalty(fx["trace"], fx["weights"], mode)
+        penalty, _ = ato_hidden_penalty(fx["trace"], fx["weights"])
         for lam in lambdas:
-            assert backward_composite(fx["trace"], *args, lam, fx["bounds"], mode).unfairness == penalty
+            assert backward_composite(fx["trace"], *args, lam, fx["bounds"]).unfairness == penalty
         params = NetworkParams([stack(w) for w in fx["params"].weights], [stack(b) for b in fx["params"].biases])
         trace = forward(params, fx["config"], stack(fx["x"]), MODE_TRAIN, masks=[stack(m) for m in fx["masks"]])
         weights = overlap_weights(stack(fx["propensities"]), stack(fx["sensitives"]))
-        stacked = backward_composite(trace, params, fx["config"], stack(fx["labels"]), weights, lambdas,
-                                     fx["bounds"], mode)
-        assert np.array_equal(stacked.unfairness, ato_hidden_penalty(trace, weights, mode)[0])
+        stacked = backward_composite(trace, params, fx["config"], stack(fx["labels"]), weights, lambdas, fx["bounds"])
+        assert np.array_equal(stacked.unfairness, ato_hidden_penalty(trace, weights)[0])
 
 
 def test_clamp_gate_is_closed_at_the_clamp_and_open_strictly_inside():
@@ -444,7 +444,7 @@ def _trained_propensity_model():
 
     ds = generate_synthetic(n=120, p=3, bias_strength=1.0, seed=4)
     config = PropensityConfig(hidden_layers=1, hidden_width=4, epochs=2, batch_size=32)
-    (raw,) = train_propensity([ds.features[:80]], [ds.sensitives[:80]], config, [16920295385781661272])
+    (raw,) = train_propensity(ds.features[:80], [ds.sensitives[:80]], config, [16920295385781661272])
     model = calibrate_temperature(raw, ds.features[80:], ds.sensitives[80:])
     assert model.temperature != 1.0
     return model.params, model.config, model.temperature

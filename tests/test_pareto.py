@@ -12,7 +12,7 @@ import pytest
 
 from fairfront import adversarial, pareto, propensity, training
 from fairfront.adversarial import AdversaryConfig, run_adversarial_sweep
-from fairfront.data import Dataset, SplitPlan, generate_synthetic
+from fairfront.data import Dataset, SplitPlan, generate_synthetic, make_splits
 from fairfront.errors import ConfigError, InputError, TrainingError
 from fairfront.network import NetworkConfig
 from fairfront.pareto import (
@@ -44,7 +44,6 @@ SMALL_SWEEP = SweepConfig(
     num_layers=2,
     hidden_width=4,
     dropout_prob=0.2,
-    penalty_mode="penultimate",
     train=TrainConfig(epochs=10, batch_size=64),
     propensity=PropensityConfig(hidden_layers=1, hidden_width=6, epochs=15, batch_size=64),
     calibration_fraction=0.2,
@@ -149,7 +148,7 @@ def test_discover_bounds_spans_and_reuse():
     # a one-split group whose seeds are those of a three-lambda grid
     seeds = [derive_seeds(1, 0, k) for k in range(3)]
     split = TrainingSplit(ds.features, np.arange(200), ds.labels.astype(float), ds.sensitives, e, net, seeds)
-    (res,) = discover_bounds([split], cfg, "penultimate")
+    (res,) = discover_bounds([split], cfg)
     b = res.bounds
     assert b.risk_min <= b.risk_max
     assert b.unfairness_min <= b.unfairness_max
@@ -166,8 +165,19 @@ def test_discover_bounds_needs_a_lambda_one_batch_with_both_groups():
     split = TrainingSplit(
         ds.features, np.arange(200), ds.labels.astype(float), a, np.full(200, 0.5), net, [(1, 2), (3, 4)]
     )
-    (res,) = discover_bounds([split], TrainConfig(epochs=2, batch_size=1), "penultimate")
+    (res,) = discover_bounds([split], TrainConfig(epochs=2, batch_size=1))
     assert isinstance(res, TrainingError) and "both sensitive groups" in str(res)
+
+
+def test_splits_that_train_together_share_one_feature_matrix():
+    ds = generate_synthetic(n=100, p=3, bias_strength=1.0, seed=1)
+    net = NetworkConfig(layer_sizes=[3, 2, 1], dropout_prob=0.0)
+    splits = [
+        TrainingSplit(x, np.arange(100), ds.labels.astype(float), ds.sensitives, np.full(100, 0.5), net, [(0, 0)] * 3)
+        for x in (ds.features, ds.features.copy())
+    ]
+    with pytest.raises(ConfigError, match="share one feature matrix"):
+        discover_bounds(splits, TrainConfig(epochs=1, batch_size=32))
 
 
 def test_train_scalarised_requires_bounds():
@@ -177,7 +187,7 @@ def test_train_scalarised_requires_bounds():
         ds.features, np.arange(100), ds.labels.astype(float), ds.sensitives, np.full(100, 0.5), net, [(0, 0)] * 3
     )
     with pytest.raises(ConfigError, match="bounds"):
-        train_scalarised([(split, None)], [0.5], TrainConfig(epochs=1, batch_size=32), "penultimate")
+        train_scalarised([(split, None)], [0.5], TrainConfig(epochs=1, batch_size=32))
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +294,7 @@ def test_run_sweep_reuses_endpoint_models():
     from fairfront.data import make_splits
     train_idx, _ = make_splits(ds.n_rows, plan, sensitives=ds.sensitives, labels=ds.labels)[0]
     (refit,) = fit_network(
-        [ds.features[train_idx]], [ds.labels[train_idx].astype(float)], net,
+        ds.features[train_idx], [ds.labels[train_idx].astype(float)], net,
         SMALL_SWEEP.train, [derive_seeds(2, 0, 0)],
     )
     for w1, w2 in zip(lam0.params.weights, refit.params.weights):
@@ -544,6 +554,37 @@ def test_grouped_sweep_is_bitwise_the_ungrouped_one(jobs, ungrouped):
     res = run_sweep(*three_splits(), SMALL_SWEEP, jobs=jobs)
     assert len(res.candidates) == 3 * 4 and not res.failures
     assert_same_sweep(res, ungrouped)
+
+
+def test_a_groups_propensity_fits_train_in_stacks_of_the_stack_size_rule(monkeypatch):
+    # 12 splits make one group at batch 250 and width 8, but the default
+    # propensity networks (10 -> 32 x 3 -> 1) at batch 250 train 7 to a stack.
+    config = SweepConfig(
+        train=TrainConfig(epochs=1, batch_size=250), propensity=PropensityConfig(epochs=1, batch_size=250)
+    )
+    assert pareto.split_groups(12, stack_size(250, config.layer_sizes(10)) // 2, 1) == [range(12)]
+    assert stack_size(250, config.propensity.layer_sizes(10)) == 7
+    ds = generate_synthetic(n=600, p=10, bias_strength=2.0, seed=3)
+    plan = SplitPlan(num_splits=12, train_fraction=0.5, master_seed=1)
+    group = [(i, *split) for i, split in enumerate(make_splits(ds.n_rows, plan, ds.sensitives, ds.labels))]
+    a_s = [ds.sensitives[train_idx] for _, train_idx, _ in group]
+    real, stacks = pareto.train_propensity, []
+
+    def spy(features, sensitives, config, seed, **kw):
+        stacks.append(len(seed))
+        return real(features, sensitives, config, seed, **kw)
+
+    monkeypatch.setattr(pareto, "train_propensity", spy)
+    cut = pareto._fit_propensities(ds.features, group, a_s, config, plan.master_seed)
+    monkeypatch.setattr(pareto, "STACK_CAP", 10**9)
+    whole = pareto._fit_propensities(ds.features, group, a_s, config, plan.master_seed)
+    assert stacks == [7, 5, 12]
+    for (model, e_tr, e_te), (one_stack, e_tr_1, e_te_1) in zip(cut, whole):
+        params, params_1 = model.params, one_stack.params
+        for w, w_1 in zip(params.weights + params.biases, params_1.weights + params_1.biases):
+            assert np.array_equal(w, w_1)
+        assert model.temperature == one_stack.temperature
+        assert np.array_equal(e_tr, e_tr_1) and np.array_equal(e_te, e_te_1)
 
 
 def test_one_split_of_a_group_failing_its_propensity_fit_fails_alone(monkeypatch, ungrouped):

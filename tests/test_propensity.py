@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from fairfront.errors import ConfigError
+from fairfront.errors import ConfigError, ShapeError
 from fairfront.network import CLAMP, NetworkConfig, NetworkParams, _sigmoid, bce_loss
 from fairfront.propensity import (
     PropensityConfig,
@@ -54,7 +54,7 @@ def test_training_learns_separable_attribute():
     config = PropensityConfig(
         hidden_layers=2, hidden_width=8, epochs=200, batch_size=64, dropout_prob=0.1, learning_rate=3e-3
     )
-    (model,) = train_propensity([x], [a], config, seed=[4])
+    (model,) = train_propensity(x, [a], config, seed=[4])
     assert model.temperature == 1.0  # calibration is a separate, later step
     e = predict_propensity(model, x)
     assert np.all((e > 0) & (e < 1))
@@ -67,22 +67,32 @@ def test_training_is_deterministic_in_seed():
     x = rng.normal(size=(100, 3))
     a = (rng.random(100) < 0.5).astype(int)
     config = PropensityConfig(hidden_layers=1, hidden_width=4, epochs=10, batch_size=32)
-    (m1,) = train_propensity([x], [a], config, seed=[9])
-    (m2,) = train_propensity([x], [a], config, seed=[9])
+    (m1,) = train_propensity(x, [a], config, seed=[9])
+    (m2,) = train_propensity(x, [a], config, seed=[9])
     for w1, w2 in zip(m1.params.weights, m2.params.weights):
         assert np.array_equal(w1, w2)
 
 
-@pytest.mark.parametrize("name", ["features", "sensitives", "seed"])
+@pytest.mark.parametrize("name", ["sensitives", "seed"])
 def test_training_takes_one_list_entry_per_model(name):
     rng = np.random.default_rng(2)
     x = rng.normal(size=(40, 3))
     a = (rng.random(40) < 0.5).astype(int)
     config = PropensityConfig(hidden_layers=1, hidden_width=4, epochs=1, batch_size=16)
-    per_model = dict(features=[x], sensitives=[a], seed=[3])
+    per_model = dict(features=x, sensitives=[a], seed=[3])
     per_model[name] = per_model[name][0]  # a bare value, not a list of one
     with pytest.raises(ConfigError, match=name):
         train_propensity(config=config, **per_model)
+
+
+def test_training_takes_one_feature_matrix_for_every_model():
+    rng = np.random.default_rng(2)
+    x = rng.normal(size=(40, 3))
+    a = (rng.random(40) < 0.5).astype(int)
+    config = PropensityConfig(hidden_layers=1, hidden_width=4, epochs=1, batch_size=16)
+    with pytest.raises(ShapeError, match=r"^features must be 2-d \(rows, features\), got shape \(1, 40, 3\)$"):
+        train_propensity([x], [a], config, [3])
+    assert len(train_propensity(x, [a, a], config, [3, 4])) == 2
 
 
 def test_calibration_never_hurts_validation_nll():

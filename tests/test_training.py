@@ -10,8 +10,8 @@ import pytest
 
 from fairfront import training
 from fairfront.data import generate_synthetic, minibatches
-from fairfront.errors import ConfigError, InputError, TrainingError
-from fairfront.metrics import PENALTY_PENULTIMATE, ato_hidden_penalty, overlap_weights
+from fairfront.errors import ConfigError, InputError, ShapeError, TrainingError
+from fairfront.metrics import ato_hidden_penalty, overlap_weights
 from fairfront.network import (
     MODE_TRAIN,
     NetworkConfig,
@@ -39,8 +39,8 @@ def test_fit_is_deterministic():
     ds = generate_synthetic(n=120, p=4, bias_strength=1.0, seed=0)
     net = NetworkConfig(layer_sizes=[4, 3, 1], dropout_prob=0.2)
     cfg = TrainConfig(epochs=5, batch_size=32)
-    (r1,) = fit_network([ds.features], [ds.labels], net, cfg, seeds=[(11, 77)])
-    (r2,) = fit_network([ds.features], [ds.labels], net, cfg, seeds=[(11, 77)])
+    (r1,) = fit_network(ds.features, [ds.labels], net, cfg, seeds=[(11, 77)])
+    (r2,) = fit_network(ds.features, [ds.labels], net, cfg, seeds=[(11, 77)])
     for w1, w2 in zip(r1.params.weights, r2.params.weights):
         assert np.array_equal(w1, w2)
     assert r1.epoch_objectives == r2.epoch_objectives
@@ -51,7 +51,7 @@ def test_lambda_zero_run_is_bitwise_plain_bce_descent():
     ds = generate_synthetic(n=150, p=5, bias_strength=2.0, seed=3)
     net = NetworkConfig(layer_sizes=[5, 4, 1], dropout_prob=0.2)
     cfg = TrainConfig(epochs=4, batch_size=32, learning_rate=1e-3)
-    (fitted,) = fit_network([ds.features], [ds.labels], net, cfg, seeds=[(21, 5)])
+    (fitted,) = fit_network(ds.features, [ds.labels], net, cfg, seeds=[(21, 5)])
 
     # independent reference loop: raw BCE deltas, same rng consumption order
     params = init_network(net, 21)
@@ -81,7 +81,7 @@ def test_lambda_positive_requires_group_data():
     ds = generate_synthetic(n=60, p=3, bias_strength=1.0, seed=2)
     net = NetworkConfig(layer_sizes=[3, 2, 1], dropout_prob=0.0)
     with pytest.raises(ConfigError, match="sensitives and propensities"):
-        fit_network([ds.features], [ds.labels], net, TrainConfig(epochs=1, batch_size=16), [(0, 0)], lambda_=[0.5])
+        fit_network(ds.features, [ds.labels], net, TrainConfig(epochs=1, batch_size=16), [(0, 0)], lambda_=[0.5])
 
 
 def test_single_group_batches_are_counted_and_survived():
@@ -94,7 +94,7 @@ def test_single_group_batches_are_counted_and_survived():
     e = np.clip(rng.uniform(0.2, 0.8, size=n), 0.01, 0.99)
     net = NetworkConfig(layer_sizes=[3, 3, 1], dropout_prob=0.0)
     cfg = TrainConfig(epochs=6, batch_size=8)
-    (result,) = fit_network([x], [y], net, cfg, seeds=[(1, 13)], lambda_=[0.4], sensitives=[a], propensities=[e])
+    (result,) = fit_network(x, [y], net, cfg, seeds=[(1, 13)], lambda_=[0.4], sensitives=[a], propensities=[e])
     assert result.skipped_group_batches > 0
     u_min, u_max = result.unfairness_range
     r_min, r_max = result.risk_range
@@ -107,7 +107,7 @@ def test_ranges_and_lr_reporting():
     ds = generate_synthetic(n=90, p=3, bias_strength=1.0, seed=5)
     net = NetworkConfig(layer_sizes=[3, 2, 1], dropout_prob=0.0)
     cfg = TrainConfig(epochs=3, batch_size=30)
-    (result,) = fit_network([ds.features], [ds.labels], net, cfg, seeds=[(2, 1)])
+    (result,) = fit_network(ds.features, [ds.labels], net, cfg, seeds=[(2, 1)])
     r_min, r_max = result.risk_range
     assert np.isfinite([r_min, r_max]).all() and r_min <= r_max
     assert result.unfairness_range == EMPTY_RANGE  # a lambda = 0 fit computes no penalty
@@ -138,9 +138,8 @@ def fit_stack(lambdas, seeds, train=STACK_TRAIN, bounds=None):
     x, y, a, e = stack_problem()
     k = len(seeds)
     return fit_network(
-        [x] * k, [y] * k, STACK_NET, train, list(seeds), lambda_=lambdas,
+        x, [y] * k, STACK_NET, train, list(seeds), lambda_=lambdas,
         bounds=None if bounds is None else [bounds] * k, sensitives=[a] * k, propensities=[e] * k,
-        penalty_mode="all_layers",
     )
 
 
@@ -195,34 +194,35 @@ def test_members_with_their_own_rows_and_bounds_are_bitwise_their_lone_fits():
         StandardisationBounds(0.4, 0.6, 0.0, 1.0),
         StandardisationBounds(0.5, 0.7, 0.1, 0.2),
     ]
-    features, labels, sensitives, propensities = (list(c) for c in zip(*sets))
+    copies, labels, sensitives, propensities = (list(c) for c in zip(*sets))
 
     def fit_all(**wrong):
         per_member = dict(
-            features=features, labels=labels, net_config=STACK_NET, seeds=STACK_SEEDS, lambda_=STACK_LAMBDAS,
-            bounds=bounds, sensitives=sensitives, propensities=propensities,
+            features=x, labels=labels, net_config=STACK_NET, seeds=STACK_SEEDS, lambda_=STACK_LAMBDAS,
+            bounds=bounds, sensitives=sensitives, propensities=propensities, feature_rows=rows,
         )
         per_member.update(wrong)
-        return fit_network(train_config=STACK_TRAIN, penalty_mode="all_layers", **per_member)
+        return fit_network(train_config=STACK_TRAIN, **per_member)
 
     lone_fits = [
         fit_network(
-            [xk], [yk], STACK_NET, STACK_TRAIN, [seeds], lambda_=[lam], bounds=[b],
-            sensitives=[ak], propensities=[ek], penalty_mode="all_layers",
+            xk, [yk], STACK_NET, STACK_TRAIN, [seeds], lambda_=[lam], bounds=[b],
+            sensitives=[ak], propensities=[ek],
         )[0]
         for (xk, yk, ak, ek), b, lam, seeds in zip(sets, bounds, STACK_LAMBDAS, STACK_SEEDS)
     ]
-    # Each member trains on its gathered copy, on its rows of one shared
-    # matrix, or on its rows of one of two matrices (the second holds x's
-    # rows reversed, so 389 - r lists the rows r of x).
-    x_reversed = x[::-1].copy()
-    for stacked in [
-        fit_all(),
-        fit_all(features=[x] * 3, feature_rows=rows),
-        fit_all(features=[x, x_reversed, x], feature_rows=[rows[0], 389 - rows[1], rows[2]]),
-    ]:
+    # Each member trains on its rows of the one shared matrix, or on its
+    # gathered copy, the copies joined into one matrix.
+    blocks = [np.arange(130) + 130 * i for i in range(3)]
+    for stacked in [fit_all(), fit_all(features=np.concatenate(copies), feature_rows=blocks)]:
         for member, alone in zip(stacked, lone_fits):
             assert_same_fit(member, alone)
+
+    # the stack shares one 2-d feature matrix: a list of matrices, or a
+    # (K, n, ...) array, arrives as 3-d
+    for wrong in [copies, np.stack(copies)]:
+        with pytest.raises(ShapeError, match="features must be 2-d"):
+            fit_all(features=wrong)
 
     # every per-member argument is a list: no bare value, no shared array, no
     # (K, n, ...) array, no shared bounds; the architecture is one config
@@ -230,8 +230,6 @@ def test_members_with_their_own_rows_and_bounds_are_bitwise_their_lone_fits():
         dict(net_config=[STACK_NET] * 3),
         dict(seeds=STACK_SEEDS[0]),
         dict(lambda_=STACK_LAMBDAS[1]),
-        dict(features=x[rows[0]]),
-        dict(features=np.stack(features)),
         dict(labels=np.stack(labels)),
         dict(sensitives=a[rows[0]]),
         dict(propensities=np.stack(propensities)),
@@ -251,7 +249,7 @@ def test_a_fit_holds_one_step_of_rows_not_an_epoch():
     net = NetworkConfig(layer_sizes=[30, 8, 1], dropout_prob=0.2)
     tracemalloc.start()
     try:
-        (fit,) = fit_network([x], [y], net, TrainConfig(epochs=1, batch_size=250), [(0, 1)])
+        (fit,) = fit_network(x, [y], net, TrainConfig(epochs=1, batch_size=250), [(0, 1)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -263,19 +261,32 @@ def test_a_fit_holds_one_step_of_rows_not_an_epoch():
 def test_per_member_training_sets_must_line_up():
     x, y, a, e = stack_problem()
     seeds = STACK_SEEDS[:2]
+    rows = [np.arange(len(x)), np.arange(len(x) - 1)]
     with pytest.raises(ConfigError, match="equal row counts"):
-        fit_network([x, x[:-1]], [y, y[:-1]], STACK_NET, STACK_TRAIN, seeds, lambda_=[0.0, 0.0])
-    with pytest.raises(ConfigError, match="features"):
-        fit_network([x], [y], STACK_NET, STACK_TRAIN, seeds, lambda_=[0.0, 0.0])
+        fit_network(x, [y, y[:-1]], STACK_NET, STACK_TRAIN, seeds, lambda_=[0.0, 0.0], feature_rows=rows)
+    with pytest.raises(ConfigError, match="labels"):
+        fit_network(x, [y], STACK_NET, STACK_TRAIN, seeds, lambda_=[0.0, 0.0])
     with pytest.raises(ConfigError, match="bounds"):
         fit_network(
-            [x, x], [y, y], STACK_NET, STACK_TRAIN, seeds, lambda_=[0.5, 0.5], sensitives=[a, a],
+            x, [y, y], STACK_NET, STACK_TRAIN, seeds, lambda_=[0.5, 0.5], sensitives=[a, a],
             propensities=[e, e], bounds=[StandardisationBounds(0.3, 0.8, 0.0, 0.4)],
         )
     bad_x = x.copy()
     bad_x[3, 1] = np.nan
     with pytest.raises(InputError, match="finite"):
-        fit_network([x, bad_x], [y, y], STACK_NET, STACK_TRAIN, seeds, lambda_=[0.0, 0.0])
+        fit_network(bad_x, [y, y], STACK_NET, STACK_TRAIN, seeds, lambda_=[0.0, 0.0])
+
+
+def test_a_penalised_fit_needs_a_hidden_layer():
+    # A network without one has no penalty to descend: a lambda > 0 member
+    # would come back as its untrained initialisation.
+    x, y, a, e = stack_problem()
+    no_hidden = NetworkConfig(layer_sizes=[4, 1], dropout_prob=0.0)
+    with pytest.raises(ConfigError, match=r"^lambda > 0 penalises a hidden layer, and layer_sizes \[4, 1\] has none$"):
+        fit_network(x, [y, y], no_hidden, STACK_TRAIN, STACK_SEEDS[:2], lambda_=[0.0, 1.0], sensitives=[a, a],
+                    propensities=[e, e])
+    (fit,) = fit_network(x, [y], no_hidden, STACK_TRAIN, STACK_SEEDS[:1])  # lambda = 0 trains plain BCE
+    assert isinstance(fit, FitResult) and fit.epoch_objectives
 
 
 def test_stacked_fit_matches_a_per_model_reference_loop():
@@ -289,7 +300,7 @@ def test_stacked_fit_matches_a_per_model_reference_loop():
     seeds = [(41, 1), (42, 2), (43, 3)]
     net = NetworkConfig(layer_sizes=[4, 6, 1], dropout_prob=0.2)
     stacked = fit_network(
-        [x] * 3, [y] * 3, net, cfg, seeds, lambda_=lambdas, bounds=[bounds] * 3,
+        x, [y] * 3, net, cfg, seeds, lambda_=lambdas, bounds=[bounds] * 3,
         sensitives=[a] * 3, propensities=[e] * 3,
     )
 
@@ -309,7 +320,7 @@ def test_stacked_fit_matches_a_per_model_reference_loop():
                 p = trace.output
                 risk = -np.mean(mb.labels * np.log(p) + (1 - mb.labels) * np.log1p(-p))
                 weights = overlap_weights(mb.propensities, mb.sensitives)
-                unfairness, taus = ato_hidden_penalty(trace, weights, PENALTY_PENULTIMATE)
+                unfairness, tau = ato_hidden_penalty(trace, weights)
                 r_t = (1 - lam) * (risk - bounds.risk_min) / bounds.risk_span
                 u_t = lam * (unfairness - bounds.unfairness_min) / bounds.unfairness_span
                 deltas = [None, None]
@@ -325,7 +336,7 @@ def test_stacked_fit_matches_a_per_model_reference_loop():
                     w, s = weights.weights, mb.sensitives
                     treated, control = np.where(s == 1, w, 0.0).sum(), np.where(s == 0, w, 0.0).sum()
                     coeff = np.where(s == 1, w / treated, -w / control)
-                    deltas[0] = np.outer(coeff * lam / bounds.unfairness_span, np.sign(taus[0]))
+                    deltas[0] = np.outer(coeff * lam / bounds.unfairness_span, np.sign(tau))
                 grads, _ = backprop(params, net, trace, deltas)
                 adam.step(params, grads)
                 objectives.append(max(r_t, u_t))
@@ -390,7 +401,7 @@ def test_stack_arguments_must_line_up():
     x, y, a, e = stack_problem()
     with pytest.raises(ConfigError, match="lambda_"):
         fit_network(
-            [x] * 3, [y] * 3, STACK_NET, STACK_TRAIN, STACK_SEEDS, lambda_=STACK_LAMBDAS[:2],
+            x, [y] * 3, STACK_NET, STACK_TRAIN, STACK_SEEDS, lambda_=STACK_LAMBDAS[:2],
             sensitives=[a] * 3, propensities=[e] * 3,
         )
 
@@ -401,15 +412,15 @@ def test_fit_rejects_bad_data_up_front():
     bad_x = x.copy()
     bad_x[3, 1] = np.nan
     with pytest.raises(InputError, match="finite"):
-        fit_network([bad_x], [y], net, STACK_TRAIN, [(0, 0)])
+        fit_network(bad_x, [y], net, STACK_TRAIN, [(0, 0)])
     bad_a = a.copy()
     bad_a[0] = 2
     with pytest.raises(InputError, match="0/1"):
-        fit_network([x], [y], net, STACK_TRAIN, [(0, 0)], lambda_=[0.5], sensitives=[bad_a], propensities=[e])
+        fit_network(x, [y], net, STACK_TRAIN, [(0, 0)], lambda_=[0.5], sensitives=[bad_a], propensities=[e])
     bad_e = e.copy()
     bad_e[0] = 1.0
     with pytest.raises(InputError, match="inside"):
-        fit_network([x], [y], net, STACK_TRAIN, [(0, 0)], lambda_=[0.5], sensitives=[a], propensities=[bad_e])
+        fit_network(x, [y], net, STACK_TRAIN, [(0, 0)], lambda_=[0.5], sensitives=[a], propensities=[bad_e])
 
 
 FIT_SETUP = """
@@ -420,7 +431,7 @@ from fairfront.training import TrainConfig, fit_network
 rng = np.random.default_rng(0)
 x, y = rng.normal(size=(1000, 10)), rng.integers(0, 2, 1000).astype(float)
 a, e = rng.integers(0, 2, 1000), rng.uniform(0.2, 0.8, 1000)
-args = [x] * 12, [y] * 12, NetworkConfig(layer_sizes=[10, 8, 1]), TrainConfig(epochs=60, batch_size=250)
+args = x, [y] * 12, NetworkConfig(layer_sizes=[10, 8, 1]), TrainConfig(epochs=60, batch_size=250)
 kwargs = dict(lambda_=[0.5] * 12, sensitives=[a] * 12, propensities=[e] * 12)
 seeds = [(k, k) for k in range(12)]
 """
