@@ -43,6 +43,7 @@ from .network import (
     bce_loss,
     bce_output_delta,
     forward,
+    input_delta,
     row_blocks,
     unclamped,
 )
@@ -118,7 +119,11 @@ def classifier_objective_gradient(
     objective = bce_loss(p, labels)
     penalised = lam > 0.0
     if penalised.any():
-        _, d_first, q = _adversary_gradient(adv_params, adv_config, p, sensitives)
+        # Only the adversary's delta chain down to its input: no adversary
+        # parameter gradient is built, since the adversary is frozen here.
+        adv_trace, adv_delta = _adversary_pass(adv_params, adv_config, p, sensitives)
+        q = adv_trace.output
+        d_first = input_delta(adv_params, adv_trace, adv_delta)
         # dLoss_a/dh of the classifier output: through the adversary's first
         # layer to its input, then the classifier's clamped sigmoid, whose
         # slope is p * (1 - p) where the clamp is open.
@@ -132,18 +137,22 @@ def classifier_objective_gradient(
     return grads, objective
 
 
+def _adversary_pass(adv_params: NetworkParams, adv_config: NetworkConfig, scores, sensitives):
+    """The adversary's eval-mode trace on scores, and the delta of its mean BCE on sensitives at its output."""
+    trace = forward(adv_params, adv_config, scores[..., None], MODE_EVAL)
+    return trace, bce_output_delta(trace.output, sensitives)[..., None]
+
+
 def _adversary_gradient(adv_params: NetworkParams, adv_config: NetworkConfig, scores, sensitives):
     """Gradients of the adversary's mean BCE on (scores, sensitives), one adversary or a stack.
 
-    Returns (parameter gradients, d/dh of its first layer, predictions); the
+    Returns backprop's (parameter gradients, d/dh of its first layer); the
     first-layer delta times adv_params.weights[0] is d/dscores.
     """
-    trace = forward(adv_params, adv_config, scores[..., None], MODE_EVAL)
-    q = trace.output
+    trace, delta = _adversary_pass(adv_params, adv_config, scores, sensitives)
     deltas: list = [None] * adv_config.num_layers
-    deltas[-1] = bce_output_delta(q, sensitives)[..., None]
-    grads, d_first = backprop(adv_params, adv_config, trace, deltas)
-    return grads, d_first, q
+    deltas[-1] = delta
+    return backprop(adv_params, adv_config, trace, deltas)
 
 
 def train_adversarial(

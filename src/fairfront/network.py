@@ -161,7 +161,8 @@ def forward(
     drop: list[np.ndarray] = []
     v = x
     for l in range(L):
-        h = _matmul(v, params.weights[l].swapaxes(-1, -2))
+        # matmul is faster on a contiguous copy of W^T than on the transposed view, with equal bits
+        h = _matmul(v, np.ascontiguousarray(params.weights[l].swapaxes(-1, -2)))
         h += params.biases[l][..., None, :]
         preacts.append(h)
         if l < L - 1:
@@ -231,9 +232,17 @@ def bce_output_delta(scores: np.ndarray, labels) -> np.ndarray:
 def _validated_features(features, config: NetworkConfig | None = None) -> np.ndarray:
     """features as a float64 (rows, inputs) matrix; the one feature check of every entry point.
 
-    Without a config any width passes.
+    Ragged rows and entries that are not numbers (text, None) raise
+    InputError, under one rule, as a model document's arrays do
+    (_number_array).  Without a config any width passes.
     """
-    x = np.asarray(features, dtype=np.float64)
+    try:
+        x = np.asarray(features)
+    except ValueError:  # ragged rows
+        x = None
+    if x is None or x.dtype.kind not in "biuf":
+        raise InputError("features must be a regular array of numbers")
+    x = x.astype(np.float64, copy=False)
     if x.ndim != 2:
         raise ShapeError(f"features must be 2-d (rows, features), got shape {x.shape}")
     if config is not None and x.shape[1] != config.layer_sizes[0]:
@@ -394,7 +403,7 @@ def backward_composite(
     if not risk_branch.all() and tau is not None:
         # d|tau|/dh is the contrast coefficient times the sign of tau.
         scale = np.where(risk_branch, 0.0, lam / bounds.unfairness_span)
-        deltas[L - 2] = (weights.coefficients * scale[..., None])[..., :, None] * np.sign(tau)[..., None, :]
+        deltas[L - 2] = np.einsum("...m,...n->...mn", weights.coefficients * scale[..., None], np.sign(tau))
 
     grads, _ = backprop(params, config, trace, deltas)
     return BackwardResult(grads, risk, unfairness, risk_branch, objective)
@@ -420,6 +429,11 @@ def backprop(
     times params.weights[0]; no training step needs it, so it is left to the
     caller that does.  The caller's deltas are read, never written, and may
     come back as the returned delta.
+
+    Each layer's gradients are built as its delta is formed, so only two
+    deltas are live at once.  The step down a layer is _delta_below, which
+    input_delta shares for a caller that reads the layer-0 delta alone; the
+    bias gradients are _row_sum's.
     """
     L = config.num_layers
     if len(preact_deltas) != L:
@@ -437,30 +451,63 @@ def backprop(
                 continue
             d = own
         else:
-            d = _matmul(delta, params.weights[l + 1])
-            if trace.dropout_masks:
-                d *= trace.dropout_masks[l]
-            d *= trace.preactivations[l] > 0.0
+            d = _delta_below(params, trace, l, delta)
             if own is not None:
                 d += own
         below = trace.inputs if l == 0 else trace.activations[l - 1]
         grad_w[l] = _matmul(d.swapaxes(-1, -2), below)
-        grad_b[l] = d.sum(axis=-2)
+        grad_b[l] = _row_sum(d)
         delta = d
     return NetworkParams(weights=grad_w, biases=grad_b), delta
 
 
-def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b, as a broadcast product when the inner dimension is 1.
+def input_delta(params: NetworkParams, trace: ForwardTrace, output_delta: np.ndarray) -> np.ndarray:
+    """dJ/dh^(0) for a delta at the output preactivation alone, and no parameter gradient.
 
-    With an inner dimension of 1 the product is an outer product: each entry
-    is one multiplication, which broadcasting rounds exactly as matmul does,
-    without matmul's per-call and per-member cost.  Only the sign of an exact
-    zero may differ.
+    The delta backprop returns for preact_deltas [None, ..., output_delta],
+    bitwise: the same chain of _delta_below steps, without the weight
+    products and bias sums that backprop builds along the way.
+    """
+    d = output_delta
+    for l in range(len(trace.preactivations) - 2, -1, -1):
+        d = _delta_below(params, trace, l, d)
+    return d
+
+
+def _delta_below(params: NetworkParams, trace: ForwardTrace, l: int, delta: np.ndarray) -> np.ndarray:
+    # dJ/dh^(l) that layer l + 1's delta sends down: through its weights, then
+    # layer l's dropout mask (if the trace has any) and ReLU gate; a new array
+    d = _matmul(delta, params.weights[l + 1])
+    if trace.dropout_masks:
+        d *= trace.dropout_masks[l]
+    d *= trace.preactivations[l] > 0.0
+    return d
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b, as an einsum outer product when the inner dimension is 1.
+
+    With an inner dimension of 1 each entry is one multiplication, which
+    einsum rounds exactly as matmul does, without matmul's per-call and
+    per-member cost.  Only the sign of an exact zero may differ.
     """
     if a.shape[-1] == 1 == b.shape[-2]:
-        return a * b
+        return np.einsum("...mi,...in->...mn", a, b)
     return a @ b
+
+
+def _row_sum(d: np.ndarray) -> np.ndarray:
+    """d.sum(axis=-2), bitwise, for one matrix or a stack.
+
+    Where rows are wider than 1 and the last axis is the contiguous one,
+    numpy's sum and einsum both add the rows one after another in order,
+    and einsum's loop is several times faster.  A width-1 column (or another
+    layout) keeps sum: numpy sums it pairwise and einsum does not, so their
+    last bits differ.
+    """
+    if d.shape[-1] > 1 and d.strides[-1] == d.itemsize:
+        return np.einsum("...mn->...n", d)
+    return d.sum(axis=-2)
 
 
 def _flatten(params: NetworkParams) -> np.ndarray:

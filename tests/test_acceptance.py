@@ -330,8 +330,15 @@ def test_criterion_6_end_to_end_trend(pipeline):
                     f"{wall:.0f}s (budget 300s)")
 
 
+# sha256 prefix of the seed-0 adversarial candidates.csv of criterion 7: its
+# lambdas train as one stack of 7 per split, a stack no other pin covers
+# (test_adversarial.LONE_RUN_DIGESTS pins lone runs).  A change that moves
+# these bytes on purpose updates the pin and names the new digest in CHANGES.md.
+CRITERION_7_ADVERSARIAL_DIGEST = "3747c9807f97cd5a"
+
+
 @pytest.mark.slow
-def test_criterion_7_comparative_count(pipeline):
+def test_criterion_7_comparative_count(pipeline, tmp_path):
     start = time.perf_counter()
     ds = _dataset()
     grid = build_lambda_grid(LAMBDA_COUNT)
@@ -344,15 +351,20 @@ def test_criterion_7_comparative_count(pipeline):
             che = _front_size(pipeline["result"])
         else:
             che = _front_size(run_sweep(ds, plan, grid, cfg, jobs=3))
-        adv = _front_size(run_adversarial_sweep(ds, plan, grid, cfg, adv_cfg, jobs=3))
-        counts.append((seed, che, adv))
+        adversarial = run_adversarial_sweep(ds, plan, grid, cfg, adv_cfg, jobs=3)
+        if seed == MASTER_SEEDS[0]:
+            write_candidates_csv(tmp_path / "adversarial.csv", adversarial.candidates)
+            digest = hashlib.sha256((tmp_path / "adversarial.csv").read_bytes()).hexdigest()[:16]
+        counts.append((seed, che, _front_size(adversarial)))
     wins = sum(1 for _, che, adv in counts if che >= adv)
     # the reused seed-0 sweep was timed by the fixture; bill it here too
     elapsed = time.perf_counter() - start + pipeline["wall"]
-    ok = wins >= 2 and elapsed < 600.0
+    pinned = digest == CRITERION_7_ADVERSARIAL_DIGEST
+    ok = wins >= 2 and elapsed < 600.0 and pinned
     detail = ", ".join(f"seed {s}: {c} vs {a}" for s, c, a in counts)
     _verdict(7, ok, f"Chebyshev vs adversarial non-dominated counts [{detail}]: "
-                    f"{wins}/3 wins (need >=2), {elapsed:.0f}s (budget 600s)")
+                    f"{wins}/3 wins (need >=2), {elapsed:.0f}s (budget 600s), seed-{MASTER_SEEDS[0]} "
+                    f"adversarial CSV digest {digest} ({'pinned' if pinned else 'want ' + CRITERION_7_ADVERSARIAL_DIGEST})")
 
 
 def test_criterion_8_byte_identical_rerun(pipeline, tmp_path):

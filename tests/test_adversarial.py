@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from fairfront import adversarial
+from fairfront import adversarial, network
 from fairfront.adversarial import (
     AdversaryConfig,
     _cycled_batches,
@@ -94,13 +94,76 @@ def test_a_stacked_gradient_gives_each_member_its_lone_gradient():
     assert all(np.isfinite(g[0]).all() for g in (*grads.weights, *grads.biases))
 
 
+def classifier_step_problem(stacked: bool):
+    """A classifier step at the adversarial sweep's shapes: 7 members (or one), 250 rows, a 4 x 32 adversary."""
+    rng = np.random.default_rng(23)
+    clf_net = NetworkConfig(layer_sizes=[10, 8, 1], dropout_prob=0.2)
+    adv_net = AdversaryConfig().network_config()
+    seeds = range(7) if stacked else [0]
+    clf = stack([init_network(clf_net, s) for s in seeds])
+    adv = stack([init_network(adv_net, 100 + s) for s in seeds])
+    x, y, a = (rng.normal(size=(len(seeds), 250, 10)), rng.integers(0, 2, (len(seeds), 250)),
+               rng.integers(0, 2, (len(seeds), 250)))
+    lams = np.linspace(0.0, 1.0, 7)
+    if not stacked:
+        clf, adv, x, y, a, lams = clf.member(0), adv.member(0), x[0], y[0], a[0], 0.6
+    trace = forward(clf, clf_net, x, MODE_TRAIN, rng=[np.random.default_rng(s) for s in seeds])
+    return clf, clf_net, adv, adv_net, trace, y, a, lams
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["alone", "stacked"])
+def test_the_classifier_step_reads_backprops_input_delta_bitwise(stacked, monkeypatch):
+    args = classifier_step_problem(stacked)
+    grads, objective = classifier_objective_gradient(*args)
+    seen = []
+
+    def backprops_delta(params, trace, output_delta):
+        config = args[3]
+        want = backprop(params, config, trace, [None] * (config.num_layers - 1) + [output_delta])[1]
+        seen.append(np.array_equal(network.input_delta(params, trace, output_delta), want))
+        return want
+
+    monkeypatch.setattr(adversarial, "input_delta", backprops_delta)
+    ref_grads, ref_objective = classifier_objective_gradient(*args)
+    assert seen == [True]
+    assert np.array_equal(objective, ref_objective)
+    for g, r in zip((*grads.weights, *grads.biases), (*ref_grads.weights, *ref_grads.biases)):
+        assert np.array_equal(g, r)
+
+
+def test_a_classifier_step_builds_no_adversary_parameter_gradient(monkeypatch):
+    # Count the weight products and bias sums whose result has the shape of a
+    # hidden adversary parameter (32 x 1, 32 x 32, 1 x 32 weights; 32 biases):
+    # the classifier (10 -> 8 -> 1) and the 250-row activations have none.
+    clf, clf_net, adv, adv_net, trace, y, a, lams = classifier_step_problem(stacked=True)
+    adv_shapes = {w.shape for w in adv.weights} | {b.shape for b in adv.biases[:-1]}
+    built = []
+    real_matmul, real_row_sum = network._matmul, network._row_sum
+
+    def counting(real):
+        def call(*args):
+            out = real(*args)
+            built.extend([out.shape] if out.shape in adv_shapes else [])
+            return out
+        return call
+
+    monkeypatch.setattr(network, "_matmul", counting(real_matmul))
+    monkeypatch.setattr(network, "_row_sum", counting(real_row_sum))
+    adversarial._adversary_gradient(adv, adv_net, trace.output, a)
+    # the counter sees an adversary gradient: each weight product and hidden bias sum
+    assert len(built) == len(adv.weights) + len(adv.biases) - 1
+    built.clear()
+    classifier_objective_gradient(clf, clf_net, adv, adv_net, trace, y, a, lams)
+    assert built == []
+
+
 def test_adversary_gradient_matches_finite_differences_at_the_clamp():
     # A 1 -> 1 adversary with weight 40 maps scores 0.9 and 0.95 to sigmoid
     # values the output clamp pins at 1 - CLAMP, where the loss no longer moves.
     net = NetworkConfig(layer_sizes=[1, 1], dropout_prob=0.0)
     params = NetworkParams([np.array([[40.0]])], [np.zeros(1)])
     scores, a = np.array([0.9, 0.95]), np.zeros(2)
-    grads, d_first, _ = adversarial._adversary_gradient(params, net, scores, a)
+    grads, d_first = adversarial._adversary_gradient(params, net, scores, a)
     objective = lambda p: bce_loss(forward(p, net, scores[:, None], MODE_EVAL).output, a)
     numeric = fd_gradient(objective, params)
     assert numeric.weights[0][0, 0] == 0.0

@@ -82,3 +82,11 @@ def test_validation_failures():
         evaluate_test_metrics(params, config, x, a, y, e[:-1])
     with pytest.raises(InputError, match="sensitives must contain both levels"):
         evaluate_test_metrics(params, config, x, np.zeros_like(a), y, e)
+
+
+def test_ragged_or_text_features_raise_input_error():
+    params, config, _, a, y = build_case(7, n=2, p=3)
+    e = np.full(2, 0.5)
+    for features in ([[0.0, 1.0, 2.0], [1.0, 2.0]], [[0.0, 1.0, 2.0], [1.0, "two", 3.0]]):
+        with pytest.raises(InputError, match="features must be a regular array of numbers"):
+            evaluate_test_metrics(params, config, features, a, y, e)

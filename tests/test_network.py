@@ -17,11 +17,13 @@ from fairfront.network import (
     NetworkParams,
     StandardisationBounds,
     _matmul,
+    _row_sum,
     backprop,
     backward_composite,
     bce_loss,
     forward,
     init_network,
+    input_delta,
     load_model,
     save_model,
     unclamped,
@@ -169,6 +171,99 @@ def test_inner_dimension_one_product_equals_matmul(a_shape, b_shape):
     product = _matmul(a, b)
     assert product.shape == (a @ b).shape
     assert np.array_equal(product, a @ b)
+
+
+def test_outer_product_equals_broadcasting_but_for_the_sign_of_a_zero():
+    rng = np.random.default_rng(12)
+    a, b = rng.normal(size=(7, 250, 1)), rng.normal(size=(7, 1, 32))
+    a[0, :3, 0] = [0.0, -0.0, 0.0]
+    b[0, 0, :2] = [-1.0, 0.0]
+    product, broadcast = _matmul(a, b), a * b
+    assert product.shape == broadcast.shape
+    assert np.array_equal(product, broadcast)
+    signs_differ = np.signbit(product) != np.signbit(broadcast)
+    assert np.all(product[signs_differ] == 0.0)
+
+
+# The arrays whose rows backprop sums into bias gradients: the three benchmark
+# workloads' and the acceptance gate's (criteria 6 and 7) stacks and widths,
+# (stack, rows, width) or (rows, width), and a short last batch.
+ROW_SUM_SHAPES = [
+    (21, 250, 8), (21, 250, 1),    # sweep_small_batch / criterion 6 classifier stack
+    (3, 250, 32), (3, 250, 1),     # their propensity stack
+    (2000, 64), (2000, 32), (2000, 1),  # sweep_large_batch_jobs2: one network per stack
+    (7, 250, 32), (7, 250, 8), (7, 250, 1),  # adversarial_1split / criterion 7 stacks
+    (7, 140, 32), (250, 8), (250, 2),
+]
+
+
+def _row_sum_layouts(d):
+    """d itself and arrays of d's shape and values stored otherwise."""
+    wide = np.zeros(d.shape[:-1] + (d.shape[-1] + 3,))
+    wide[..., : d.shape[-1]] = d
+    spaced = np.zeros(d.shape[:-2] + (2 * d.shape[-2], d.shape[-1]))
+    spaced[..., ::2, :] = d
+    return {
+        "contiguous": d,
+        "rows_strided": spaced[..., ::2, :],
+        "columns_of_a_wider_array": wide[..., : d.shape[-1]],
+        "rows_stored_reversed": np.ascontiguousarray(d[..., ::-1, :])[..., ::-1, :],
+        "row_axis_contiguous": np.ascontiguousarray(d.swapaxes(-1, -2)).swapaxes(-1, -2),
+    }
+
+
+@pytest.mark.parametrize("shape", ROW_SUM_SHAPES, ids=lambda s: "x".join(map(str, s)))
+def test_row_sum_is_sum_over_rows_bitwise(shape):
+    rng = np.random.default_rng(sum(shape))
+    for _ in range(5):
+        # mixed magnitudes, so that any change of summation order shows in the last bits
+        d = rng.normal(size=shape) * 10.0 ** rng.integers(-4, 4, size=shape)
+        for layout, v in _row_sum_layouts(d).items():
+            assert np.array_equal(v, d)
+            total = _row_sum(v)
+            assert total.shape == v.sum(axis=-2).shape
+            assert np.array_equal(total, v.sum(axis=-2)), layout
+
+
+@pytest.mark.parametrize("stack", [None, 7])
+@pytest.mark.parametrize(
+    "sizes, rows",
+    [((10, 8, 1), 250), ((10, 32, 32, 32, 1), 250), ((30, 64, 1), 2000), ((1, 32, 32, 32, 32, 1), 250)],
+    ids=["classifier", "propensity", "wide", "adversary"],
+)
+def test_forward_equals_products_with_the_transposed_weight_views_bitwise(sizes, rows, stack):
+    rng = np.random.default_rng(rows + len(sizes))
+    config = NetworkConfig(layer_sizes=list(sizes), dropout_prob=0.0)
+    members = [init_network(config, seed) for seed in range(stack or 1)]
+    params = NetworkParams([np.stack(w) for w in zip(*(m.weights for m in members))],
+                           [np.stack(b) for b in zip(*(m.biases for m in members))])
+    params.biases = [b + rng.normal(scale=0.1, size=b.shape) for b in params.biases]
+    x = rng.normal(size=(stack or 1, rows, sizes[0]))
+    if stack is None:
+        params, x = params.member(0), x[0]
+    trace = forward(params, config, x, MODE_EVAL)
+    v = x
+    for l, h in enumerate(trace.preactivations):
+        want = v @ params.weights[l].swapaxes(-1, -2) + params.biases[l][..., None, :]
+        assert np.array_equal(h, want)
+        v = np.maximum(want, 0.0)
+
+
+@pytest.mark.parametrize("stack", [None, 7])
+def test_input_delta_is_backprops_returned_delta_bitwise(stack):
+    rng = np.random.default_rng(19)
+    for sizes, dropout in (((1, 32, 32, 32, 32, 1), 0.0), ((4, 6, 5, 1), 0.3), ((3, 1), 0.0)):
+        config = NetworkConfig(layer_sizes=list(sizes), dropout_prob=dropout)
+        params = init_network(config, 5)
+        x = rng.normal(size=(250, sizes[0]))
+        if stack is not None:
+            params = NetworkParams([np.stack([w * (1 + k / 10) for k in range(stack)]) for w in params.weights],
+                                   [np.stack([b + k for k in range(stack)]) for b in params.biases])
+            x = rng.normal(size=(stack, 250, sizes[0]))
+        trace = forward(params, config, x, MODE_TRAIN, rng=[np.random.default_rng(k) for k in range(stack or 1)])
+        out = rng.normal(size=trace.preactivations[-1].shape)
+        _, want = backprop(params, config, trace, [None] * (config.num_layers - 1) + [out])
+        assert np.array_equal(input_delta(params, trace, out), want)
 
 
 def test_returned_delta_times_first_weights_is_the_input_gradient():

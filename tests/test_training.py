@@ -423,6 +423,16 @@ def test_fit_rejects_bad_data_up_front():
         fit_network(x, [y], net, STACK_TRAIN, [(0, 0)], lambda_=[0.5], sensitives=[a], propensities=[bad_e])
 
 
+def test_ragged_or_text_features_raise_input_error():
+    # numpy cannot make one array of these; the feature check says so, not numpy's ValueError
+    x, y, _, _ = stack_problem()
+    text = x.tolist()
+    text[3][1] = "1.5"
+    for features in ([x, x[:-1]], [row[: 1 + i % 2] for i, row in enumerate(x.tolist())], text):
+        with pytest.raises(InputError, match="features must be a regular array of numbers"):
+            fit_network(features, [y], STACK_NET, STACK_TRAIN, [(0, 0)])
+
+
 FIT_SETUP = """
 import numpy as np
 from fairfront.network import NetworkConfig
