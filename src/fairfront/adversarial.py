@@ -24,6 +24,7 @@ test scoring.
 """
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass, field
 
@@ -172,7 +173,8 @@ def train_adversarial(
     (2) pretrain the adversary on the frozen classifier's eval-mode scores;
     (3) alternate adv_config.rounds times between one full adversary epoch
     and one classifier minibatch step on Loss_y - lambda * Loss_a.  Only the
-    classifier uses dropout, and only in its own update steps.
+    classifier uses dropout, and only in its own update steps.  A pass over
+    the rows is one shuffled order per member, cut into batch_size slices.
 
     lambda_ and seeds are lists of K, one entry per member, as fit_network
     takes them (a bare value raises ConfigError naming the argument; one
@@ -206,10 +208,12 @@ def train_adversarial(
     alive = np.ones(len(pairs), dtype=bool)  # members that have not failed
 
     def epoch_batches() -> list[np.ndarray]:
-        # Each member's shuffled pass, drawn from its own generator: batch j
-        # of every member, as one (K, m) array of row indices per step.
-        passes = [minibatches(indices, train_config.batch_size, rng) for rng in rngs]
-        return [np.stack([mb.indices for mb in step]) for step in zip(*passes)]
+        # Each member's shuffled pass, drawn from its own generator as
+        # minibatches(indices, batch_size, rng) draws it: batch j of every
+        # member, as one (K, m) array of row indices per step.
+        order = np.stack([minibatches(indices, n, rng)[0].indices for rng in rngs])
+        size = train_config.batch_size
+        return [order[:, start : start + size] for start in range(0, n, size)]
 
     def classifier_step(rows: np.ndarray):
         # rows: (K, m), each member's batch of row indices
@@ -250,11 +254,12 @@ def train_adversarial(
         if not survivors(f"adversary pretraining epoch {epoch}"):
             return results
 
-    # Alternation proper: one adversary epoch and one classifier step per round.
-    cycles = [_cycled_batches(indices, train_config.batch_size, rng) for rng in rngs]
+    # Alternation proper: one adversary epoch and one classifier step per round,
+    # each step taking the next batch of passes drawn as the last runs out.
+    batches = itertools.chain.from_iterable(epoch_batches() for _ in itertools.count())
     for round_ in range(adv_config.rounds):
         adversary_epoch()
-        classifier_step(np.stack([next(batches) for batches in cycles]))
+        classifier_step(next(batches))
         if not survivors(f"round {round_}"):
             return results
 
@@ -267,13 +272,6 @@ def train_adversarial(
             adversary_config=adv_cfg,
         )
     return results
-
-
-def _cycled_batches(indices: np.ndarray, batch_size: int, rng: np.random.Generator):
-    """Successive batches of shuffled passes over indices, each pass drawn when the last runs out."""
-    while True:
-        for mb in minibatches(indices, batch_size, rng):
-            yield mb.indices
 
 
 def run_adversarial_sweep(

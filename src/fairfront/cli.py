@@ -31,7 +31,9 @@ from .data import (
     load_csv,
     write_dataset_csv,
 )
-from .errors import SEED, ConfigError, FairfrontError, IngestionError, InputError, ShapeError, at_least, check_value
+from .errors import (
+    SEED, ConfigError, FairfrontError, IngestionError, InputError, ShapeError, at_least, check_value, open_input
+)
 from .evaluation import METRIC_NAMES, evaluate_test_metrics
 from .network import load_model, save_model
 from .pareto import (
@@ -74,13 +76,11 @@ CONFIG_DEFAULTS = {
 
 def load_run_config(path) -> dict:
     """Read the JSON config, fill defaults, and reject unknown keys."""
-    try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
+    with open_input(path, "config file", ConfigError, encoding="utf-8-sig") as fh:
+        try:
             user = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}")
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(user, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
     resolved = json.loads(json.dumps(CONFIG_DEFAULTS))  # deep copy
@@ -144,6 +144,16 @@ def _load_encoded_dataset(dataset_csv, schema_json):
     return encode_and_standardise(table, np.arange(table.n_rows))
 
 
+def _output_dir(path, option: str) -> Path:
+    """path as an output directory that exists or can be made; else ConfigError naming option."""
+    # Checked, not made: a command that stops before writing leaves no directory behind.
+    out = Path(path)
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"{option} {path} cannot be an output directory: {existing} is not a directory")
+    return out
+
+
 def _write_sweep_outputs(out_dir: Path, resolved: dict, result, csv_name: str, started: float):
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "resolved_config.json", "w", encoding="utf-8") as fh:
@@ -181,6 +191,7 @@ def cmd_sweep(args) -> int:
     resolved = load_run_config(args.config)
     _apply_overrides(resolved, args)
     sweep_config, plan, grid, adv_config = _build_objects(resolved)
+    out_dir = _output_dir(resolved["output_dir"], "--out" if args.out else "config key 'output_dir'")
     if args.command == "adversarial":
         sweep = functools.partial(run_adversarial_sweep, adv_config=adv_config)
         csv_name = "adversarial_candidates.csv"
@@ -188,7 +199,6 @@ def cmd_sweep(args) -> int:
         sweep, csv_name = run_sweep, "candidates.csv"
     dataset = _load_encoded_dataset(resolved["dataset_csv"], resolved["schema_json"])
     result = sweep(dataset, plan, grid, sweep_config, jobs=resolved["jobs"])
-    out_dir = Path(resolved["output_dir"])
     summary = _write_sweep_outputs(out_dir, resolved, result, csv_name, started)
     print(
         f"wrote {summary['candidates']} {csv_name[:-4].replace('_', ' ')} "
@@ -210,11 +220,11 @@ def _apply_overrides(resolved: dict, args):
 
 def cmd_cull(args) -> int:
     rows, _ = read_candidates_csv(args.candidates)
+    out_dir = _output_dir(args.out, "--out") if args.out else Path(args.candidates).parent
     metric = args.metric
     r = np.array([row["r_test"] for row in rows])
     u = np.array([row[metric] for row in rows])
     keep = cull_nondominated(r, u)
-    out_dir = Path(args.out) if args.out else Path(args.candidates).parent
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / f"culled_{metric}.csv"
     write_candidate_rows(out_path, rows, keep, f"nondominated_{metric}")
@@ -242,10 +252,10 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    out_dir = _output_dir(args.out, "--out")
     dataset = generate_synthetic(
         n=args.n, p=args.p, bias_strength=args.beta, confounding=args.confounding, seed=args.seed or 0
     )
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "synthetic.csv"
     schema_path = out_dir / "synthetic.schema.json"

@@ -14,7 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FRACTION, ConfigError, IngestionError, InputError, ShapeError, at_least, check_fields, check_value
+from .errors import (
+    FRACTION, ConfigError, IngestionError, InputError, ShapeError, at_least, check_fields, check_value, open_input
+)
 from .metrics import _as_binary
 from .network import _sigmoid
 
@@ -55,13 +57,11 @@ class ColumnSchema:
 
     @classmethod
     def from_json(cls, path) -> "ColumnSchema":
-        try:
-            with open(path, "r", encoding="utf-8-sig") as fh:
+        with open_input(path, "schema file", ConfigError, encoding="utf-8-sig") as fh:
+            try:
                 doc = json.load(fh)
-        except FileNotFoundError:
-            raise ConfigError(f"schema file not found: {path}")
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"schema file {path} is not valid JSON: {exc}")
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"schema file {path} is not valid JSON: {exc}")
         if not isinstance(doc, dict) or not isinstance(doc.get("columns"), dict):
             raise ConfigError(f"schema file {path} must be an object whose 'columns' field is an object")
         missing = doc.get("missing_values", list(DEFAULT_MISSING))
@@ -101,11 +101,7 @@ def load_csv(path, schema: ColumnSchema) -> RawTable:
     recorded).  Numeric cells must parse to finite floats; sensitive and
     target columns must carry exactly two distinct values after the drops.
     """
-    try:
-        fh = open(path, "r", encoding="utf-8-sig", newline="")
-    except FileNotFoundError:
-        raise IngestionError(f"data file not found: {path}")
-    with fh:
+    with open_input(path, "data file", IngestionError, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package, and the one check of a config field.
+"""Exception hierarchy shared across the package, and the one check of a config field and of an input file.
 
 A config class declares what each of its int and float fields accepts
 in the field's metadata (rule, at_least, POSITIVE, FRACTION, DROPOUT), and
@@ -81,3 +81,13 @@ def check_fields(config) -> None:
     for f in fields(config):
         if "kind" in f.metadata:
             setattr(config, f.name, check_value(f.name, getattr(config, f.name), **f.metadata))
+
+
+def open_input(path, what: str, error: type[FairfrontError], **kwargs):
+    """open(path, "r", **kwargs); if it fails, error saying that ``what`` at path is not found or cannot be read."""
+    try:
+        return open(path, "r", **kwargs)
+    except FileNotFoundError:
+        raise error(f"{what} not found: {path}") from None
+    except OSError as exc:
+        raise error(f"{what} {path} cannot be read: {exc.strerror}") from None

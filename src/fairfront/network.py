@@ -27,7 +27,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
-    DROPOUT, POSITIVE, SEED, ConfigError, InputError, NumericError, ShapeError, at_least, check_fields, check_value
+    DROPOUT, POSITIVE, SEED, ConfigError, InputError, NumericError, ShapeError, at_least, check_fields, check_value,
+    open_input,
 )
 from .metrics import OverlapWeights, _as_binary, ato_hidden_penalty
 
@@ -543,13 +544,11 @@ def save_model(path, params: NetworkParams, config: NetworkConfig, temperature: 
 
 def load_model(path) -> tuple[NetworkParams, NetworkConfig, float | None]:
     """Inverse of save_model. Returns (params, config, temperature-or-None)."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
+    with open_input(path, "model document", InputError, encoding="utf-8") as fh:
+        try:
             doc = json.load(fh)
-    except FileNotFoundError:
-        raise InputError(f"model document not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise InputError(f"model document {path} is not valid JSON: {exc}") from None
+        except json.JSONDecodeError as exc:
+            raise InputError(f"model document {path} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise InputError(f"model document {path} must hold a JSON object")
     for key in ("layer_sizes", "dropout_prob", "weights", "biases"):

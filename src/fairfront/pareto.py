@@ -68,6 +68,7 @@ from .errors import (
     at_least,
     check_fields,
     check_value,
+    open_input,
 )
 from .evaluation import METRIC_NAMES, evaluate_test_metrics
 from .network import NetworkConfig, NetworkParams, StandardisationBounds
@@ -682,11 +683,7 @@ def read_candidates_csv(path) -> tuple[list[dict], str]:
     Accepts any final column named nondominated_<metric> so culled copies can
     be re-culled.
     """
-    try:
-        fh = open(path, "r", encoding="utf-8", newline="")
-    except FileNotFoundError:
-        raise InputError(f"candidates file not found: {path}")
-    with fh:
+    with open_input(path, "candidates file", InputError, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -14,12 +14,12 @@ one entry per member, and returns one result per member; one network is a
 stack of one, and its failure is returned like any member's.  The members
 share one NetworkConfig; each has its own seeds, lambda, bounds and
 training set: its rows of the matrix (feature_rows), all of one row count,
-such as the splits of a sweep's split group.  The loop gathers one step's
-rows of every member at a time and never copies a member's training rows
-whole.  Each member also keeps its own loop generator (epoch shuffles and
-dropout draws), learning-rate schedule and finiteness guard, so a member's
-numbers equal those of the same network trained as a stack of one, and a
-diverging member fails alone.
+such as the splits of a sweep's split group.  A step gathers its slice of
+every member's epoch order, so the loop never copies a member's training
+rows whole.  Each member also keeps its own loop generator (epoch shuffles
+and dropout draws), learning-rate schedule and finiteness guard, so a
+member's numbers equal those of the same network trained as a stack of one,
+and a diverging member fails alone.
 The stack keeps its shape for the whole fit: a failed member keeps its row
 as zeros, so the remaining steps stay finite, and is no longer read.
 _ParameterStack holds such a stack's parameters and Adam state, for this
@@ -159,7 +159,8 @@ def fit_network(
     descent and lambda = 1 plain penalty descent.  The plateau scheduler is
     driven by the epoch mean of the step objectives backward_composite
     returns.  Initialisation is deterministic in the init seed, shuffling
-    and dropout in the loop seed; a minibatch containing a single sensitive
+    (one order of a member's rows per epoch, cut into batch_size slices) and
+    dropout in the loop seed; a minibatch containing a single sensitive
     group falls back to the risk branch (its unfairness comes back nan), is
     counted in skipped_group_batches and is excluded from the unfairness range.
 
@@ -204,43 +205,25 @@ def fit_network(
     indices = np.arange(n)
 
     # The stack's rows: the feature matrix and each per-row vector as (K, n),
-    # so that a step gathers each array for all K members in one np.take,
-    # into a buffer of one step's rows allocated once per fit.  A shorter
-    # last batch gathers into the front of the buffers, a contiguous view.
+    # so that a step gathers each array for all K members in one np.take.
     member_rows = np.stack(member_rows)
     columns = {name: np.stack(vectors) for name, vectors in columns.items()}
-    batch_size = min(train_config.batch_size, n)
-    width = net_config.layer_sizes[0]
-    x_buf = np.empty(k * batch_size * width)
-    buffers = {name: np.empty(k * batch_size, dtype=c.dtype) for name, c in columns.items()}
-    # Each member's epoch order as positions in the flattened (K, n) vectors, and the feature rows they hold.
-    order = np.empty((k, n), dtype=np.int64)
-    order_rows = np.empty((k, n), dtype=np.int64)
     member_base = (np.arange(k) * n)[:, None]
 
     for epoch in range(train_config.epochs):
-        # One shuffled pass per member: minibatches with a single batch of all
-        # n rows draws the member's epoch permutation exactly as
-        # minibatches(indices, batch_size, rng) does.  Step j takes rows
-        # [j * batch_size, (j + 1) * batch_size) of it, the partition
-        # minibatches makes.  Every index was checked on entry, so the
-        # gathers may clip: mode="raise" would gather into a temporary.
-        for i, rng in enumerate(rngs):
-            (shuffled,) = minibatches(indices, n, rng)
-            order[i] = shuffled.indices
-        order += member_base
-        np.take(member_rows, order, out=order_rows, mode="clip")
-        starts = range(0, n, batch_size)
+        # One shuffled pass per member, drawn as minibatches(indices,
+        # batch_size, rng) draws it and cut into the batches it makes.  order
+        # holds positions in the flattened (K, n) vectors, order_rows the
+        # feature rows they hold.
+        order = np.stack([minibatches(indices, n, rng)[0].indices for rng in rngs]) + member_base
+        order_rows = member_rows.take(order)
+        starts = range(0, n, train_config.batch_size)
         shape = (k, len(starts))
         risks, unfairness, objectives = np.empty(shape), np.empty(shape), np.empty(shape)
         for j, start in enumerate(starts):
-            m = min(batch_size, n - start)
-            batch = slice(start, start + m)
-            xb = x_buf[: k * m * width].reshape(k, m, width)
-            np.take(x, order_rows[:, batch], axis=0, out=xb, mode="clip")
-            rows = {name: buf[: k * m].reshape(k, m) for name, buf in buffers.items()}
-            for name, buf in rows.items():
-                np.take(columns[name], order[:, batch], out=buf, mode="clip")
+            batch = slice(start, start + train_config.batch_size)
+            xb = x.take(order_rows[:, batch], axis=0)
+            rows = {name: c.take(order[:, batch]) for name, c in columns.items()}
             weights = None
             if needs_penalty:
                 weights = overlap_weights(rows["propensities"], rows["sensitives"])

@@ -10,7 +10,6 @@ import pytest
 from fairfront import adversarial, network
 from fairfront.adversarial import (
     AdversaryConfig,
-    _cycled_batches,
     classifier_objective_gradient,
     run_adversarial_sweep,
     train_adversarial,
@@ -250,20 +249,6 @@ def test_training_is_deterministic_in_seeds():
         not np.array_equal(w1, w3)
         for w1, w3 in zip(r1.classifier_params.weights, r3.classifier_params.weights)
     )
-
-
-def test_batch_cycler_covers_everything_and_reshuffles():
-    rng = np.random.default_rng(0)
-    idx = np.arange(10)
-    batches = _cycled_batches(idx, 4, rng)
-    first_pass = [next(batches) for _ in range(3)]
-    assert [len(b) for b in first_pass] == [4, 4, 2]
-    assert np.array_equal(np.sort(np.concatenate(first_pass)), idx)
-    second_pass = [next(batches) for _ in range(3)]
-    assert np.array_equal(np.sort(np.concatenate(second_pass)), idx)
-    assert any(
-        not np.array_equal(a, b) for a, b in zip(first_pass, second_pass)
-    )  # new shuffle, not a replay
 
 
 def test_adversarial_sweep_rows_and_objective_fields():

@@ -580,3 +580,71 @@ def test_metrics_malformed_schema_sidecar_exits_2(workspace, tmp_path, capsys, s
     assert rc == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigError" and str(sidecar) in err["message"]
+
+
+def _config_with(tmp_path, config_path, **values) -> str:
+    """A copy of the workspace's run config with the given keys replaced."""
+    config = tmp_path / "edited.json"
+    config.write_text(json.dumps({**json.loads(config_path.read_text()), **values}))
+    return str(config)
+
+
+@pytest.mark.parametrize(
+    "slot, error",
+    [("config", "ConfigError"), ("dataset_csv", "IngestionError"), ("schema_json", "ConfigError"),
+     ("candidates", "InputError"), ("model", "InputError"), ("propensity", "InputError")],
+)
+def test_a_directory_given_as_an_input_file_exits_2_naming_it(workspace, tmp_path, capsys, slot, error):
+    root, config_path = workspace
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    if slot in ("config", "dataset_csv", "schema_json"):
+        config = str(folder) if slot == "config" else _config_with(tmp_path, config_path, **{slot: str(folder)})
+        argv = ["run", "--config", config, "--out", str(tmp_path / "out")]
+    elif slot == "candidates":
+        argv = ["cull", str(folder)]
+    else:
+        data, models = root / "data", root / "out" / "models"
+        paths = {
+            "model": models / "candidate_s000_l00.json", "dataset": data / "synthetic.csv",
+            "schema": data / "synthetic.schema.json", "propensity": models / "propensity_s000.json", slot: folder,
+        }
+        argv = ["metrics", *map(str, paths.values())]
+    assert main(argv) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == error
+    assert str(folder) in err["message"] and "Is a directory" in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("work ran before the output directory was checked")
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [("run", "--out"), ("adversarial", "--out"), ("run", "config key 'output_dir'"), ("cull", "--out"),
+     ("synth", "--out")],
+)
+@pytest.mark.parametrize("below", [False, True], ids=["the-file", "a-path-below-it"])
+def test_a_file_given_as_the_output_directory_exits_2_before_any_work(
+    workspace, tmp_path, capsys, monkeypatch, command, option, below
+):
+    root, config_path = workspace
+    for name in ("_load_encoded_dataset", "cull_nondominated", "generate_synthetic"):
+        monkeypatch.setattr(cli, name, _no_work)
+    taken = tmp_path / "taken"
+    taken.write_text("kept")
+    out = str(taken / "sub" if below else taken)
+    if option == "--out":
+        inputs = {"cull": [str(root / "out" / "candidates.csv")], "synth": []}
+        argv = [command, *inputs.get(command, ["--config", str(config_path)]), "--out", out]
+    else:
+        argv = [command, "--config", _config_with(tmp_path, config_path, output_dir=out)]
+    assert main(argv) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {
+        "error": "ConfigError",
+        "message": f"{option} {out} cannot be an output directory: {taken} is not a directory",
+    }
+    assert taken.read_text() == "kept"

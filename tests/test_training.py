@@ -1,6 +1,7 @@
 """The shared minibatch training engine."""
 from __future__ import annotations
 
+import hashlib
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -240,6 +241,49 @@ def test_members_with_their_own_rows_and_bounds_are_bitwise_their_lone_fits():
         (name,) = wrong
         with pytest.raises(ConfigError, match=name):
             fit_all(**wrong)
+
+
+def fit_digest(results) -> str:
+    """sha256 prefix of a stack's fits: every member's parameters and the diagnostics it reports."""
+    h = hashlib.sha256()
+    for fit in results:
+        for arr in (*fit.params.weights, *fit.params.biases, fit.epoch_objectives, fit.risk_range,
+                    fit.unfairness_range, fit.final_learning_rate, fit.skipped_group_batches):
+            h.update(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
+    return h.hexdigest()[:16]
+
+
+def pinned_stack_of_three():
+    """Three members on their own rows of one matrix, dropout on, 130 rows at batch 32 (a last batch of 2)."""
+    x, y, a, e = stack_problem(n=390)
+    rows = [np.arange(0, 390, 3), np.arange(1, 390, 3)[::-1], np.random.default_rng(5).permutation(390)[:130]]
+    return fit_network(
+        x, [y[r] for r in rows], STACK_NET, STACK_TRAIN, STACK_SEEDS, lambda_=[0.0, 0.5, 1.0],
+        bounds=[StandardisationBounds(0.3, 0.8, 0.0, 0.4)] * 3, sensitives=[a[r] for r in rows],
+        propensities=[e[r] for r in rows], feature_rows=rows,
+    )
+
+
+def pinned_wide_lone_fit():
+    """A stack of one at batch 2,000 on 4,500 rows of 30 features (a last batch of 500), 64-unit layers."""
+    rng = np.random.default_rng(3)
+    x, y = rng.standard_normal((4_500, 30)), (rng.random(4_500) < 0.4).astype(float)
+    a, e = (rng.random(4_500) < 0.5).astype(float), rng.uniform(0.2, 0.8, 4_500)
+    net = NetworkConfig(layer_sizes=[30, 64, 64, 1], dropout_prob=0.2)
+    train = TrainConfig(epochs=3, batch_size=2_000, learning_rate=1e-2)
+    return fit_network(x, [y], net, train, [(5, 6)], lambda_=[0.5], sensitives=[a], propensities=[e])
+
+
+# Digests of whole fits (fit_digest), taken before the loop's batching was
+# rewritten: a change to how a step gathers its rows must not move a bit.
+FIT_DIGESTS = {pinned_stack_of_three: "f52caecdd23272dc", pinned_wide_lone_fit: "43aa97fe042d99fb"}
+
+
+@pytest.mark.parametrize("fit", list(FIT_DIGESTS), ids=lambda f: f.__name__)
+def test_fits_keep_their_pinned_digests(fit):
+    results = fit()
+    assert all(isinstance(r, FitResult) for r in results)
+    assert fit_digest(results) == FIT_DIGESTS[fit]
 
 
 def test_a_fit_holds_one_step_of_rows_not_an_epoch():
