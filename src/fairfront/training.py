@@ -234,6 +234,11 @@ def fit_network(
             del trace
             adam_step(adam, stack.flat, _flatten(back.gradients))
             risks[:, j], unfairness[:, j], objectives[:, j] = back.risk, back.unfairness, back.objective
+            # Free the rest of the step too, so that the next step's arrays are
+            # allocated into the blocks these free: every step of a fit then
+            # gathers its rows into one address, not into a block anywhere in a
+            # few MB of heap, whose cache misses make sweep times swing.
+            del xb, rows, weights, back
 
         # lambda > 0 steps that came back without an unfairness fell back to the risk branch
         skipped = (np.isnan(unfairness) & ((lams > 0.0) & alive)[:, None]).sum(axis=1)
