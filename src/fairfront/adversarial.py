@@ -41,7 +41,6 @@ from .network import (
     _flatten,
     _validated_data,
     backprop,
-    bce_loss,
     bce_output_delta,
     forward,
     input_delta,
@@ -99,7 +98,7 @@ def classifier_objective_gradient(
     labels: np.ndarray,
     sensitives: np.ndarray,
     lambda_,
-) -> tuple[NetworkParams, np.ndarray]:
+) -> NetworkParams:
     """Gradient of Loss_y - lambda * Loss_a w.r.t. the classifier.
 
     The adversary is frozen, but the fairness term's gradient still flows
@@ -110,20 +109,17 @@ def classifier_objective_gradient(
     sensitives and a (K,) lambda; one network takes (m,) rows and one lambda.
     A member at lambda = 0 gets the plain BCE gradient: its adversary term is
     not subtracted but left out, so its numbers never read its adversary.
-    Returns the parameter gradients and the objective value on that trace,
-    of lambda's shape.  Nothing is validated here: train_adversarial checks
-    its data on entry.
+    Returns the classifier's parameter gradients.  Nothing is validated
+    here: train_adversarial checks its data on entry.
     """
     lam = np.asarray(lambda_, dtype=np.float64)
     p = trace.output
     delta = bce_output_delta(p, labels)
-    objective = bce_loss(p, labels)
     penalised = lam > 0.0
     if penalised.any():
         # Only the adversary's delta chain down to its input: no adversary
         # parameter gradient is built, since the adversary is frozen here.
         adv_trace, adv_delta = _adversary_pass(adv_params, adv_config, p, sensitives)
-        q = adv_trace.output
         d_first = input_delta(adv_params, adv_trace, adv_delta)
         # dLoss_a/dh of the classifier output: through the adversary's first
         # layer to its input, then the classifier's clamped sigmoid, whose
@@ -131,11 +127,9 @@ def classifier_objective_gradient(
         d_scores = (d_first @ adv_params.weights[0])[..., 0]
         slope = np.where(unclamped(p), d_scores * p * (1.0 - p), 0.0)
         delta = np.where(penalised[..., None], delta - lam[..., None] * slope, delta)
-        objective = np.where(penalised, objective - lam * bce_loss(q, sensitives), objective)
     deltas: list = [None] * clf_config.num_layers
     deltas[-1] = delta[..., None]
-    grads, _ = backprop(clf_params, clf_config, trace, deltas)
-    return grads, objective
+    return backprop(clf_params, clf_config, trace, deltas)[0]
 
 
 def _adversary_pass(adv_params: NetworkParams, adv_config: NetworkConfig, scores, sensitives):
@@ -174,7 +168,8 @@ def train_adversarial(
     (3) alternate adv_config.rounds times between one full adversary epoch
     and one classifier minibatch step on Loss_y - lambda * Loss_a.  Only the
     classifier uses dropout, and only in its own update steps.  A pass over
-    the rows is one shuffled order per member, cut into batch_size slices.
+    the rows is data.minibatches: one permutation per member, cut into
+    batch_size slices.
 
     lambda_ and seeds are lists of K, one entry per member, as fit_network
     takes them (a bare value raises ConfigError naming the argument; one
@@ -196,7 +191,6 @@ def train_adversarial(
     x, y = _validated_data(features, labels, clf_config)
     n = y.shape[0]
     a = _as_binary(sensitives, "sensitives", n)
-    indices = np.arange(n)
 
     _settle_malloc()
     adv_cfg = adv_config.network_config()
@@ -208,17 +202,13 @@ def train_adversarial(
     alive = np.ones(len(pairs), dtype=bool)  # members that have not failed
 
     def epoch_batches() -> list[np.ndarray]:
-        # Each member's shuffled pass, drawn from its own generator as
-        # minibatches(indices, batch_size, rng) draws it: batch j of every
-        # member, as one (K, m) array of row indices per step.
-        order = np.stack([minibatches(indices, n, rng)[0].indices for rng in rngs])
-        size = train_config.batch_size
-        return [order[:, start : start + size] for start in range(0, n, size)]
+        # One pass of every member, from its own generator: a (K, m) array of row indices per step.
+        return [batch.indices for batch in minibatches(n, train_config.batch_size, rngs)]
 
     def classifier_step(rows: np.ndarray):
         # rows: (K, m), each member's batch of row indices
         trace = forward(clf.params, clf_config, x[rows], MODE_TRAIN, rng=rngs)
-        grads, _ = classifier_objective_gradient(
+        grads = classifier_objective_gradient(
             clf.params, clf_config, adv.params, adv_cfg, trace, y[rows], a[rows], lams
         )
         adam_step(clf.adam, clf.flat, _flatten(grads))

@@ -1,4 +1,4 @@
-"""Tabular ingestion, encoding, resampling splits, and a synthetic generator.
+"""Tabular ingestion, encoding, resampling splits, minibatches, and a synthetic generator.
 
 A dataset arrives as a CSV file plus a JSON sidecar mapping each column to a
 role (numeric, categorical, sensitive, target, ignore).  Rows with missing
@@ -339,46 +339,37 @@ def make_splits(
 
 @dataclass
 class MiniBatch:
-    """Row indices for one step, with optional array views sliced alongside."""
+    """One step's batch: the positions it takes from every member's pass, as a (K, m) array.
+
+    The four array fields are always None.  The benchmark's tracer
+    (bench/spans.py, _gathered_bytes) reads them; they go when ROADMAP item 1
+    drops that hook.
+    """
 
     indices: np.ndarray
-    features: np.ndarray | None = None
-    sensitives: np.ndarray | None = None
-    labels: np.ndarray | None = None
-    propensities: np.ndarray | None = None
+    features: None = None
+    sensitives: None = None
+    labels: None = None
+    propensities: None = None
 
 
-def minibatches(
-    train_indices,
-    batch_size: int,
-    seed,
-    *,
-    features=None,
-    sensitives=None,
-    labels=None,
-    propensities=None,
-) -> list[MiniBatch]:
-    """Shuffle the index set and partition it into batches.
+def minibatches(n: int, batch_size: int, rngs: list[np.random.Generator]) -> list[MiniBatch]:
+    """One shuffled pass over n rows per stack member, cut into batches of batch_size.
 
-    All batches have ``batch_size`` rows except a possibly-shorter final one;
-    together they cover the index set exactly once.  ``seed`` may be an int
-    or an existing numpy Generator (which is consumed in place, letting a
-    training loop thread one stream through shuffling and dropout).
+    Member k's pass is rngs[k].permutation(n), drawn in member order, so each
+    generator advances exactly as one permutation of n advances it; a
+    training loop threads one stream per member through its shuffles and its
+    dropout.  Batch j holds positions [j * batch_size, (j + 1) * batch_size)
+    of every member's pass, and the last batch may be shorter; together the
+    batches cover each member's n positions once.  n < 1, batch_size < 1 or
+    no generator raises ConfigError.
     """
-    idx = np.asarray(train_indices, dtype=np.int64)
-    if idx.ndim != 1 or idx.size == 0:
-        raise InputError("train_indices must be a non-empty 1-d index array")
-    if batch_size < 1:
-        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
-    arrays = {"features": features, "sensitives": sensitives, "labels": labels, "propensities": propensities}
-    rng = np.random.default_rng(seed)
-    order = idx[rng.permutation(idx.size)]
-    batches = []
-    for start in range(0, order.size, batch_size):
-        rows = order[start : start + batch_size]
-        fields = {name: None if arr is None else arr[rows] for name, arr in arrays.items()}
-        batches.append(MiniBatch(indices=rows, **fields))
-    return batches
+    n = check_value("n", n, **at_least(1))
+    batch_size = check_value("batch_size", batch_size, **at_least(1))
+    if not rngs:
+        raise ConfigError("minibatches needs one generator per stack member, got none")
+    order = np.stack([rng.permutation(n) for rng in rngs])
+    return [MiniBatch(order[:, start : start + batch_size]) for start in range(0, n, batch_size)]
 
 
 def generate_synthetic(

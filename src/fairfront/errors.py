@@ -4,6 +4,7 @@ A config class declares what each of its int and float fields accepts
 in the field's metadata (rule, at_least, POSITIVE, FRACTION, DROPOUT), and
 check_fields, run as the class's __post_init__, enforces it.
 """
+import contextlib
 import math
 from dataclasses import fields
 
@@ -83,11 +84,22 @@ def check_fields(config) -> None:
             setattr(config, f.name, check_value(f.name, getattr(config, f.name), **f.metadata))
 
 
+@contextlib.contextmanager
 def open_input(path, what: str, error: type[FairfrontError], **kwargs):
-    """open(path, "r", **kwargs); if it fails, error saying that ``what`` at path is not found or cannot be read."""
+    """with open(path, "r", **kwargs), as error when the file fails to open or to decode.
+
+    error says that ``what`` at path is not found or cannot be read, or, for
+    a UnicodeDecodeError raised while the with block reads the file, that it
+    is not text in its encoding.
+    """
     try:
-        return open(path, "r", **kwargs)
+        fh = open(path, "r", **kwargs)
     except FileNotFoundError:
         raise error(f"{what} not found: {path}") from None
     except OSError as exc:
         raise error(f"{what} {path} cannot be read: {exc.strerror}") from None
+    with fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise error(f"{what} {path} is not {exc.encoding} text: {exc.reason}") from None

@@ -14,12 +14,13 @@ one entry per member, and returns one result per member; one network is a
 stack of one, and its failure is returned like any member's.  The members
 share one NetworkConfig; each has its own seeds, lambda, bounds and
 training set: its rows of the matrix (feature_rows), all of one row count,
-such as the splits of a sweep's split group.  A step gathers its slice of
-every member's epoch order, so the loop never copies a member's training
-rows whole.  Each member also keeps its own loop generator (epoch shuffles
-and dropout draws), learning-rate schedule and finiteness guard, so a
-member's numbers equal those of the same network trained as a stack of one,
-and a diverging member fails alone.
+such as the splits of a sweep's split group.  Each epoch, data.minibatches
+draws one order of every member's rows and cuts the stack's batches from
+them; a step gathers its batch's rows for every member, so the loop never
+copies a member's training rows whole.  Each member also keeps its own loop
+generator (epoch shuffles and dropout draws), learning-rate schedule and
+finiteness guard, so a member's numbers equal those of the same network
+trained as a stack of one, and a diverging member fails alone.
 The stack keeps its shape for the whole fit: a failed member keeps its row
 as zeros, so the remaining steps stay finite, and is no longer read.
 _ParameterStack holds such a stack's parameters and Adam state, for this
@@ -159,8 +160,8 @@ def fit_network(
     descent and lambda = 1 plain penalty descent.  The plateau scheduler is
     driven by the epoch mean of the step objectives backward_composite
     returns.  Initialisation is deterministic in the init seed, shuffling
-    (one order of a member's rows per epoch, cut into batch_size slices) and
-    dropout in the loop seed; a minibatch containing a single sensitive
+    (data.minibatches: one permutation of a member's rows per epoch, cut
+    into batch_size slices) and dropout in the loop seed; a minibatch containing a single sensitive
     group falls back to the risk branch (its unfairness comes back nan), is
     counted in skipped_group_batches and is excluded from the unfairness range.
 
@@ -202,7 +203,6 @@ def fit_network(
     rngs = [np.random.default_rng(loop_seed) for _, loop_seed in pairs]
     results: list[FitResult | TrainingError] = [FitResult(params=None) for _ in range(k)]
     alive = np.ones(k, dtype=bool)  # members that have not failed
-    indices = np.arange(n)
 
     # The stack's rows: the feature matrix and each per-row vector as (K, n),
     # so that a step gathers each array for all K members in one np.take.
@@ -211,19 +211,14 @@ def fit_network(
     member_base = (np.arange(k) * n)[:, None]
 
     for epoch in range(train_config.epochs):
-        # One shuffled pass per member, drawn as minibatches(indices,
-        # batch_size, rng) draws it and cut into the batches it makes.  order
-        # holds positions in the flattened (K, n) vectors, order_rows the
-        # feature rows they hold.
-        order = np.stack([minibatches(indices, n, rng)[0].indices for rng in rngs]) + member_base
-        order_rows = member_rows.take(order)
-        starts = range(0, n, train_config.batch_size)
-        shape = (k, len(starts))
+        batches = minibatches(n, train_config.batch_size, rngs)
+        shape = (k, len(batches))
         risks, unfairness, objectives = np.empty(shape), np.empty(shape), np.empty(shape)
-        for j, start in enumerate(starts):
-            batch = slice(start, start + train_config.batch_size)
-            xb = x.take(order_rows[:, batch], axis=0)
-            rows = {name: c.take(order[:, batch]) for name, c in columns.items()}
+        for j, batch in enumerate(batches):
+            # this step's positions in the flattened (K, n) vectors
+            at = batch.indices + member_base
+            xb = x.take(member_rows.take(at), axis=0)
+            rows = {name: c.take(at) for name, c in columns.items()}
             weights = None
             if needs_penalty:
                 weights = overlap_weights(rows["propensities"], rows["sensitives"])
@@ -238,7 +233,7 @@ def fit_network(
             # allocated into the blocks these free: every step of a fit then
             # gathers its rows into one address, not into a block anywhere in a
             # few MB of heap, whose cache misses make sweep times swing.
-            del xb, rows, weights, back
+            del at, xb, rows, weights, back
 
         # lambda > 0 steps that came back without an unfairness fell back to the risk branch
         skipped = (np.isnan(unfairness) & ((lams > 0.0) & alive)[:, None]).sum(axis=1)

@@ -100,7 +100,7 @@ def test_criterion_1_gradient_oracle():
         adv_params, adv_net = _adversary_clear_of_kinks(rng, fx["trace"].output)
         a = fx["sensitives"].astype(float)
         for lam in lambdas:
-            grads, _ = classifier_objective_gradient(
+            grads = classifier_objective_gradient(
                 fx["params"], fx["config"], adv_params, adv_net,
                 fx["trace"], fx["labels"], a, lam,
             )

@@ -589,31 +589,59 @@ def _config_with(tmp_path, config_path, **values) -> str:
     return str(config)
 
 
+def _argv_reading(workspace, tmp_path, slot: str, path) -> list[str]:
+    """A command that reads path as its input ``slot``, and the workspace's files for the rest."""
+    root, config_path = workspace
+    if slot in ("config", "dataset_csv", "schema_json"):
+        config = str(path) if slot == "config" else _config_with(tmp_path, config_path, **{slot: str(path)})
+        return ["run", "--config", config, "--out", str(tmp_path / "out")]
+    if slot == "candidates":
+        return ["cull", str(path)]
+    data, models = root / "data", root / "out" / "models"
+    paths = {
+        "model": models / "candidate_s000_l00.json", "dataset": data / "synthetic.csv",
+        "schema": data / "synthetic.schema.json", "propensity": models / "propensity_s000.json", slot: path,
+    }
+    return ["metrics", *map(str, paths.values())]
+
+
 @pytest.mark.parametrize(
     "slot, error",
     [("config", "ConfigError"), ("dataset_csv", "IngestionError"), ("schema_json", "ConfigError"),
      ("candidates", "InputError"), ("model", "InputError"), ("propensity", "InputError")],
 )
 def test_a_directory_given_as_an_input_file_exits_2_naming_it(workspace, tmp_path, capsys, slot, error):
-    root, config_path = workspace
     folder = tmp_path / "folder"
     folder.mkdir()
-    if slot in ("config", "dataset_csv", "schema_json"):
-        config = str(folder) if slot == "config" else _config_with(tmp_path, config_path, **{slot: str(folder)})
-        argv = ["run", "--config", config, "--out", str(tmp_path / "out")]
-    elif slot == "candidates":
-        argv = ["cull", str(folder)]
-    else:
-        data, models = root / "data", root / "out" / "models"
-        paths = {
-            "model": models / "candidate_s000_l00.json", "dataset": data / "synthetic.csv",
-            "schema": data / "synthetic.schema.json", "propensity": models / "propensity_s000.json", slot: folder,
-        }
-        argv = ["metrics", *map(str, paths.values())]
-    assert main(argv) == 2
+    assert main(_argv_reading(workspace, tmp_path, slot, folder)) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == error
     assert str(folder) in err["message"] and "Is a directory" in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "slot, error, line",
+    [("config", "ConfigError", 0), ("dataset_csv", "IngestionError", 0), ("dataset_csv", "IngestionError", 2),
+     ("dataset_csv", "IngestionError", -1), ("schema_json", "ConfigError", 0), ("candidates", "InputError", 0),
+     ("model", "InputError", 0)],
+    ids=["config", "dataset_csv", "dataset_csv-third-line", "dataset_csv-last-line", "schema_json", "candidates",
+         "model"],
+)
+def test_an_input_file_that_is_not_utf8_exits_2_naming_it(workspace, tmp_path, capsys, slot, error, line):
+    # Bytes ff fe 00 at the start of the file, or at the start of one line of the workspace's
+    # dataset; its last line lies past the first block that the reader decodes.
+    bad = tmp_path / "bad"
+    if line:
+        lines = (workspace[0] / "data" / "synthetic.csv").read_bytes().splitlines(keepends=True)
+        lines[line] = b"\xff\xfe\x00" + lines[line]
+        bad.write_bytes(b"".join(lines))
+    else:
+        bad.write_bytes(b"\xff\xfe\x00")
+    assert main(_argv_reading(workspace, tmp_path, slot, bad)) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == error
+    assert str(bad) in err["message"] and "not utf-8 text" in err["message"]
     assert not (tmp_path / "out").exists()
 
 

@@ -230,18 +230,41 @@ def test_make_splits_impossible_level_raises():
 
 
 def test_minibatches_partition_and_determinism():
-    idx = np.arange(17) * 3  # non-contiguous ids
-    feats = np.arange(100).reshape(50, 2).astype(float)
-    batches = list(minibatches(idx, 5, 99, features=feats))
-    assert [len(b.indices) for b in batches] == [5, 5, 5, 2]
-    seen = np.sort(np.concatenate([b.indices for b in batches]))
-    assert np.array_equal(seen, np.sort(idx))
-    for b in batches:
-        assert np.array_equal(b.features, feats[b.indices])
-    again = list(minibatches(idx, 5, 99))
+    rngs = lambda *seeds: [np.random.default_rng(s) for s in seeds]
+    batches = minibatches(17, 5, rngs(99, 7, 3))
+    assert [b.indices.shape for b in batches] == [(3, 5), (3, 5), (3, 5), (3, 2)]
+    passes = np.concatenate([b.indices for b in batches], axis=1)
+    assert all(np.array_equal(np.sort(row), np.arange(17)) for row in passes)
+    assert all(f is None for b in batches for f in (b.features, b.sensitives, b.labels, b.propensities))
+    again = minibatches(17, 5, rngs(99, 7, 3))
     assert all(np.array_equal(a.indices, b.indices) for a, b in zip(batches, again))
-    different = list(minibatches(idx, 5, 100))
-    assert any(not np.array_equal(a.indices, b.indices) for a, b in zip(batches, different))
+    different = minibatches(17, 5, rngs(100, 7, 3))
+    assert not np.array_equal(different[0].indices[0], batches[0].indices[0])
+    assert all(np.array_equal(a.indices[1:], b.indices[1:]) for a, b in zip(batches, different))
+
+
+def test_each_member_pass_is_its_lone_permutation():
+    # Member k's pass, and its generator afterwards, are those of one rngs[k].permutation(n).
+    stacked = [np.random.default_rng(s) for s in (5, 6, 7)]
+    lone = [np.random.default_rng(s) for s in (5, 6, 7)]
+    passes = np.concatenate([b.indices for b in minibatches(40, 16, stacked)], axis=1)
+    for k, rng in enumerate(lone):
+        assert np.array_equal(passes[k], rng.permutation(40))
+        assert stacked[k].bit_generator.state == rng.bit_generator.state
+    # one whole pass in one batch, and a batch wider than the pass
+    for size in (40, 41):
+        (batch,) = minibatches(40, size, [np.random.default_rng(5)])
+        assert np.array_equal(batch.indices[0], np.random.default_rng(5).permutation(40))
+
+
+@pytest.mark.parametrize(
+    "n, batch_size, rngs",
+    [(0, 5, [0]), (-1, 5, [0]), (5, 0, [0]), (True, 5, [0]), (5, True, [0]), (5, 2.0, [0]), (5, 2, [])],
+    ids=["n 0", "n -1", "batch_size 0", "n a bool", "batch_size a bool", "batch_size a float", "no generator"],
+)
+def test_minibatches_rejects_an_empty_or_malformed_stack(n, batch_size, rngs):
+    with pytest.raises(ConfigError):
+        minibatches(n, batch_size, [np.random.default_rng(s) for s in rngs])
 
 
 # ---------------------------------------------------------------------------

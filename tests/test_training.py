@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from fairfront import training
-from fairfront.data import generate_synthetic, minibatches
+from fairfront.data import generate_synthetic
 from fairfront.errors import ConfigError, InputError, ShapeError, TrainingError
 from fairfront.metrics import ato_hidden_penalty, overlap_weights
 from fairfront.network import (
@@ -59,18 +59,20 @@ def test_lambda_zero_run_is_bitwise_plain_bce_descent():
     adam = LayerAdam(params, cfg.learning_rate)
     sched = PlateauScheduler(factor=cfg.scheduler_factor, patience=cfg.scheduler_patience)
     rng = np.random.default_rng(5)
-    indices = np.arange(150)
     for _ in range(cfg.epochs):
         risks = []
-        for mb in minibatches(indices, cfg.batch_size, rng, features=ds.features, labels=ds.labels):
-            trace = forward(params, net, mb.features, MODE_TRAIN, rng=rng)
+        order = rng.permutation(150)
+        for start in range(0, 150, cfg.batch_size):
+            rows = order[start : start + cfg.batch_size]
+            labels = ds.labels[rows]
+            trace = forward(params, net, ds.features[rows], MODE_TRAIN, rng=rng)
             p = trace.output
             deltas = [None] * net.num_layers
-            deltas[-1] = ((p - mb.labels) / mb.labels.size)[:, None]
+            deltas[-1] = ((p - labels) / labels.size)[:, None]
             grads, _ = backprop(params, net, trace, deltas)
             adam.step(params, grads)
             risks.append(
-                float(-np.mean(mb.labels * np.log(p) + (1 - mb.labels) * np.log(1 - p)))
+                float(-np.mean(labels * np.log(p) + (1 - labels) * np.log(1 - p)))
             )
         adam.learning_rate = sched.step(float(np.mean(risks)), adam.learning_rate)
 
@@ -356,28 +358,28 @@ def test_stacked_fit_matches_a_per_model_reference_loop():
         rng = np.random.default_rng(loop_seed)
         for _ in range(cfg.epochs):
             objectives = []
-            batches = minibatches(
-                np.arange(192), cfg.batch_size, rng, features=x, sensitives=a, labels=y, propensities=e
-            )
-            for mb in batches:
-                trace = forward(params, net, mb.features, MODE_TRAIN, rng=rng)
+            order = rng.permutation(192)
+            for start in range(0, 192, cfg.batch_size):
+                rows = order[start : start + cfg.batch_size]
+                labels, s = y[rows], a[rows]
+                trace = forward(params, net, x[rows], MODE_TRAIN, rng=rng)
                 p = trace.output
-                risk = -np.mean(mb.labels * np.log(p) + (1 - mb.labels) * np.log1p(-p))
-                weights = overlap_weights(mb.propensities, mb.sensitives)
+                risk = -np.mean(labels * np.log(p) + (1 - labels) * np.log1p(-p))
+                weights = overlap_weights(e[rows], s)
                 unfairness, tau = ato_hidden_penalty(trace, weights)
                 r_t = (1 - lam) * (risk - bounds.risk_min) / bounds.risk_span
                 u_t = lam * (unfairness - bounds.unfairness_min) / bounds.unfairness_span
                 deltas = [None, None]
                 if lam < 1.0 and r_t >= u_t:
                     branches.add("risk")
-                    deltas[1] = ((p - mb.labels) / p.size * (1 - lam) / bounds.risk_span)[:, None]
+                    deltas[1] = ((p - labels) / p.size * (1 - lam) / bounds.risk_span)[:, None]
                 else:
                     branches.add("unfairness")
                     # Group totals as masked sums, as the stack forms them.  The
                     # penalty ignores the penalised layer's bias, so that bias
                     # descends on rounding noise alone, and a total summed in
                     # another order would move it by more than 1e-12.
-                    w, s = weights.weights, mb.sensitives
+                    w = weights.weights
                     treated, control = np.where(s == 1, w, 0.0).sum(), np.where(s == 0, w, 0.0).sum()
                     coeff = np.where(s == 1, w / treated, -w / control)
                     deltas[0] = np.outer(coeff * lam / bounds.unfairness_span, np.sign(tau))
