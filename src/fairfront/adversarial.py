@@ -104,7 +104,7 @@ def classifier_objective_gradient(
     The adversary is frozen, but the fairness term's gradient still flows
     through the classifier scores it reads.  ``trace`` must be a forward
     pass of ``clf_params`` on the batch being scored; passing it in leaves
-    the dropout regime (and any frozen masks) under the caller's control.
+    the dropout regime and its noise under the caller's control.
     A stack of K classifiers and K adversaries takes (K, m) labels and
     sensitives and a (K,) lambda; one network takes (m,) rows and one lambda.
     A member at lambda = 0 gets the plain BCE gradient: its adversary term is
@@ -129,7 +129,7 @@ def classifier_objective_gradient(
         delta = np.where(penalised[..., None], delta - lam[..., None] * slope, delta)
     deltas: list = [None] * clf_config.num_layers
     deltas[-1] = delta[..., None]
-    return backprop(clf_params, clf_config, trace, deltas)[0]
+    return backprop(clf_params, clf_config, trace, deltas)
 
 
 def _adversary_pass(adv_params: NetworkParams, adv_config: NetworkConfig, scores, sensitives):
@@ -139,11 +139,7 @@ def _adversary_pass(adv_params: NetworkParams, adv_config: NetworkConfig, scores
 
 
 def _adversary_gradient(adv_params: NetworkParams, adv_config: NetworkConfig, scores, sensitives):
-    """Gradients of the adversary's mean BCE on (scores, sensitives), one adversary or a stack.
-
-    Returns backprop's (parameter gradients, d/dh of its first layer); the
-    first-layer delta times adv_params.weights[0] is d/dscores.
-    """
+    """Parameter gradients of the adversary's mean BCE on (scores, sensitives), one adversary or a stack."""
     trace, delta = _adversary_pass(adv_params, adv_config, scores, sensitives)
     deltas: list = [None] * adv_config.num_layers
     deltas[-1] = delta
@@ -220,7 +216,7 @@ def train_adversarial(
         )
         for rows in epoch_batches():
             batch_scores = np.take_along_axis(scores, rows, axis=-1)
-            grads = _adversary_gradient(adv.params, adv_cfg, batch_scores, a[rows])[0]
+            grads = _adversary_gradient(adv.params, adv_cfg, batch_scores, a[rows])
             adam_step(adv.adam, adv.flat, _flatten(grads))
 
     def survivors(phase: str) -> bool:

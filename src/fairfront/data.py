@@ -18,7 +18,7 @@ from .errors import (
     FRACTION, ConfigError, IngestionError, InputError, ShapeError, at_least, check_fields, check_value, open_input
 )
 from .metrics import _as_binary
-from .network import _sigmoid
+from .network import _all_finite, _sigmoid
 
 ROLE_NUMERIC = "numeric"
 ROLE_CATEGORICAL = "categorical"
@@ -208,7 +208,7 @@ class Dataset:
         n = self.features.shape[0]
         if n < 2:
             raise InputError("a dataset needs at least two rows")
-        if not np.all(np.isfinite(self.features)):
+        if not _all_finite(self.features):
             raise InputError("encoded features contain non-finite entries")
         for name, vec in (("sensitives", self.sensitives), ("labels", self.labels)):
             if np.unique(_as_binary(vec, name, n)).shape[0] != 2:

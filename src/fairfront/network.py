@@ -5,6 +5,7 @@ sigmoid unit clamped away from {0, 1} (clamped_sigmoid).  The backward pass
 differentiates a Chebyshev composite of standardised risk and a contrast
 penalty on the last hidden layer, of which plain binary cross-entropy is the lambda = 0
 special case, and returns its value: the composite is defined here only.
+A trace keeps no dropout mask: backprop gates each hidden unit on its post-dropout activation.
 
 forward, backward_composite and backprop also accept a stack of K networks of
 one architecture: weights of shape (K, fan_out, fan_in), biases (K, fan_out),
@@ -95,16 +96,15 @@ class ForwardTrace:
 
     preactivations[l] and activations[l] cover every layer; activations of
     hidden layers are post-dropout, activations[-1] is the clamped sigmoid
-    output.  dropout_masks holds the scaled keep masks (0 or 1/keep) of the
-    hidden layers while dropout is active (train mode, dropout_prob > 0) and
-    is empty otherwise: a pass without dropout multiplies by no mask.  A
-    stacked pass keeps the stack axis in front of every array.
+    output.  keep is the keep probability of the pass's dropout, 1.0 when
+    the pass drew none (eval mode, or dropout_prob = 0); no mask is kept.
+    A stacked pass keeps the stack axis in front of every array.
     """
 
     inputs: np.ndarray
     preactivations: list[np.ndarray]
     activations: list[np.ndarray]
-    dropout_masks: list[np.ndarray]
+    keep: float
 
     @property
     def output(self) -> np.ndarray:
@@ -130,36 +130,33 @@ def forward(
     inputs,
     mode: str = MODE_EVAL,
     rng: np.random.Generator | list[np.random.Generator] | None = None,
-    masks: list[np.ndarray] | None = None,
 ) -> ForwardTrace:
     """Run the network (or a stack of networks) on a batch.
 
     In train mode each hidden activation is multiplied by an inverted dropout
-    mask drawn from ``rng`` (or taken from ``masks`` when given, which lets a
-    caller re-evaluate at perturbed parameters under frozen noise).  A stack
-    takes one Generator per member, each drawing its member's masks.  Eval
-    mode is a pure function of (params, inputs).  The rows are not checked
-    (the entry points check them once, with _validated_features); the mode,
-    the noise source and frozen masks are.
+    mask drawn from ``rng``; a stack takes one Generator per member, each
+    drawing its member's masks, and a Generator in the same state replays
+    the same noise.  Eval mode is a pure function of (params, inputs).  The
+    rows are not checked (the entry points check them once, with
+    _validated_features); the mode and the noise source are.
 
     Every array the trace holds is new except ``inputs`` (the caller's array
-    when it is already float64) and frozen ``masks``.  The pass adds biases,
-    builds drawn masks and applies masks in place, but only on arrays it
-    created itself: params, inputs and frozen masks are never written.
+    when it is already float64).  The pass adds biases, builds masks and
+    applies them in place, but only on arrays it created itself: params and
+    inputs are never written.
     """
     x = np.asarray(inputs, dtype=np.float64)
     if mode not in (MODE_TRAIN, MODE_EVAL):
         raise InputError(f"unknown mode {mode!r}")
     dropout = mode == MODE_TRAIN and config.dropout_prob > 0.0
-    if dropout and rng is None and masks is None:
-        raise InputError("train-mode forward with dropout needs an rng or frozen masks")
+    if dropout and rng is None:
+        raise InputError("train-mode forward with dropout needs an rng")
     rngs = [rng] if isinstance(rng, np.random.Generator) else rng
 
     L = config.num_layers
-    keep = 1.0 - config.dropout_prob
+    keep = 1.0 - config.dropout_prob if dropout else 1.0
     preacts: list[np.ndarray] = []
     acts: list[np.ndarray] = []
-    drop: list[np.ndarray] = []
     v = x
     for l in range(L):
         # matmul is faster on a contiguous copy of W^T than on the transposed view, with equal bits
@@ -169,26 +166,20 @@ def forward(
         if l < L - 1:
             v = np.maximum(h, 0.0)
             if dropout:
-                if masks is not None:
-                    m = masks[l]
-                    if m.shape != v.shape:
-                        raise ShapeError(f"frozen mask {l} has shape {m.shape}, expected {v.shape}")
-                else:
-                    # the mask overwrites its uniform draws: 1.0 where a draw is below keep, then / keep
-                    m = np.empty(v.shape)
-                    blocks = m.reshape(-1, *v.shape[-2:])
-                    if len(rngs) != len(blocks):
-                        raise InputError(f"{len(rngs)} dropout generators for a stack of {len(blocks)}")
-                    for member_rng, block in zip(rngs, blocks):
-                        member_rng.random(out=block)
-                    np.less(m, keep, out=m)
-                    m /= keep
-                drop.append(m)
+                # the mask overwrites its uniform draws: 1.0 where a draw is below keep, then / keep
+                m = np.empty(v.shape)
+                blocks = m.reshape(-1, *v.shape[-2:])
+                if len(rngs) != len(blocks):
+                    raise InputError(f"{len(rngs)} dropout generators for a stack of {len(blocks)}")
+                for member_rng, block in zip(rngs, blocks):
+                    member_rng.random(out=block)
+                np.less(m, keep, out=m)
+                m /= keep
                 v *= m
             acts.append(v)
         else:
             acts.append(clamped_sigmoid(h))
-    return ForwardTrace(inputs=x, preactivations=preacts, activations=acts, dropout_masks=drop)
+    return ForwardTrace(inputs=x, preactivations=preacts, activations=acts, keep=keep)
 
 
 def row_blocks(n: int) -> list[slice]:
@@ -250,9 +241,14 @@ def _validated_features(features, config: NetworkConfig | None = None) -> np.nda
         raise ShapeError(f"features have {x.shape[1]} columns but the network expects {config.layer_sizes[0]}")
     if x.shape[0] == 0:
         raise InputError("features have no rows")
-    if not np.all(np.isfinite(x)):
+    if not _all_finite(x):
         raise InputError("features contain non-finite entries")
     return x
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether a holds no NaN or infinity (an empty a holds none), from its min and max: no temporary of a's size."""
+    return a.size == 0 or bool(np.isfinite(a.min()) and np.isfinite(a.max()))
 
 
 def _validated_rows(rows, n: int) -> np.ndarray:
@@ -354,8 +350,8 @@ def backward_composite(
     R~ and U~ are the batch risk and the last hidden layer's penalty
     (metrics.ato_hidden_penalty) standardised by ``bounds`` (identity when
     None).  Exactly one branch of the max is active per network, reported in
-    risk_branch; its gradient is what backprop propagates, reusing the
-    trace's dropout masks.  Ties go to the risk
+    risk_branch; its gradient is what backprop propagates through the
+    trace's gates.  Ties go to the risk
     branch, and lambda = 0 / lambda = 1 deterministically select risk /
     unfairness so the endpoints degenerate to pure BCE and pure penalty
     training.  When ``weights`` is None, or marks a stack member's batch as
@@ -406,7 +402,7 @@ def backward_composite(
         scale = np.where(risk_branch, 0.0, lam / bounds.unfairness_span)
         deltas[L - 2] = np.einsum("...m,...n->...mn", weights.coefficients * scale[..., None], np.sign(tau))
 
-    grads, _ = backprop(params, config, trace, deltas)
+    grads = backprop(params, config, trace, deltas)
     return BackwardResult(grads, risk, unfairness, risk_branch, objective)
 
 
@@ -415,26 +411,21 @@ def backprop(
     config: NetworkConfig,
     trace: ForwardTrace,
     preact_deltas: list[np.ndarray | None],
-) -> tuple[NetworkParams, np.ndarray | None]:
+) -> NetworkParams:
     """Propagate per-layer preactivation deltas down to the parameter gradients.
 
     preact_deltas[l] is dJ/dh^(l) contributed directly at layer l, of the
     shape of trace.preactivations[l] (None for no contribution);
-    contributions flowing down from above are added through the stored
-    dropout masks (if the trace has any) and the ReLU gates.  A layer that
-    receives nothing from above and has no delta of its own gets exact zero
-    gradients and passes nothing down.
-
-    Returns (gradients, dJ/dh^(0)): the layer-0 preactivation delta, or None
-    when no delta reaches layer 0.  The input gradient dJ/dX is that delta
-    times params.weights[0]; no training step needs it, so it is left to the
-    caller that does.  The caller's deltas are read, never written, and may
-    come back as the returned delta.
+    contributions flowing down from above are added through each hidden
+    layer's gate (_delta_below).  A layer that receives nothing from above
+    and has no delta of its own gets exact zero gradients and passes nothing
+    down.  Returns the gradients alone; input_delta is the one way to the
+    layer-0 preactivation delta.  The caller's deltas are read, never
+    written.
 
     Each layer's gradients are built as its delta is formed, so only two
     deltas are live at once.  The step down a layer is _delta_below, which
-    input_delta shares for a caller that reads the layer-0 delta alone; the
-    bias gradients are _row_sum's.
+    input_delta shares; the bias gradients are _row_sum's.
     """
     L = config.num_layers
     if len(preact_deltas) != L:
@@ -459,15 +450,16 @@ def backprop(
         grad_w[l] = _matmul(d.swapaxes(-1, -2), below)
         grad_b[l] = _row_sum(d)
         delta = d
-    return NetworkParams(weights=grad_w, biases=grad_b), delta
+    return NetworkParams(weights=grad_w, biases=grad_b)
 
 
 def input_delta(params: NetworkParams, trace: ForwardTrace, output_delta: np.ndarray) -> np.ndarray:
     """dJ/dh^(0) for a delta at the output preactivation alone, and no parameter gradient.
 
-    The delta backprop returns for preact_deltas [None, ..., output_delta],
+    backprop's layer-0 delta for preact_deltas [None, ..., output_delta],
     bitwise: the same chain of _delta_below steps, without the weight
-    products and bias sums that backprop builds along the way.
+    products and bias sums that backprop builds along the way.  The input
+    gradient dJ/dX is this delta times params.weights[0].
     """
     d = output_delta
     for l in range(len(trace.preactivations) - 2, -1, -1):
@@ -477,11 +469,13 @@ def input_delta(params: NetworkParams, trace: ForwardTrace, output_delta: np.nda
 
 def _delta_below(params: NetworkParams, trace: ForwardTrace, l: int, delta: np.ndarray) -> np.ndarray:
     # dJ/dh^(l) that layer l + 1's delta sends down: through its weights, then
-    # layer l's dropout mask (if the trace has any) and ReLU gate; a new array
+    # layer l's gate, open where its post-dropout activation is positive (the
+    # unit was kept and h > 0), then the keep scale of a pass that drew
+    # dropout; a new array, (d * mask) * [h > 0] bitwise where d / keep is finite.
     d = _matmul(delta, params.weights[l + 1])
-    if trace.dropout_masks:
-        d *= trace.dropout_masks[l]
-    d *= trace.preactivations[l] > 0.0
+    d *= trace.activations[l] > 0.0
+    if trace.keep < 1.0:
+        d *= 1.0 / trace.keep
     return d
 
 

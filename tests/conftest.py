@@ -87,8 +87,9 @@ def _branch_margins_ok(trace, labels, weights, bounds) -> bool:
 def draw_gradient_fixture(rng: np.random.Generator, *, affine_maps: int | None = None, max_attempts: int = 500) -> dict:
     """Sample one kink-free gradient-check problem.
 
-    Returns the network, a frozen-mask training trace, the batch, overlap
-    weights, and randomised standardisation bounds.  Raises after
+    Returns the network, a training trace with its noise (the generator
+    state it drew its dropout from, which oracles.replay draws again), the
+    batch, overlap weights, and randomised standardisation bounds.  Raises after
     max_attempts rejections, which at these margins signals a bug rather
     than bad luck.  affine_maps fixes the depth; by default it is drawn.
     """
@@ -105,6 +106,7 @@ def draw_gradient_fixture(rng: np.random.Generator, *, affine_maps: int | None =
             unfairness_min=u_lo,
             unfairness_max=u_lo + float(rng.uniform(0.5, 2.0)),
         )
+        noise = rng.bit_generator.state
         trace = forward(params, config, x, MODE_TRAIN, rng=rng)
         if not _margins_ok(trace, weights):
             continue
@@ -120,7 +122,7 @@ def draw_gradient_fixture(rng: np.random.Generator, *, affine_maps: int | None =
             "weights": weights,
             "bounds": bounds,
             "trace": trace,
-            "masks": trace.dropout_masks,
+            "noise": noise,
         }
     raise AssertionError("could not sample a kink-free gradient fixture")
 

@@ -157,12 +157,71 @@ def max_relative_error(analytic: NetworkParams, numeric: NetworkParams, floor: f
 
 
 # ---------------------------------------------------------------------------
+# dropout noise and backprop through frozen masks
+
+
+def replay(state) -> np.random.Generator:
+    """A new Generator in a saved ``bit_generator.state``: it draws what the saved Generator drew next."""
+    bit_generator = getattr(np.random, state["bit_generator"])()
+    bit_generator.state = state
+    return np.random.Generator(bit_generator)
+
+
+def bf_dropout_masks(config, rows: int, noise) -> list[np.ndarray] | None:
+    """The scaled keep masks (0 or 1/keep) of one network's train pass over rows, redrawn from its saved noise.
+
+    The pass draws one uniform (rows, width) block per hidden layer, bottom
+    up.  None when the network has no dropout.
+    """
+    if config.dropout_prob == 0.0:
+        return None
+    keep = 1.0 - config.dropout_prob
+    rng = replay(noise)
+    return [(rng.random((rows, width)) < keep) / keep for width in config.layer_sizes[1:-1]]
+
+
+def bf_backprop(params: NetworkParams, inputs, preactivations, masks, preact_deltas):
+    """One network's gradients and layer-0 delta, stepping down through frozen dropout masks.
+
+    The step down to hidden layer l is ((delta @ W[l+1]) * masks[l]) * [h[l] > 0],
+    without the mask factor when masks is None, and the activations below a
+    layer are rebuilt as max(h, 0) * mask.  A layer that nothing reaches gets
+    zero gradients.  Returns (gradients, dJ/dh^(0) or None).
+    """
+    L = len(params.weights)
+    grad_w, grad_b = [], []
+    delta = None
+    for l in range(L - 1, -1, -1):
+        d = preact_deltas[l]
+        if delta is not None:
+            down = delta @ params.weights[l + 1]
+            if masks is not None:
+                down = down * masks[l]
+            down = down * (preactivations[l] > 0.0)
+            d = down if d is None else down + d
+        if l == 0:
+            below = inputs
+        else:
+            below = np.maximum(preactivations[l - 1], 0.0)
+            if masks is not None:
+                below = below * masks[l - 1]
+        if d is None:
+            grad_w.insert(0, np.zeros_like(params.weights[l]))
+            grad_b.insert(0, np.zeros_like(params.biases[l]))
+        else:
+            grad_w.insert(0, d.T @ below)
+            grad_b.insert(0, d.sum(axis=0))
+        delta = d
+    return NetworkParams(grad_w, grad_b), delta
+
+
+# ---------------------------------------------------------------------------
 # objective definitions the gradients are checked against
 
 
-def composite_objective(params, config, x, y, sensitives, propensities, lambda_, bounds, masks):
-    """Scalarised objective exactly as the trainer's branch rules define it."""
-    trace = forward(params, config, x, MODE_TRAIN, masks=masks)
+def composite_objective(params, config, x, y, sensitives, propensities, lambda_, bounds, noise):
+    """Scalarised objective exactly as the trainer's branch rules define it, under the replayed dropout noise."""
+    trace = forward(params, config, x, MODE_TRAIN, rng=replay(noise))
     r_std = bounds.standardise_risk(bce_loss(trace.output, y))
     if lambda_ == 0.0:
         return (1.0 - lambda_) * r_std
@@ -172,8 +231,8 @@ def composite_objective(params, config, x, y, sensitives, propensities, lambda_,
     return max((1.0 - lambda_) * r_std, lambda_ * u_std)
 
 
-def adversarial_objective(clf_params, clf_config, adv_params, adv_config, x, y, a, lambda_, masks):
-    trace = forward(clf_params, clf_config, x, MODE_TRAIN, masks=masks)
+def adversarial_objective(clf_params, clf_config, adv_params, adv_config, x, y, a, lambda_, noise):
+    trace = forward(clf_params, clf_config, x, MODE_TRAIN, rng=replay(noise))
     value = bce_loss(trace.output, y)
     if lambda_ > 0.0:
         scores = trace.output[:, None]

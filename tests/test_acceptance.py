@@ -92,7 +92,7 @@ def test_criterion_1_gradient_oracle():
             numeric = fd_gradient(
                 lambda p: composite_objective(
                     p, fx["config"], fx["x"], fx["labels"], fx["sensitives"],
-                    fx["propensities"], lam, fx["bounds"], fx["masks"],
+                    fx["propensities"], lam, fx["bounds"], fx["noise"],
                 ),
                 fx["params"],
             )
@@ -107,7 +107,7 @@ def test_criterion_1_gradient_oracle():
             numeric = fd_gradient(
                 lambda p: adversarial_objective(
                     p, fx["config"], adv_params, adv_net,
-                    fx["x"], fx["labels"], a, lam, fx["masks"],
+                    fx["x"], fx["labels"], a, lam, fx["noise"],
                 ),
                 fx["params"],
             )

@@ -31,7 +31,7 @@ from fairfront.propensity import PropensityConfig
 from fairfront.training import TrainConfig, derive_seeds
 
 from conftest import draw_gradient_fixture, minor_faults_of_a_second_call, needs_mallopt
-from oracles import LayerAdam, adversarial_objective, fd_gradient, max_relative_error
+from oracles import LayerAdam, adversarial_objective, bf_backprop, fd_gradient, max_relative_error
 
 
 def adversary_with_margins(rng, scores, hidden_layers=2, width=6):
@@ -58,7 +58,7 @@ def test_classifier_gradient_matches_finite_differences():
             )
             objective = lambda p: adversarial_objective(
                 p, fx["config"], adv_params, adv_net,
-                fx["x"], fx["labels"], a, lam, fx["masks"],
+                fx["x"], fx["labels"], a, lam, fx["noise"],
             )
             assert max_relative_error(grads, fd_gradient(objective, fx["params"])) < 1e-4
 
@@ -109,18 +109,26 @@ def classifier_step_problem(stacked: bool):
 
 
 @pytest.mark.parametrize("stacked", [False, True], ids=["alone", "stacked"])
-def test_the_classifier_step_reads_backprops_input_delta_bitwise(stacked, monkeypatch):
+def test_the_classifier_step_reads_the_reference_input_delta_bitwise(stacked, monkeypatch):
     args = classifier_step_problem(stacked)
     grads = classifier_objective_gradient(*args)
     seen = []
 
-    def backprops_delta(params, trace, output_delta):
-        config = args[3]
-        want = backprop(params, config, trace, [None] * (config.num_layers - 1) + [output_delta])[1]
+    def reference_delta(params, trace, output_delta):
+        # the adversary's eval pass draws no dropout, so the reference steps down through no mask
+        deltas = [None] * (args[3].num_layers - 1) + [output_delta]
+        if not stacked:
+            want = bf_backprop(params, trace.inputs, trace.preactivations, None, deltas)[1]
+        else:
+            want = np.stack([
+                bf_backprop(params.member(k), trace.inputs[k], [h[k] for h in trace.preactivations], None,
+                            [None if d is None else d[k] for d in deltas])[1]
+                for k in range(len(trace.inputs))
+            ])
         seen.append(np.array_equal(network.input_delta(params, trace, output_delta), want))
         return want
 
-    monkeypatch.setattr(adversarial, "input_delta", backprops_delta)
+    monkeypatch.setattr(adversarial, "input_delta", reference_delta)
     ref_grads = classifier_objective_gradient(*args)
     assert seen == [True]
     for g, r in zip((*grads.weights, *grads.biases), (*ref_grads.weights, *ref_grads.biases)):
@@ -159,7 +167,8 @@ def test_adversary_gradient_matches_finite_differences_at_the_clamp():
     net = NetworkConfig(layer_sizes=[1, 1], dropout_prob=0.0)
     params = NetworkParams([np.array([[40.0]])], [np.zeros(1)])
     scores, a = np.array([0.9, 0.95]), np.zeros(2)
-    grads, d_first = adversarial._adversary_gradient(params, net, scores, a)
+    grads = adversarial._adversary_gradient(params, net, scores, a)
+    d_first = network.input_delta(params, *adversarial._adversary_pass(params, net, scores, a))
     objective = lambda p: bce_loss(forward(p, net, scores[:, None], MODE_EVAL).output, a)
     numeric = fd_gradient(objective, params)
     assert numeric.weights[0][0, 0] == 0.0
@@ -293,7 +302,7 @@ def reference_adversarial(x, y, a, clf_cfg, train, adv_config, lambda_, seeds):
             trace = forward(adv, adv_cfg, scores[:, None], MODE_EVAL)
             deltas = [None] * adv_cfg.num_layers
             deltas[-1] = ((trace.output - a[rows]) / rows.size)[:, None]
-            grads, _ = backprop(adv, adv_cfg, trace, deltas)
+            grads = backprop(adv, adv_cfg, trace, deltas)
             adv_adam.step(adv, grads)
 
     for _ in range(adv_config.pretrain_classifier_epochs):

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import codecs
 import dataclasses
+import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from fairfront.data import (
     write_dataset_csv,
 )
 from fairfront.errors import ConfigError, IngestionError, InputError, ShapeError
+from fairfront.network import _validated_features
 
 
 def write_csv(path, text):
@@ -330,6 +333,61 @@ def test_dataset_rejects_bad_rows(changes, error, message):
     Dataset(**DATASET_FIELDS)
     with pytest.raises(error, match=message):
         Dataset(**{**DATASET_FIELDS, **changes})
+
+
+@functools.cache
+def _dataset_fields(rows: int, width: int) -> dict:
+    """Valid sensitives, labels and names for a (rows, width) matrix, built once per shape."""
+    return {
+        "sensitives": np.arange(rows) % 2,
+        "labels": np.arange(rows) // 2 % 2,
+        "feature_names": [f"x{j}" for j in range(width)],
+    }
+
+
+# The two checks of a whole feature matrix, and the messages they reject a non-finite one with.
+FEATURE_CHECKS = {
+    "validated_features": (_validated_features, "features contain non-finite entries"),
+    "dataset": (
+        lambda x: Dataset(features=x, **_dataset_fields(*x.shape)),
+        "encoded features contain non-finite entries",
+    ),
+}
+
+
+@pytest.mark.parametrize("check", FEATURE_CHECKS.values(), ids=FEATURE_CHECKS.keys())
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_a_feature_check_rejects_each_non_finite_value(check, bad):
+    accept, message = check
+    for at in ((0, 0), (2, 1), (3, 1)):
+        x = np.arange(8.0).reshape(4, 2)
+        x[at] = bad
+        with pytest.raises(InputError, match=f"^{message}$"):
+            accept(x)
+    # an array of one non-finite value alone, or of nothing but them
+    with pytest.raises(InputError, match=f"^{message}$"):
+        accept(np.full((4, 2), bad))
+
+
+@pytest.mark.parametrize("check", FEATURE_CHECKS.values(), ids=FEATURE_CHECKS.keys())
+def test_a_zero_width_feature_matrix_counts_as_finite(check):
+    accept, _ = check
+    accept(np.zeros((4, 0)))
+
+
+@pytest.mark.parametrize("check", FEATURE_CHECKS.values(), ids=FEATURE_CHECKS.keys())
+def test_a_feature_check_allocates_no_temporary_the_size_of_the_matrix(check):
+    """np.all(np.isfinite(x)) built a 600 kB boolean array for these 600,000 entries."""
+    accept, _ = check
+    x = np.random.default_rng(0).normal(size=(40, 15_000))
+    accept(x)  # build the Dataset's other fields outside the measurement
+    tracemalloc.start()
+    try:
+        accept(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < x.size // 10
 
 
 # ---------------------------------------------------------------------------

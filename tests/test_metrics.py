@@ -179,7 +179,7 @@ def _stacked_penalty_problem(rng, k, affine_maps=None):
 
 def _stack_traces(traces):
     preacts = [np.stack(layer) for layer in zip(*(t.preactivations for t in traces))]
-    return ForwardTrace(np.stack([t.inputs for t in traces]), preacts, [], [])
+    return ForwardTrace(np.stack([t.inputs for t in traces]), preacts, [], 1.0)
 
 
 @pytest.mark.parametrize("affine_maps", [2, 3], ids=["one_hidden", "two_hidden"])

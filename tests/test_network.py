@@ -31,7 +31,7 @@ from fairfront.network import (
 from fairfront.propensity import PropensityModel, predict_propensity
 
 from conftest import draw_gradient_fixture
-from oracles import composite_objective, fd_gradient, max_relative_error
+from oracles import bf_backprop, bf_dropout_masks, composite_objective, fd_gradient, max_relative_error, replay
 
 
 # every depth the gradient checks draw: the penalty-free single affine map, a
@@ -97,66 +97,62 @@ def test_forward_eval_is_pure_and_ignores_dropout():
     t1 = forward(params, config, x, MODE_EVAL)
     t2 = forward(params, config, x, MODE_EVAL)
     assert np.array_equal(t1.output, t2.output)
-    assert all(np.all(m == 1.0) for m in t1.dropout_masks)
+    assert t1.keep == 1.0
+    for h, v in zip(t1.preactivations, t1.activations[:-1]):
+        assert np.array_equal(v, np.maximum(h, 0.0))
 
 
-def test_forward_train_dropout_masks_are_inverted():
+def test_forward_train_dropout_is_inverted():
     config, params = small_net(dropout=0.5)
     x = np.random.default_rng(2).normal(size=(64, 4))
     trace = forward(params, config, x, MODE_TRAIN, rng=np.random.default_rng(3))
-    for m in trace.dropout_masks:
-        assert set(np.unique(m)).issubset({0.0, 2.0})  # 1/keep with keep=0.5
-    # frozen masks reproduce the run exactly
-    again = forward(params, config, x, MODE_TRAIN, masks=trace.dropout_masks)
-    assert np.array_equal(trace.output, again.output)
+    assert trace.keep == 0.5
+    for h, v in zip(trace.preactivations, trace.activations[:-1]):
+        relu = np.maximum(h, 0.0)
+        assert np.all((v == 0.0) | (v == 2.0 * relu))  # 1/keep with keep=0.5
+        assert np.any((v == 0.0) & (relu > 0.0)) and np.any(v > 0.0)  # some units dropped, some kept
 
 
-def test_a_pass_without_dropout_carries_no_masks():
+def test_a_pass_without_dropout_records_none():
     x = np.random.default_rng(4).normal(size=(5, 4))
     for dropout, mode in ((0.5, MODE_EVAL), (0.0, MODE_TRAIN)):
         config, params = small_net(dropout=dropout)
-        assert forward(params, config, x, mode, rng=np.random.default_rng(0)).dropout_masks == []
+        assert forward(params, config, x, mode, rng=np.random.default_rng(0)).keep == 1.0
 
 
-def test_gradients_without_masks_equal_those_under_all_ones_masks():
-    rng = np.random.default_rng(6)
-    config, params = small_net(seed=2, dropout=0.3, sizes=(4, 6, 5, 1))
-    x = rng.normal(size=(16, 4))
-    y = (rng.random(16) < 0.5).astype(float)
-    a = np.arange(16) % 2
-    weights = overlap_weights(rng.uniform(0.2, 0.8, size=16), a)
-    bare = forward(params, config, x, MODE_EVAL)
-    ones = [np.ones_like(h) for h in bare.preactivations[:-1]]
-    masked = forward(params, config, x, MODE_TRAIN, masks=ones)
-    assert bare.dropout_masks == [] and len(masked.dropout_masks) == 2
-    deltas = [rng.normal(size=h.shape) for h in bare.preactivations]
-    pairs = [backprop(params, config, t, deltas) for t in (bare, masked)]
-    pairs += [
-        (backward_composite(t, params, config, y, weights, lam).gradients, None)
-        for lam in (0.0, 0.4, 1.0)
-        for t in (bare, masked)
-    ]
-    for (g_bare, dx_bare), (g_masked, dx_masked) in zip(pairs[::2], pairs[1::2]):
-        for u, v in zip((*g_bare.weights, *g_bare.biases), (*g_masked.weights, *g_masked.biases)):
-            assert np.array_equal(u, v)
-        if dx_bare is not None:
-            assert np.array_equal(dx_bare, dx_masked)
+@pytest.mark.parametrize("stack", [None, 3])
+def test_a_generator_in_the_same_state_replays_a_train_pass_bitwise(stack):
+    config, params = small_net(seed=7, dropout=0.3, sizes=(4, 6, 5, 1))
+    x = np.random.default_rng(8).normal(size=(20, 4))
+    if stack is not None:
+        params = NetworkParams([np.stack([w * (1 + k / 10) for k in range(stack)]) for w in params.weights],
+                               [np.stack([b + k / 10 for k in range(stack)]) for b in params.biases])
+        x = np.stack([x - k for k in range(stack)])
+    generators = [np.random.default_rng(30 + k) for k in range(stack or 1)]
+    states = [g.bit_generator.state for g in generators]
+    first = forward(params, config, x, MODE_TRAIN, rng=generators if stack else generators[0])
+    replays = [replay(state) for state in states]
+    again = forward(params, config, x, MODE_TRAIN, rng=replays if stack else replays[0])
+    assert again.keep == first.keep
+    for a, b in zip((*first.preactivations, *first.activations), (*again.preactivations, *again.activations)):
+        assert np.array_equal(a, b)
+    assert [g.bit_generator.state for g in generators] == [g.bit_generator.state for g in replays]
+    # the members drew different noise, so a replay is no accident of equal masks
+    dropped = [(v == 0.0) & (h > 0.0) for h, v in zip(first.preactivations, first.activations[:-1])]
+    assert all(d.any() for d in dropped)
+    if stack is not None:
+        assert not np.array_equal(dropped[0][0], dropped[0][1])
 
 
-def test_train_forward_writes_neither_params_nor_inputs_nor_frozen_masks():
+def test_train_forward_writes_neither_params_nor_inputs():
     # [1, 5, 4, 1] starts with an inner-dimension-1 product, as the adversary does
     for sizes in ((4, 5, 3, 1), (1, 5, 4, 1)):
         config, params = small_net(seed=3, dropout=0.4, sizes=sizes)
         x = np.random.default_rng(5).normal(size=(7, sizes[0]))
         before = [a.copy() for a in (x, *params.weights, *params.biases)]
-        drawn = forward(params, config, x, MODE_TRAIN, rng=np.random.default_rng(6))
-        masks = [m.copy() for m in drawn.dropout_masks]
-        frozen = forward(params, config, x, MODE_TRAIN, masks=masks)
+        forward(params, config, x, MODE_TRAIN, rng=np.random.default_rng(6))
         for a, b in zip(before, (x, *params.weights, *params.biases)):
             assert np.array_equal(a, b)
-        for m, m_drawn in zip(masks, drawn.dropout_masks):
-            assert np.array_equal(m, m_drawn)
-        assert np.array_equal(frozen.output, drawn.output)
 
 
 @pytest.mark.parametrize(
@@ -249,8 +245,52 @@ def test_forward_equals_products_with_the_transposed_weight_views_bitwise(sizes,
         v = np.maximum(want, 0.0)
 
 
+def _member(a, k):
+    """Stack member k of an array (or of each entry of a list), or the lone network's a for k None."""
+    if isinstance(a, list):
+        return [_member(b, k) for b in a]
+    return a if k is None or a is None else a[k]
+
+
+@pytest.mark.parametrize("stack", [None, 3], ids=["lone", "stacked"])
+@pytest.mark.parametrize("dropout", [0.0, 0.2, 0.5])
+def test_backprop_is_the_frozen_mask_reference_bitwise(dropout, stack):
+    # The library gates on the post-dropout activation and scales by 1/keep;
+    # the reference multiplies by the redrawn mask, then by [h > 0].
+    rng = np.random.default_rng(int(dropout * 10) + (stack or 0))
+    config = NetworkConfig(layer_sizes=[4, 6, 5, 1], dropout_prob=dropout)
+    members = [init_network(config, seed) for seed in range(stack or 1)]
+    params = NetworkParams([np.stack(w) for w in zip(*(m.weights for m in members))],
+                           [np.stack(b) for b in zip(*(m.biases for m in members))])
+    x = rng.normal(size=(stack or 1, 30, 4))
+    x[:, :3] = 0.0  # with zero biases these rows' preactivations are exact zeros in every layer
+    generators = [np.random.default_rng(40 + k) for k in range(stack or 1)]
+    noise = [g.bit_generator.state for g in generators]
+    if stack is None:
+        params, x, generators = params.member(0), x[0], generators[0]
+    trace = forward(params, config, x, MODE_TRAIN, rng=generators)
+    out = rng.normal(size=trace.preactivations[-1].shape)
+    own = rng.normal(size=trace.preactivations[1].shape)
+    grads = backprop(params, config, trace, [None, own, out])
+    d_first = input_delta(params, trace, out)
+    for i in range(stack or 1):
+        k = None if stack is None else i
+        member = params if k is None else params.member(k)
+        inputs, preacts = _member(trace.inputs, k), _member(trace.preactivations, k)
+        masks = bf_dropout_masks(config, inputs.shape[0], noise[i])
+        assert all((h == 0.0).any() for h in preacts)
+        if masks is not None:
+            assert all(((m == 0.0) & (h > 0.0)).any() for m, h in zip(masks, preacts))  # dropped live units
+        want, _ = bf_backprop(member, inputs, preacts, masks, _member([None, own, out], k))
+        got = grads if k is None else grads.member(k)
+        for g, w in zip((*got.weights, *got.biases), (*want.weights, *want.biases)):
+            assert np.array_equal(g, w)
+        _, want_first = bf_backprop(member, inputs, preacts, masks, _member([None, None, out], k))
+        assert np.array_equal(_member(d_first, k), want_first)
+
+
 @pytest.mark.parametrize("stack", [None, 7])
-def test_input_delta_is_backprops_returned_delta_bitwise(stack):
+def test_input_delta_is_the_reference_delta_bitwise(stack):
     rng = np.random.default_rng(19)
     for sizes, dropout in (((1, 32, 32, 32, 32, 1), 0.0), ((4, 6, 5, 1), 0.3), ((3, 1), 0.0)):
         config = NetworkConfig(layer_sizes=list(sizes), dropout_prob=dropout)
@@ -260,27 +300,34 @@ def test_input_delta_is_backprops_returned_delta_bitwise(stack):
             params = NetworkParams([np.stack([w * (1 + k / 10) for k in range(stack)]) for w in params.weights],
                                    [np.stack([b + k for k in range(stack)]) for b in params.biases])
             x = rng.normal(size=(stack, 250, sizes[0]))
-        trace = forward(params, config, x, MODE_TRAIN, rng=[np.random.default_rng(k) for k in range(stack or 1)])
+        generators = [np.random.default_rng(k) for k in range(stack or 1)]
+        noise = [g.bit_generator.state for g in generators]
+        trace = forward(params, config, x, MODE_TRAIN, rng=generators)
         out = rng.normal(size=trace.preactivations[-1].shape)
-        _, want = backprop(params, config, trace, [None] * (config.num_layers - 1) + [out])
-        assert np.array_equal(input_delta(params, trace, out), want)
+        got = input_delta(params, trace, out)
+        for i in range(stack or 1):
+            k = None if stack is None else i
+            member = params if k is None else params.member(k)
+            inputs, preacts = _member(trace.inputs, k), _member(trace.preactivations, k)
+            masks = bf_dropout_masks(config, inputs.shape[0], noise[i])
+            deltas = [None] * (config.num_layers - 1) + [_member(out, k)]
+            _, want = bf_backprop(member, inputs, preacts, masks, deltas)
+            assert np.array_equal(_member(got, k), want)
 
 
-def test_returned_delta_times_first_weights_is_the_input_gradient():
+def test_input_delta_times_first_weights_is_the_input_gradient():
     rng = np.random.default_rng(13)
     config, params = small_net(seed=4, dropout=0.3, sizes=(3, 6, 4, 1))
     x = rng.normal(size=(9, 3))
     y = (rng.random(9) < 0.5).astype(float)
-    masks = forward(params, config, x, MODE_TRAIN, rng=np.random.default_rng(2)).dropout_masks
+    noise = np.random.default_rng(2).bit_generator.state
 
     def loss(inputs):
-        return bce_loss(forward(params, config, inputs, MODE_TRAIN, masks=masks).output, y)
+        return bce_loss(forward(params, config, inputs, MODE_TRAIN, rng=replay(noise)).output, y)
 
-    trace = forward(params, config, x, MODE_TRAIN, masks=masks)
+    trace = forward(params, config, x, MODE_TRAIN, rng=replay(noise))
     p = trace.output
-    deltas = [None] * config.num_layers
-    deltas[-1] = (np.where(unclamped(p), p - y, 0.0) / y.size)[:, None]
-    _, d_first = backprop(params, config, trace, deltas)
+    d_first = input_delta(params, trace, (np.where(unclamped(p), p - y, 0.0) / y.size)[:, None])
     assert d_first.shape == trace.preactivations[0].shape
     numeric = np.zeros_like(x)
     step = 1e-6
@@ -302,24 +349,21 @@ def test_a_layer_no_delta_reaches_gets_exact_zero_gradients(stack):
         params = NetworkParams([np.stack([w] * stack) for w in params.weights],
                                [np.stack([b] * stack) for b in params.biases])
         x = np.stack([x + k for k in range(stack)])
-    masks = [(rng.random(x.shape[:-1] + (m,)) < 0.7) / 0.7 for m in config.layer_sizes[1:-1]]
-    trace = forward(params, config, x, MODE_TRAIN, masks=masks)
+    trace = forward(params, config, x, MODE_TRAIN, rng=[np.random.default_rng(k) for k in range(stack or 1)])
     own = rng.normal(size=trace.preactivations[1].shape)
     # only the penultimate layer has a delta of its own, as in a penalty-branch step
-    grads, d_first = backprop(params, config, trace, [None, own, None])
+    grads = backprop(params, config, trace, [None, own, None])
     # the zero-propagating reference: an explicit zero delta at the output layer
     zero_out = np.zeros_like(trace.preactivations[2])
-    reference, ref_first = backprop(params, config, trace, [None, own, zero_out])
+    reference = backprop(params, config, trace, [None, own, zero_out])
     for g, r in zip((*grads.weights, *grads.biases), (*reference.weights, *reference.biases)):
         assert g.shape == r.shape
     assert not grads.weights[2].any() and not grads.biases[2].any()
     for l in (0, 1):
         assert np.array_equal(grads.weights[l], reference.weights[l])
         assert np.array_equal(grads.biases[l], reference.biases[l])
-    assert np.array_equal(d_first, ref_first)
-    # with no delta anywhere, every gradient is zero and nothing reaches layer 0
-    grads, d_first = backprop(params, config, trace, [None] * 3)
-    assert d_first is None
+    # with no delta anywhere, every gradient is zero
+    grads = backprop(params, config, trace, [None] * 3)
     for g, r in zip((*grads.weights, *grads.biases), (*reference.weights, *reference.biases)):
         assert g.shape == r.shape and not g.any()
 
@@ -412,7 +456,7 @@ def test_lambda_zero_identity_bounds_is_plain_bce_gradient():
     p = trace.output
     deltas = [None] * config.num_layers
     deltas[-1] = ((p - y) / y.size)[:, None]
-    reference, _ = backprop(params, config, trace, deltas)
+    reference = backprop(params, config, trace, deltas)
     for g1, g2 in zip(via_composite.weights + via_composite.biases, reference.weights + reference.biases):
         assert np.array_equal(g1, g2)  # bitwise, not approximately
 
@@ -440,7 +484,7 @@ def test_composite_gradient_matches_finite_differences(affine_maps):
             numeric = fd_gradient(
                 lambda p: composite_objective(
                     p, fx["config"], fx["x"], fx["labels"], fx["sensitives"],
-                    fx["propensities"], lam, fx["bounds"], fx["masks"],
+                    fx["propensities"], lam, fx["bounds"], fx["noise"],
                 ),
                 fx["params"],
             )
@@ -463,7 +507,7 @@ def test_backward_objective_matches_the_oracle_and_stacks_bitwise(affine_maps):
         for lam, value in zip(lambdas, alone):
             expected = composite_objective(
                 fx["params"], fx["config"], fx["x"], fx["labels"], fx["sensitives"],
-                fx["propensities"], lam, fx["bounds"], fx["masks"],
+                fx["propensities"], lam, fx["bounds"], fx["noise"],
             )
             assert abs(value - expected) <= 1e-12
         # without weights (the single-group fallback) the objective is the risk term alone
@@ -471,7 +515,7 @@ def test_backward_objective_matches_the_oracle_and_stacks_bitwise(affine_maps):
         assert fallback.objective == (1.0 - 0.7) * fx["bounds"].standardise_risk(fallback.risk)
         # the same batch as a stack of k members, one lambda each
         params = NetworkParams([stack(w) for w in fx["params"].weights], [stack(b) for b in fx["params"].biases])
-        trace = forward(params, fx["config"], stack(fx["x"]), MODE_TRAIN, masks=[stack(m) for m in fx["masks"]])
+        trace = forward(params, fx["config"], stack(fx["x"]), MODE_TRAIN, rng=[replay(fx["noise"]) for _ in range(k)])
         weights = overlap_weights(stack(fx["propensities"]), stack(fx["sensitives"]))
         stacked = backward_composite(trace, params, fx["config"], stack(fx["labels"]), weights, lambdas, fx["bounds"])
         assert stacked.objective.tolist() == alone
@@ -493,7 +537,7 @@ def test_training_penalty_is_ato_hidden_penalty_bitwise(affine_maps):
         for lam in lambdas:
             assert backward_composite(fx["trace"], *args, lam, fx["bounds"]).unfairness == penalty
         params = NetworkParams([stack(w) for w in fx["params"].weights], [stack(b) for b in fx["params"].biases])
-        trace = forward(params, fx["config"], stack(fx["x"]), MODE_TRAIN, masks=[stack(m) for m in fx["masks"]])
+        trace = forward(params, fx["config"], stack(fx["x"]), MODE_TRAIN, rng=[replay(fx["noise"]) for _ in range(k)])
         weights = overlap_weights(stack(fx["propensities"]), stack(fx["sensitives"]))
         stacked = backward_composite(trace, params, fx["config"], stack(fx["labels"]), weights, lambdas, fx["bounds"])
         assert np.array_equal(stacked.unfairness, ato_hidden_penalty(trace, weights)[0])

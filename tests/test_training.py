@@ -69,7 +69,7 @@ def test_lambda_zero_run_is_bitwise_plain_bce_descent():
             p = trace.output
             deltas = [None] * net.num_layers
             deltas[-1] = ((p - labels) / labels.size)[:, None]
-            grads, _ = backprop(params, net, trace, deltas)
+            grads = backprop(params, net, trace, deltas)
             adam.step(params, grads)
             risks.append(
                 float(-np.mean(labels * np.log(p) + (1 - labels) * np.log(1 - p)))
@@ -164,13 +164,13 @@ def test_a_step_frees_its_trace_before_the_next_forward(monkeypatch):
     def spy(*args, **kwargs):
         assert all(ref() is None for ref in traces)
         trace = real(*args, **kwargs)
-        traces.extend(weakref.ref(a) for a in (trace, *trace.preactivations, *trace.dropout_masks))
+        traces.extend(weakref.ref(a) for a in (trace, *trace.preactivations, *trace.activations))
         return trace
 
     monkeypatch.setattr(training, "forward", spy)
     results = fit_stack(STACK_LAMBDAS, STACK_SEEDS)
     assert all(isinstance(r, FitResult) for r in results)
-    assert len(traces) == STACK_TRAIN.epochs * 5 * (1 + 3 + 2)  # 130 rows in batches of 32
+    assert len(traces) == STACK_TRAIN.epochs * 5 * (1 + 3 + 3)  # 130 rows in batches of 32
 
 
 @pytest.mark.parametrize("bounds", [None, StandardisationBounds(0.3, 0.8, 0.0, 0.4)])
@@ -383,7 +383,7 @@ def test_stacked_fit_matches_a_per_model_reference_loop():
                     treated, control = np.where(s == 1, w, 0.0).sum(), np.where(s == 0, w, 0.0).sum()
                     coeff = np.where(s == 1, w / treated, -w / control)
                     deltas[0] = np.outer(coeff * lam / bounds.unfairness_span, np.sign(tau))
-                grads, _ = backprop(params, net, trace, deltas)
+                grads = backprop(params, net, trace, deltas)
                 adam.step(params, grads)
                 objectives.append(max(r_t, u_t))
             adam.learning_rate = sched.step(float(np.mean(objectives)), adam.learning_rate)
