@@ -9,18 +9,19 @@ step after a short pretraining phase for each player.  The classifier
 pretrains on the same objective, against the adversary as initialised, so
 only lambda = 0 pretrains it on plain BCE.
 
-train_adversarial trains a stack of K lambdas on one training set in
-lockstep, as training.fit_network trains the scalarised lambdas: each
-adversary step, classifier step and epoch scoring pass is one stacked call
-for all K, and each member keeps its own seeds and random stream, so its
-numbers are bitwise those of its lambda trained alone.  A member whose
-parameters go non-finite fails alone.
+train_adversarial trains a stack of K lambdas in lockstep on the rows
+training.fit_network takes: one shared feature matrix, each member's rows of
+it (feature_rows) and its labels and sensitives.  Each adversary step,
+classifier step and epoch scoring pass is one stacked call for all K, and
+each member keeps its own seeds and random stream, so its numbers are
+bitwise those of its lambda trained alone.  A member whose parameters go
+non-finite fails alone.
 
 run_adversarial_sweep runs the scalarised sweep's split stage
-(pareto._split_stage) with a trainer that calls train_adversarial once per
-stack of a split's lambdas, cut by pareto._train_in_stacks, so the two sweeps
-compare on the same splits, calibrated propensity models, seed streams and
-test scoring.
+(pareto._split_stage) with a trainer that cuts all of a split group's
+(split, lambda) networks into stacks (pareto._train_in_stacks), which mix
+splits as the scalarised stacks do, so the two sweeps compare on the same
+splits, calibrated propensity models, seed streams and test scoring.
 """
 from __future__ import annotations
 
@@ -32,14 +33,12 @@ import numpy as np
 
 from .data import Dataset, SplitPlan, minibatches
 from .errors import POSITIVE, NumericError, at_least, check_fields
-from .metrics import _as_binary
 from .network import (
     MODE_EVAL,
     MODE_TRAIN,
     NetworkConfig,
     NetworkParams,
     _flatten,
-    _validated_data,
     backprop,
     bce_output_delta,
     forward,
@@ -56,7 +55,7 @@ from .pareto import LambdaGrid, SweepConfig, SweepResult, TrainingSplit, _run_sp
 # module and fails to install its tracer without them.
 from .evaluation import evaluate_test_metrics  # noqa: F401
 from .propensity import calibrate_temperature, train_propensity  # noqa: F401
-from .training import FitResult, TrainConfig, _ParameterStack, _settle_malloc, _stack_members, derive_seeds
+from .training import FitResult, TrainConfig, _ParameterStack, _stack_members, _stack_rows, derive_seeds
 
 log = logging.getLogger(__name__)
 
@@ -148,15 +147,17 @@ def _adversary_gradient(adv_params: NetworkParams, adv_config: NetworkConfig, sc
 
 def train_adversarial(
     features: np.ndarray,
-    labels: np.ndarray,
-    sensitives: np.ndarray,
+    labels: list[np.ndarray],
+    sensitives: list[np.ndarray],
     clf_config: NetworkConfig,
     train_config: TrainConfig,
     adv_config: AdversaryConfig,
     lambda_: list[float],
     seeds: list[tuple[int, int]],
+    *,
+    feature_rows: list[np.ndarray] | None = None,
 ) -> list[AdversarialResult | NumericError]:
-    """Run the full adversarial protocol for a stack of K lambdas on one training set.
+    """Run the full adversarial protocol for a stack of K lambdas, member k on its rows of features.
 
     Phases: (1) pretrain the classifier on Loss_y - lambda * Loss_a against
     the frozen, freshly initialised adversary (plain BCE only at lambda = 0);
@@ -167,28 +168,31 @@ def train_adversarial(
     the rows is data.minibatches: one permutation per member, cut into
     batch_size slices.
 
-    lambda_ and seeds are lists of K, one entry per member, as fit_network
-    takes them (a bare value raises ConfigError naming the argument; one
-    lambda is a stack of one): lambdas in [0, 1], and pairs of the
-    classifier's init seed and the key of the adversary's init and loop
-    seeds (training.derive_seeds).  The members train in lockstep, each
-    step one stacked call for all K, and each member draws its shuffles and
-    dropout from its own loop generator, in the order its lone run draws
-    them, so a member's numbers are bitwise those of its lambda trained as
-    a stack of one: a pure function of (data, configs, lambda, seeds).
+    The rows are fit_network's: one shared 2-d feature matrix, K label and
+    K sensitives vectors, and optional feature_rows, checked once by its
+    row check (training._stack_rows).  lambda_ and seeds are lists of K too
+    (a bare value raises ConfigError naming the argument): lambdas in
+    [0, 1], and pairs of the classifier's init seed and the key of the
+    adversary's init and loop seeds (training.derive_seeds).  The members
+    train in lockstep, each step one stacked call for all K, and each draws
+    its shuffles and dropout from its own loop generator, in the order its
+    lone run draws them, so a member's numbers are bitwise those of its
+    lambda trained as a stack of one on a copy of its rows.
 
-    The inputs are validated here, once; the loop itself runs unchecked.
-    Returns K entries: an AdversarialResult, or the NumericError of a member
-    that the epoch or round it failed in left with non-finite parameters in
-    either player.  A failed member keeps its rows in both stacks, zeroed so
-    that the remaining steps stay finite, and is no longer read.
+    The loop runs unchecked.  Returns K entries: an AdversarialResult, or
+    the NumericError of a member that the epoch or round it failed in left
+    with non-finite parameters in either player.  A failed member keeps its
+    rows in both stacks, zeroed so that the remaining steps stay finite, and
+    is no longer read.
     """
     pairs, lams = _stack_members(seeds, lambda_)
-    x, y = _validated_data(features, labels, clf_config)
-    n = y.shape[0]
-    a = _as_binary(sensitives, "sensitives", n)
+    x, member_rows, columns = _stack_rows(
+        features, clf_config, len(pairs), feature_rows, labels=labels, sensitives=sensitives
+    )
+    y, a = columns["labels"], columns["sensitives"]
+    n = member_rows.shape[1]
+    member_base = (np.arange(len(pairs)) * n)[:, None]
 
-    _settle_malloc()
     adv_cfg = adv_config.network_config()
     adv_seeds = [derive_seeds(adv_key) for _, adv_key in pairs]
     clf = _ParameterStack(clf_config, [clf_seed for clf_seed, _ in pairs], train_config.learning_rate)
@@ -198,25 +202,23 @@ def train_adversarial(
     alive = np.ones(len(pairs), dtype=bool)  # members that have not failed
 
     def epoch_batches() -> list[np.ndarray]:
-        # One pass of every member, from its own generator: a (K, m) array of row indices per step.
-        return [batch.indices for batch in minibatches(n, train_config.batch_size, rngs)]
+        # One pass of every member, from its own generator: per step, the (K, m)
+        # positions of each member's batch in the flattened (K, n) arrays.
+        return [batch.indices + member_base for batch in minibatches(n, train_config.batch_size, rngs)]
 
-    def classifier_step(rows: np.ndarray):
-        # rows: (K, m), each member's batch of row indices
-        trace = forward(clf.params, clf_config, x[rows], MODE_TRAIN, rng=rngs)
+    def classifier_step(at: np.ndarray):
+        trace = forward(clf.params, clf_config, x.take(member_rows.take(at), axis=0), MODE_TRAIN, rng=rngs)
         grads = classifier_objective_gradient(
-            clf.params, clf_config, adv.params, adv_cfg, trace, y[rows], a[rows], lams
+            clf.params, clf_config, adv.params, adv_cfg, trace, y.take(at), a.take(at), lams
         )
         adam_step(clf.adam, clf.flat, _flatten(grads))
 
     def adversary_epoch():
-        # The classifiers are frozen for the whole epoch: score every row once, block by block.
-        scores = np.concatenate(
-            [forward(clf.params, clf_config, x[rows], MODE_EVAL).output for rows in row_blocks(n)], axis=-1
-        )
-        for rows in epoch_batches():
-            batch_scores = np.take_along_axis(scores, rows, axis=-1)
-            grads = _adversary_gradient(adv.params, adv_cfg, batch_scores, a[rows])
+        # The classifiers are frozen for the whole epoch: score every member's rows once, block by block.
+        blocks = (x.take(member_rows[:, block], axis=0) for block in row_blocks(n))
+        scores = np.concatenate([forward(clf.params, clf_config, xb, MODE_EVAL).output for xb in blocks], axis=-1)
+        for at in epoch_batches():
+            grads = _adversary_gradient(adv.params, adv_cfg, scores.take(at), a.take(at))
             adam_step(adv.adam, adv.flat, _flatten(grads))
 
     def survivors(phase: str) -> bool:
@@ -286,30 +288,34 @@ def _adv_split_worker(payload):
 
 
 def _train_adversarial_group(splits: list[TrainingSplit], grid: LambdaGrid, config: SweepConfig, adv_config):
-    """The adversarial sweep's trainer: train_adversarial once per split and stack of lambdas.
+    """The adversarial sweep's trainer: every (split, lambda) network of the group, in stacks that mix splits.
 
-    A split's lambdas train in stacks of stack_size() members, the rule the
-    scalarised sweep's stacks follow (pareto._train_in_stacks), sized by
-    the widest layer of either player.  Returns, per split, one fit (or
-    expected failure) per lambda and no bounds.  The split's training rows
-    are gathered once, for all its lambdas.
+    The networks, by split and then lambda, are cut into stacks of
+    stack_size() members (pareto._train_in_stacks), the rule the scalarised
+    sweep's stacks follow, sized by the widest layer of either player.  Each
+    stack is one train_adversarial call on the splits' one feature matrix,
+    each member reading its split's training rows through feature_rows.
+    Returns, per split, one fit (or expected failure) per lambda and no
+    bounds.
     """
-    adv_sizes = adv_config.network_config().layer_sizes
-    outcomes = []
-    for split in splits:
-        x = split.features[split.train_idx]
-        rows = (x, split.labels, split.sensitives, split.template, config.train, adv_config)
-        runs = _train_in_stacks(
-            lambda stack: train_adversarial(*rows, list(grid.values[stack]), list(split.seeds[stack])),
-            len(grid),
-            config.train.batch_size,
-            split.template.layer_sizes + adv_sizes,
+    nets, lambdas, seeds = (
+        list(column) for column in zip(*[(s, lam, pair) for s in splits for lam, pair in zip(grid.values, s.seeds)])
+    )
+    template = splits[0].template
+
+    def train(stack):
+        labels, sensitives = [s.labels for s in nets[stack]], [s.sensitives for s in nets[stack]]
+        return train_adversarial(
+            splits[0].features, labels, sensitives, template, config.train, adv_config, lambdas[stack], seeds[stack],
+            feature_rows=[s.train_idx for s in nets[stack]],
         )
-        # The protocol has no epoch objective and no learning-rate schedule.
-        fits = [
-            run if isinstance(run, Exception)
-            else FitResult(run.classifier_params, [float("nan")], final_learning_rate=config.train.learning_rate)
-            for run in runs
-        ]
-        outcomes.append((fits, None))
-    return outcomes
+
+    adv_sizes = adv_config.network_config().layer_sizes
+    runs = _train_in_stacks(train, len(nets), config.train.batch_size, template.layer_sizes + adv_sizes)
+    # The protocol has no epoch objective and no learning-rate schedule.
+    fits = [
+        run if isinstance(run, Exception)
+        else FitResult(run.classifier_params, [float("nan")], final_learning_rate=config.train.learning_rate)
+        for run in runs
+    ]
+    return [(fits[i : i + len(grid)], None) for i in range(0, len(fits), len(grid))]

@@ -155,33 +155,36 @@ def _output_dir(path, option: str) -> Path:
 
 
 def _write_sweep_outputs(out_dir: Path, resolved: dict, result, csv_name: str, started: float):
+    """Write a sweep's outputs; one without candidates writes its config and summary.json, then raises."""
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "resolved_config.json", "w", encoding="utf-8") as fh:
         json.dump(resolved, fh, indent=2, sort_keys=True)
-    if not result.candidates:
-        raise FairfrontError(
-            f"every sweep job failed; first error: {result.failures[0]['error'] if result.failures else 'unknown'}"
-        )
-    keep = write_candidates_csv(out_dir / csv_name, result.candidates)
-    models_dir = out_dir / "models"
-    models_dir.mkdir(exist_ok=True)
-    for c in result.candidates:
-        save_model(models_dir / f"candidate_s{c.split_id:03d}_l{c.lambda_index:02d}.json", c.params, c.net_config)
-    for split_id, model in sorted(result.propensity_models.items()):
-        save_model(
-            models_dir / f"propensity_s{split_id:03d}.json",
-            model.params,
-            model.config,
-            temperature=model.temperature,
-        )
+    nondominated = 0
+    if result.candidates:
+        nondominated = int(write_candidates_csv(out_dir / csv_name, result.candidates).sum())
+        models_dir = out_dir / "models"
+        models_dir.mkdir(exist_ok=True)
+        for c in result.candidates:
+            save_model(models_dir / f"candidate_s{c.split_id:03d}_l{c.lambda_index:02d}.json", c.params, c.net_config)
+        for split_id, model in sorted(result.propensity_models.items()):
+            save_model(
+                models_dir / f"propensity_s{split_id:03d}.json",
+                model.params,
+                model.config,
+                temperature=model.temperature,
+            )
     summary = {
         "candidates": len(result.candidates),
         "failures": result.failures,
-        "nondominated_ato": int(keep.sum()),
+        "nondominated_ato": nondominated,
         "wall_time_seconds": time.monotonic() - started,
     }
     with open(out_dir / "summary.json", "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2)
+    if not result.candidates:
+        raise FairfrontError(
+            f"every sweep job failed; first error: {result.failures[0]['error'] if result.failures else 'unknown'}"
+        )
     return summary
 
 

@@ -6,8 +6,8 @@ import warnings
 import numpy as np
 
 from .errors import DegenerateGroupError, InputError
-from .metrics import _validated_groups, ato_estimate, conditional_mv_index, mv_index, overlap_weights
-from .network import MODE_EVAL, NetworkConfig, NetworkParams, _validated_data, bce_loss, forward, row_blocks
+from .metrics import _as_binary, _as_propensities, ato_estimate, conditional_mv_index, mv_index, overlap_weights
+from .network import MODE_EVAL, NetworkConfig, NetworkParams, _validated_features, bce_loss, forward, row_blocks
 
 METRIC_NAMES = ("r_test", "u_ato", "mv_eo", "mv_eopp", "mv_dp")
 
@@ -31,15 +31,16 @@ def evaluate_test_metrics(
     both groups contributes zero with a warning rather than failing the
     evaluation.
 
-    The rows are checked before the network runs, by the (features, labels)
-    and group checks every entry point shares; features may be any
+    The rows are checked before the network runs, by the feature, 0/1 and
+    propensity checks every entry point shares; features may be any
     array-like.  A split that lacks a group or a label raises InputError.
     The network scores the rows in blocks (network.row_blocks), keeping only
     each block's output column, so scoring holds one block's trace at a
     time; the scores equal those of one pass over all rows bitwise.
     """
-    x, y = _validated_data(features, labels, config)
-    a, e = _validated_groups(sensitives, propensities, x.shape[0])
+    x = _validated_features(features, config)
+    y = _as_binary(labels, "labels", len(x)).astype(np.float64)
+    a, e = _as_binary(sensitives, "sensitives", len(x)), _as_propensities(propensities, "propensities", len(x))
     for name, vec in (("sensitives", a), ("labels", y)):
         if np.unique(vec).shape[0] < 2:
             raise InputError(f"{name} must contain both levels")

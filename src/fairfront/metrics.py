@@ -73,19 +73,18 @@ class OverlapWeights:
     degenerate: np.ndarray
 
 
-def _validated_groups(sensitives, propensities, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n 0/1 sensitives and n propensities inside (0, 1); the one group check of every entry point."""
-    a = _as_binary(sensitives, "sensitives", n)
-    e = _as_vector(propensities, "propensities", n, np.float64)
+def _as_propensities(x, name: str, n: int) -> np.ndarray:
+    """x as n float64 values strictly inside (0, 1); the one check of every propensity vector."""
+    e = _as_vector(x, name, n, np.float64)
     if not np.all((e > 0.0) & (e < 1.0)):
-        raise InputError("propensities must lie strictly inside (0, 1)")
-    return a, e
+        raise InputError(f"{name} must lie strictly inside (0, 1)")
+    return e
 
 
 def overlap_weights(propensities, sensitives) -> OverlapWeights:
     """Build overlap weights w_i = a_i (1 - e_i) + (1 - a_i) e_i.
 
-    Nothing is checked: the entry points check their rows once (_validated_groups).
+    Nothing is checked: the entry points check their rows once (_as_binary, _as_propensities).
 
     Parameters
     ----------

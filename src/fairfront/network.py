@@ -31,7 +31,7 @@ from .errors import (
     DROPOUT, POSITIVE, SEED, ConfigError, InputError, NumericError, ShapeError, at_least, check_fields, check_value,
     open_input,
 )
-from .metrics import OverlapWeights, _as_binary, ato_hidden_penalty
+from .metrics import OverlapWeights, ato_hidden_penalty
 
 # Output probabilities are clamped to [CLAMP, 1 - CLAMP] before the loss.
 CLAMP = 1e-7
@@ -267,12 +267,6 @@ def _validated_rows(rows, n: int) -> np.ndarray:
     if r.min() < 0 or r.max() >= n:
         raise InputError(f"feature_rows must lie in [0, {n}), the rows of its features")
     return r.astype(np.int64, copy=False)
-
-
-def _validated_data(features, labels, config: NetworkConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The checked features and their n 0/1 labels as float64; the one (features, labels) check."""
-    x = _validated_features(features, config)
-    return x, _as_binary(labels, "labels", x.shape[0]).astype(np.float64)
 
 
 @dataclass

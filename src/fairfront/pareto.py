@@ -35,8 +35,8 @@ endpoints fail fails alone.
 This sweep and the adversarial one (adversarial.run_adversarial_sweep) run
 one split stage, _split_stage: the same splits, calibrated propensity models,
 seed streams, test scoring, failure records and pool dispatch.  Each sweep
-plugs in only its trainer of a group's splits; this module's is
-_train_scalarised_group.
+plugs in only its trainer of a group's splits, whose stacks mix the splits;
+this module's is _train_scalarised_group.
 
 A group's payload holds its splits' index arrays, never rows: the split
 stage reads the dataset that _run_splits installs for the sweep.  Forked

@@ -20,13 +20,12 @@ from .network import (
     NetworkConfig,
     NetworkParams,
     _validated_features,
-    _validated_rows,
     bce_loss,
     clamped_sigmoid,
     forward,
     row_blocks,
 )
-from .training import TrainConfig, _members, derive_seeds, fit_network
+from .training import TrainConfig, _members, _stack_rows, derive_seeds, fit_network
 
 TEMPERATURE_BRACKET = (0.05, 20.0)
 TEMPERATURE_TOL = 1e-4
@@ -76,7 +75,7 @@ def train_propensity(
     argument.  feature_rows, when given, lists each model's rows of the
     features, all of one row count, as fit_network takes it.  Each
     sensitives vector must hold one 0/1 value per listed row, or per row of
-    the features without feature_rows (metrics._as_binary).  Each model's
+    the features without feature_rows (training._stack_rows).  Each model's
     initialisation and loop seeds both derive from its seed, an integer
     >= 0 (training.derive_seeds).  The models share one NetworkConfig.
     Returns one uncalibrated model (temperature 1), or the TrainingError of
@@ -84,17 +83,13 @@ def train_propensity(
     """
     k = len(seed) if isinstance(seed, list) else 1
     seeds = [derive_seeds(s) for s in _members("seed", seed, k)]
-    # The network's width is read off the features, so they are checked, at any width, before the sensitives.
-    x = _validated_features(features)
-    rows = [None] * k if feature_rows is None else _members("feature_rows", feature_rows, k)
-    counts = [len(x) if r is None else len(_validated_rows(r, len(x))) for r in rows]
-    a_s = _members("sensitives", sensitives, k)
-    labels = [_as_binary(a, "sensitives", n).astype(np.float64) for a, n in zip(a_s, counts)]
+    # The network's width is read off the features, so they are checked at any width, before the sensitives.
+    x, _, columns = _stack_rows(features, None, k, feature_rows, sensitives=sensitives)
     net = NetworkConfig(layer_sizes=config.layer_sizes(x.shape[1]), dropout_prob=config.dropout_prob)
     train_config = TrainConfig(
         epochs=config.epochs, batch_size=config.batch_size, learning_rate=config.learning_rate
     )
-    fits = fit_network(x, labels, net, train_config, seeds, feature_rows=feature_rows)
+    fits = fit_network(x, list(columns["sensitives"]), net, train_config, seeds, feature_rows=feature_rows)
     return [fit if isinstance(fit, TrainingError) else PropensityModel(fit.params, net) for fit in fits]
 
 

@@ -14,17 +14,19 @@ one entry per member, and returns one result per member; one network is a
 stack of one, and its failure is returned like any member's.  The members
 share one NetworkConfig; each has its own seeds, lambda, bounds and
 training set: its rows of the matrix (feature_rows), all of one row count,
-such as the splits of a sweep's split group.  Each epoch, data.minibatches
-draws one order of every member's rows and cuts the stack's batches from
-them; a step gathers its batch's rows for every member, so the loop never
-copies a member's training rows whole.  Each member also keeps its own loop
-generator (epoch shuffles and dropout draws), learning-rate schedule and
-finiteness guard, so a member's numbers equal those of the same network
-trained as a stack of one, and a diverging member fails alone.
+such as the splits of a sweep's split group.  _stack_rows, the one row check
+of every stacked trainer, lays such rows out as (K, n) arrays.  Each epoch,
+data.minibatches draws one order of every member's rows and cuts the stack's
+batches from them; a step gathers its batch's rows for every member, so the
+loop never copies a member's training rows whole.  Each member also keeps
+its own loop generator (epoch shuffles and dropout draws), learning-rate
+schedule and finiteness guard, so a member's numbers equal those of the same
+network trained as a stack of one, and a diverging member fails alone.
 The stack keeps its shape for the whole fit: a failed member keeps its row
 as zeros, so the remaining steps stay finite, and is no longer read.
 _ParameterStack holds such a stack's parameters and Adam state, for this
-loop and for both players of the adversarial baseline.
+loop and for both players of the adversarial baseline, and settles the C
+allocator (_settle_malloc) before a trainer's first step.
 """
 from __future__ import annotations
 
@@ -37,7 +39,7 @@ import numpy as np
 
 from .data import minibatches
 from .errors import POSITIVE, SEED, ConfigError, TrainingError, at_least, check_fields, check_value, rule
-from .metrics import _as_binary, _validated_groups, overlap_weights
+from .metrics import _as_binary, _as_propensities, overlap_weights
 from .network import (
     MODE_TRAIN,
     NetworkConfig,
@@ -103,10 +105,11 @@ class _ParameterStack:
     adam_step(stack.adam, stack.flat, _flatten(grads)) updates every member,
     and the views see it.  Member k starts from init_network(config,
     seeds[k]); every member steps at learning_rate until its entry of
-    adam.learning_rate is changed.
+    adam.learning_rate is changed.  Building one settles the C allocator.
     """
 
     def __init__(self, config: NetworkConfig, seeds: list[int], learning_rate: float):
+        _settle_malloc()
         inits = [init_network(config, seed) for seed in seeds]
         self.flat = np.stack([_flatten(p) for p in inits])
         self.params = _unflatten(self.flat, [a.shape for a in (*inits[0].weights, *inits[0].biases)])
@@ -148,7 +151,8 @@ def fit_network(
     rows features[feature_rows[k]], in that order: each entry is a 1-d
     integer array of row indices, and labels[k], sensitives[k] and
     propensities[k] hold one entry per listed row.  Without it every member
-    trains on every row.  The members' row counts must agree.  Any other
+    trains on every row.  The members' row counts must agree; _stack_rows,
+    the row check of every stacked trainer, checks the rows.  Any other
     form, a bare value or a seed that is not an integer >= 0 included,
     raises ConfigError naming the argument; one network is a stack of one.
     A lambda > 0 penalises the last hidden layer, so once the arguments
@@ -175,25 +179,13 @@ def fit_network(
     needs_penalty = bool(np.any(lams > 0.0))
     if needs_penalty and (sensitives is None or propensities is None):
         raise ConfigError("lambda > 0 requires sensitives and propensities")
-    x = _validated_features(features, net_config)
-    row_lists = [None] * k if feature_rows is None else _members("feature_rows", feature_rows, k)
-    member_rows = [np.arange(len(x)) if r is None else _validated_rows(r, len(x)) for r in row_lists]
-    # Each member's per-row vectors, one entry per listed row, validated.
-    ys = _members("labels", labels, k)
-    columns = {"labels": [_as_binary(y, "labels", len(r)).astype(np.float64) for y, r in zip(ys, member_rows)]}
-    if needs_penalty:
-        a_s, e_s = _members("sensitives", sensitives, k), _members("propensities", propensities, k)
-        groups = [_validated_groups(a, e, len(r)) for a, e, r in zip(a_s, e_s, member_rows)]
-        columns.update(sensitives=[a for a, _ in groups], propensities=[e for _, e in groups])
-    n = len(member_rows[0])
-    if any(len(r) != n for r in member_rows):
-        raise ConfigError("stacked training sets must have equal row counts")
+    groups = {"sensitives": sensitives, "propensities": propensities} if needs_penalty else {}
+    x, member_rows, columns = _stack_rows(features, net_config, k, feature_rows, labels=labels, **groups)
     if bounds is not None:
         bounds = StandardisationBounds.stack(_members("bounds", bounds, k))
     if needs_penalty and net_config.num_layers < 2:
         raise ConfigError(f"lambda > 0 penalises a hidden layer, and layer_sizes {net_config.layer_sizes} has none")
 
-    _settle_malloc()
     stack = _ParameterStack(net_config, [init_seed for init_seed, _ in pairs], train_config.learning_rate)
     params, adam = stack.params, stack.adam
     scheds = [
@@ -204,10 +196,7 @@ def fit_network(
     results: list[FitResult | TrainingError] = [FitResult(params=None) for _ in range(k)]
     alive = np.ones(k, dtype=bool)  # members that have not failed
 
-    # The stack's rows: the feature matrix and each per-row vector as (K, n),
-    # so that a step gathers each array for all K members in one np.take.
-    member_rows = np.stack(member_rows)
-    columns = {name: np.stack(vectors) for name, vectors in columns.items()}
+    n = member_rows.shape[1]
     member_base = (np.arange(k) * n)[:, None]
 
     for epoch in range(train_config.epochs):
@@ -305,6 +294,28 @@ def _members(name: str, value, k: int) -> list:
     return value
 
 
+def _stack_rows(features, config: NetworkConfig | None, k: int, feature_rows, **vectors):
+    """The one row check of the stacked trainers, and the (K, n) layout their steps gather from.
+
+    Checks the features (any width when config is None), feature_rows (None
+    or a list of K), then each list of K vectors in ``vectors``, named by
+    its keyword, with one entry per listed row: propensities inside (0, 1),
+    any other 0/1.  The members' row counts must agree.  Returns the checked
+    features, each member's rows of them as a (K, n) array and each vector
+    as a (K, n) float64 array, so a step gathers each batch with one np.take.
+    """
+    x = _validated_features(features, config)
+    row_lists = [None] * k if feature_rows is None else _members("feature_rows", feature_rows, k)
+    rows = [np.arange(len(x)) if r is None else _validated_rows(r, len(x)) for r in row_lists]
+    checked = {}
+    for name, values in vectors.items():
+        check = _as_propensities if name == "propensities" else _as_binary
+        checked[name] = [check(v, name, len(r)) for v, r in zip(_members(name, values, k), rows)]
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise ConfigError("stacked training sets must have equal row counts")
+    return x, np.stack(rows), {name: np.stack(vs, dtype=np.float64) for name, vs in checked.items()}
+
+
 # glibc's malloc thresholds (mallopt(3)) as they settle once a process has
 # freed a block of 32 MB, the most its dynamic threshold adjusts to: blocks
 # under 32 MB come from the heap, which keeps up to 64 MB free at its top.  A
@@ -327,10 +338,10 @@ def _mallopt():
 def _settle_malloc() -> None:
     """Set the C allocator's thresholds to MALLOC_THRESHOLDS; nothing where the C library has no mallopt.
 
-    Every trainer calls it before its first step, so each process that trains
-    (a sweep's forked workers included) steps at the settled thresholds.  It
-    changes no number, and the setting stays: glibc has no way back to its
-    dynamic thresholds.
+    _ParameterStack calls it, so each process that trains (a sweep's forked
+    workers included) steps at the settled thresholds.  It changes no
+    number, and the setting stays: glibc has no way back to its dynamic
+    thresholds.
     """
     mallopt = _mallopt()
     if mallopt is not None:

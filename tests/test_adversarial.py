@@ -190,7 +190,7 @@ def test_classifier_steps_never_touch_the_adversary():
         pretrain_classifier_epochs=3, pretrain_adversary_epochs=0, rounds=0,
     )
     (result,) = train_adversarial(
-        ds.features, ds.labels.astype(float), ds.sensitives, clf, train, adv_cfg, [0.8], [(3, 4)]
+        ds.features, [ds.labels.astype(float)], [ds.sensitives], clf, train, adv_cfg, [0.8], [(3, 4)]
     )
     fresh = init_network(result.adversary_config, derive_seeds(4)[0])
     for w1, w2 in zip(result.adversary_params.weights, fresh.weights):
@@ -204,7 +204,7 @@ def test_adversary_pretraining_never_touches_the_classifier():
         pretrain_classifier_epochs=0, pretrain_adversary_epochs=3, rounds=0,
     )
     (result,) = train_adversarial(
-        ds.features, ds.labels.astype(float), ds.sensitives, clf, train, adv_cfg, [0.8], [(3, 4)]
+        ds.features, [ds.labels.astype(float)], [ds.sensitives], clf, train, adv_cfg, [0.8], [(3, 4)]
     )
     fresh = init_network(result.classifier_config, 3)
     for w1, w2 in zip(result.classifier_params.weights, fresh.weights):
@@ -233,7 +233,7 @@ def test_alternation_takes_one_step_of_each_player_per_round(monkeypatch):
     monkeypatch.setattr(adversarial, "forward", count_epoch)
     # A stack of three steps as one: one gradient call per stacked step, one scoring pass per epoch.
     train_adversarial(
-        ds.features, ds.labels.astype(float), ds.sensitives, clf, train, adv_cfg,
+        ds.features, [ds.labels.astype(float)] * 3, [ds.sensitives] * 3, clf, train, adv_cfg,
         [0.0, 0.5, 1.0], [(0, 1), (2, 3), (4, 5)],
     )
     batches_per_epoch = -(-ds.n_rows // train.batch_size)
@@ -245,7 +245,7 @@ def test_training_is_deterministic_in_seeds():
     ds, clf, train = small_problem(4)
     adv_cfg = AdversaryConfig(hidden_layers=1, hidden_width=4, rounds=5,
                               pretrain_classifier_epochs=1, pretrain_adversary_epochs=1)
-    rows = ds.features, ds.labels.astype(float), ds.sensitives, clf, train, adv_cfg
+    rows = ds.features, [ds.labels.astype(float)], [ds.sensitives], clf, train, adv_cfg
     (r1,) = train_adversarial(*rows, [0.3], [(8, 9)])
     (r2,) = train_adversarial(*rows, [0.3], [(8, 9)])
     (r3,) = train_adversarial(*rows, [0.3], [(8, 10)])
@@ -328,7 +328,7 @@ def test_training_matches_the_plain_reference_loop(lam):
         pretrain_classifier_epochs=2, pretrain_adversary_epochs=2, rounds=9,
     )
     y, a = ds.labels.astype(float), ds.sensitives.astype(float)
-    (result,) = train_adversarial(ds.features, y, ds.sensitives, clf, train, adv_cfg, [lam], [(11, 12)])
+    (result,) = train_adversarial(ds.features, [y], [ds.sensitives], clf, train, adv_cfg, [lam], [(11, 12)])
     ref_clf, ref_adv = reference_adversarial(ds.features, y, a, clf, train, adv_cfg, lam, (11, 12))
     for got, want in ((result.classifier_params, ref_clf), (result.adversary_params, ref_adv)):
         for g, w in zip((*got.weights, *got.biases), (*want.weights, *want.biases)):
@@ -353,14 +353,14 @@ def parameter_digest(result) -> str:
     return h.hexdigest()[:16]
 
 
-def stack_problem():
-    """Dropout on, 140 rows at batch 32 (a short last batch), every phase run."""
+def stack_problem(k=1):
+    """Dropout on, 140 rows at batch 32 (a short last batch), every phase run; k members on every row."""
     ds, clf, train = small_problem(5)
     adv_cfg = AdversaryConfig(
         hidden_layers=2, hidden_width=6,
         pretrain_classifier_epochs=2, pretrain_adversary_epochs=2, rounds=9,
     )
-    return (ds.features, ds.labels, ds.sensitives, clf, train, adv_cfg)
+    return (ds.features, [ds.labels] * k, [ds.sensitives] * k, clf, train, adv_cfg)
 
 
 @pytest.mark.parametrize("lam", sorted(LONE_RUN_DIGESTS))
@@ -376,14 +376,40 @@ def assert_same_players(got, want):
 
 
 def test_each_stack_member_trains_as_its_lone_run():
-    rows = stack_problem()
     lams, seeds = [0.0, 0.3, 1.0], [(11, 12), (3, 4), (5, 6)]
-    stacked = train_adversarial(*rows, lams, seeds)
+    stacked = train_adversarial(*stack_problem(3), lams, seeds)
     assert len(stacked) == 3
     for lam, pair, got in zip(lams, seeds, stacked):
-        (alone,) = train_adversarial(*rows, [lam], [pair])
+        (alone,) = train_adversarial(*stack_problem(), [lam], [pair])
         assert_same_players(got, alone)
     assert parameter_digest(stacked[0]) == LONE_RUN_DIGESTS[0.0]
+
+
+def member_rows_problem():
+    """stack_problem's data with three members on 100 rows each of its 140: in no order, one with repeats."""
+    features, labels, sensitives, clf, train, adv_cfg = stack_problem()
+    rng = np.random.default_rng(8)
+    rows = [rng.permutation(140)[:100], np.arange(40, 140), rng.integers(0, 140, 100)]
+    return features, labels[0], sensitives[0], rows, (clf, train, adv_cfg)
+
+
+def test_stack_members_on_their_own_rows_train_as_their_lone_runs():
+    features, y, a, rows, configs = member_rows_problem()
+    lams, seeds = [0.0, 0.3, 1.0], [(11, 12), (3, 4), (5, 6)]
+    stacked = train_adversarial(
+        features, [y[r] for r in rows], [a[r] for r in rows], *configs, lams, seeds, feature_rows=rows
+    )
+    for r, lam, pair, got in zip(rows, lams, seeds, stacked):
+        (alone,) = train_adversarial(features, [y[r]], [a[r]], *configs, [lam], [pair], feature_rows=[r])
+        assert_same_players(got, alone)
+
+
+def test_listed_rows_train_as_a_copy_of_those_rows():
+    features, y, a, rows, configs = member_rows_problem()
+    for r in rows:
+        (listed,) = train_adversarial(features, [y[r]], [a[r]], *configs, [0.3], [(3, 4)], feature_rows=[r])
+        (copied,) = train_adversarial(features[r], [y[r]], [a[r]], *configs, [0.3], [(3, 4)])
+        assert_same_players(listed, copied)
 
 
 # Not the adversary's default rate, so a learning rate tells the two players' Adam calls apart.
@@ -408,12 +434,14 @@ def poisoned_adam_step(member: int, classifier_step: int):
 def test_a_diverging_member_fails_alone(monkeypatch):
     features, labels, sensitives, clf, _, adv_cfg = stack_problem()
     train = TrainConfig(epochs=3, batch_size=32, learning_rate=CLASSIFIER_RATE)
-    rows = (features, labels, sensitives, clf, train, adv_cfg)
     lams, seeds = [0.0, 0.3, 1.0], [(11, 12), (3, 4), (5, 6)]
-    alone = [train_adversarial(*rows, [lam], [pair])[0] for lam, pair in zip(lams, seeds)]
+    alone = [
+        train_adversarial(features, labels, sensitives, clf, train, adv_cfg, [lam], [pair])[0]
+        for lam, pair in zip(lams, seeds)
+    ]
     # Pretraining takes 2 epochs of 5 classifier steps; its 13th step is the one of round 2.
     monkeypatch.setattr(adversarial, "adam_step", poisoned_adam_step(member=1, classifier_step=13))
-    stacked = train_adversarial(*rows, lams, seeds)
+    stacked = train_adversarial(features, labels * 3, sensitives * 3, clf, train, adv_cfg, lams, seeds)
     assert isinstance(stacked[1], NumericError)
     assert str(stacked[1]) == "round 2 left non-finite parameters (lambda=0.3)"
     for k in (0, 2):
@@ -452,7 +480,7 @@ from fairfront.training import TrainConfig
 rng = np.random.default_rng(0)
 x, y, a = rng.normal(size=(1000, 10)), rng.integers(0, 2, 1000), rng.integers(0, 2, 1000)
 adv = AdversaryConfig(pretrain_classifier_epochs=1, pretrain_adversary_epochs=1, rounds=3)
-args = x, y, a, NetworkConfig(layer_sizes=[10, 8, 1]), TrainConfig(batch_size=250), adv
+args = x, [y] * 7, [a] * 7, NetworkConfig(layer_sizes=[10, 8, 1]), TrainConfig(batch_size=250), adv
 lams, seeds = [0.0, 0.1, 0.2, 0.3, 0.5, 0.7, 1.0], [(k, k) for k in range(7)]
 """
 
@@ -481,7 +509,7 @@ def test_stack_arguments_of_another_form_are_rejected_naming_them(form, monkeypa
     monkeypatch.setattr(adversarial, "forward", _no_step)
     lams, seeds, name = ARGUMENT_FORMS[form]
     with pytest.raises(ConfigError, match=name):
-        train_adversarial(ds.features, ds.labels, ds.sensitives, clf, train, AdversaryConfig(), lams, seeds)
+        train_adversarial(ds.features, [ds.labels], [ds.sensitives], clf, train, AdversaryConfig(), lams, seeds)
 
 
 def _no_step(*args, **kwargs):
@@ -506,7 +534,7 @@ def test_inputs_are_rejected_before_any_step(corrupt, error, monkeypatch):
     adv_cfg = AdversaryConfig(hidden_layers=1, hidden_width=4, rounds=2)
     x, y, a = corrupt(ds.features, ds.labels.astype(float), ds.sensitives)
     with pytest.raises(error):
-        train_adversarial(x, y, a, clf, train, adv_cfg, [0.5], [(0, 1)])
+        train_adversarial(x, [y], [a], clf, train, adv_cfg, [0.5], [(0, 1)])
 
 
 @pytest.mark.parametrize("lam", [-0.1, 1.5, float("nan")])
@@ -515,7 +543,8 @@ def test_lambda_outside_the_unit_interval_is_rejected(lam, monkeypatch):
     monkeypatch.setattr(adversarial, "forward", _no_step)
     with pytest.raises(ConfigError, match="lambda must lie in"):
         train_adversarial(
-            ds.features, ds.labels, ds.sensitives, clf, train, AdversaryConfig(), [0.5, lam], [(0, 1), (2, 3)]
+            ds.features, [ds.labels] * 2, [ds.sensitives] * 2, clf, train, AdversaryConfig(), [0.5, lam],
+            [(0, 1), (2, 3)],
         )
 
 
@@ -537,7 +566,9 @@ def test_diverged_parameters_come_back_as_numeric_errors():
         pretrain_classifier_epochs=1, pretrain_adversary_epochs=0, rounds=3,
     )
     with np.errstate(all="ignore"):
-        runs = train_adversarial(ds.features, ds.labels, ds.sensitives, clf, DIVERGING, adv_cfg, [0.5], [(0, 1)])
+        runs = train_adversarial(
+            ds.features, [ds.labels], [ds.sensitives], clf, DIVERGING, adv_cfg, [0.5], [(0, 1)]
+        )
     assert [str(run) for run in runs] == ["classifier pretraining epoch 0 left non-finite parameters (lambda=0.5)"]
     assert isinstance(runs[0], NumericError)
 

@@ -14,6 +14,7 @@ import pytest
 from fairfront import cli
 from fairfront.cli import main
 from fairfront.network import load_model
+from fairfront.pareto import SweepResult
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +108,26 @@ def test_adversarial_writes_candidates_summary_and_models(workspace, capsys):
     assert models == sorted(p.name for p in (root / "out" / "models").iterdir())
     for name in ["adversarial_candidates.csv", *(f"models/{m}" for m in models)]:
         assert (serial / name).read_bytes() == (pooled / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("command, sweep", [("run", "run_sweep"), ("adversarial", "run_adversarial_sweep")])
+def test_a_sweep_without_candidates_exits_3_and_keeps_its_failures(workspace, tmp_path, capsys, monkeypatch, command,
+                                                                   sweep):
+    root, config_path = workspace
+    failures = [
+        {"split_id": 0, "lambda_index": 0, "lambda": 0.0, "stage": "propensity", "error": "TrainingError: diverged"},
+        {"split_id": 1, "lambda_index": 2, "lambda": 1.0, "stage": "bounds", "error": "NumericError: non-finite"},
+    ]
+    monkeypatch.setattr(cli, sweep, lambda *args, **kwargs: SweepResult(candidates=[], failures=failures))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config_path), "--out", str(out)]) == 3
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "FairfrontError", "message": "every sweep job failed; first error: TrainingError: diverged"
+    }
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["candidates"] == 0 and summary["failures"] == failures and summary["nondominated_ato"] == 0
+    assert summary["wall_time_seconds"] > 0
+    assert sorted(p.name for p in out.iterdir()) == ["resolved_config.json", "summary.json"]
 
 
 def _no_load(dataset_csv, schema_json):

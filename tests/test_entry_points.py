@@ -1,10 +1,12 @@
 """Every public entry point checks the rows and the seeds it receives before any network runs.
 
 forward, overlap_weights and bce_loss check nothing.  The entry points check
-their rows once, with the one feature check (network._validated_features, or
-network._validated_data with the labels) and, where they take groups, the one
-group check (metrics._validated_groups).  Labels and sensitives go through
-metrics._as_binary, which also checks their length against the row count.
+their rows once, with the one feature check (network._validated_features).
+The stacked trainers (fit_network, train_adversarial, train_propensity)
+check all their rows through one helper, training._stack_rows.  Labels and
+sensitives go through metrics._as_binary, and propensities through
+metrics._as_propensities, which also check their length against the row
+count.
 An entry point that takes feature_rows checks them with the one row-list
 check (network._validated_rows), and the listed rows set the row count.
 So each kind of bad row raises one exception type with one message,
@@ -50,8 +52,10 @@ ENTRY_POINTS = {
         {"features", "labels", "sensitives", "propensities", "feature_rows"},
     ),
     "train_adversarial": (
-        lambda x, y, a, e, r: train_adversarial(x, y, a, NET, TRAIN, AdversaryConfig(rounds=1), [0.5], [(0, 1)]),
-        {"features", "labels", "sensitives"},
+        lambda x, y, a, e, r: train_adversarial(
+            x, [y], [a], NET, TRAIN, AdversaryConfig(rounds=1), [0.5], [(0, 1)], feature_rows=[r]
+        ),
+        {"features", "labels", "sensitives", "feature_rows"},
     ),
     "evaluate_test_metrics": (
         lambda x, y, a, e, r: evaluate_test_metrics(init_network(NET, 0), NET, x, a, y, e),
@@ -192,12 +196,12 @@ SEED_ENTRY_POINTS = {
     "fit_network-loop": (lambda s, x, y, a: fit_network(x, [y], NET, TRAIN, [(0, 0), (0, s)]), "seeds[1][1]"),
     "train_propensity": (lambda s, x, y, a: train_propensity(x, [a], PROPENSITY, [s]), "seed"),
     "train_adversarial-classifier": (
-        lambda s, x, y, a: train_adversarial(x, y, a, NET, TRAIN, AdversaryConfig(rounds=1), [0.5], [(s, 1)]),
+        lambda s, x, y, a: train_adversarial(x, [y], [a], NET, TRAIN, AdversaryConfig(rounds=1), [0.5], [(s, 1)]),
         "seeds[0][0]",
     ),
     "train_adversarial-adversary": (
         lambda s, x, y, a: train_adversarial(
-            x, y, a, NET, TRAIN, AdversaryConfig(rounds=1), [0.5, 0.5], [(0, 1), (0, s)]
+            x, [y] * 2, [a] * 2, NET, TRAIN, AdversaryConfig(rounds=1), [0.5, 0.5], [(0, 1), (0, s)]
         ),
         "seeds[1][1]",
     ),
@@ -223,7 +227,10 @@ def test_a_seed_pair_of_another_form_is_rejected(pair, no_forward):
     with pytest.raises(ConfigError, match=r"^seeds\[0\] must be an \(init seed, loop seed\) pair, got "):
         fit_network(rows["features"], [rows["labels"]], NET, TRAIN, [pair])
     with pytest.raises(ConfigError, match=r"^seeds\[0\] must be an \(init seed, loop seed\) pair, got "):
-        train_adversarial(*list(rows.values())[:3], NET, TRAIN, AdversaryConfig(rounds=1), [0.5], [pair])
+        train_adversarial(
+            rows["features"], [rows["labels"]], [rows["sensitives"]], NET, TRAIN, AdversaryConfig(rounds=1), [0.5],
+            [pair],
+        )
 
 
 def test_numpy_integer_seeds_seed_as_their_values():

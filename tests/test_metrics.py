@@ -211,7 +211,7 @@ def test_degenerate_stack_member_gets_zero_penalty():
 
 
 def test_group_check_rejects_bad_propensities():
-    # overlap_weights checks nothing; fit_network checks its groups once (metrics._validated_groups)
+    # overlap_weights checks nothing; fit_network checks its groups once (training._stack_rows)
     x, y, a = np.zeros((4, 2)), np.array([0.0, 1.0, 1.0, 0.0]), np.array([0, 1, 0, 1])
     net, train = NetworkConfig(layer_sizes=[2, 1]), TrainConfig(epochs=1, batch_size=4)
     cases = (([0.0, 0.5, 0.5, 0.5], InputError), ([1.0, 0.5, 0.5, 0.5], InputError), ([0.5, 0.5], ShapeError))
@@ -235,7 +235,7 @@ def test_every_entry_point_rejects_a_fractional_sensitive_with_one_message():
     calls = [
         lambda: evaluate_test_metrics(init_network(net, 0), net, x, np.array(a), y, e),
         lambda: fit_network(x, [y], net, train, [(0, 0)], lambda_=[0.5], sensitives=[a], propensities=[e]),
-        lambda: train_adversarial(x, y, a, net, train, AdversaryConfig(), [0.5], [(1, 2)]),
+        lambda: train_adversarial(x, [y], [a], net, train, AdversaryConfig(), [0.5], [(1, 2)]),
     ]
     messages = set()
     for call in calls:

@@ -540,6 +540,31 @@ def ungrouped():
         return run_sweep(*three_splits(), SMALL_SWEEP, jobs=1)
 
 
+def test_adversarial_results_do_not_depend_on_stack_size(monkeypatch):
+    # A 16-wide adversary against a 4-wide classifier at batch 64: a cap of
+    # 3 x 64 x 16 puts the three splits in one group and cuts their 3 x 4
+    # networks into stacks of 3, so [s0 lambda 3, s1 lambda 0, s1 lambda 1]
+    # share one, a member at lambda > 0 reading its adversary among them.
+    ds, plan, grid = three_splits()
+    wide = AdversaryConfig(hidden_layers=1, hidden_width=16, pretrain_classifier_epochs=1,
+                           pretrain_adversary_epochs=1, rounds=3)
+    real, stacks = adversarial.train_adversarial, []
+
+    def spy(*args, feature_rows, **kwargs):
+        stacks.append({id(r) for r in feature_rows})
+        return real(*args, feature_rows=feature_rows, **kwargs)
+
+    monkeypatch.setattr(adversarial, "train_adversarial", spy)
+    monkeypatch.setattr(pareto, "STACK_CAP", 3 * 64 * 16)
+    mixed = run_adversarial_sweep(ds, plan, grid, SMALL_SWEEP, wide, jobs=1)
+    assert [len(s) for s in stacks] == [1, 2, 2, 1]  # the splits each stack's members train on
+    monkeypatch.setattr(pareto, "STACK_CAP", 1)
+    alone = run_adversarial_sweep(ds, plan, grid, SMALL_SWEEP, wide, jobs=1)
+    assert len(stacks) == 4 + 12
+    assert len(mixed.candidates) == 3 * 4 and not mixed.failures
+    assert_same_sweep(mixed, alone)
+
+
 def test_split_groups_are_near_equal_and_cover_every_split():
     assert pareto.split_groups(3, 6, 1) == [range(0, 3)]
     assert pareto.split_groups(3, 6, 2) == [range(0, 1), range(1, 3)]
