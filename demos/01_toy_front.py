@@ -4,7 +4,8 @@ A quarter circle bulging away from the origin is the worst case for
 weighted-sum scalarisation.  Every strictly interior point of the arc is
 Pareto optimal, yet no convex combination of the two objectives is minimised
 there, so a weighted sum only ever returns the endpoints.  The weighted
-maximum (Chebyshev) objective has no such blind spot.
+maximum (Chebyshev) objective has no such blind spot.  Its picks minimise
+the trainer's own rule, network.chebyshev_weights, on the sampled arc.
 """
 import numpy as np
 

@@ -194,7 +194,12 @@ def cmd_sweep(args) -> int:
     resolved = load_run_config(args.config)
     _apply_overrides(resolved, args)
     sweep_config, plan, grid, adv_config = _build_objects(resolved)
-    out_dir = _output_dir(resolved["output_dir"], "--out" if args.out else "config key 'output_dir'")
+    option = "--out" if args.out else "config key 'output_dir'"
+    out_dir = _output_dir(resolved["output_dir"], option)
+    # What either sweep writes: a directory holding one of them holds another sweep's outputs.
+    for name in ("resolved_config.json", "summary.json", "candidates.csv", "adversarial_candidates.csv", "models"):
+        if (out_dir / name).exists():
+            raise ConfigError(f"{option} {out_dir} already holds a sweep's {name}; each sweep needs a fresh directory")
     if args.command == "adversarial":
         sweep = functools.partial(run_adversarial_sweep, adv_config=adv_config)
         csv_name = "adversarial_candidates.csv"

@@ -3,8 +3,8 @@
 Hidden layers are ReLU with inverted dropout; the output layer is a single
 sigmoid unit clamped away from {0, 1} (clamped_sigmoid).  The backward pass
 differentiates a Chebyshev composite of standardised risk and a contrast
-penalty on the last hidden layer, of which plain binary cross-entropy is the lambda = 0
-special case, and returns its value: the composite is defined here only.
+penalty on the last hidden layer (plain binary cross-entropy at lambda = 0),
+and returns its value; the composite's rule is chebyshev_weights alone.
 A trace keeps no dropout mask: backprop gates each hidden unit on its post-dropout activation.
 
 forward, backward_composite and backprop also accept a stack of K networks of
@@ -330,6 +330,23 @@ class BackwardResult(NamedTuple):
     objective: np.ndarray
 
 
+def chebyshev_weights(lam, r_tilde, u_tilde, penalised) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per member: the risk delta's weight, the penalty delta's weight and max{(1-lam) * R~, lam * U~}.
+
+    The weighted Chebyshev rule.  A member outside ``penalised`` takes the
+    risk branch, and so does a tie; lam = 1 takes the penalty branch, whose
+    value is U~.  The branch taken weighs 1 - lam or lam, the other 0.  Where
+    U~ is nan the value is (1 - lam) * R~, on either branch.  Elementwise.
+    """
+    r_value = (1.0 - lam) * r_tilde
+    if not penalised.any():
+        return 1.0 - lam, np.zeros_like(lam), r_value
+    u_value = lam * u_tilde
+    risk = ~penalised | ((lam < 1.0) & (r_value >= u_value))
+    value = np.where(risk | np.isnan(u_tilde), r_value, u_value)
+    return np.where(risk, 1.0 - lam, 0.0), np.where(risk, 0.0, lam), value
+
+
 def backward_composite(
     trace: ForwardTrace,
     params: NetworkParams,
@@ -343,12 +360,11 @@ def backward_composite(
 
     R~ and U~ are the batch risk and the last hidden layer's penalty
     (metrics.ato_hidden_penalty) standardised by ``bounds`` (identity when
-    None).  Exactly one branch of the max is active per network, reported in
-    risk_branch; its gradient is what backprop propagates through the
-    trace's gates.  Ties go to the risk
-    branch, and lambda = 0 / lambda = 1 deterministically select risk /
-    unfairness so the endpoints degenerate to pure BCE and pure penalty
-    training.  When ``weights`` is None, or marks a stack member's batch as
+    None).  chebyshev_weights gives each network's branch (risk_branch) and
+    objective value, and the weight by which, over its bounds' span, each
+    delta is scaled: the risk delta at the output layer, the penalty delta
+    at the last hidden layer, propagated through the trace's gates by
+    backprop.  When ``weights`` is None, or marks a stack member's batch as
     degenerate, the penalty is undefined for that batch, the risk branch is
     forced (unfairness comes back as nan) and the objective is
     (1-lambda) * R~ alone.  A stack takes one lambda per member, and either
@@ -365,35 +381,31 @@ def backward_composite(
         raise ShapeError(f"labels {y.shape} do not match the traced batch ({p.shape})")
 
     risk = bce_loss(p, y)
-    r_scaled = (1.0 - lam) * bounds.standardise_risk(risk)
     penalised = lam > 0.0
     if weights is None:
         penalised = np.zeros_like(penalised)
     else:
         penalised = penalised & ~weights.degenerate
     L = config.num_layers
-    unfairness = np.full(lam.shape, np.nan)
-    objective = r_scaled
-    risk_branch = ~penalised
+    unfairness = u_tilde = np.full(lam.shape, np.nan)
+    tau = None
     if penalised.any():
         penalty, tau = ato_hidden_penalty(trace, weights)
         unfairness = np.where(penalised, penalty, np.nan)
         u_tilde = bounds.standardise_unfairness(unfairness)
-        u_scaled = lam * u_tilde
-        risk_branch |= (lam < 1.0) & (r_scaled >= u_scaled)
-        chebyshev = np.where(lam == 1.0, u_tilde, np.maximum(r_scaled, u_scaled))
-        objective = np.where(np.isnan(unfairness), r_scaled, chebyshev)
+    risk_weight, penalty_weight, objective = chebyshev_weights(lam, bounds.standardise_risk(risk), u_tilde, penalised)
+    risk_branch = penalty_weight == 0
 
     deltas: list[np.ndarray | None] = [None] * L
     if risk_branch.any():
         # Multiplying the BCE delta by scale afterwards keeps the lambda = 0
         # / identity-bounds path bit-identical to plain BCE backprop (x * 1.0
-        # is exact).
-        scale = np.where(risk_branch, (1.0 - lam) / bounds.risk_span, 0.0)
+        # is exact); a weight-0 member gets 0 * delta, as a skip would flip its zeros' signs.
+        scale = risk_weight / bounds.risk_span
         deltas[L - 1] = (bce_output_delta(p, y) * scale[..., None])[..., None]
     if not risk_branch.all() and tau is not None:
         # d|tau|/dh is the contrast coefficient times the sign of tau.
-        scale = np.where(risk_branch, 0.0, lam / bounds.unfairness_span)
+        scale = penalty_weight / bounds.unfairness_span
         deltas[L - 2] = np.einsum("...m,...n->...mn", weights.coefficients * scale[..., None], np.sign(tau))
 
     grads = backprop(params, config, trace, deltas)

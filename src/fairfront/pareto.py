@@ -1,11 +1,11 @@
 """Chebyshev-scalarised sweep over the risk/unfairness trade-off.
 
 For each train/test split the sweep trains one classifier per lambda on the
-objective max{(1-lambda) * R~, lambda * U~}.  The two endpoint runs double as
-the standardisation-bound discovery: the lambda = 0 run records the range of
-minibatch risks, the lambda = 1 run the range of minibatch penalties, and the
-endpoint models are reused as the lambda = 0 / lambda = 1 candidates instead
-of being retrained.
+objective max{(1-lambda) * R~, lambda * U~} of network.chebyshev_weights, which
+chebyshev_toy_minimiser minimises on a sampled curve.  The endpoint runs double
+as the standardisation-bound discovery: the lambda = 0 run records the range
+of minibatch risks, the lambda = 1 run the range of minibatch penalties, and
+the endpoint models are reused as the lambda = 0 / lambda = 1 candidates.
 
 The sweep runs its splits in split groups (split_groups): at most
 stack_size() // 2 splits, the number whose endpoints fit one stack, and at
@@ -71,7 +71,7 @@ from .errors import (
     open_input,
 )
 from .evaluation import METRIC_NAMES, evaluate_test_metrics
-from .network import NetworkConfig, NetworkParams, StandardisationBounds
+from .network import NetworkConfig, NetworkParams, StandardisationBounds, chebyshev_weights
 from .propensity import PropensityConfig, calibrate_temperature, predict_propensity, train_propensity
 from .training import FitResult, TrainConfig, derive_seeds, fit_network
 
@@ -626,21 +626,27 @@ def cull_nondominated(risks, unfairness) -> np.ndarray:
     return keep
 
 
-def chebyshev_toy_minimiser(lambda_: float, j1, j2) -> int:
-    """Index minimising max{(1-lambda) * J1, lambda * J2} on a sampled curve."""
+def _toy_curve(j1, j2) -> tuple[np.ndarray, np.ndarray]:
+    """J1 and J2 as equal-length non-empty finite vectors: a sampled curve of the toy minimisers."""
     a = np.asarray(j1, dtype=np.float64)
     b = np.asarray(j2, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1 or a.size == 0:
         raise ShapeError("J1 and J2 must be equal-length non-empty vectors")
-    return int(np.argmin(np.maximum((1.0 - lambda_) * a, lambda_ * b)))
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise InputError("J1 and J2 must be finite")
+    return a, b
+
+
+def chebyshev_toy_minimiser(lambda_: float, j1, j2) -> int:
+    """Index minimising the trainer's max{(1-lambda) * J1, lambda * J2} (chebyshev_weights) on a sampled curve."""
+    a, b = _toy_curve(j1, j2)
+    lam = np.float64(lambda_)
+    return int(np.argmin(chebyshev_weights(lam, a, b, lam > 0.0)[2]))
 
 
 def linear_toy_minimiser(lambda_: float, j1, j2) -> int:
     """Index minimising (1-lambda) * J1 + lambda * J2 on a sampled curve."""
-    a = np.asarray(j1, dtype=np.float64)
-    b = np.asarray(j2, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1 or a.size == 0:
-        raise ShapeError("J1 and J2 must be equal-length non-empty vectors")
+    a, b = _toy_curve(j1, j2)
     return int(np.argmin((1.0 - lambda_) * a + lambda_ * b))
 
 

@@ -164,6 +164,26 @@ def minor_faults_of_a_second_call(setup: str, call: str) -> int:
 
 
 # ---------------------------------------------------------------------------
+# report header
+
+
+def pytest_report_header(config):
+    """numpy's version and BLAS build: the bit-exact digests pinned here depend on both.
+
+    DYNAMIC_ARCH builds pick their kernels for the CPU, so a digest that fails
+    on another machine can be read against this line.  -q hides the header,
+    so the terminal summary then writes the line instead.
+    """
+    line = f"numpy {np.__version__}"
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 has no mode="dicts"
+        return line
+    build = blas.get("openblas configuration") or blas.get("version", "")
+    return f"{line}, BLAS {blas.get('name', '?')} {build}"
+
+
+# ---------------------------------------------------------------------------
 # acceptance verdict plumbing
 
 _ACCEPTANCE_LINES: list[str] = []
@@ -174,7 +194,9 @@ def record_verdict(line: str):
     _ACCEPTANCE_LINES.append(line)
 
 
-def pytest_terminal_summary(terminalreporter):
+def pytest_terminal_summary(terminalreporter, config):
+    if terminalreporter.verbosity < 0:
+        terminalreporter.write_line(pytest_report_header(config))
     if not _ACCEPTANCE_LINES:
         return
     terminalreporter.section("acceptance criteria")

@@ -697,3 +697,55 @@ def test_a_file_given_as_the_output_directory_exits_2_before_any_work(
         "message": f"{option} {out} cannot be an output directory: {taken} is not a directory",
     }
     assert taken.read_text() == "kept"
+
+
+def _tree_bytes(root: Path) -> dict:
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("command", ["run", "adversarial"])
+@pytest.mark.parametrize("option", ["--out", "config key 'output_dir'"])
+def test_a_sweep_into_a_used_output_directory_exits_2_before_any_work(
+    workspace, tmp_path, capsys, monkeypatch, command, option
+):
+    # Two sweeps' models and CSVs in one directory would not describe one run.
+    root, config_path = workspace
+    monkeypatch.setattr(cli, "_load_encoded_dataset", _no_work)
+    out = root / "out"
+    before = _tree_bytes(out)
+    if option == "--out":
+        argv = [command, "--config", str(config_path), "--out", str(out)]
+    else:
+        argv = [command, "--config", _config_with(tmp_path, config_path, output_dir=str(out))]
+    assert main(argv) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {
+        "error": "ConfigError",
+        "message": f"{option} {out} already holds a sweep's resolved_config.json; each sweep needs a fresh directory",
+    }
+    assert _tree_bytes(out) == before
+
+
+@pytest.mark.parametrize(
+    "entry", ["resolved_config.json", "summary.json", "candidates.csv", "adversarial_candidates.csv", "models"]
+)
+def test_each_sweep_output_alone_marks_a_directory_as_used(workspace, tmp_path, capsys, monkeypatch, entry):
+    _, config_path = workspace
+    monkeypatch.setattr(cli, "_load_encoded_dataset", _no_work)
+    if entry == "models":
+        (tmp_path / entry).mkdir()
+    else:
+        (tmp_path / entry).write_text("kept")
+    assert main(["run", "--config", str(config_path), "--out", str(tmp_path)]) == 2
+    assert f"already holds a sweep's {entry}" in json.loads(capsys.readouterr().err)["message"]
+
+
+def test_a_directory_of_files_no_sweep_writes_takes_a_sweep(workspace, tmp_path):
+    root, config_path = workspace
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "culled_mv_dp.csv").write_text("kept")
+    (out / "synthetic.csv").write_bytes((root / "data" / "synthetic.csv").read_bytes())
+    assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
+    assert (out / "culled_mv_dp.csv").read_text() == "kept"
+    assert (out / "candidates.csv").read_bytes() == (root / "out" / "candidates.csv").read_bytes()

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairfront.errors import ConfigError, InputError, NumericError, ShapeError
 from fairfront.metrics import ato_hidden_penalty, overlap_weights
@@ -21,6 +23,7 @@ from fairfront.network import (
     backprop,
     backward_composite,
     bce_loss,
+    chebyshev_weights,
     forward,
     init_network,
     input_delta,
@@ -443,6 +446,60 @@ def test_branch_tie_prefers_risk():
     bounds = StandardisationBounds(0.0, probe.risk, 0.0, probe.unfairness)
     result = backward_composite(trace, params, config, y, w, 0.5, bounds)
     assert result.risk_branch
+
+
+LAMBDAS = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+SCALED = st.floats(-2.0, 3.0)
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_chebyshev_weights_follow_the_rule_and_a_stack_equals_its_members_bitwise(data):
+    k = data.draw(st.integers(1, 6))
+    members = st.lists(st.tuples(LAMBDAS, SCALED, st.one_of(SCALED, st.just(np.nan)), st.booleans()),
+                       min_size=k, max_size=k)
+    lam, r, u, penalised = (np.array(c) for c in zip(*data.draw(members)))
+    risk_weight, penalty_weight, value = chebyshev_weights(lam, r, u, penalised)
+    for i in range(k):
+        l, r_scaled, u_scaled = lam[i], (1.0 - lam[i]) * r[i], lam[i] * u[i]
+        if not penalised[i]:
+            risk = True
+        elif l == 1.0 or np.isnan(u[i]):
+            risk = False
+        else:
+            risk = r_scaled >= u_scaled  # ties go to the risk branch
+        assert (risk_weight[i], penalty_weight[i]) == ((1.0 - l, 0.0) if risk else (0.0, l))
+        if not penalised[i] or np.isnan(u[i]):
+            assert value[i] == r_scaled
+        else:
+            assert value[i] == (u[i] if l == 1.0 else max(r_scaled, u_scaled))
+        if l > 0.0 or not penalised[i]:  # as backward_composite calls it: only lambda > 0 is penalised
+            assert (penalty_weight[i] == 0.0) == risk
+        alone = chebyshev_weights(*(np.asarray(a[i]) for a in (lam, r, u, penalised)))
+        assert [_bits(x) for x in alone] == [_bits(x[i]) for x in (risk_weight, penalty_weight, value)]
+
+
+def test_lambda_one_below_the_unfairness_bounds_descends_the_penalty(rng):
+    # The batch penalty lies under unfairness_min, so U~ < 0: the objective is
+    # U~ itself, not max(0 * R~, U~) = 0, and its gradient is the penalty's.
+    fx = draw_gradient_fixture(rng, affine_maps=2)
+    penalty, _ = ato_hidden_penalty(fx["trace"], fx["weights"])
+    bounds = StandardisationBounds(fx["bounds"].risk_min, fx["bounds"].risk_max, penalty + 0.5, penalty + 1.5)
+    result = backward_composite(fx["trace"], fx["params"], fx["config"], fx["labels"], fx["weights"], 1.0, bounds)
+    assert not result.risk_branch
+    assert result.objective == bounds.standardise_unfairness(penalty) < 0.0
+    assert any(np.any(g != 0.0) for g in result.gradients.weights)
+    numeric = fd_gradient(
+        lambda p: composite_objective(
+            p, fx["config"], fx["x"], fx["labels"], fx["sensitives"], fx["propensities"], 1.0, bounds, fx["noise"]
+        ),
+        fx["params"],
+    )
+    assert max_relative_error(result.gradients, numeric) < 1e-4
 
 
 def test_lambda_zero_identity_bounds_is_plain_bce_gradient():

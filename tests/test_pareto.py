@@ -136,6 +136,29 @@ def test_chebyshev_balanced_lambda_picks_the_diagonal():
     assert idx == 90  # t = pi/4 equalises both objectives
 
 
+@pytest.mark.parametrize(
+    "lam, j1, j2",
+    [(1.0, [1.0, 1.0, 1.0], [-1.0, -2.0, -3.0]), (0.0, [-1.0, -2.0, -3.0], [1.0, 1.0, 1.0])],
+    ids=["lambda-1", "lambda-0"],
+)
+def test_chebyshev_endpoints_minimise_their_one_objective_below_zero(lam, j1, j2):
+    # max(0 * J1, J2) would read 0 for every negative J2 and pick index 0;
+    # the trainer's rule minimises J2 alone at lambda = 1 and J1 alone at 0
+    assert chebyshev_toy_minimiser(lam, j1, j2) == 2
+
+
+@pytest.mark.parametrize("minimiser", [chebyshev_toy_minimiser, linear_toy_minimiser])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("curve", [0, 1], ids=["J1", "J2"])
+def test_toy_minimisers_reject_a_non_finite_curve(minimiser, bad, curve):
+    # 0 * inf is nan, and argmin would return the nan's index
+    j = [[bad, 1.0, 0.0], [1.0, 1.0, 0.0]]
+    if curve:
+        j.reverse()
+    with pytest.raises(InputError, match="finite"):
+        minimiser(1.0 - curve, *j)
+
+
 # ---------------------------------------------------------------------------
 # bounds discovery and scalarised training
 
